@@ -69,6 +69,13 @@ class Mesh:
             mask = mask2.ravel()
         mask.setflags(write=False)
         object.__setattr__(self, "boundary_mask", mask)
+        interior = np.flatnonzero(~mask)
+        w = np.ones(m)
+        w[0] = w[-1] = 0.5
+        weights = w if self.dimension == 1 else np.outer(w, w).ravel()
+        for name, arr in (("_interior", interior), ("_node_weights", weights)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def h(self) -> float:
@@ -101,7 +108,7 @@ class Mesh:
 
     @property
     def interior_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.boundary_mask)
+        return self._interior
 
     def node_coords(self) -> np.ndarray:
         """Coordinates of every node, shape ``(n_nodes, dimension)``."""
@@ -121,11 +128,7 @@ class Mesh:
 
     def node_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights per node (without the h^d factor)."""
-        w = np.ones(self.nodes_per_axis)
-        w[0] = w[-1] = 0.5
-        if self.dimension == 1:
-            return w
-        return np.outer(w, w).ravel()
+        return self._node_weights
 
 
 @dataclass(frozen=True)
@@ -158,9 +161,6 @@ class ScalarField:
         bvals = self.values[self.mesh.boundary_mask]
         return bool(np.all(np.abs(bvals) <= tol))
 
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.mesh, values, self.location, self.units)
-
 
 @dataclass(frozen=True)
 class VectorField:
@@ -190,35 +190,25 @@ def build_mesh(dimension: int, cells_per_axis: int) -> Mesh:
     return Mesh(dimension, cells_per_axis)
 
 
-def zero_nodal(mesh: Mesh) -> ScalarField:
-    return ScalarField(mesh, np.zeros(mesh.n_nodes))
-
-
-def nodal_field(mesh: Mesh, values: np.ndarray, units: str = "") -> ScalarField:
-    return ScalarField(mesh, values, "nodes", units)
-
-
-def cell_field(mesh: Mesh, values: np.ndarray, units: str = "") -> ScalarField:
-    return ScalarField(mesh, values, "cells", units)
-
-
 # -- discrete differential operators -----------------------------------------
 
 
 def gradient_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
-    """Cell-centered gradient of flat nodal values, shape (n_cells, dim).
+    """Cell-centered gradient of flat nodal values, shape (..., n_cells, dim);
+    leading axes of y are batch axes.
 
     1D: forward difference quotient per cell.  2D: per axis, average of the
     two opposing face difference quotients.  Exact for affine y.
     """
     h = mesh.h
     if mesh.dimension == 1:
-        return ((y[1:] - y[:-1]) / h)[:, None]
+        return ((y[..., 1:] - y[..., :-1]) / h)[..., None]
     m = mesh.nodes_per_axis
-    y2 = y.reshape(m, m)
-    gx = (y2[1:, :-1] - y2[:-1, :-1] + y2[1:, 1:] - y2[:-1, 1:]) / (2.0 * h)
-    gy = (y2[:-1, 1:] - y2[:-1, :-1] + y2[1:, 1:] - y2[1:, :-1]) / (2.0 * h)
-    return np.column_stack([gx.ravel(), gy.ravel()])
+    lead = y.shape[:-1]
+    y2 = y.reshape(lead + (m, m))
+    gx = (y2[..., 1:, :-1] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., :-1, 1:]) / (2.0 * h)
+    gy = (y2[..., :-1, 1:] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., 1:, :-1]) / (2.0 * h)
+    return np.stack([gx.reshape(lead + (-1,)), gy.reshape(lead + (-1,))], axis=-1)
 
 
 def gradient(y: ScalarField) -> VectorField:
@@ -233,22 +223,24 @@ def divergence_weak_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
 
     Defined so that inner(divergence_weak(q), z) == -inner(q, gradient(z))
     for every nodal z vanishing on the Dirichlet nodes; zero on the boundary.
+    Leading axes of q (shape (..., n_cells, dim)) are batch axes.
     """
     h = mesh.h
+    lead = q.shape[:-2]
     if mesh.dimension == 1:
-        out = np.zeros(mesh.n_nodes)
-        out[1:-1] = (q[1:, 0] - q[:-1, 0]) / h
+        out = np.zeros(lead + (mesh.n_nodes,))
+        out[..., 1:-1] = (q[..., 1:, 0] - q[..., :-1, 0]) / h
         return out
     n = mesh.cells_per_axis
-    qx = q[:, 0].reshape(n, n)
-    qy = q[:, 1].reshape(n, n)
-    out2 = np.zeros((n + 1, n + 1))
+    qx = q[..., 0].reshape(lead + (n, n))
+    qy = q[..., 1].reshape(lead + (n, n))
+    out2 = np.zeros(lead + (n + 1, n + 1))
     # interior nodes (k,l), k,l in 1..n-1; cell slices shifted accordingly
-    out2[1:-1, 1:-1] = (
-        qx[1:, :-1] + qx[1:, 1:] - qx[:-1, :-1] - qx[:-1, 1:]
-        + qy[:-1, 1:] + qy[1:, 1:] - qy[:-1, :-1] - qy[1:, :-1]
+    out2[..., 1:-1, 1:-1] = (
+        qx[..., 1:, :-1] + qx[..., 1:, 1:] - qx[..., :-1, :-1] - qx[..., :-1, 1:]
+        + qy[..., :-1, 1:] + qy[..., 1:, 1:] - qy[..., :-1, :-1] - qy[..., 1:, :-1]
     ) / (2.0 * h)
-    return out2.ravel()
+    return out2.reshape(lead + (-1,))
 
 
 def divergence_weak(q: VectorField) -> ScalarField:
@@ -317,22 +309,24 @@ def node_to_cell(y: ScalarField) -> ScalarField:
 def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
     """Average per-cell values to nodes (adjoint of node_to_cell with respect
     to the discrete inner products at interior nodes; one-sided means on the
-    boundary, where the value never enters a Dirichlet solve)."""
+    boundary, where the value never enters a Dirichlet solve).  Leading axes
+    of c are batch axes."""
+    lead = c.shape[:-1]
     if mesh.dimension == 1:
-        out = np.empty(mesh.n_nodes)
-        out[1:-1] = 0.5 * (c[:-1] + c[1:])
-        out[0] = c[0]
-        out[-1] = c[-1]
+        out = np.empty(lead + (mesh.n_nodes,))
+        out[..., 1:-1] = 0.5 * (c[..., :-1] + c[..., 1:])
+        out[..., 0] = c[..., 0]
+        out[..., -1] = c[..., -1]
         return out
     n = mesh.cells_per_axis
-    c2 = c.reshape(n, n)
-    acc = np.zeros((n + 1, n + 1))
+    c2 = c.reshape(lead + (n, n))
+    acc = np.zeros(lead + (n + 1, n + 1))
     cnt = np.zeros((n + 1, n + 1))
     for di in (0, 1):
         for dj in (0, 1):
-            acc[di : n + di, dj : n + dj] += c2
+            acc[..., di : n + di, dj : n + dj] += c2
             cnt[di : n + di, dj : n + dj] += 1.0
-    return (acc / cnt).ravel()
+    return (acc / cnt).reshape(lead + (-1,))
 
 
 def cell_to_node(c: ScalarField) -> ScalarField:
@@ -388,19 +382,32 @@ def _interior_operator_2d(mesh: Mesh, b: float):
 
 
 def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
-    """Flat nodal solution of (-lap_h + b) y = rhs, y = 0 on Dirichlet nodes."""
+    """Flat nodal solution of (-lap_h + b) y = rhs, y = 0 on Dirichlet nodes.
+
+    Leading axes of rhs stack independent right-hand sides; all of them go
+    through the cached factorization in one multi-right-hand-side solve.
+    """
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"b must be a finite nonnegative real, got {b}")
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.shape[-1:] != (mesh.n_nodes,):
+        raise ValueError(
+            f"right-hand side has shape {rhs.shape}, mesh expects "
+            f"(..., {mesh.n_nodes}) nodal values"
+        )
     if not np.all(np.isfinite(rhs)):
         raise ValueError("non-finite right-hand side")
-    out = np.zeros(mesh.n_nodes)
     interior = mesh.interior_indices
+    cols = rhs[..., interior].reshape(-1, interior.size).T
     if mesh.dimension == 1:
-        fac = _interior_operator_1d(mesh, b)
-        out[interior] = scipy.linalg.cho_solve_banded((fac, False), rhs[interior])
+        # LAPACK directly: the banded-solve wrapper costs more than the solve
+        sol, info = scipy.linalg.lapack.dpbtrs(_interior_operator_1d(mesh, b), cols)
+        if info != 0:
+            raise ValueError(f"banded Cholesky solve failed (info={info})")
     else:
-        fac = _interior_operator_2d(mesh, b)
-        out[interior] = fac.solve(rhs[interior])
+        sol = _interior_operator_2d(mesh, b).solve(cols)
+    out = np.zeros(rhs.shape)
+    out[..., interior] = sol.T.reshape(rhs.shape[:-1] + (interior.size,))
     return out
 
 
@@ -504,6 +511,29 @@ def _h1_projection_factor(mesh: Mesh):
     return entry
 
 
+def gradient_potential_values(mesh: Mesh, v: np.ndarray, space: str = "h10") -> np.ndarray:
+    """Flat nodal least-squares potential of cell vector values v, shape
+    (..., n_nodes); leading axes of v (shape (..., n_cells, dim)) are batch
+    axes, solved together.  See gradient_potential."""
+    if space == "h10":
+        return helmholtz_solve_values(mesh, 0.0, -divergence_weak_values(mesh, v))
+    if space != "h1":
+        raise ValueError(f"unknown potential space {space!r}")
+    # representative convention: zero plain nodal mean (the 2D KKT rows
+    # pin the full gradient kernel {1, checkerboard} the same way)
+    lead = v.shape[:-2]
+    if mesh.dimension == 1:
+        pot = np.concatenate(
+            [np.zeros(lead + (1,)), mesh.h * np.cumsum(v[..., 0], axis=-1)], axis=-1
+        )
+        return pot - np.mean(pot, axis=-1, keepdims=True)
+    fac, G = _h1_projection_factor(mesh)
+    comps = np.swapaxes(v, -1, -2).reshape(-1, v.shape[-2] * v.shape[-1])
+    rhs = np.zeros((mesh.n_nodes + 2, comps.shape[0]))
+    rhs[: mesh.n_nodes] = mesh.cell_volume * (G.T @ comps.T)
+    return fac.solve(rhs)[: mesh.n_nodes].T.reshape(lead + (mesh.n_nodes,))
+
+
 def gradient_potential(v: VectorField, space: str = "h10"):
     """Least-squares potential of a cell vector field.
 
@@ -518,26 +548,9 @@ def gradient_potential(v: VectorField, space: str = "h10"):
         gradient of the requested class.
     """
     mesh = v.mesh
-    if space == "h10":
-        rhs = -divergence_weak_values(mesh, v.values)
-        pot = helmholtz_solve_values(mesh, 0.0, rhs)
-    elif space == "h1":
-        # representative convention: zero plain nodal mean (the 2D KKT rows
-        # pin the full gradient kernel {1, checkerboard} the same way)
-        if mesh.dimension == 1:
-            pot = np.concatenate([[0.0], mesh.h * np.cumsum(v.values[:, 0])])
-            pot = pot - np.mean(pot)
-        else:
-            fac, G = _h1_projection_factor(mesh)
-            rhs = np.concatenate(
-                [mesh.cell_volume * (G.T @ v.values.T.ravel()), [0.0, 0.0]]
-            )
-            pot = fac.solve(rhs)[: mesh.n_nodes]
-    else:
-        raise ValueError(f"unknown potential space {space!r}")
-    pot_field = ScalarField(mesh, pot)
+    pot = gradient_potential_values(mesh, v.values, space)
     res = l2_norm(VectorField(mesh, gradient_values(mesh, pot) - v.values))
-    return pot_field, res
+    return ScalarField(mesh, pot), res
 
 
 def is_discrete_gradient(v: VectorField, space: str, tol: float = 1e-9) -> bool:

@@ -57,6 +57,10 @@ FEASIBILITY_TOL = 1e-6
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
+# points scored per stacked solve; bounds the memory of a finite-difference
+# stack at _FD_BLOCK copies of the parameters, whatever the mesh size
+_FD_BLOCK = 512
+_HALVINGS = 25  # line-search trials step0 * 2**-k, k < _HALVINGS
 
 
 class InfeasibleMeasureError(ValueError):
@@ -113,12 +117,20 @@ class RelaxOptions:
 # -- measure-valued state -------------------------------------------------------
 
 
+# Leading axes of atoms (..., n_cells, K, N), weights (..., n_cells, K) and
+# nodal or cell values are batch axes in the helpers below.
+
+
 def _abar_cells(rp: RelaxedProblem, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     a = rp.control.cs.a
     if a is None:
-        return np.zeros(rp.mesh.n_cells)
+        return np.zeros(atoms.shape[:-2])
     vals = np.asarray(a(atoms.reshape(-1, rp.mesh.dimension)), dtype=float)
-    return np.sum(weights * vals.reshape(atoms.shape[:2]), axis=1)
+    return np.sum(weights * vals.reshape(atoms.shape[:-1]), axis=-1)
+
+
+def _barycenters(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return np.einsum("...ck,...ckn->...cn", weights, atoms)
 
 
 def _mv_state_values(rp: RelaxedProblem, fvals: np.ndarray, abar: np.ndarray) -> np.ndarray:
@@ -142,10 +154,10 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     return ScalarField(rp.mesh, y), cons
 
 
-def _state_cost(rp: RelaxedProblem, yvals: np.ndarray) -> float:
-    return grid.integrate_nodal(
-        rp.mesh, np.asarray(rp.control.cs.F(yvals), dtype=float)
-    )
+def _state_cost(rp: RelaxedProblem, yvals: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of F(y) per batch entry, as grid.integrate_nodal."""
+    Fy = np.asarray(rp.control.cs.F(yvals), dtype=float)
+    return rp.mesh.cell_volume * np.sum(rp.mesh.node_weights() * Fy, axis=-1)
 
 
 def evaluate_relaxed_cost(
@@ -165,7 +177,7 @@ def evaluate_relaxed_cost(
         raise InfeasibleMeasureError(
             f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
         )
-    return _state_cost(rp, y.values) + 0.5 * rp.control.M * second_moment(mu)
+    return float(_state_cost(rp, y.values) + 0.5 * rp.control.M * second_moment(mu))
 
 
 def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGHT_STATE_TOL):
@@ -202,7 +214,15 @@ def _project_simplex_rows(W: np.ndarray) -> np.ndarray:
     return out / np.sum(out, axis=1, keepdims=True)
 
 
-class _NuPhase:
+class _Phase:
+    """Penalized objective of one alternation phase; ``values`` scores a
+    stack of parameter points (atoms, weights[, offset]) at once."""
+
+    def value(self, *params) -> float:
+        return float(self.values(*(np.asarray(p)[None] for p in params))[0])
+
+
+class _NuPhase(_Phase):
     """Penalized objective in the state-gradient measure at fixed control."""
 
     def __init__(self, rp: RelaxedProblem, fvals: np.ndarray, rho: float):
@@ -210,108 +230,111 @@ class _NuPhase:
         self.fvals = fvals
         self.rho = rho
 
-    def value(self, atoms, weights) -> float:
+    def values(self, atoms, weights):
         rp = self.rp
-        abar = _abar_cells(rp, atoms, weights)
-        y = _mv_state_values(rp, self.fvals, abar)
-        gy = grid.gradient_values(rp.mesh, y)
-        bary = np.einsum("ck,ckn->cn", weights, atoms)
-        cons2 = rp.mesh.cell_volume * float(np.sum((gy - bary) ** 2))
+        y = _mv_state_values(rp, self.fvals, _abar_cells(rp, atoms, weights))
+        mismatch = grid.gradient_values(rp.mesh, y) - _barycenters(atoms, weights)
+        cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
         return _state_cost(rp, y) + self.rho * cons2
 
-    def gradient(self, atoms, weights, fd):
-        base = self.value(atoms, weights)
-        ga = np.zeros_like(atoms)
-        it = np.nditer(atoms, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            pert = atoms.copy()
-            pert[idx] += fd
-            ga[idx] = (self.value(pert, weights) - base) / fd
-            it.iternext()
-        gw = np.zeros_like(weights)
-        it = np.nditer(weights, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            pert = weights.copy()
-            pert[idx] += fd
-            gw[idx] = (self.value(atoms, pert) - base) / fd
-            it.iternext()
-        return base, ga, gw
 
-
-class _MuPhase:
+class _MuPhase(_Phase):
     """Penalized objective in the control measure at fixed nu."""
 
     def __init__(self, rp: RelaxedProblem, nu_atoms, nu_weights, rho: float):
         self.rp = rp
         self.abar = _abar_cells(rp, nu_atoms, nu_weights)
-        self.nu_bary = np.einsum("ck,ckn->cn", nu_weights, nu_atoms)
+        self.nu_bary = _barycenters(nu_atoms, nu_weights)
         self.rho = rho
 
-    def control_values(self, atoms, weights, offset) -> np.ndarray:
-        bary = VectorField(self.rp.mesh, np.einsum("ck,ckn->cn", weights, atoms))
-        pot, _ = grid.gradient_potential(bary, "h1")
-        return pot.values + offset
-
-    def value(self, atoms, weights, offset) -> float:
+    def values(self, atoms, weights, offset):
         rp = self.rp
-        uvals = self.control_values(atoms, weights, offset)
-        fvals = np.asarray(rp.control.cs.f(uvals), dtype=float)
+        pot = grid.gradient_potential_values(rp.mesh, _barycenters(atoms, weights), "h1")
+        fvals = np.asarray(rp.control.cs.f(pot + offset[..., None]), dtype=float)
         y = _mv_state_values(rp, fvals, self.abar)
-        gy = grid.gradient_values(rp.mesh, y)
-        cons2 = rp.mesh.cell_volume * float(np.sum((gy - self.nu_bary) ** 2))
-        sm = rp.mesh.cell_volume * float(
-            np.sum(weights * np.sum(atoms * atoms, axis=2))
+        mismatch = grid.gradient_values(rp.mesh, y) - self.nu_bary
+        cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
+        sm = rp.mesh.cell_volume * np.sum(
+            weights * np.sum(atoms * atoms, axis=-1), axis=(-2, -1)
         )
         return _state_cost(rp, y) + 0.5 * rp.control.M * sm + self.rho * cons2
 
-    def gradient(self, atoms, weights, offset, fd):
-        base = self.value(atoms, weights, offset)
-        ga = np.zeros_like(atoms)
-        it = np.nditer(atoms, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            pert = atoms.copy()
-            pert[idx] += fd
-            ga[idx] = (self.value(pert, weights, offset) - base) / fd
-            it.iternext()
-        gw = np.zeros_like(weights)
-        if weights.shape[1] > 1:
-            it = np.nditer(weights, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                pert = weights.copy()
-                pert[idx] += fd
-                gw[idx] = (self.value(atoms, pert, offset) - base) / fd
-                it.iternext()
-        go = (self.value(atoms, weights, offset + fd) - base) / fd
-        return base, ga, gw, go
+
+def _fd_gradient(values, params, fd: float):
+    """Forward-difference gradient of a phase objective at (atoms, weights[,
+    offset]); returns (value, gradients).
+
+    The base point and every coordinate perturbation are scored in stacks of
+    at most _FD_BLOCK points.  The weight gradient is taken tangent to the
+    simplex; with one atom per cell that tangent space is {0}, so the weights
+    are not perturbed at all.
+    """
+    params = [np.asarray(p, dtype=float) for p in params]
+    sizes = [0 if i == 1 and p.shape[-1] == 1 else p.size for i, p in enumerate(params)]
+    firsts = np.cumsum([1] + sizes[:-1])  # stack row of each block's first perturbation
+    n = 1 + sum(sizes)
+    vals = np.empty(n)
+    for lo in range(0, n, _FD_BLOCK):
+        rows = np.arange(lo, min(lo + _FD_BLOCK, n))
+        stack = []
+        for p, first, size in zip(params, firsts, sizes):
+            q = np.repeat(p.reshape(1, -1), rows.size, axis=0)
+            hit = (rows >= first) & (rows < first + size)
+            q[hit, rows[hit] - first] += fd
+            stack.append(q.reshape((rows.size,) + p.shape))
+        vals[rows] = values(*stack)
+    grads = [
+        ((vals[first : first + size] - vals[0]) / fd).reshape(p.shape)
+        if size else np.zeros_like(p)
+        for p, first, size in zip(params, firsts, sizes)
+    ]
+    if sizes[1]:
+        grads[1] -= np.mean(grads[1], axis=1, keepdims=True)
+    return vals[0], grads
 
 
-def _descend(value_fn, params, grads, step0: float, tries: int = 25):
-    """One backtracking projected-gradient step; returns (params, value, moved)."""
-    base = value_fn(*params)
-    step = step0
-    for _ in range(tries):
-        trial = [p - step * g for p, g in zip(params, grads)]
-        if trial[1].ndim == 2:  # weights block: project back to the simplex
-            trial[1] = _project_simplex_rows(trial[1])
-        val = value_fn(*trial)
-        if val < base:
-            return trial, val, step
-        step *= 0.5
-    return list(params), base, 0.0
+def _descend(values, params, grads, step0: float, base: float):
+    """One backtracking projected-gradient step.
+
+    Scores the trials at step0 * 2**-k (k < _HALVINGS) in one stack and
+    takes the first below ``base``: the same step sequential halving would
+    accept.  Returns (params, step); step is 0.0 when no trial descends.
+    """
+    steps = step0 * 0.5 ** np.arange(_HALVINGS)
+    trials = []
+    for p, g in zip(params, grads):
+        p = np.asarray(p, dtype=float)
+        trials.append(p[None] - steps.reshape((-1,) + (1,) * p.ndim) * g[None])
+    K = trials[1].shape[-1]
+    if K > 1:  # weights block: project back to the simplex
+        trials[1] = _project_simplex_rows(trials[1].reshape(-1, K)).reshape(trials[1].shape)
+    below = np.flatnonzero(values(*trials) < base)
+    if below.size == 0:
+        return list(params), 0.0
+    k = below[0]
+    return [t[k] for t in trials], float(steps[k])
+
+
+def _phase_descent(phase: _Phase, params, opts: RelaxOptions, gnorms: list):
+    """Up to opts.inner_steps projected-gradient steps on one phase; appends
+    each gradient's sup norm to gnorms and returns the final parameters."""
+    step = opts.step0
+    for _ in range(opts.inner_steps):
+        base, grads = _fd_gradient(phase.values, params, opts.fd_step)
+        gnorms.append(float(np.max([np.max(np.abs(g)) for g in grads])))
+        params, used = _descend(phase.values, params, grads, step, base)
+        if used == 0.0:
+            break
+        step = min(used * 2.0, 1e2)
+    return params
 
 
 def _restore_feasibility(rp: RelaxedProblem, fvals, atoms, weights):
     """Shift atoms per cell so the barycenter matches the current state
     gradient exactly (one linear solve)."""
-    abar = _abar_cells(rp, atoms, weights)
-    y = _mv_state_values(rp, fvals, abar)
+    y = _mv_state_values(rp, fvals, _abar_cells(rp, atoms, weights))
     gy = grid.gradient_values(rp.mesh, y)
-    bary = np.einsum("ck,ckn->cn", weights, atoms)
-    return atoms + (gy - bary)[:, None, :]
+    return atoms + (gy - _barycenters(atoms, weights))[:, None, :]
 
 
 def optimize_relaxed(
@@ -380,60 +403,23 @@ def optimize_relaxed(
         fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
 
         # (i) descend in nu under the penalty
-        phase = _NuPhase(rp, fvals, rho)
-        step = opts.step0
-        gnorms = []
-        for _ in range(opts.inner_steps):
-            _, ga, gw = phase.gradient(nu_atoms, nu_weights, opts.fd_step)
-            gw -= np.mean(gw, axis=1, keepdims=True)  # simplex tangent part
-            gnorms.append(float(np.max([np.max(np.abs(ga)), np.max(np.abs(gw)), 0.0])))
-            (nu_atoms, nu_weights), _, used = _descend(
-                lambda a, w: phase.value(a, w), [nu_atoms, nu_weights], [ga, gw], step
-            )
-            if used == 0.0:
-                break
-            step = min(used * 2.0, 1e2)
+        gnorms: list = []
+        nu_atoms, nu_weights = _phase_descent(
+            _NuPhase(rp, fvals, rho), [nu_atoms, nu_weights], opts, gnorms
+        )
 
         # (ii) feasibility restoration
         nu_atoms = _restore_feasibility(rp, fvals, nu_atoms, nu_weights)
 
         # (iii) descend in mu (atoms, weights, additive constant)
         if opts.optimize_control_measure:
-            mphase = _MuPhase(rp, nu_atoms, nu_weights, rho)
-            step = opts.step0
-            for _ in range(opts.inner_steps):
-                _, ga, gw, go = mphase.gradient(
-                    mu_atoms, mu_weights, mu_offset, opts.fd_step
-                )
-                if mu_weights.shape[1] > 1:
-                    gw -= np.mean(gw, axis=1, keepdims=True)
-                gnorms.append(
-                    float(
-                        np.max(
-                            [np.max(np.abs(ga)), np.max(np.abs(gw)), abs(go)]
-                        )
-                    )
-                )
-
-                base = mphase.value(mu_atoms, mu_weights, mu_offset)
-                s = step
-                moved = False
-                for _ in range(25):
-                    ta = mu_atoms - s * ga
-                    tw = (
-                        _project_simplex_rows(mu_weights - s * gw)
-                        if mu_weights.shape[1] > 1
-                        else mu_weights
-                    )
-                    to = mu_offset - s * go
-                    if mphase.value(ta, tw, to) < base:
-                        mu_atoms, mu_weights, mu_offset = ta, tw, to
-                        moved = True
-                        break
-                    s *= 0.5
-                if not moved:
-                    break
-                step = min(s * 2.0, 1e2)
+            mu_atoms, mu_weights, mu_offset = _phase_descent(
+                _MuPhase(rp, nu_atoms, nu_weights, rho),
+                [mu_atoms, mu_weights, mu_offset],
+                opts,
+                gnorms,
+            )
+            mu_offset = float(mu_offset)
 
         snap = feasible_snapshot(nu_atoms)
         if snap is not None and (best is None or snap[0] < best[0]):

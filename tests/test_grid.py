@@ -149,6 +149,28 @@ class TestHelmholtz:
         with pytest.raises(ValueError):
             grid.helmholtz_solve(-1.0, ScalarField(mesh, np.ones(mesh.n_nodes)))
 
+    @pytest.mark.parametrize("dim,n,length", [(1, 16, 22), (1, 16, 10), (2, 4, 26), (2, 4, 24)])
+    def test_wrong_length_rhs_rejected(self, dim, n, length):
+        mesh = grid.build_mesh(dim, n)
+        with pytest.raises(ValueError, match="right-hand side has shape"):
+            grid.helmholtz_solve_values(mesh, 1.0, np.ones(length))
+        with pytest.raises(ValueError, match="right-hand side has shape"):
+            grid.helmholtz_solve_values(mesh, 1.0, np.ones((3, length)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_rhs_match_single_solves(self, dim):
+        rng = np.random.default_rng(23)
+        mesh = grid.build_mesh(dim, 8)
+        rhs = rng.standard_normal((2, 3, mesh.n_nodes))
+        stacked = grid.helmholtz_solve_values(mesh, 1.5, rhs)
+        assert stacked.shape == rhs.shape
+        for idx in np.ndindex(2, 3):
+            single = grid.helmholtz_solve_values(mesh, 1.5, rhs[idx])
+            if dim == 1:  # one banded LAPACK solve per column either way
+                assert np.array_equal(stacked[idx], single)
+            else:
+                assert np.max(np.abs(stacked[idx] - single)) <= 1e-14 * np.max(np.abs(single))
+
     @pytest.mark.parametrize("dim,b", [(1, 0.0), (1, 2.0), (2, 0.0), (2, 3.0)])
     def test_residual_bound(self, dim, b):
         rng = np.random.default_rng(21)
@@ -212,6 +234,29 @@ class TestTransfers:
             grid.node_to_cell(ScalarField(mesh, z)),
         )
         assert abs(lhs - rhs) <= 1e-13
+
+
+class TestBatchAxes:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_operators_match_single_calls(self, dim):
+        rng = np.random.default_rng(29)
+        mesh = grid.build_mesh(dim, 6)
+        y = rng.standard_normal((4, mesh.n_nodes))
+        c = rng.standard_normal((4, mesh.n_cells))
+        q = rng.standard_normal((4, mesh.n_cells, dim))
+        pairs = [
+            (grid.gradient_values, y),
+            (grid.cell_to_node_values, c),
+            (grid.divergence_weak_values, q),
+            (lambda m, v: grid.gradient_potential_values(m, v, "h10"), q),
+            (lambda m, v: grid.gradient_potential_values(m, v, "h1"), q),
+        ]
+        for op, stack in pairs:
+            out = op(mesh, stack)
+            for i in range(4):
+                single = op(mesh, stack[i])
+                assert out[i].shape == single.shape
+                assert np.max(np.abs(out[i] - single)) <= 1e-12 * (1.0 + np.max(np.abs(single)))
 
 
 class TestGradientPotential:

@@ -6,6 +6,7 @@ import pytest
 from qlcontrol import coefficients as co
 from qlcontrol import grid
 from qlcontrol import instances
+from qlcontrol import relaxed_opt
 from qlcontrol.control_opt import ControlProblem, evaluate_cost
 from qlcontrol.grid import ScalarField
 from qlcontrol.relaxed_opt import (
@@ -158,6 +159,142 @@ class TestOptimizeRelaxed:
         assert abs(rep_r.cost - rep_c.cost) <= 1e-4
 
 
+def kernel_free_control(mesh):
+    """A smooth 2D control orthogonal to the checkerboard, the part of the
+    discrete gradient's kernel a control measure cannot recover."""
+    xy = mesh.node_coords()
+    uv = 0.5 + 0.25 * np.sin(np.pi * xy[:, 0]) * xy[:, 1]
+    m = mesh.nodes_per_axis
+    checker = np.where(np.indices((m, m)).sum(axis=0).ravel() % 2 == 0, 1.0, -1.0)
+    checker = checker - np.mean(checker)  # orthogonalize against constants
+    return ScalarField(mesh, uv - (uv @ checker) / (checker @ checker) * checker)
+
+
+def sin_gradient_2d_problem(n):
+    mesh = grid.build_mesh(2, n)
+    cs = co.CoefficientSet(
+        M=1e-3, **{**co.a_sin_gradient(1.0), **co.f_tanh(), **co.cost_tracking(0.05)}
+    )
+    state = QuasilinearStateProblem(mesh, cs, b=1.0)
+    return RelaxedProblem(ControlProblem(mesh, "quasilinear", state, cs, M=1e-3))
+
+
+def split_atoms(ym, spread):
+    """Split every atom of a one-atom field into len(spread) equally weighted
+    atoms shifted along the first axis; the barycenter is kept when the
+    shifts sum to zero."""
+    shifts = np.zeros((len(spread), ym.mesh.dimension))
+    shifts[:, 0] = spread
+    atoms = ym.atoms[:, :1, :] + shifts[None]
+    weights = np.full((ym.mesh.n_cells, len(spread)), 1.0 / len(spread))
+    return YoungMeasureField(ym.mesh, atoms, weights, ym.klass, ym.potential_offset)
+
+
+def phases_at(rp, mu, nu, rho=1e3):
+    fvals = np.asarray(rp.control.cs.f(potential(mu).values), dtype=float)
+    nu_phase = relaxed_opt._NuPhase(rp, fvals, rho)
+    mu_phase = relaxed_opt._MuPhase(rp, nu.atoms, nu.weights, rho)
+    return (
+        (nu_phase, [nu.atoms, nu.weights]),
+        (mu_phase, [mu.atoms, mu.weights, mu.potential_offset]),
+    )
+
+
+def loop_fd_gradient(phase, params, fd):
+    """Reference: one scalar value per perturbed coordinate."""
+    base = phase.value(*params)
+    grads = []
+    for i, p in enumerate(params):
+        p = np.asarray(p, dtype=float)
+        g = np.zeros_like(p)
+        if i == 1 and p.shape[-1] == 1:  # one atom per cell: weights are pinned
+            grads.append(g)
+            continue
+        for idx in np.ndindex(p.shape):
+            pert = [np.array(q, dtype=float) for q in params]
+            pert[i][idx] += fd
+            g[idx] = (phase.value(*pert) - base) / fd
+        if i == 1:
+            g -= np.mean(g, axis=1, keepdims=True)
+        grads.append(g)
+    return base, grads
+
+
+def loop_descend(phase, params, grads, step0, tries=25):
+    """Reference: sequential halving, one scalar value per trial."""
+    base = phase.value(*params)
+    step = step0
+    for _ in range(tries):
+        trial = [np.asarray(p, dtype=float) - step * g for p, g in zip(params, grads)]
+        if trial[1].shape[-1] > 1:
+            trial[1] = relaxed_opt._project_simplex_rows(trial[1])
+        if phase.value(*trial) < base:
+            return trial, step
+        step *= 0.5
+    return [np.asarray(p, dtype=float) for p in params], 0.0
+
+
+def four_atom_linear_case():
+    rp, _ = instances.build_relaxed_problem("linear-quasilinear-1d", grid.build_mesh(1, 16))
+    x = rp.mesh.node_coords()[:, 0]
+    mu, nu, _ = embed_classical(rp, ScalarField(rp.mesh, 0.3 + 0.2 * np.sin(np.pi * x)))
+    spread = [-0.3, -0.1, 0.1, 0.3]
+    return rp, split_atoms(mu, spread), split_atoms(nu, spread)
+
+
+def gradient_cases():
+    rp, init = instances.build_relaxed_problem("gap-family-1d")
+    yield "gap-family-1d", rp, init.mu, init.nu, False
+    yield ("linear-quasilinear-1d",) + four_atom_linear_case() + (False,)
+    rp = sin_gradient_2d_problem(8)
+    mu, nu, _ = embed_classical(rp, kernel_free_control(rp.mesh))
+    yield "2d-8x8", rp, split_atoms(mu, [-0.2, 0.2]), split_atoms(nu, [-0.2, 0.2]), True
+
+
+def descent_cases():
+    """(label, phase, params, descends): a nu phase and a mu phase that
+    descend, and the gap family's mu phase at its designed init, where f
+    has a kink and no trial step lowers the value."""
+    rp, init = small_gap_problem(n=32)
+    mu, nu, _ = embed_classical(rp, ScalarField(rp.mesh, np.ones(rp.mesh.n_nodes)))
+    yield ("gap-nu",) + phases_at(rp, mu, nu)[0] + (True,)
+    yield ("linear-mu",) + phases_at(*four_atom_linear_case())[1] + (True,)
+    yield ("gap-mu-kink",) + phases_at(rp, init.mu, init.nu)[1] + (False,)
+
+
+class TestBatchedPhases:
+    FD = 1e-6
+
+    @pytest.mark.parametrize("case", list(gradient_cases()), ids=lambda c: c[0])
+    def test_fd_gradient_matches_coordinate_loop(self, case, monkeypatch):
+        _, rp, mu, nu, small_blocks = case
+        if small_blocks:
+            monkeypatch.setattr(relaxed_opt, "_FD_BLOCK", 100)
+        for phase, params in phases_at(rp, mu, nu):
+            n_points = 1 + sum(np.size(p) for p in params)
+            assert not small_blocks or n_points > 2 * relaxed_opt._FD_BLOCK
+            base, grads = relaxed_opt._fd_gradient(phase.values, params, self.FD)
+            ref_base, ref_grads = loop_fd_gradient(phase, params, self.FD)
+            # FD round-off: a few ulps of the objective divided by the step
+            tol = 64 * np.finfo(float).eps * (1.0 + abs(ref_base)) / self.FD
+            assert abs(base - ref_base) <= tol * self.FD
+            for g, ref in zip(grads, ref_grads):
+                assert np.shape(g) == np.shape(ref)
+                assert np.max(np.abs(g - ref)) <= tol
+
+    @pytest.mark.parametrize("step0", [1e-2, 1e2])
+    @pytest.mark.parametrize("case", list(descent_cases()), ids=lambda c: c[0])
+    def test_descend_matches_sequential_halving(self, case, step0):
+        _, phase, params, descends = case
+        base, grads = relaxed_opt._fd_gradient(phase.values, params, self.FD)
+        got, step = relaxed_opt._descend(phase.values, params, grads, step0, base)
+        ref, ref_step = loop_descend(phase, params, grads, step0)
+        assert step == ref_step
+        assert (step > 0.0) == descends
+        for p, q in zip(got, ref):
+            assert np.array_equal(p, q)
+
+
 class TestCertifyGap:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gap_family_certificate(self, seed):
@@ -185,6 +322,20 @@ class TestCertifyGap:
         assert d["gap"] == d["best_classical"] - d["relaxed"]
 
 
+    def test_two_dimensional_run_descends_feasibly(self):
+        rp = sin_gradient_2d_problem(6)
+        mu, nu, _ = embed_classical(rp, kernel_free_control(rp.mesh))
+        init_cost = evaluate_relaxed_cost(rp, mu, nu)
+        mu_o, nu_o, _, rep = optimize_relaxed(
+            rp, RelaxedInit(mu, nu), relaxed_opt.RelaxOptions(max_outer=3)
+        )
+        assert rep.iterations == 3
+        assert rep.cost <= init_cost
+        assert rep.residual <= 1e-6
+        assert abs(evaluate_relaxed_cost(rp, mu_o, nu_o) - rep.cost) <= 1e-12
+        assert mu_o.klass == "PH1" and nu_o.klass == "PH10"
+
+
 class TestValidation:
     def test_non_quasilinear_regime_rejected(self):
         cp = instances.build_control_problem("monotone-perturbed-1d")
@@ -208,19 +359,8 @@ class TestTwoDimensionalEmbedding:
         # the 2D discrete gradient kernel is {1, checkerboard}: a control is
         # recoverable from its gradient measure modulo that kernel, so the
         # embedding identity is asserted for a kernel-free representative
-        mesh = grid.build_mesh(2, 8)
-        cs = co.CoefficientSet(
-            M=1e-3, **{**co.a_sin_gradient(1.0), **co.f_tanh(), **co.cost_tracking(0.05)}
-        )
-        state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        rp = RelaxedProblem(ControlProblem(mesh, "quasilinear", state, cs, M=1e-3))
-        xy = mesh.node_coords()
-        uv = 0.5 + 0.25 * np.sin(np.pi * xy[:, 0]) * xy[:, 1]
-        m = mesh.nodes_per_axis
-        checker = np.where(np.indices((m, m)).sum(axis=0).ravel() % 2 == 0, 1.0, -1.0)
-        checker = checker - np.mean(checker)  # orthogonalize against constants
-        uv = uv - (uv @ checker) / (checker @ checker) * checker
-        u = ScalarField(mesh, uv)
+        rp = sin_gradient_2d_problem(8)
+        u = kernel_free_control(rp.mesh)
         classical = evaluate_cost(rp.control, u, state_tol=1e-12)
         mu, nu, _ = embed_classical(rp, u)
         assert np.max(np.abs(potential(mu).values - u.values)) <= 1e-9
