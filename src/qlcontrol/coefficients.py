@@ -120,6 +120,20 @@ class CoefficientSet:
         return replace(self, names=names, **updates)
 
 
+def apply_cellwise(fn: Callable, Y: np.ndarray, *cell_args: np.ndarray) -> np.ndarray:
+    """Evaluate a per-cell coefficient (A, a, W or dW) on stacked cell values.
+
+    ``Y`` has shape (..., n_cells, N) and each extra argument (..., n_cells);
+    the leading axes are flattened into the sample axis the coefficient
+    expects and restored on the result.
+    """
+    out = np.asarray(
+        fn(Y.reshape(-1, Y.shape[-1]), *[c.reshape(-1) for c in cell_args]),
+        dtype=float,
+    )
+    return out.reshape(Y.shape[:-1] + out.shape[1:])
+
+
 # -- constructors for the built-in families -----------------------------------
 
 

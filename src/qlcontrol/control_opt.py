@@ -2,8 +2,9 @@
 
 The cost gradient is estimated by forward finite differences over nodal
 control perturbations (the work never assumes an adjoint equation), descent
-is plain projected gradient with Armijo backtracking, and every state solve
-inside one gradient evaluation is warm-started from the unperturbed state.
+is plain projected gradient with Armijo backtracking, and the perturbed
+states of one gradient evaluation are solved as one stack of columns, each
+warm-started from the unperturbed state.
 """
 
 from __future__ import annotations
@@ -18,21 +19,25 @@ from . import grid
 from .coefficients import CoefficientSet
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
-from .state_monotone import solve_monotone
-from .state_quasilinear import solve_quasilinear
-from .state_variational import solve_state
+from .state_monotone import solve_monotone, solve_monotone_columns
+from .state_quasilinear import solve_quasilinear, solve_quasilinear_columns
+from .state_variational import solve_state, solve_state_columns
 from .young_measure import YoungMeasureField, realize_sequence
 
 __all__ = [
     "ControlProblem",
     "OptimizeOptions",
     "evaluate_cost",
+    "evaluate_costs",
     "optimize_control",
     "minimizing_sequence_demo",
     "solve_state_for",
 ]
 
 _STATE_TOL_DEFAULTS = {"variational": 1e-8, "monotone": 1e-9, "quasilinear": 1e-11}
+# points solved per stacked call; bounds the memory of a finite-difference
+# stack at _FD_BLOCK columns, whatever the mesh size
+_FD_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -74,14 +79,15 @@ class ControlProblem:
             raise ValueError("this problem carries no mesh rebuilder")
         return self.rebuild(mesh)
 
-    @property
-    def regularizer_weight(self) -> float:
-        return self.M
 
-    def tracking_target_values(self) -> np.ndarray:
-        if self.tracking_target is None:
-            raise ValueError("no tracking target stored on this problem")
-        return np.asarray(self.tracking_target, dtype=float)
+def _control_source(cp: ControlProblem, u: np.ndarray) -> Optional[np.ndarray]:
+    """Source f(u) that replaces the variational state's fixed source, or
+    None when the fixed source stays."""
+    if cp.regime != "variational" or not cp.source_from_control:
+        return None
+    if cp.cs.f is None:
+        raise ValueError("source_from_control needs the map f")
+    return np.asarray(cp.cs.f(u), dtype=float)
 
 
 def solve_state_for(
@@ -94,23 +100,54 @@ def solve_state_for(
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     if cp.regime == "variational":
         p = cp.state
-        if cp.source_from_control:
-            if cp.cs.f is None:
-                raise ValueError("source_from_control needs the map f")
-            p = p.with_source(
-                ScalarField(cp.mesh, np.asarray(cp.cs.f(u.values), dtype=float))
-            )
+        source = _control_source(cp, u.values)
+        if source is not None:
+            p = p.with_source(ScalarField(cp.mesh, source))
         return solve_state(p, u, tol=tol, y0=warm)
     if cp.regime == "monotone":
         return solve_monotone(cp.state, u, tol=tol, y0=warm)
     return solve_quasilinear(cp.state, u, tol=tol, y0=warm)
 
 
-def regularizer_value(cp: ControlProblem, u: ScalarField) -> float:
+def _state_columns(
+    cp: ControlProblem,
+    U: np.ndarray,
+    warm: Optional[ScalarField],
+    state_tol: Optional[float],
+) -> np.ndarray:
+    """States of a stack of controls (k, n_nodes) in one stacked solve;
+    column i is the state solve_state_for returns for control i (bit for
+    bit in 1D)."""
+    tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
+    y0 = None if warm is None else warm.values
+    if cp.regime == "variational":
+        source = _control_source(cp, U)
+        Y, _ = solve_state_columns(cp.state, U, y0=y0, source=source, tol=tol)
+    elif cp.regime == "monotone":
+        Y, _ = solve_monotone_columns(cp.state, U, tol=tol, y0=y0)
+    else:
+        Y, _ = solve_quasilinear_columns(cp.state, U, tol=tol, y0=y0)
+    return Y
+
+
+def _state_costs(cp: ControlProblem, Y: np.ndarray) -> np.ndarray:
+    """Trapezoid integral of F(y) per column of stacked states, as
+    grid.integrate_nodal."""
+    Fy = np.asarray(cp.cs.F(Y), dtype=float)
+    return cp.mesh.cell_volume * np.sum(cp.mesh.node_weights() * Fy, axis=-1)
+
+
+def _costs(cp: ControlProblem, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """F(y) quadrature plus the Tychonov term, per column of stacked
+    controls U and states Y."""
+    mesh = cp.mesh
     if cp.regularizer == "gradient":
-        g = grid.gradient(u)
-        return 0.5 * cp.M * grid.inner(g, g)
-    return 0.5 * cp.M * grid.inner(u, u)
+        G = grid.gradient_values(mesh, U)
+        sq = (G * G).reshape(G.shape[:-2] + (-1,))
+    else:
+        sq = mesh.node_weights() * U * U
+    reg = mesh.cell_volume * sq.sum(axis=-1)
+    return _state_costs(cp, Y) + 0.5 * cp.M * reg
 
 
 def evaluate_cost(
@@ -123,11 +160,32 @@ def evaluate_cost(
     """Quadrature of F(y_u) plus the Tychonov term; propagates state-solver
     non-convergence."""
     y, _ = solve_state_for(cp, u, warm=warm, state_tol=state_tol)
-    cost = grid.integrate_nodal(cp.mesh, np.asarray(cp.cs.F(y.values), dtype=float))
-    cost += regularizer_value(cp, u)
+    cost = float(_costs(cp, u.values[None], y.values[None])[0])
     if return_state:
         return cost, y
     return cost
+
+
+def evaluate_costs(
+    cp: ControlProblem,
+    U: np.ndarray,
+    warm: Optional[ScalarField] = None,
+    state_tol: Optional[float] = None,
+) -> np.ndarray:
+    """evaluate_cost of every control in a stack U of shape (k, n_nodes).
+
+    Every state starts from ``warm``; the states are solved in blocks of
+    _FD_BLOCK columns, each block one stacked solve.  Entry i equals
+    evaluate_cost on control i (bit for bit in 1D); raises
+    NonConvergenceError if any state solve fails.
+    """
+    costs = np.empty(U.shape[0])
+    for lo in range(0, U.shape[0], _FD_BLOCK):
+        block = U[lo : lo + _FD_BLOCK]
+        costs[lo : lo + len(block)] = _costs(
+            cp, block, _state_columns(cp, block, warm, state_tol)
+        )
+    return costs
 
 
 @dataclass(frozen=True)
@@ -148,20 +206,25 @@ def _fd_cost_gradient(
     base_cost: float,
     base_state: ScalarField,
     opts: OptimizeOptions,
+    central: bool = False,
 ) -> np.ndarray:
-    """Forward-difference L2 cost gradient over nodal perturbations."""
+    """Forward-difference (or central-difference) L2 cost gradient over nodal
+    perturbations; the n (or 2n) perturbed controls are costed as one stack,
+    warm-started from base_state."""
     mesh = cp.mesh
     delta = opts.fd_step * (1.0 + float(np.max(np.abs(u))))
-    scale = mesh.cell_volume * mesh.node_weights()
-    g = np.empty(mesh.n_nodes)
-    for k in range(mesh.n_nodes):
-        up = u.copy()
-        up[k] += delta
-        ck = evaluate_cost(
-            cp, ScalarField(mesh, up), warm=base_state, state_tol=opts.state_tol
-        )
-        g[k] = (ck - base_cost) / delta
-    return g / scale
+    n = mesh.n_nodes
+    diag = np.arange(n)
+    U = np.tile(u, (2 * n if central else n, 1))
+    U[diag, diag] += delta
+    if central:
+        U[n + diag, diag] -= delta
+    costs = evaluate_costs(cp, U, warm=base_state, state_tol=opts.state_tol)
+    if central:
+        g = (costs[:n] - costs[n:]) / (2.0 * delta)
+    else:
+        g = (costs - base_cost) / delta
+    return g / (mesh.cell_volume * mesh.node_weights())
 
 
 def optimize_control(
@@ -189,6 +252,7 @@ def optimize_control(
     stationarity = np.inf
     stopped = "cap"
     iterations = 0
+    retries = 0
 
     for it in range(1, opts.max_iterations + 1):
         iterations = it
@@ -212,6 +276,7 @@ def optimize_control(
                     return_state=True,
                 )
             except NonConvergenceError:
+                retries += 1
                 alpha *= 0.5  # shrink and retry on state-solver failure
                 continue
             if ctrial <= cost - 1e-4 * alpha * gnorm2:
@@ -234,7 +299,7 @@ def optimize_control(
         stationarity=stationarity,
         cost_trace=trace,
         wall_time=time.perf_counter() - t0,
-        extras={"stopped": stopped},
+        extras={"stopped": stopped, "linesearch_retries": retries},
     )
     return ScalarField(mesh, u), report
 
@@ -243,41 +308,24 @@ def central_fd_gradient(
     cp: ControlProblem, u: ScalarField, opts: Optional[OptimizeOptions] = None
 ) -> np.ndarray:
     """Central-difference L2 cost gradient (self-consistency reference)."""
-    if opts is None:
-        opts = OptimizeOptions()
-    mesh = cp.mesh
-    uv = u.values
-    delta = opts.fd_step * (1.0 + float(np.max(np.abs(uv))))
-    scale = mesh.cell_volume * mesh.node_weights()
-    _, base_state = evaluate_cost(
-        cp, u, state_tol=opts.state_tol, return_state=True
-    )
-    g = np.empty(mesh.n_nodes)
-    for k in range(mesh.n_nodes):
-        up = uv.copy()
-        um = uv.copy()
-        up[k] += delta
-        um[k] -= delta
-        cp_cost = evaluate_cost(
-            cp, ScalarField(mesh, up), warm=base_state, state_tol=opts.state_tol
-        )
-        cm_cost = evaluate_cost(
-            cp, ScalarField(mesh, um), warm=base_state, state_tol=opts.state_tol
-        )
-        g[k] = (cp_cost - cm_cost) / (2.0 * delta)
-    return g / scale
+    return _fd_gradient_at(cp, u, opts, central=True)
 
 
 def forward_fd_gradient(
     cp: ControlProblem, u: ScalarField, opts: Optional[OptimizeOptions] = None
 ) -> np.ndarray:
     """Forward-difference L2 cost gradient at u (the optimizer's estimate)."""
+    return _fd_gradient_at(cp, u, opts, central=False)
+
+
+def _fd_gradient_at(
+    cp: ControlProblem, u: ScalarField, opts: Optional[OptimizeOptions], central: bool
+) -> np.ndarray:
+    """FD cost gradient at u, from a fresh base state solve."""
     if opts is None:
         opts = OptimizeOptions()
-    cost, state = evaluate_cost(
-        cp, u, state_tol=opts.state_tol, return_state=True
-    )
-    return _fd_cost_gradient(cp, np.array(u.values), cost, state, opts)
+    cost, state = evaluate_cost(cp, u, state_tol=opts.state_tol, return_state=True)
+    return _fd_cost_gradient(cp, u.values, cost, state, opts, central)
 
 
 def minimizing_sequence_demo(

@@ -247,6 +247,29 @@ def divergence_weak(q: VectorField) -> ScalarField:
     return ScalarField(q.mesh, divergence_weak_values(q.mesh, q.values))
 
 
+# -- stacked columns -----------------------------------------------------------
+
+
+def start_columns(mesh: Mesh, shape: tuple, y0=None) -> np.ndarray:
+    """Initial iterates of a stack of nodal columns: y0 broadcast to
+    ``shape`` (zeros when None), set to zero on every Dirichlet node."""
+    y = np.zeros(shape)
+    if y0 is not None:
+        y[...] = y0
+    np.copyto(y, 0.0, where=mesh.boundary_mask)
+    return y
+
+
+def select_rows(mask: np.ndarray):
+    """Index of the rows of a stack that ``mask`` selects: None when it
+    selects none, and a plain slice when it selects all, so that a stack
+    whose rows move together (a single row, say) makes no copies."""
+    n = np.count_nonzero(mask)
+    if n == 0:
+        return None
+    return slice(None) if n == mask.size else np.flatnonzero(mask)
+
+
 # -- inner products and norms -------------------------------------------------
 
 
@@ -280,6 +303,17 @@ def h1_norm(y: ScalarField) -> float:
     return float(np.sqrt(l2_norm(y) ** 2 + h1_seminorm(y) ** 2))
 
 
+def l2_norm_values(mesh: Mesh, v: np.ndarray, location: str = "nodes") -> np.ndarray:
+    """l2_norm of each stacked field: nodal values of shape (..., n_nodes) or
+    cell vector values of shape (..., n_cells, dim).  Leading axes are batch
+    axes; each entry equals l2_norm of that field alone."""
+    if location == "nodes":
+        sq = mesh.node_weights() * v * v
+    else:
+        sq = (v * v).reshape(v.shape[:-2] + (-1,))
+    return np.sqrt(np.maximum(mesh.cell_volume * sq.sum(axis=-1), 0.0))
+
+
 def integrate_nodal(mesh: Mesh, values: np.ndarray) -> float:
     """Trapezoid quadrature of flat nodal values."""
     return float(mesh.cell_volume * np.sum(mesh.node_weights() * values))
@@ -294,12 +328,15 @@ def integrate_cells(mesh: Mesh, values: np.ndarray) -> float:
 
 
 def node_to_cell_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
-    """Average nodal values to cells (mean of the 2^d corner values)."""
+    """Average nodal values to cells (mean of the 2^d corner values).  Leading
+    axes of y are batch axes."""
     if mesh.dimension == 1:
-        return 0.5 * (y[:-1] + y[1:])
+        return 0.5 * (y[..., :-1] + y[..., 1:])
     m = mesh.nodes_per_axis
-    y2 = y.reshape(m, m)
-    return 0.25 * (y2[:-1, :-1] + y2[1:, :-1] + y2[:-1, 1:] + y2[1:, 1:]).ravel()
+    lead = y.shape[:-1]
+    y2 = y.reshape(lead + (m, m))
+    corners = y2[..., :-1, :-1] + y2[..., 1:, :-1] + y2[..., :-1, 1:] + y2[..., 1:, 1:]
+    return (0.25 * corners).reshape(lead + (-1,))
 
 
 def node_to_cell(y: ScalarField) -> ScalarField:

@@ -24,8 +24,10 @@ import numpy as np
 
 from . import grid
 from .control_opt import (
+    _FD_BLOCK,
     ControlProblem,
     OptimizeOptions,
+    _state_costs,
     evaluate_cost,
     minimizing_sequence_demo,
     optimize_control,
@@ -57,9 +59,6 @@ FEASIBILITY_TOL = 1e-6
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
-# points scored per stacked solve; bounds the memory of a finite-difference
-# stack at _FD_BLOCK copies of the parameters, whatever the mesh size
-_FD_BLOCK = 512
 _HALVINGS = 25  # line-search trials step0 * 2**-k, k < _HALVINGS
 
 
@@ -154,12 +153,6 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     return ScalarField(rp.mesh, y), cons
 
 
-def _state_cost(rp: RelaxedProblem, yvals: np.ndarray) -> np.ndarray:
-    """Trapezoid integral of F(y) per batch entry, as grid.integrate_nodal."""
-    Fy = np.asarray(rp.control.cs.F(yvals), dtype=float)
-    return rp.mesh.cell_volume * np.sum(rp.mesh.node_weights() * Fy, axis=-1)
-
-
 def evaluate_relaxed_cost(
     rp: RelaxedProblem,
     mu: YoungMeasureField,
@@ -177,7 +170,8 @@ def evaluate_relaxed_cost(
         raise InfeasibleMeasureError(
             f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
         )
-    return float(_state_cost(rp, y.values) + 0.5 * rp.control.M * second_moment(mu))
+    cp = rp.control
+    return float(_state_costs(cp, y.values) + 0.5 * cp.M * second_moment(mu))
 
 
 def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGHT_STATE_TOL):
@@ -235,7 +229,7 @@ class _NuPhase(_Phase):
         y = _mv_state_values(rp, self.fvals, _abar_cells(rp, atoms, weights))
         mismatch = grid.gradient_values(rp.mesh, y) - _barycenters(atoms, weights)
         cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
-        return _state_cost(rp, y) + self.rho * cons2
+        return _state_costs(rp.control, y) + self.rho * cons2
 
 
 class _MuPhase(_Phase):
@@ -257,7 +251,7 @@ class _MuPhase(_Phase):
         sm = rp.mesh.cell_volume * np.sum(
             weights * np.sum(atoms * atoms, axis=-1), axis=(-2, -1)
         )
-        return _state_cost(rp, y) + 0.5 * rp.control.M * sm + self.rho * cons2
+        return _state_costs(rp.control, y) + 0.5 * rp.control.M * sm + self.rho * cons2
 
 
 def _fd_gradient(values, params, fd: float):

@@ -19,15 +19,17 @@ from . import grid
 from .coefficients import (
     CoefficientSet,
     HypothesisReport,
+    apply_cellwise,
     check_growth,
     check_monotonicity,
 )
-from .grid import Mesh, ScalarField, VectorField
+from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
 
 __all__ = [
     "MonotoneStateProblem",
     "solve_monotone",
+    "solve_monotone_columns",
     "verify_limit_identity",
     "theoretical_contraction",
 ]
@@ -81,52 +83,94 @@ def solve_monotone(
     Terminates when the preconditioned residual ``(-lap)^{-1}(-div A(grad y)
     - f(u))`` has H1_0 seminorm at most ``tol``.  Returns the state and a
     report carrying the iteration count, the final residual and the largest
-    measured update-contraction ratio.
+    measured update-contraction ratio.  This is the one-column case of
+    :func:`solve_monotone_columns`.
+    """
+    y, reports = solve_monotone_columns(
+        p,
+        u.values[None],
+        tau=tau,
+        tol=tol,
+        max_iterations=max_iterations,
+        y0=None if y0 is None else y0.values,
+    )
+    return ScalarField(p.mesh, y[0]), reports[0]
+
+
+def solve_monotone_columns(
+    p: MonotoneStateProblem,
+    u: np.ndarray,
+    tau: Optional[float] = None,
+    tol: float = 1e-8,
+    max_iterations: int = 100_000,
+    y0: Optional[np.ndarray] = None,
+):
+    """Zarantonello iteration on every column of a stack of controls.
+
+    ``u`` has shape (k, n_nodes); ``y0`` broadcasts to it.  All unconverged
+    columns step together through one multi-right-hand-side Poisson solve;
+    a column freezes once converged, so column i takes the steps
+    :func:`solve_monotone` takes on it alone.  Returns the states and one
+    report per column; raises NonConvergenceError if any column fails.
     """
     mesh = p.mesh
     if tau is None:
         tau = p.default_step()
-    fvals = np.asarray(p.cs.f(u.values), dtype=float)
-    y = np.zeros(mesh.n_nodes) if y0 is None else y0.values.copy()
-    y[mesh.boundary_mask] = 0.0
+    fvals = np.asarray(p.cs.f(u), dtype=float)
+    f_int = np.where(mesh.boundary_mask, 0.0, fvals)
+    y = grid.start_columns(mesh, u.shape, y0)
+    states = np.empty(u.shape)
+    # per column: iterations, last residual, worst ratio, converged
+    outcome = [None] * u.shape[0]
+    ids = np.arange(u.shape[0])
+    # no ratio on the first step; after it prev_rnorm > 0 on every live
+    # column, since a zero residual meets any tolerance
+    prev_rnorm = np.full(ids.size, np.inf)
+    worst = np.zeros(ids.size)
 
-    prev_rnorm = None
-    worst_ratio = 0.0
-    rnorm = np.inf
-    for k in range(max_iterations):
-        flux = p.cs.A(grid.gradient_values(mesh, y))
-        resid = -grid.divergence_weak_values(mesh, flux)
-        resid[~mesh.boundary_mask] -= fvals[~mesh.boundary_mask]
+    for it in range(max_iterations):
+        flux = apply_cellwise(p.cs.A, grid.gradient_values(mesh, y))
+        resid = -grid.divergence_weak_values(mesh, flux) - f_int
         lift = grid.helmholtz_solve_values(mesh, 0.0, resid)
-        rnorm = grid.l2_norm(VectorField(mesh, grid.gradient_values(mesh, lift)))
-        if prev_rnorm is not None and prev_rnorm > 0.0:
-            worst_ratio = max(worst_ratio, rnorm / prev_rnorm)
+        rnorm = grid.l2_norm_values(mesh, grid.gradient_values(mesh, lift), "cells")
+        worst = np.maximum(worst, rnorm / prev_rnorm)
         prev_rnorm = rnorm
-        if rnorm <= tol:
-            report = SolveReport(
-                method="zarantonello",
-                iterations=k,
-                residual=rnorm,
-                converged=True,
-                contraction_ratio=worst_ratio if k > 1 else None,
-                extras={"tau": tau},
+        r = grid.select_rows(rnorm <= tol)
+        if r is not None:
+            j = ids[r]
+            states[j] = y[r]
+            for c, d, w in zip(j.tolist(), rnorm[r].tolist(), worst[r].tolist()):
+                outcome[c] = (it, d, w, True)
+            if isinstance(r, slice):
+                break
+            keep = rnorm > tol
+            ids, y, lift, f_int, prev_rnorm, worst = (
+                a[keep] for a in (ids, y, lift, f_int, prev_rnorm, worst)
             )
-            return ScalarField(mesh, y), report
         y = y - tau * lift
+    else:
+        for c, d, w in zip(ids.tolist(), prev_rnorm.tolist(), worst.tolist()):
+            outcome[c] = (max_iterations, d, w, False)
 
-    report = SolveReport(
-        method="zarantonello",
-        iterations=max_iterations,
-        residual=float(rnorm),
-        converged=False,
-        contraction_ratio=worst_ratio,
-        extras={"tau": tau},
-    )
-    raise NonConvergenceError(
-        f"Zarantonello iteration did not reach {tol} in {max_iterations} steps "
-        f"(last residual {rnorm:.3e})",
-        report,
-    )
+    reports = [
+        SolveReport(
+            method="zarantonello",
+            iterations=i,
+            residual=d,
+            converged=c,
+            contraction_ratio=w if i > 1 or not c else None,
+            extras={"tau": tau},
+        )
+        for i, d, w, c in outcome
+    ]
+    failed = [rep for rep in reports if not rep.converged]
+    if failed:
+        raise NonConvergenceError(
+            f"Zarantonello iteration did not reach {tol} in {max_iterations} steps "
+            f"(last residual {failed[0].residual:.3e})",
+            failed[0],
+        )
+    return states, reports
 
 
 def verify_limit_identity(

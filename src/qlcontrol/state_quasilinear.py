@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import CoefficientSet, HypothesisReport
+from .coefficients import CoefficientSet, HypothesisReport, apply_cellwise
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
 
@@ -24,6 +24,7 @@ __all__ = [
     "QuasilinearStateProblem",
     "uniqueness_threshold",
     "solve_quasilinear",
+    "solve_quasilinear_columns",
     "verify_uniqueness",
     "apriori_gradient_bound",
 ]
@@ -111,18 +112,29 @@ class QuasilinearStateProblem:
 
 
 def _a_node_values(p: QuasilinearStateProblem, y: np.ndarray) -> np.ndarray:
+    """Nodal average of a(grad y); leading axes of y are batch axes."""
     if p.cs.a is None:
-        return np.zeros(p.mesh.n_nodes)
-    acell = np.asarray(p.cs.a(grid.gradient_values(p.mesh, y)), dtype=float)
+        return np.zeros(y.shape)
+    acell = apply_cellwise(p.cs.a, grid.gradient_values(p.mesh, y))
     return grid.cell_to_node_values(p.mesh, acell)
 
 
-def strong_residual(p: QuasilinearStateProblem, y: np.ndarray, fvals: np.ndarray) -> float:
-    """L2 norm of -lap_h y + a(grad y) + b y - f on the interior nodes."""
+def strong_residual(
+    p: QuasilinearStateProblem, y: np.ndarray, fvals: np.ndarray
+) -> np.ndarray:
+    """L2 norm of -lap_h y + a(grad y) + b y - f on the interior nodes, per
+    column of stacked y and fvals."""
     mesh = p.mesh
     res = -grid.laplacian_values(mesh, y) + _a_node_values(p, y) + p.b * y - fvals
-    res[mesh.boundary_mask] = 0.0
-    return grid.l2_norm(ScalarField(mesh, res))
+    res[..., mesh.boundary_mask] = 0.0
+    return grid.l2_norm_values(mesh, res)
+
+
+def _h1_norm_values(mesh: Mesh, z: np.ndarray) -> np.ndarray:
+    """grid.h1_norm of each column of z."""
+    l2 = grid.l2_norm_values(mesh, z)
+    semi = grid.l2_norm_values(mesh, grid.gradient_values(mesh, z), "cells")
+    return np.sqrt(l2**2 + semi**2)
 
 
 def solve_quasilinear(
@@ -136,50 +148,91 @@ def solve_quasilinear(
 
     Starts from zero unless ``y0`` is given, stops when the H1 norm of the
     increment drops below ``tol`` and reports the final strong residual and
-    the measured contraction ratio.
+    the measured contraction ratio.  This is the one-column case of
+    :func:`solve_quasilinear_columns`.
+    """
+    y, reports = solve_quasilinear_columns(
+        p,
+        u.values[None],
+        tol=tol,
+        max_iterations=max_iterations,
+        y0=None if y0 is None else y0.values,
+    )
+    return ScalarField(p.mesh, y[0]), reports[0]
+
+
+def solve_quasilinear_columns(
+    p: QuasilinearStateProblem,
+    u: np.ndarray,
+    tol: float = 1e-9,
+    max_iterations: int = 10_000,
+    y0: Optional[np.ndarray] = None,
+):
+    """Picard iteration on every column of a stack of controls.
+
+    ``u`` has shape (k, n_nodes); ``y0`` broadcasts to it.  All unconverged
+    columns step together through one multi-right-hand-side Helmholtz
+    solve; a column freezes once converged, so column i takes the steps
+    :func:`solve_quasilinear` takes on it alone.  Returns the states and
+    one report per column; raises NonConvergenceError if any column fails.
     """
     mesh = p.mesh
-    fvals = np.asarray(p.cs.f(u.values), dtype=float)
-    y = np.zeros(mesh.n_nodes) if y0 is None else np.array(y0.values)
-    y[mesh.boundary_mask] = 0.0
+    fvals = np.asarray(p.cs.f(u), dtype=float)
+    y = grid.start_columns(mesh, u.shape, y0)
+    states = np.empty(u.shape)
+    # per column: iterations, last increment, worst ratio, converged
+    outcome = [None] * u.shape[0]
+    ids = np.arange(u.shape[0])
+    f_live = fvals
+    # no ratio on the first step; after it prev_incr > 0 on every live
+    # column, since a zero increment meets any tolerance
+    prev_incr = np.full(ids.size, np.inf)
+    worst = np.zeros(ids.size)
 
-    prev_incr = None
-    worst_ratio = 0.0
-    last_incr = np.inf
-    for k in range(1, max_iterations + 1):
-        rhs = fvals - _a_node_values(p, y)
-        ynew = grid.helmholtz_solve_values(mesh, p.b, rhs)
-        incr = grid.h1_norm(ScalarField(mesh, ynew - y))
-        if prev_incr is not None and prev_incr > 0.0:
-            worst_ratio = max(worst_ratio, incr / prev_incr)
+    for it in range(1, max_iterations + 1):
+        ynew = grid.helmholtz_solve_values(mesh, p.b, f_live - _a_node_values(p, y))
+        incr = _h1_norm_values(mesh, ynew - y)
+        worst = np.maximum(worst, incr / prev_incr)
         prev_incr = incr
         y = ynew
-        last_incr = incr
-        if incr <= tol:
-            report = SolveReport(
-                method="picard",
-                iterations=k,
-                residual=strong_residual(p, y, fvals),
-                converged=True,
-                contraction_ratio=worst_ratio if k > 2 else None,
-                extras={"final_increment": incr},
+        r = grid.select_rows(incr <= tol)
+        if r is not None:
+            j = ids[r]
+            states[j] = y[r]
+            for c, d, w in zip(j.tolist(), incr[r].tolist(), worst[r].tolist()):
+                outcome[c] = (it, d, w, True)
+            if isinstance(r, slice):
+                break
+            keep = incr > tol
+            ids, y, f_live, prev_incr, worst = (
+                a[keep] for a in (ids, y, f_live, prev_incr, worst)
             )
-            return ScalarField(mesh, y), report
+    else:
+        states[ids] = y
+        for c, d, w in zip(ids.tolist(), prev_incr.tolist(), worst.tolist()):
+            outcome[c] = (max_iterations, d, w, False)
 
-    report = SolveReport(
-        method="picard",
-        iterations=max_iterations,
-        residual=strong_residual(p, y, fvals),
-        converged=False,
-        contraction_ratio=worst_ratio,
-        extras={"final_increment": float(last_incr)},
-    )
-    raise NonConvergenceError(
-        f"Picard iteration did not contract to {tol} within {max_iterations} "
-        f"steps (measured ratio {worst_ratio:.4f}); b may barely exceed the "
-        "uniqueness threshold",
-        report,
-    )
+    residual = strong_residual(p, states, fvals).tolist()
+    reports = [
+        SolveReport(
+            method="picard",
+            iterations=i,
+            residual=r,
+            converged=c,
+            contraction_ratio=w if i > 2 or not c else None,
+            extras={"final_increment": d},
+        )
+        for (i, d, w, c), r in zip(outcome, residual)
+    ]
+    failed = [rep for rep in reports if not rep.converged]
+    if failed:
+        raise NonConvergenceError(
+            f"Picard iteration did not contract to {tol} within {max_iterations} "
+            f"steps (measured ratio {failed[0].contraction_ratio:.4f}); b may "
+            "barely exceed the uniqueness threshold",
+            failed[0],
+        )
+    return states, reports
 
 
 def verify_uniqueness(
@@ -195,16 +248,13 @@ def verify_uniqueness(
             "uniqueness is only guaranteed for b > L^2/4; refusing to verify"
         )
     rng = np.random.default_rng(seed)
-    solutions = []
-    for _ in range(trials):
-        y0v = rng.standard_normal(p.mesh.n_nodes)
-        y0v[p.mesh.boundary_mask] = 0.0
-        y, _ = solve_quasilinear(p, u, y0=ScalarField(p.mesh, y0v))
-        solutions.append(y.values)
+    y0 = rng.standard_normal((trials, p.mesh.n_nodes))
     worst = 0.0
-    for i in range(trials):
-        for j in range(i + 1, trials):
-            worst = max(worst, float(np.max(np.abs(solutions[i] - solutions[j]))))
+    if trials:
+        solutions, _ = solve_quasilinear_columns(
+            p, np.broadcast_to(u.values, y0.shape), y0=y0
+        )
+        worst = float(np.max(np.abs(solutions[:, None] - solutions[None])))
     return HypothesisReport(
         hypothesis="uniqueness",
         samples=trials,

@@ -251,8 +251,8 @@ def quadratic_program_oracle(cp):
     wts[0] = wts[-1] = 0.5
     if dim == 2:
         wts = np.outer(wts, wts).ravel()
-    target = cp.tracking_target_values()
-    Mw = cp.regularizer_weight
+    target = np.asarray(cp.tracking_target, dtype=float)
+    Mw = cp.M
 
     # quadratic form in all nodal u values
     S = np.zeros((n_nodes, n_nodes))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlcontrol import coefficients as co
-from qlcontrol import grid
+from qlcontrol import control_opt, grid
 from qlcontrol import instances
 from qlcontrol.control_opt import (
     ControlProblem,
@@ -16,6 +16,7 @@ from qlcontrol.control_opt import (
     optimize_control,
 )
 from qlcontrol.grid import ScalarField
+from qlcontrol.reports import NonConvergenceError
 from qlcontrol.state_quasilinear import QuasilinearStateProblem
 
 from oracles import quadratic_program_oracle
@@ -129,6 +130,30 @@ class TestOptimizeControl:
         c0 = evaluate_cost(cp, u0)
         u, rep = optimize_control(cp, u0, OptimizeOptions(max_iterations=3))
         assert rep.cost <= c0
+        assert np.all(np.diff(rep.cost_trace) <= 0.0)
+
+    def test_linesearch_retries_counted(self, monkeypatch):
+        # the first line-search trial's state solve fails once; the step is
+        # halved, retried, and the retry is reported
+        cp, _ = tracking_problem(n=8)
+        u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+        opts = OptimizeOptions(max_iterations=3)
+        _, clean = optimize_control(cp, u0, opts)
+        assert clean.extras["linesearch_retries"] == 0
+        solve = control_opt.solve_state_for
+        failures = []
+
+        def fail_first_trial(cp_, u, warm=None, state_tol=None):
+            if warm is not None and not failures:
+                failures.append(u)
+                raise NonConvergenceError("forced failure")
+            return solve(cp_, u, warm=warm, state_tol=state_tol)
+
+        monkeypatch.setattr(control_opt, "solve_state_for", fail_first_trial)
+        _, rep = optimize_control(cp, u0, opts)
+        assert len(failures) == 1
+        assert rep.extras["linesearch_retries"] == 1
+        assert rep.iterations == 3 and len(rep.cost_trace) == 4
         assert np.all(np.diff(rep.cost_trace) <= 0.0)
 
     def test_deterministic_given_start(self):

@@ -246,6 +246,7 @@ class TestBatchAxes:
         q = rng.standard_normal((4, mesh.n_cells, dim))
         pairs = [
             (grid.gradient_values, y),
+            (grid.node_to_cell_values, y),
             (grid.cell_to_node_values, c),
             (grid.divergence_weak_values, q),
             (lambda m, v: grid.gradient_potential_values(m, v, "h10"), q),
@@ -257,6 +258,28 @@ class TestBatchAxes:
                 single = op(mesh, stack[i])
                 assert out[i].shape == single.shape
                 assert np.max(np.abs(out[i] - single)) <= 1e-12 * (1.0 + np.max(np.abs(single)))
+
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stacked_norms_match_l2_norm(self, dim):
+        rng = np.random.default_rng(31)
+        mesh = grid.build_mesh(dim, 5)
+        y = rng.standard_normal((3, mesh.n_nodes))
+        q = rng.standard_normal((3, mesh.n_cells, dim))
+        nodal = grid.l2_norm_values(mesh, y)
+        cells = grid.l2_norm_values(mesh, q, "cells")
+        for i in range(3):
+            assert nodal[i] == grid.l2_norm(ScalarField(mesh, y[i]))
+            assert cells[i] == grid.l2_norm(grid.VectorField(mesh, q[i]))
+
+    def test_start_columns_and_select_rows(self):
+        mesh = grid.build_mesh(1, 4)
+        y = grid.start_columns(mesh, (2, mesh.n_nodes), np.arange(5.0))
+        assert np.array_equal(y, [[0.0, 1.0, 2.0, 3.0, 0.0]] * 2)
+        assert np.array_equal(grid.start_columns(mesh, (1, 5)), np.zeros((1, 5)))
+        assert grid.select_rows(np.array([False, False])) is None
+        assert grid.select_rows(np.array([True, True])) == slice(None)
+        assert np.array_equal(grid.select_rows(np.array([False, True])), [1])
 
 
 class TestGradientPotential:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qlcontrol import coefficients as co
-from qlcontrol import grid
+from qlcontrol import grid, instances, state_variational
 from qlcontrol.grid import ScalarField
 from qlcontrol.state_variational import (
     VariationalStateProblem,
@@ -139,6 +139,63 @@ class TestSolveState:
             drifts.append(grid.l2_norm(ScalarField(mesh, y.values - y0.values)))
         assert drifts[0] > drifts[1] > drifts[2]
         assert drifts[2] <= 1e-3
+
+
+    def test_plateaued_step_goes_to_polish(self):
+        # captured from an optimizer run on variational-quartic-1d at h = 1/12:
+        # with this warm start the accepted BB trials once left y unchanged
+        # bit for bit and the loop spun to its 10,000-iteration cap
+        mesh = grid.build_mesh(1, 12)
+        u = ScalarField(mesh, np.array([
+            -0.3903489688059055, -0.39108871936228207, -0.3918536982296071,
+            -0.3908133364757734, -0.3892934242304379, -0.387896545438642,
+            -0.3872699302142772, -0.3884724401392581, -0.38977945891033317,
+            -0.3924062149771748, -0.3927580562745456, -0.3933295956787008,
+            -0.39142182595358566,
+        ]))
+        y0 = ScalarField(mesh, np.array([
+            0.0, 0.014464830814338562, 0.02640448626987843, 0.03575047823696582,
+            0.042456614261982016, 0.04649328121855862, 0.04784533828759792,
+            0.04650872095178757, 0.0424834266857881, 0.0357851192688777,
+            0.026436158245177126, 0.01448768484668723, 0.0,
+        ]))
+        # the state the capped run returned after its polish
+        expected = np.array([
+            0.0, 0.014464802653713076, 0.026404429153001154, 0.035750391362541364,
+            0.04245649693230772, 0.046493132785457005, 0.04784515829540131,
+            0.046508509067639196, 0.04248318284258849, 0.035784938500209966,
+            0.026436039277682805, 0.01448762616961344, 0.0,
+        ])
+        p = instances.build_state_problem("variational-quartic-1d", mesh).with_source(u)
+        y, rep = solve_state(p, u, y0=y0)
+        assert rep.converged and rep.residual <= 1e-8
+        assert rep.iterations < 1000
+        assert np.max(np.abs(y.values - expected)) <= 1e-12
+
+
+class TestWithSource:
+    def test_runs_no_w_checks(self, monkeypatch):
+        p = quadratic_problem()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("with_source re-ran a W check")
+
+        monkeypatch.setattr(state_variational, "check_w_growth", forbidden)
+        monkeypatch.setattr(state_variational, "check_w_convexity", forbidden)
+        src = ScalarField(p.mesh, np.full(p.mesh.n_nodes, 2.0))
+        q = p.with_source(src)
+        assert q.source is src
+        assert (q.mesh, q.cs, q.form) == (p.mesh, p.cs, p.form)
+        assert np.all(p.source.values == 1.0)
+
+    def test_rejects_cell_source(self):
+        p = quadratic_problem()
+        cells = ScalarField(p.mesh, np.zeros(p.mesh.n_cells), "cells")
+        with pytest.raises(ValueError):
+            p.with_source(cells)
+        other = ScalarField(grid.build_mesh(1, 8), np.zeros(9))
+        with pytest.raises(ValueError):
+            p.with_source(other)
 
 
 class TestVerifyMinimality:
