@@ -28,7 +28,6 @@ __all__ = [
     "helmholtz_solve",
     "l2_norm",
     "h1_seminorm",
-    "h1_norm",
     "inner",
     "node_to_cell",
     "cell_to_node",
@@ -99,14 +98,6 @@ class Mesh:
         return self.h**self.dimension
 
     @property
-    def node_shape(self) -> tuple:
-        return (self.nodes_per_axis,) * self.dimension
-
-    @property
-    def cell_shape(self) -> tuple:
-        return (self.cells_per_axis,) * self.dimension
-
-    @property
     def interior_indices(self) -> np.ndarray:
         return self._interior
 
@@ -139,7 +130,6 @@ class ScalarField:
     mesh: Mesh
     values: np.ndarray
     location: str = "nodes"  # "nodes" | "cells"
-    units: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).copy()
@@ -270,6 +260,50 @@ def select_rows(mask: np.ndarray):
     return slice(None) if n == mask.size else np.flatnonzero(mask)
 
 
+def _fixed_point_columns(step, y, data, tol, max_iterations, first):
+    """Contraction iteration on a stack of columns, shared by the
+    Zarantonello and Picard solvers.
+
+    ``step(y, *data)`` returns ``(candidate, measure, next)`` for the live
+    columns: the iterate a column stops with, its per-column convergence
+    measure and the next iterate.  ``data`` holds per-column arrays that
+    follow the live columns.  A column freezes at the first iteration whose
+    measure is at most ``tol``; iterations are counted from ``first`` (0
+    when the measure is taken before the step, 1 when after it).  Returns
+    the states, holding each unfrozen column's last iterate, and one
+    ``(iterations, measure, worst ratio, converged)`` per column; at the cap
+    ``iterations`` is ``max_iterations``.
+    """
+    states = np.empty(y.shape)
+    outcome = [None] * y.shape[0]
+    ids = np.arange(y.shape[0])
+    # no ratio on the first step; after it prev > 0 on every live column,
+    # since a zero measure meets any tolerance
+    prev = np.full(ids.size, np.inf)
+    worst = np.zeros(ids.size)
+    for it in range(first, max_iterations + first):
+        candidate, measure, y = step(y, *data)
+        worst = np.maximum(worst, measure / prev)
+        prev = measure
+        done = measure <= tol
+        r = select_rows(done)
+        if r is not None:
+            j = ids[r]
+            states[j] = candidate[r]
+            for c, d, w in zip(j.tolist(), measure[r].tolist(), worst[r].tolist()):
+                outcome[c] = (it, d, w, True)
+            if isinstance(r, slice):
+                break
+            keep = ~done
+            ids, y, prev, worst = ids[keep], y[keep], prev[keep], worst[keep]
+            data = tuple(a[keep] for a in data)
+    else:
+        states[ids] = y
+        for c, d, w in zip(ids.tolist(), prev.tolist(), worst.tolist()):
+            outcome[c] = (max_iterations, d, w, False)
+    return states, outcome
+
+
 # -- inner products and norms -------------------------------------------------
 
 
@@ -297,10 +331,6 @@ def l2_norm(f) -> float:
 
 def h1_seminorm(y: ScalarField) -> float:
     return l2_norm(gradient(y))
-
-
-def h1_norm(y: ScalarField) -> float:
-    return float(np.sqrt(l2_norm(y) ** 2 + h1_seminorm(y) ** 2))
 
 
 def l2_norm_values(mesh: Mesh, v: np.ndarray, location: str = "nodes") -> np.ndarray:
@@ -480,47 +510,17 @@ _KKT_CACHE: dict = {}
 
 
 def _gradient_matrix(mesh: Mesh) -> scipy.sparse.csr_matrix:
-    """Sparse matrix of gradient_values acting on flat nodal vectors."""
-    n_nodes = mesh.n_nodes
-    rows, cols, vals = [], [], []
-    h = mesh.h
-    if mesh.dimension == 1:
-        n = mesh.cells_per_axis
-        for i in range(n):
-            rows += [i, i]
-            cols += [i + 1, i]
-            vals += [1.0 / h, -1.0 / h]
-        return scipy.sparse.csr_matrix(
-            (vals, (rows, cols)), shape=(n, n_nodes)
-        )
+    """Sparse matrix of 2D gradient_values acting on flat nodal vectors: the
+    x-components of every cell, then the y-components.  Per axis it takes
+    the difference of the node pairs along that axis and sums them across
+    the other one."""
     n = mesh.cells_per_axis
-    m = n + 1
-
-    def nid(i, j):
-        return i * m + j
-
-    r = 0
-    for comp in (0, 1):
-        for ci in range(n):
-            for cj in range(n):
-                if comp == 0:
-                    plus = [nid(ci + 1, cj), nid(ci + 1, cj + 1)]
-                    minus = [nid(ci, cj), nid(ci, cj + 1)]
-                else:
-                    plus = [nid(ci, cj + 1), nid(ci + 1, cj + 1)]
-                    minus = [nid(ci, cj), nid(ci + 1, cj)]
-                for p in plus:
-                    rows.append(r)
-                    cols.append(p)
-                    vals.append(1.0 / (2.0 * h))
-                for q in minus:
-                    rows.append(r)
-                    cols.append(q)
-                    vals.append(-1.0 / (2.0 * h))
-                r += 1
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(2 * n * n, n_nodes)
+    D = scipy.sparse.diags([-1.0, 1.0], [0, 1], (n, n + 1))
+    S = scipy.sparse.diags([1.0, 1.0], [0, 1], (n, n + 1))
+    G = scipy.sparse.vstack(
+        [scipy.sparse.kron(D, S), scipy.sparse.kron(S, D)], format="csr"
     )
+    return G / (2.0 * mesh.h)
 
 
 def _h1_projection_factor(mesh: Mesh):

@@ -282,7 +282,7 @@ def relaxable_names() -> list:
     return ["gap-family-1d", "sin-gradient-1d", "linear-quasilinear-1d"]
 
 
-def catalog(include_gap_margin: bool = True) -> list:
+def catalog() -> list:
     """Instance table: name, kind, constants (thresholds included)."""
     rows = []
     for name in instance_names():
@@ -302,7 +302,7 @@ def catalog(include_gap_margin: bool = True) -> list:
         if getattr(state, "b", None) is not None:
             constants["b"] = state.b
         kind = "relax" if name in relaxable_names() else "control"
-        if name == "gap-family-1d" and include_gap_margin:
+        if name == "gap-family-1d":
             constants["delta_star"] = gap_margin()
         rows.append(
             {

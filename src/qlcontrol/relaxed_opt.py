@@ -110,7 +110,6 @@ class RelaxOptions:
     rho_max: float = 1e8
     stationarity_tol: float = 1e-5
     feasibility_tol: float = FEASIBILITY_TOL
-    optimize_control_measure: bool = True
 
 
 # -- measure-valued state -------------------------------------------------------
@@ -406,14 +405,13 @@ def optimize_relaxed(
         nu_atoms = _restore_feasibility(rp, fvals, nu_atoms, nu_weights)
 
         # (iii) descend in mu (atoms, weights, additive constant)
-        if opts.optimize_control_measure:
-            mu_atoms, mu_weights, mu_offset = _phase_descent(
-                _MuPhase(rp, nu_atoms, nu_weights, rho),
-                [mu_atoms, mu_weights, mu_offset],
-                opts,
-                gnorms,
-            )
-            mu_offset = float(mu_offset)
+        mu_atoms, mu_weights, mu_offset = _phase_descent(
+            _MuPhase(rp, nu_atoms, nu_weights, rho),
+            [mu_atoms, mu_weights, mu_offset],
+            opts,
+            gnorms,
+        )
+        mu_offset = float(mu_offset)
 
         snap = feasible_snapshot(nu_atoms)
         if snap is not None and (best is None or snap[0] < best[0]):

@@ -118,39 +118,18 @@ def solve_monotone_columns(
         tau = p.default_step()
     fvals = np.asarray(p.cs.f(u), dtype=float)
     f_int = np.where(mesh.boundary_mask, 0.0, fvals)
-    y = grid.start_columns(mesh, u.shape, y0)
-    states = np.empty(u.shape)
-    # per column: iterations, last residual, worst ratio, converged
-    outcome = [None] * u.shape[0]
-    ids = np.arange(u.shape[0])
-    # no ratio on the first step; after it prev_rnorm > 0 on every live
-    # column, since a zero residual meets any tolerance
-    prev_rnorm = np.full(ids.size, np.inf)
-    worst = np.zeros(ids.size)
 
-    for it in range(max_iterations):
+    def step(y, f):
         flux = apply_cellwise(p.cs.A, grid.gradient_values(mesh, y))
-        resid = -grid.divergence_weak_values(mesh, flux) - f_int
+        resid = -grid.divergence_weak_values(mesh, flux) - f
         lift = grid.helmholtz_solve_values(mesh, 0.0, resid)
         rnorm = grid.l2_norm_values(mesh, grid.gradient_values(mesh, lift), "cells")
-        worst = np.maximum(worst, rnorm / prev_rnorm)
-        prev_rnorm = rnorm
-        r = grid.select_rows(rnorm <= tol)
-        if r is not None:
-            j = ids[r]
-            states[j] = y[r]
-            for c, d, w in zip(j.tolist(), rnorm[r].tolist(), worst[r].tolist()):
-                outcome[c] = (it, d, w, True)
-            if isinstance(r, slice):
-                break
-            keep = rnorm > tol
-            ids, y, lift, f_int, prev_rnorm, worst = (
-                a[keep] for a in (ids, y, lift, f_int, prev_rnorm, worst)
-            )
-        y = y - tau * lift
-    else:
-        for c, d, w in zip(ids.tolist(), prev_rnorm.tolist(), worst.tolist()):
-            outcome[c] = (max_iterations, d, w, False)
+        return y, rnorm, y - tau * lift
+
+    # the residual of y is measured before y steps, so counting starts at 0
+    states, outcome = grid._fixed_point_columns(
+        step, grid.start_columns(mesh, u.shape, y0), (f_int,), tol, max_iterations, 0
+    )
 
     reports = [
         SolveReport(

@@ -58,7 +58,6 @@ class QuasilinearStateProblem:
     cs: CoefficientSet
     b: Optional[float] = None
     unique: bool = field(init=False)
-    f_sampled_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.cs.f is None:
@@ -101,7 +100,6 @@ class QuasilinearStateProblem:
         fs = np.asarray(self.cs.f(us), dtype=float)
         if not np.all(np.isfinite(fs)):
             raise ValueError("f is not finite on the sampled control range")
-        object.__setattr__(self, "f_sampled_bound", float(np.max(np.abs(fs))))
 
     @property
     def growth_constant(self) -> float:
@@ -131,7 +129,7 @@ def strong_residual(
 
 
 def _h1_norm_values(mesh: Mesh, z: np.ndarray) -> np.ndarray:
-    """grid.h1_norm of each column of z."""
+    """Discrete H1 norm sqrt(||z||^2 + ||grad z||^2) of each column of z."""
     l2 = grid.l2_norm_values(mesh, z)
     semi = grid.l2_norm_values(mesh, grid.gradient_values(mesh, z), "cells")
     return np.sqrt(l2**2 + semi**2)
@@ -178,39 +176,15 @@ def solve_quasilinear_columns(
     """
     mesh = p.mesh
     fvals = np.asarray(p.cs.f(u), dtype=float)
-    y = grid.start_columns(mesh, u.shape, y0)
-    states = np.empty(u.shape)
-    # per column: iterations, last increment, worst ratio, converged
-    outcome = [None] * u.shape[0]
-    ids = np.arange(u.shape[0])
-    f_live = fvals
-    # no ratio on the first step; after it prev_incr > 0 on every live
-    # column, since a zero increment meets any tolerance
-    prev_incr = np.full(ids.size, np.inf)
-    worst = np.zeros(ids.size)
 
-    for it in range(1, max_iterations + 1):
-        ynew = grid.helmholtz_solve_values(mesh, p.b, f_live - _a_node_values(p, y))
-        incr = _h1_norm_values(mesh, ynew - y)
-        worst = np.maximum(worst, incr / prev_incr)
-        prev_incr = incr
-        y = ynew
-        r = grid.select_rows(incr <= tol)
-        if r is not None:
-            j = ids[r]
-            states[j] = y[r]
-            for c, d, w in zip(j.tolist(), incr[r].tolist(), worst[r].tolist()):
-                outcome[c] = (it, d, w, True)
-            if isinstance(r, slice):
-                break
-            keep = incr > tol
-            ids, y, f_live, prev_incr, worst = (
-                a[keep] for a in (ids, y, f_live, prev_incr, worst)
-            )
-    else:
-        states[ids] = y
-        for c, d, w in zip(ids.tolist(), prev_incr.tolist(), worst.tolist()):
-            outcome[c] = (max_iterations, d, w, False)
+    def step(y, f):
+        ynew = grid.helmholtz_solve_values(mesh, p.b, f - _a_node_values(p, y))
+        return ynew, _h1_norm_values(mesh, ynew - y), ynew
+
+    # the increment is measured after the step, so counting starts at 1
+    states, outcome = grid._fixed_point_columns(
+        step, grid.start_columns(mesh, u.shape, y0), (fvals,), tol, max_iterations, 1
+    )
 
     residual = strong_residual(p, states, fvals).tolist()
     reports = [

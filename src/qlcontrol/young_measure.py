@@ -10,8 +10,8 @@ Oscillating control sequences are realized as 1D laminates on a refined mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -100,24 +100,18 @@ class YoungMeasureField:
         vals = np.einsum("ck,ckn->cn", self.weights, self.atoms)
         return VectorField(self.mesh, vals)
 
-    def with_atoms(self, atoms: np.ndarray, klass: Optional[str] = None):
-        return replace(self, atoms=atoms, klass=self.klass if klass is None else klass)
-
 
 def dirac_field(v: VectorField) -> YoungMeasureField:
     """One unit-weight atom per cell at the field value; the class tag is
     inherited from whether v is a discrete gradient (H1_0 first, then H1)."""
     if grid.is_discrete_gradient(v, "h10", CLASS_TOL):
         klass = "PH10"
-        offset = 0.0
     elif grid.is_discrete_gradient(v, "h1", CLASS_TOL):
         klass = "PH1"
-        offset = 0.0
     else:
         klass = "unconstrained"
-        offset = 0.0
     return YoungMeasureField(
-        v.mesh, v.values[:, None, :], np.ones((v.mesh.n_cells, 1)), klass, offset
+        v.mesh, v.values[:, None, :], np.ones((v.mesh.n_cells, 1)), klass
     )
 
 

@@ -312,6 +312,17 @@ class TestGradientPotential:
         _, res = grid.gradient_potential(v, "h1")
         assert res > 1e-3
 
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_gradient_matrix_matches_gradient_values(self, n):
+        rng = np.random.default_rng(19)
+        mesh = grid.build_mesh(2, n)
+        y = rng.standard_normal(mesh.n_nodes)
+        # rows: the x-components of every cell, then the y-components
+        expected = grid.gradient_values(mesh, y).T.ravel()
+        out = grid._gradient_matrix(mesh) @ y
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
+
 
 class TestCsvDump:
     def test_header_and_order_1d(self, tmp_path):
