@@ -9,6 +9,7 @@ warm-started from the unperturbed state.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -38,6 +39,8 @@ _STATE_TOL_DEFAULTS = {"variational": 1e-8, "monotone": 1e-9, "quasilinear": 1e-
 # points solved per stacked call; bounds the memory of a finite-difference
 # stack at _FD_BLOCK columns, whatever the mesh size
 _FD_BLOCK = 512
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -199,6 +202,19 @@ class OptimizeOptions:
     initial_step: float = 1.0
     state_tol: Optional[float] = None
 
+    def __post_init__(self):
+        if self.max_iterations < 0 or self.linesearch_max < 1:
+            raise ValueError(
+                "max_iterations must be non-negative and linesearch_max at least 1"
+            )
+        for name in ("fd_step", "initial_step"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.gradient_tol >= 0.0:
+            raise ValueError(f"gradient_tol must be non-negative, got {self.gradient_tol}")
+        if self.state_tol is not None and not self.state_tol > 0.0:
+            raise ValueError(f"state_tol must be positive, got {self.state_tol}")
+
 
 def _fd_cost_gradient(
     cp: ControlProblem,
@@ -259,6 +275,10 @@ def optimize_control(
         g = _fd_cost_gradient(cp, u, cost, state, opts)
         gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
         stationarity = float(np.sqrt(gnorm2))
+        _log.debug(
+            "optimize_control iteration %d: cost %.12g stationarity %.3e step %.3e",
+            it, cost, stationarity, step,
+        )
         if stationarity <= opts.gradient_tol:
             stopped = "gradient"
             break
@@ -289,6 +309,7 @@ def optimize_control(
             stopped = "linesearch"
             break
         step = min(alpha * 2.0, 1e3)
+    _log.debug("optimize_control stopped: %s after %d iterations", stopped, iterations)
 
     report = SolveReport(
         method="fd-projected-gradient",

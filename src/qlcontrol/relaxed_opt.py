@@ -16,6 +16,7 @@ sampled classical cost.
 
 from __future__ import annotations
 
+import logging
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -60,6 +61,8 @@ SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
 _HALVINGS = 25  # line-search trials step0 * 2**-k, k < _HALVINGS
+
+_log = logging.getLogger(__name__)
 
 
 class InfeasibleMeasureError(ValueError):
@@ -110,6 +113,18 @@ class RelaxOptions:
     rho_max: float = 1e8
     stationarity_tol: float = 1e-5
     feasibility_tol: float = FEASIBILITY_TOL
+
+    def __post_init__(self):
+        if self.max_outer < 1 or self.inner_steps < 1:
+            raise ValueError("max_outer and inner_steps must be at least 1")
+        for name in ("fd_step", "step0", "rho0"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.rho0 <= self.rho_max:
+            raise ValueError(f"rho0 {self.rho0} exceeds rho_max {self.rho_max}")
+        for name in ("stationarity_tol", "feasibility_tol"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 # -- measure-valued state -------------------------------------------------------
@@ -310,16 +325,19 @@ def _descend(values, params, grads, step0: float, base: float):
 
 def _phase_descent(phase: _Phase, params, opts: RelaxOptions, gnorms: list):
     """Up to opts.inner_steps projected-gradient steps on one phase; appends
-    each gradient's sup norm to gnorms and returns the final parameters."""
+    each gradient's sup norm to gnorms and returns the final parameters and
+    the number of steps accepted (0: the parameters are returned as given)."""
     step = opts.step0
+    accepted = 0
     for _ in range(opts.inner_steps):
         base, grads = _fd_gradient(phase.values, params, opts.fd_step)
         gnorms.append(float(np.max([np.max(np.abs(g)) for g in grads])))
         params, used = _descend(phase.values, params, grads, step, base)
         if used == 0.0:
             break
+        accepted += 1
         step = min(used * 2.0, 1e2)
-    return params
+    return params, accepted
 
 
 def _restore_feasibility(rp: RelaxedProblem, fvals, atoms, weights):
@@ -342,6 +360,13 @@ def optimize_relaxed(
     barycenter to the state; (iii) descent on mu's atoms, weights and the
     additive constant of the control.  Returns the best feasible point seen
     (the init included, so the value never exceeds a feasible init's cost).
+
+    ``extras["stopped"]`` names the exit: "stationary" (every gradient of
+    the iteration is below stationarity_tol; the only converged exit),
+    "infeasible" (the penalty reached rho_max with the iterate still
+    infeasible), "stalled" (after the first iteration, neither phase
+    accepted a step and the iterate ended feasible, so the next iteration
+    would repeat this one at the same rho) or "cap" (max_outer reached).
     """
     if opts is None:
         opts = RelaxOptions()
@@ -385,8 +410,7 @@ def optimize_relaxed(
 
     best = feasible_snapshot(nu_atoms)
     rho = opts.rho0
-    stationarity = np.inf
-    infeasible = False
+    stopped = "cap"
     outer_done = 0
 
     for outer in range(1, opts.max_outer + 1):
@@ -397,7 +421,7 @@ def optimize_relaxed(
 
         # (i) descend in nu under the penalty
         gnorms: list = []
-        nu_atoms, nu_weights = _phase_descent(
+        (nu_atoms, nu_weights), nu_steps = _phase_descent(
             _NuPhase(rp, fvals, rho), [nu_atoms, nu_weights], opts, gnorms
         )
 
@@ -405,7 +429,7 @@ def optimize_relaxed(
         nu_atoms = _restore_feasibility(rp, fvals, nu_atoms, nu_weights)
 
         # (iii) descend in mu (atoms, weights, additive constant)
-        mu_atoms, mu_weights, mu_offset = _phase_descent(
+        (mu_atoms, mu_weights, mu_offset), mu_steps = _phase_descent(
             _MuPhase(rp, nu_atoms, nu_weights, rho),
             [mu_atoms, mu_weights, mu_offset],
             opts,
@@ -417,8 +441,15 @@ def optimize_relaxed(
         if snap is not None and (best is None or snap[0] < best[0]):
             best = snap
 
-        stationarity = max(gnorms) if gnorms else 0.0
+        stationarity = max(gnorms)
+        _log.debug(
+            "optimize_relaxed outer %d: cost %.12g stationarity %.3e rho %.1e "
+            "steps accepted nu %d mu %d",
+            outer, snap[0] if snap is not None else np.nan, stationarity, rho,
+            nu_steps, mu_steps,
+        )
         if stationarity <= opts.stationarity_tol:
+            stopped = "stationary"
             break
 
         # tighten the penalty while the raw iterate stays infeasible
@@ -426,9 +457,15 @@ def optimize_relaxed(
         _, cons = solve_mv_state(rp, potential(mu_f), current_nu(nu_atoms))
         if cons > opts.feasibility_tol:
             if rho >= opts.rho_max:
-                infeasible = True
+                stopped = "infeasible"
                 break
             rho = min(rho * 10.0, opts.rho_max)
+        elif outer > 1 and nu_steps == mu_steps == 0:
+            # mu is unchanged and nu moved only by the restoration, which
+            # the next iteration would redo at the same rho
+            stopped = "stalled"
+            break
+    _log.debug("optimize_relaxed stopped: %s after %d outer iterations", stopped, outer_done)
 
     if best is None:
         raise InfeasibleMeasureError(
@@ -441,11 +478,11 @@ def optimize_relaxed(
         method="alternating-penalty",
         iterations=outer_done,
         residual=cons_best,
-        converged=not infeasible and stationarity <= opts.stationarity_tol,
+        converged=stopped == "stationary",
         cost=value,
         stationarity=stationarity,
         wall_time=time.perf_counter() - t0,
-        extras={"rho": rho, "infeasible_flag": infeasible},
+        extras={"rho": rho, "stopped": stopped},
     )
     return mu_best, nu_best, y_best, report
 

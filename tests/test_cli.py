@@ -1,9 +1,14 @@
 """Experiment runner: config parsing, runs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import qlcontrol
 from qlcontrol.cli import ConfigError, ExperimentConfig, list_builtin, main, run
 
 
@@ -176,6 +181,19 @@ class TestListCommand:
     def test_main_list(self, capsys):
         assert main(["list"]) == 0
         assert "gap-family-1d" in capsys.readouterr().out
+
+    def test_python_dash_m_list(self):
+        src = str(Path(qlcontrol.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qlcontrol", "list"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "gap-family-1d" in proc.stdout
 
 
 class TestShippedConfigs:

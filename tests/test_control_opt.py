@@ -1,5 +1,7 @@
 """Outer control problem: costs, FD-gradient descent, oscillation demo."""
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,41 @@ class TestOptimizeControl:
         u2, rep2 = optimize_control(cp, u0, opts)
         assert np.array_equal(u1.values, u2.values)
         assert rep1.cost == rep2.cost
+
+    def test_debug_log_records_each_iteration(self, caplog):
+        cp, _ = tracking_problem(n=8)
+        u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+        opts = OptimizeOptions(max_iterations=3)
+        u_quiet, quiet = optimize_control(cp, u0, opts)
+        with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
+            u_logged, logged = optimize_control(cp, u0, opts)
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split(":")[0] for m in messages] == [
+            "optimize_control iteration 1",
+            "optimize_control iteration 2",
+            "optimize_control iteration 3",
+            "optimize_control stopped",
+        ]
+        assert "step 1.000e+00" in messages[0]
+        assert messages[3] == "optimize_control stopped: cap after 3 iterations"
+        assert logged.to_dict() == quiet.to_dict()
+        assert np.array_equal(u_logged.values, u_quiet.values)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_iterations": -1},
+            {"linesearch_max": 0},
+            {"gradient_tol": -1e-6},
+            {"fd_step": 0.0},
+            {"initial_step": float("nan")},
+            {"state_tol": 0.0},
+        ],
+        ids=lambda d: "{}={}".format(*next(iter(d.items()))),
+    )
+    def test_out_of_range_options_rejected(self, bad):
+        with pytest.raises(ValueError):
+            OptimizeOptions(**bad)
 
 
 class TestGradientSelfConsistency:

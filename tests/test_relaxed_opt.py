@@ -1,5 +1,8 @@
 """Measure-valued relaxation: states, costs, optimizer, gap certificates."""
 
+import hashlib
+import logging
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from qlcontrol.grid import ScalarField
 from qlcontrol.relaxed_opt import (
     InfeasibleMeasureError,
     RelaxedInit,
+    RelaxOptions,
     RelaxedProblem,
     certify_gap,
     embed_classical,
@@ -157,6 +161,84 @@ class TestOptimizeRelaxed:
         mu, nu, _ = embed_classical(rp, u_opt)
         _, _, _, rep_r = optimize_relaxed(rp, RelaxedInit(mu, nu, rep_c.cost))
         assert abs(rep_r.cost - rep_c.cost) <= 1e-4
+
+
+def outputs_sha256(mu, nu, y):
+    h = hashlib.sha256()
+    for a in (mu.atoms, mu.weights, [mu.potential_offset], nu.atoms, nu.weights, y.values):
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+def zero_control_embedding(name, n):
+    rp, _ = instances.build_relaxed_problem(name, grid.build_mesh(1, n))
+    mu, nu, _ = embed_classical(rp, ScalarField(rp.mesh, np.zeros(rp.mesh.n_nodes)))
+    return rp, RelaxedInit(mu, nu)
+
+
+class TestStopRule:
+    # costs, residuals and output hashes recorded from the optimizer before
+    # it had a stall stop, when every run went to max_outer = 40
+    @pytest.mark.parametrize(
+        "n, cost, residual, sha",
+        [
+            (16, -0.06915362909010622, 6.049187461416408e-17,
+             "fe459b00da61c9b97fce95b2f4efdbbdd70f4f0580eb00a4e8c494797022375f"),
+            (64, -0.06945153919892365, 5.637184056103667e-17,
+             "fd80c8e2e1630d96aeafb5bceb6ff01d29f18b7cb1d4ef2178f6ecefa4de795d"),
+        ],
+    )
+    def test_designed_gap_init_stalls_with_unchanged_outputs(self, n, cost, residual, sha):
+        # no step is ever accepted from the designed init (f's kink holds mu)
+        rp, init = small_gap_problem(n=n)
+        mu, nu, y, rep = optimize_relaxed(rp, init)
+        assert rep.iterations == 2
+        assert rep.extras["stopped"] == "stalled"
+        assert rep.converged is False
+        assert rep.cost == cost and rep.residual == residual
+        assert outputs_sha256(mu, nu, y) == sha
+
+    def test_descending_run_goes_to_the_cap(self):
+        rp, init = zero_control_embedding("linear-quasilinear-1d", 32)
+        mu, nu, y, rep = optimize_relaxed(rp, init)
+        assert rep.iterations == 40
+        assert rep.extras["stopped"] == "cap"
+        assert rep.converged is False
+        assert rep.cost == 0.002499434136016435 and rep.residual == 0.0
+        assert outputs_sha256(mu, nu, y) == (
+            "320a2dfd457ba29dd6ea5186426f806f2a39ee1cfd8113f342ffdc89025d9cb5"
+        )
+
+    def test_stationary_is_the_only_converged_exit(self):
+        rp, init = small_gap_problem(n=16)
+        _, _, _, rep = optimize_relaxed(rp, init, RelaxOptions(stationarity_tol=1.0))
+        assert rep.iterations == 1
+        assert rep.extras["stopped"] == "stationary" and rep.converged is True
+        assert 0.0 < rep.stationarity <= 1.0
+
+    def test_penalty_cap_stops_infeasible(self):
+        # every mu step decouples nu from the new state by far more than
+        # 1e-14, while the restored snapshots stay feasible; the penalty is
+        # raised to rho_max and the run stops there
+        rp, init = zero_control_embedding("linear-quasilinear-1d", 16)
+        opts = RelaxOptions(rho0=1e3, rho_max=1e4, feasibility_tol=1e-14)
+        _, _, _, rep = optimize_relaxed(rp, init, opts)
+        assert rep.iterations == 2
+        assert rep.extras == {"rho": 1e4, "stopped": "infeasible"}
+        assert rep.converged is False
+
+    def test_debug_log_records_each_outer_iteration(self, caplog):
+        rp, init = small_gap_problem(n=16)
+        quiet = optimize_relaxed(rp, init)
+        with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
+            logged = optimize_relaxed(rp, init)
+        messages = [r.getMessage() for r in caplog.records]
+        assert len(messages) == 3
+        assert all(m.startswith("optimize_relaxed outer") for m in messages[:2])
+        assert "steps accepted nu 0 mu 0" in messages[1] and "rho 1.0e+03" in messages[1]
+        assert messages[2] == "optimize_relaxed stopped: stalled after 2 outer iterations"
+        assert logged[3].to_dict() == quiet[3].to_dict()
+        assert outputs_sha256(*logged[:3]) == outputs_sha256(*quiet[:3])
 
 
 def kernel_free_control(mesh):
@@ -352,6 +434,24 @@ class TestValidation:
         mu, nu, _ = embed_classical(rp, ScalarField(mesh, np.ones(mesh.n_nodes)))
         with pytest.raises(ValueError):
             optimize_relaxed(rp, RelaxedInit(mu, nu3))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"max_outer": 0},
+            {"inner_steps": 0},
+            {"fd_step": 0.0},
+            {"step0": -1e-2},
+            {"rho0": 0.0},
+            {"rho0": 1e9},
+            {"stationarity_tol": -1e-5},
+            {"feasibility_tol": float("nan")},
+        ],
+        ids=lambda d: "{}={}".format(*next(iter(d.items()))),
+    )
+    def test_out_of_range_options_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RelaxOptions(**bad)
 
 
 class TestTwoDimensionalEmbedding:
