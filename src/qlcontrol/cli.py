@@ -246,8 +246,8 @@ def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings):
     cp = instances.build_control_problem(name, cfg.mesh(), b=cfg.b_override)
     u0 = _control_field(cp.mesh, cfg.control)
     opts = OptimizeOptions(
-        max_iterations=cfg.max_iterations or 60,
-        gradient_tol=cfg.gradient_tol or 1e-6,
+        max_iterations=60 if cfg.max_iterations is None else cfg.max_iterations,
+        gradient_tol=1e-6 if cfg.gradient_tol is None else cfg.gradient_tol,
         state_tol=cfg.state_tol,
     )
     t0 = time.perf_counter()
@@ -269,7 +269,9 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, want_demo
         samples=cfg.samples,
         seed=cfg.seed,
         designed_init=designed,
-        classical_opts=OptimizeOptions(max_iterations=cfg.max_iterations or 12),
+        classical_opts=OptimizeOptions(
+            max_iterations=12 if cfg.max_iterations is None else cfg.max_iterations
+        ),
     )
     timings["certify_gap"] = time.perf_counter() - t0
     rep_d = report.to_dict()

@@ -4,7 +4,8 @@ The cost gradient is estimated by forward finite differences over nodal
 control perturbations (the work never assumes an adjoint equation), descent
 is plain projected gradient with Armijo backtracking, and the perturbed
 states of one gradient evaluation are solved as one stack of columns, each
-warm-started from the unperturbed state.
+warm-started from the unperturbed state; so are the backtracking trials, a
+few chunks of them at a time.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ _STATE_TOL_DEFAULTS = {"variational": 1e-8, "monotone": 1e-9, "quasilinear": 1e-
 # points solved per stacked call; bounds the memory of a finite-difference
 # stack at _FD_BLOCK columns, whatever the mesh size
 _FD_BLOCK = 512
+# line-search trials solved per stacked call: chunks of 2, 4, 8, then 16
+_LADDER_CHUNK = 16
 
 _log = logging.getLogger(__name__)
 
@@ -243,6 +246,57 @@ def _fd_cost_gradient(
     return g / (mesh.cell_volume * mesh.node_weights())
 
 
+def _trial_ladder(cp, u, g, step, warm, opts):
+    """Armijo trials at the steps step * 2^-j, j < opts.linesearch_max, in
+    ladder order.
+
+    Yields ``(alpha, control, state values, cost)`` per trial, with state
+    and cost None where the state solve did not converge.  The ladder is
+    scored in chunks of 2, 4, 8 and then 16 trials, each chunk one stacked
+    state solve warm-started from ``warm``, so every yielded trial is the
+    one a one-by-one search would score (bit for bit in 1D).  A chunk that
+    fails as a whole is scored again one trial at a time, so an error
+    surfaces at the trial that raises it, and only if no earlier trial is
+    accepted.
+    """
+    alphas = [step]
+    for _ in range(opts.linesearch_max - 1):
+        alphas.append(alphas[-1] * 0.5)
+    lo, size = 0, 2
+    while lo < len(alphas):
+        chunk = alphas[lo : lo + size]
+        lo, size = lo + size, min(2 * size, _LADDER_CHUNK)
+        U = u - np.array(chunk)[:, None] * g
+        try:
+            scored = _score_trials(cp, U, warm, opts.state_tol)
+        except Exception:
+            # whatever the stack raised, scoring its trials one by one
+            # raises it again at the trial that causes it
+            if len(chunk) == 1:
+                raise
+            for alpha, v in zip(chunk, U):
+                yield (alpha, v) + _score_trials(cp, v[None], warm, opts.state_tol)[0]
+            continue
+        for alpha, v, trial in zip(chunk, U, scored):
+            yield (alpha, v) + trial
+
+
+def _score_trials(cp, U, warm, state_tol) -> list:
+    """(state values, cost) per control of the stack U, both None for a
+    column whose state solve did not converge."""
+    try:
+        Y = _state_columns(cp, U, warm, state_tol)
+        ok = np.ones(len(U), dtype=bool)
+    except NonConvergenceError as err:
+        Y = err.states
+        ok = np.array([rep.converged for rep in err.reports])
+    costs = np.empty(len(U))
+    if ok.any():
+        # failed columns are not costed: their states may be far from finite
+        costs[ok] = _costs(cp, U[ok], Y[ok])
+    return [(y, float(c)) if k else (None, None) for y, c, k in zip(Y, costs, ok)]
+
+
 def optimize_control(
     cp: ControlProblem,
     u0: ScalarField,
@@ -283,29 +337,16 @@ def optimize_control(
             stopped = "gradient"
             break
 
-        accepted = False
-        alpha = step
-        for _ in range(opts.linesearch_max):
-            utrial = u - alpha * g
-            try:
-                ctrial, strial = evaluate_cost(
-                    cp,
-                    ScalarField(mesh, utrial),
-                    warm=state,
-                    state_tol=opts.state_tol,
-                    return_state=True,
-                )
-            except NonConvergenceError:
+        # Armijo backtracking; a trial whose state solve fails is retried
+        # at the next, halved step
+        for alpha, utrial, strial, ctrial in _trial_ladder(cp, u, g, step, state, opts):
+            if strial is None:
                 retries += 1
-                alpha *= 0.5  # shrink and retry on state-solver failure
-                continue
-            if ctrial <= cost - 1e-4 * alpha * gnorm2:
-                u, cost, state = utrial, ctrial, strial
+            elif ctrial <= cost - 1e-4 * alpha * gnorm2:
+                u, cost, state = utrial, ctrial, ScalarField(mesh, strial)
                 trace.append(cost)
-                accepted = True
                 break
-            alpha *= 0.5
-        if not accepted:
+        else:
             stopped = "linesearch"
             break
         step = min(alpha * 2.0, 1e3)

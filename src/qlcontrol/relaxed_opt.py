@@ -30,6 +30,7 @@ from .control_opt import (
     OptimizeOptions,
     _state_costs,
     evaluate_cost,
+    evaluate_costs,
     minimizing_sequence_demo,
     optimize_control,
     solve_state_for,
@@ -532,12 +533,9 @@ def certify_gap(
     candidates.append(ScalarField(mesh, np.zeros(mesh.n_nodes)))
     candidates.extend(_smooth_random_controls(mesh, samples, seed))
 
-    best_u = None
-    best_cost = np.inf
-    for u in candidates:
-        cost = evaluate_cost(cp, u)
-        if cost < best_cost:
-            best_cost, best_u = cost, u
+    costs = evaluate_costs(cp, np.array([u.values for u in candidates]))
+    best = int(np.argmin(costs))  # the first of equal minima
+    best_cost, best_u = float(costs[best]), candidates[best]
 
     if classical_opts is None:
         classical_opts = OptimizeOptions(max_iterations=12)

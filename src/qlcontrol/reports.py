@@ -83,8 +83,21 @@ class RelaxationReport:
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an iterative solve exhausts its cap; carries the report."""
+    """Raised when an iterative solve exhausts its cap; carries the report.
 
-    def __init__(self, message: str, report: Optional[SolveReport] = None):
+    A stacked solve also attaches every column's state (``states``, shape
+    (k, n_nodes)) and report (``reports``), so a caller can use the columns
+    that did converge; ``report`` is then the first failed column's.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        report: Optional[SolveReport] = None,
+        states=None,
+        reports: Optional[list] = None,
+    ):
         super().__init__(message)
         self.report = report
+        self.states = states
+        self.reports = reports

@@ -111,7 +111,8 @@ def solve_monotone_columns(
     columns step together through one multi-right-hand-side Poisson solve;
     a column freezes once converged, so column i takes the steps
     :func:`solve_monotone` takes on it alone.  Returns the states and one
-    report per column; raises NonConvergenceError if any column fails.
+    report per column; raises NonConvergenceError, carrying both, if any
+    column fails.
     """
     mesh = p.mesh
     if tau is None:
@@ -148,6 +149,8 @@ def solve_monotone_columns(
             f"Zarantonello iteration did not reach {tol} in {max_iterations} steps "
             f"(last residual {failed[0].residual:.3e})",
             failed[0],
+            states,
+            reports,
         )
     return states, reports
 

@@ -172,7 +172,8 @@ def solve_quasilinear_columns(
     columns step together through one multi-right-hand-side Helmholtz
     solve; a column freezes once converged, so column i takes the steps
     :func:`solve_quasilinear` takes on it alone.  Returns the states and
-    one report per column; raises NonConvergenceError if any column fails.
+    one report per column; raises NonConvergenceError, carrying both, if any
+    column fails.
     """
     mesh = p.mesh
     fvals = np.asarray(p.cs.f(u), dtype=float)
@@ -205,6 +206,8 @@ def solve_quasilinear_columns(
             f"steps (measured ratio {failed[0].contraction_ratio:.4f}); b may "
             "barely exceed the uniqueness threshold",
             failed[0],
+            states,
+            reports,
         )
     return states, reports
 

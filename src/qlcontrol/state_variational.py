@@ -88,7 +88,8 @@ def _check_source(mesh: Mesh, source: ScalarField) -> None:
 
 
 # The helpers below act on stacks of columns: y, u and source have shape
-# (k, n_nodes) and every column is independent of the others.
+# (k, n_nodes), the cell averages ucell of u and the cell gradients Gy of y
+# have k leading rows, and every column is independent of the others.
 
 
 def _fd_grad_W(W, Y: np.ndarray, ucell: np.ndarray) -> np.ndarray:
@@ -120,13 +121,23 @@ def _dw_coupling(p: VariationalStateProblem, y: np.ndarray) -> np.ndarray:
     return (p.cs.w(y + step) - p.cs.w(y - step)) / (2.0 * step)
 
 
+def _column_data(mesh: Mesh, u: np.ndarray, source: np.ndarray) -> tuple:
+    """Per-column data of the energy helpers: controls, their cell averages
+    and sources."""
+    return u, grid.node_to_cell_values(mesh, u), source
+
+
 def _energy_values(
-    p: VariationalStateProblem, y: np.ndarray, u: np.ndarray, source: np.ndarray
-) -> np.ndarray:
-    """Inner energy of every column; raises if any of them is not finite."""
+    p: VariationalStateProblem,
+    y: np.ndarray,
+    u: np.ndarray,
+    ucell: np.ndarray,
+    source: np.ndarray,
+):
+    """Inner energy of every column and the cell gradients of y it used;
+    raises if any energy is not finite."""
     mesh = p.mesh
     Gy = grid.gradient_values(mesh, y)
-    ucell = grid.node_to_cell_values(mesh, u)
     if p.form == "general":
         Wc = apply_cellwise(p.cs.W, Gy, ucell)
         zero_order = source * y
@@ -137,16 +148,20 @@ def _energy_values(
     val = cv * Wc.sum(axis=-1) + cv * (mesh.node_weights() * zero_order).sum(axis=-1)
     if not np.isfinite(val).all():
         raise ValueError("inner energy is not finite")
-    return val
+    return val, Gy
 
 
 def _energy_gradient(
-    p: VariationalStateProblem, y: np.ndarray, u: np.ndarray, source: np.ndarray
+    p: VariationalStateProblem,
+    y: np.ndarray,
+    Gy: np.ndarray,
+    u: np.ndarray,
+    ucell: np.ndarray,
+    source: np.ndarray,
 ) -> np.ndarray:
-    """L2-gradient field of the discrete energy (zero on Dirichlet nodes)."""
+    """L2-gradient field of the discrete energy at y, whose cell gradients
+    are Gy (zero on Dirichlet nodes)."""
     mesh = p.mesh
-    Gy = grid.gradient_values(mesh, y)
-    ucell = grid.node_to_cell_values(mesh, u)
     if p.form == "general":
         flux = _grad_W(p, Gy, ucell)
         g = -grid.divergence_weak_values(mesh, flux) + source
@@ -165,8 +180,8 @@ def inner_energy(p: VariationalStateProblem, y: ScalarField, u: ScalarField) -> 
     """Quadrature value of the inner energy I(y, u); rejects non-H1_0 states."""
     if not y.is_dirichlet_zero():
         raise ValueError("inner_energy needs y = 0 on every Dirichlet node")
-    columns = (y.values[None], u.values[None], p.source.values[None])
-    return float(_energy_values(p, *columns)[0])
+    data = _column_data(p.mesh, u.values[None], p.source.values[None])
+    return float(_energy_values(p, y.values[None], *data)[0][0])
 
 
 def _lifted_norm(mesh: Mesh, g: np.ndarray) -> np.ndarray:
@@ -175,11 +190,11 @@ def _lifted_norm(mesh: Mesh, g: np.ndarray) -> np.ndarray:
     return grid.l2_norm_values(mesh, grid.gradient_values(mesh, lift), "cells")
 
 
-def residual_norm(
-    p: VariationalStateProblem, y: np.ndarray, u: np.ndarray, source: np.ndarray
-) -> np.ndarray:
-    """Lifted Euler-Lagrange residual of every column."""
-    return _lifted_norm(p.mesh, _energy_gradient(p, y, u, source))
+def residual_norm(p: VariationalStateProblem, y: np.ndarray, *data) -> np.ndarray:
+    """Lifted Euler-Lagrange residual of every column; ``data`` as
+    _column_data returns it."""
+    Gy = grid.gradient_values(p.mesh, y)
+    return _lifted_norm(p.mesh, _energy_gradient(p, y, Gy, *data))
 
 
 def solve_state(
@@ -226,7 +241,7 @@ def solve_state_columns(
     on it alone.  A column whose accepted step leaves it unchanged has
     reached its floating-point floor and goes straight to the polish.
     Returns the states (k, n_nodes) and one report per column; raises
-    NonConvergenceError if any column fails.
+    NonConvergenceError, carrying both, if any column fails.
     """
     mesh = p.mesh
     u = np.asarray(u, dtype=float)
@@ -234,10 +249,11 @@ def solve_state_columns(
     src = p.source.values if source is None else source
     if src.shape != u.shape:
         src = np.broadcast_to(src, u.shape)
+    stack = _column_data(mesh, u, src)
     if p.cs.w_grad_identity and p.form == "general":
         y = grid.helmholtz_solve_values(mesh, 0.0, -src)
-        res = residual_norm(p, y, u, src)
-        energy = _energy_values(p, y, u, src)
+        res = residual_norm(p, y, *stack)
+        energy, _ = _energy_values(p, y, *stack)
         return y, [
             SolveReport(
                 method="linear-shortcut",
@@ -249,9 +265,10 @@ def solve_state_columns(
             for r, e in zip(res.tolist(), energy.tolist())
         ]
 
+    data = stack  # follows the live columns
     y = grid.start_columns(mesh, u.shape, y0)
-    energy = _energy_values(p, y, u, src)
-    g = _energy_gradient(p, y, u, src)
+    energy, Gy = _energy_values(p, y, *data)
+    g = _energy_gradient(p, y, Gy, *data)
     gnorm2 = np.vecdot(g, g)
     alpha = np.full(k, mesh.h**2 / 8.0)  # safe first step against the Laplacian scale
     traces = [[e] for e in energy.tolist()]
@@ -259,13 +276,12 @@ def solve_state_columns(
     outcome = [None] * k  # per column: iterations, residual, energy
     plateau = []  # (columns, states, iterations) left for the polish
     ids = np.arange(k)  # the live columns
-    data = (u, src)  # their controls and sources
 
     for it in range(1, max_iterations + 1):
         # monotone step per column: bisect until the energy decreases
         step = alpha.copy()
         ytrial = y - step[:, None] * g
-        etrial = _energy_values(p, ytrial, *data)
+        etrial, Gtrial = _energy_values(p, ytrial, *data)
         ok = etrial <= energy - 1e-12 * step * gnorm2
         r = grid.select_rows(~ok)
         for _ in range(59):
@@ -273,7 +289,7 @@ def solve_state_columns(
                 break
             step[r] *= 0.5
             ytrial[r] = y[r] - step[r, None] * g[r]
-            etrial[r] = _energy_values(p, ytrial[r], *(d[r] for d in data))
+            etrial[r], Gtrial[r] = _energy_values(p, ytrial[r], *(d[r] for d in data))
             ok[r] = etrial[r] <= energy[r] - 1e-12 * step[r] * gnorm2[r]
             r = grid.select_rows(~ok)
         if r is not None:
@@ -281,8 +297,8 @@ def solve_state_columns(
             plateau.append((ids[r], y[r], it))
             if isinstance(r, slice):
                 break
-            ids, y, g, gnorm2, energy, step, ytrial, etrial = (
-                a[ok] for a in (ids, y, g, gnorm2, energy, step, ytrial, etrial)
+            ids, y, g, gnorm2, energy, step, ytrial, etrial, Gtrial = (
+                a[ok] for a in (ids, y, g, gnorm2, energy, step, ytrial, etrial, Gtrial)
             )
             data = tuple(d[ok] for d in data)
         flat = etrial == energy  # so is every step that leaves y unchanged
@@ -290,7 +306,7 @@ def solve_state_columns(
         y, energy = ytrial, etrial
         for c, e in zip(ids.tolist(), energy.tolist()):
             traces[c].append(e)
-        g = _energy_gradient(p, y, *data)
+        g = _energy_gradient(p, y, Gtrial, *data)
         gnorm2 = np.vecdot(g, g)
         res = _lifted_norm(mesh, g)
         leave = res <= tol
@@ -329,8 +345,7 @@ def solve_state_columns(
         y, res, energy = _polish(
             p,
             np.concatenate([ys for _, ys, _ in plateau]),
-            u[flat_ids],
-            src[flat_ids],
+            tuple(d[flat_ids] for d in stack),
             tol,
         )
         states[flat_ids] = y
@@ -354,31 +369,34 @@ def solve_state_columns(
             f"energy descent stalled at residual {failed[0].residual:.3e} "
             f"(target {tol})",
             failed[0],
+            states,
+            reports,
         )
     return states, reports
 
 
-def _polish(p, y, u, src, tol):
+def _polish(p, y, data, tol):
     """Preconditioned polish of plateaued columns: once the energy plateaus
     in floating point, the lifted Euler-Lagrange residual can still be
     contracted directly.  Returns the states, residuals and energies."""
-    res = residual_norm(p, y, u, src)
+    res = residual_norm(p, y, *data)
     tau = np.ones(len(y))
     live = res > tol
     for _ in range(200):
         r = grid.select_rows(live)
         if r is None:
             break
-        g = _energy_gradient(p, y[r], u[r], src[r])
+        rows = tuple(d[r] for d in data)
+        g = _energy_gradient(p, y[r], grid.gradient_values(p.mesh, y[r]), *rows)
         lift = grid.helmholtz_solve_values(p.mesh, 0.0, g)
         ytrial = y[r] - tau[r, None] * lift
-        rtrial = residual_norm(p, ytrial, u[r], src[r])
+        rtrial = residual_norm(p, ytrial, *rows)
         better = rtrial < res[r]
         y[r] = np.where(better[:, None], ytrial, y[r])
         res[r] = np.where(better, rtrial, res[r])
         tau[r] = np.where(better, np.minimum(tau[r] * 1.25, 1.0), tau[r] * 0.5)
         live[r] = np.where(better, res[r] > tol, tau[r] >= 1e-6)
-    return y, res, _energy_values(p, y, u, src)
+    return y, res, _energy_values(p, y, *data)[0]
 
 
 def verify_minimality(
@@ -399,12 +417,12 @@ def verify_minimality(
     eta = rng.standard_normal((trials, p.mesh.n_nodes))
     eta[:, p.mesh.boundary_mask] = 0.0
     z = y_u.values + rho[:, None] * eta
-    energies = _energy_values(
-        p,
-        z,
+    data = _column_data(
+        p.mesh,
         np.broadcast_to(u.values, z.shape),
         np.broadcast_to(p.source.values, z.shape),
     )
+    energies, _ = _energy_values(p, z, *data)
     worst = np.min(energies - base, initial=np.inf)
     return HypothesisReport(
         hypothesis="minimality",

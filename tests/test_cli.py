@@ -131,6 +131,30 @@ samples = 2
         assert relax["relaxed"] <= relax["best_classical"] + 1e-8
         assert "demo_trace" not in report["results"]
 
+    def test_zero_iterations_kept(self, tmp_path):
+        # 0 is a setting, not a request for the default cap
+        text = """\
+[experiment]
+kind = control
+control = zero
+
+[instance]
+name = linear-quasilinear-1d
+
+[mesh]
+dimension = 1
+cells_per_axis = 8
+
+[solver]
+max_iterations = 0
+"""
+        cfg = write(tmp_path, text)
+        assert run(cfg, out=str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        control = report["results"]["control"]
+        assert control["iterations"] == 0
+        assert control["extras"]["stopped"] == "cap"
+
     def test_missing_config_exit_1(self, tmp_path):
         assert run(tmp_path / "missing.ini") == 1
 

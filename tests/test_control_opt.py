@@ -18,7 +18,7 @@ from qlcontrol.control_opt import (
     optimize_control,
 )
 from qlcontrol.grid import ScalarField
-from qlcontrol.reports import NonConvergenceError
+from qlcontrol.reports import NonConvergenceError, SolveReport
 from qlcontrol.state_quasilinear import QuasilinearStateProblem
 
 from oracles import quadratic_program_oracle
@@ -142,16 +142,20 @@ class TestOptimizeControl:
         opts = OptimizeOptions(max_iterations=3)
         _, clean = optimize_control(cp, u0, opts)
         assert clean.extras["linesearch_retries"] == 0
-        solve = control_opt.solve_state_for
+        solve = control_opt._state_columns
         failures = []
 
-        def fail_first_trial(cp_, u, warm=None, state_tol=None):
-            if warm is not None and not failures:
-                failures.append(u)
-                raise NonConvergenceError("forced failure")
-            return solve(cp_, u, warm=warm, state_tol=state_tol)
+        def fail_first_trial(cp_, U, warm, state_tol):
+            Y = solve(cp_, U, warm, state_tol)
+            if len(U) == 2 and not failures:  # the first chunk of trials
+                failures.append(U[0])
+                reports = [SolveReport("forced", 1, 1.0, False)] + [
+                    SolveReport("forced", 1, 0.0, True)
+                ]
+                raise NonConvergenceError("forced failure", reports[0], Y, reports)
+            return Y
 
-        monkeypatch.setattr(control_opt, "solve_state_for", fail_first_trial)
+        monkeypatch.setattr(control_opt, "_state_columns", fail_first_trial)
         _, rep = optimize_control(cp, u0, opts)
         assert len(failures) == 1
         assert rep.extras["linesearch_retries"] == 1
@@ -201,6 +205,134 @@ class TestOptimizeControl:
     def test_out_of_range_options_rejected(self, bad):
         with pytest.raises(ValueError):
             OptimizeOptions(**bad)
+
+
+# optimize_control on variational-quartic-1d at h = 1/16, 12 iterations from
+# 0.3 N(0, 1) of seed 0, recorded from the one-trial-at-a-time line search
+PINNED_VARIATIONAL_U = [
+    "-0x1.5ef8a118a410ep-7", "-0x1.e8f1539731caep-7", "-0x1.f91d2c8c5cf03p-6",
+    "-0x1.97c8ef567bd4dp-5", "-0x1.39446a56bc3d4p-4", "-0x1.9e62658c00dcap-4",
+    "-0x1.229b5f3142faap-3", "-0x1.53811dcd23580p-3", "-0x1.bde3998b63a97p-3",
+    "-0x1.e56adf5a76ba6p-3", "-0x1.20c86a56a19c8p-2", "-0x1.2a04bcc37f151p-2",
+    "-0x1.46086f722f4f9p-2", "-0x1.3a0eb4181a298p-2", "-0x1.4e6f2608a785cp-2",
+    "-0x1.2e0b08b8a1f2ap-2", "-0x1.4a332ce41e2dcp-2",
+]
+PINNED_VARIATIONAL_TRACE = [
+    "0x1.d996b24cf2dfep-7", "0x1.900174e1de1d5p-9", "0x1.86e7c667ae3afp-10",
+    "0x1.68fae1cecf966p-10", "0x1.31f89a712b954p-10", "0x1.11f107895b490p-10",
+    "0x1.f96ee74c3221ap-11", "0x1.d944f5c12ea32p-11", "0x1.c020c605a0b83p-11",
+    "0x1.ab817fd14c0b6p-11", "0x1.9a1c89a497b3bp-11", "0x1.8ac33dd730913p-11",
+    "0x1.7d7185b8bea4ep-11",
+]
+
+
+def sequential_line_search(cp, u0, opts, fail=()):
+    """Reference: the first iteration's Armijo search from u0, one trial
+    solve at a time; trials whose index is in ``fail`` count as state-solver
+    failures.  Returns the trial controls, the accepted control and cost
+    (None when every trial fails) and the retries."""
+    mesh = cp.mesh
+    cost, state = evaluate_cost(cp, u0, state_tol=opts.state_tol, return_state=True)
+    g = forward_fd_gradient(cp, u0, opts)
+    gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
+    trials, accepted, retries = [], (None, None), 0
+    alpha = opts.initial_step
+    for j in range(opts.linesearch_max):
+        trials.append(u0.values - alpha * g)
+        if accepted[0] is None:
+            if j in fail:
+                retries += 1
+            else:
+                c = evaluate_cost(
+                    cp, ScalarField(mesh, trials[j]), warm=state, state_tol=opts.state_tol
+                )
+                if c <= cost - 1e-4 * alpha * gnorm2:
+                    accepted = (trials[j], c)
+        alpha *= 0.5
+    return trials, accepted, retries
+
+
+def fail_trials(monkeypatch, trials, fail, error=None):
+    """Make the stacked state solver fail the line-search trials whose index
+    is in ``fail``: as non-converged columns, or by raising ``error`` for
+    the whole stack."""
+    solve = control_opt._state_columns
+
+    def wrapped(cp, U, warm, state_tol):
+        hit = [any(np.array_equal(v, trials[j]) for j in fail) for v in U]
+        if error is not None and any(hit):
+            raise error("forced failure")
+        Y = solve(cp, U, warm, state_tol)
+        if any(hit):
+            reports = [SolveReport("forced", 1, float(h), not h) for h in hit]
+            raise NonConvergenceError(
+                "forced failure", reports[hit.index(True)], Y, reports
+            )
+        return Y
+
+    monkeypatch.setattr(control_opt, "_state_columns", wrapped)
+
+
+class TestLineSearchLadder:
+    """The stacked trial ladder accepts what the one-by-one search accepts."""
+
+    def test_variational_run_pinned(self):
+        mesh = grid.build_mesh(1, 16)
+        cp = instances.build_control_problem("variational-quartic-1d", mesh)
+        u0 = 0.3 * np.random.default_rng(0).standard_normal(mesh.n_nodes)
+        u, rep = optimize_control(
+            cp, ScalarField(mesh, u0), OptimizeOptions(max_iterations=12)
+        )
+        assert u.values.tolist() == [float.fromhex(x) for x in PINNED_VARIATIONAL_U]
+        assert rep.cost_trace == [float.fromhex(x) for x in PINNED_VARIATIONAL_TRACE]
+        assert rep.cost == 0.0007275456365215067
+        assert rep.extras == {"stopped": "cap", "linesearch_retries": 0}
+
+    # with initial_step 1e3 the search from zero first accepts trial 4, in
+    # the second chunk (trials 2-5); trials 0-3 fail Armijo
+    @pytest.mark.parametrize(
+        "fail, linesearch_max",
+        [((), 30), ((0,), 30), ((4,), 30), ((5, 13), 30), ((1, 4, 5, 6), 30),
+         ((3, 4), 5), (tuple(range(30)), 30)],
+        ids=["none", "first", "accepted", "after-accepted", "across-chunks",
+             "all-left", "all"],
+    )
+    def test_retries_match_sequential_search(self, monkeypatch, fail, linesearch_max):
+        cp, _ = tracking_problem(n=8)
+        u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+        opts = OptimizeOptions(
+            max_iterations=1, initial_step=1e3, linesearch_max=linesearch_max
+        )
+        trials, (u_ref, c_ref), retries = sequential_line_search(cp, u0, opts, fail)
+        fail_trials(monkeypatch, trials, fail)
+        u, rep = optimize_control(cp, u0, opts)
+        assert rep.extras["linesearch_retries"] == retries
+        if u_ref is None:
+            assert rep.extras["stopped"] == "linesearch"
+            assert np.array_equal(u.values, u0.values)
+        else:
+            assert rep.extras["stopped"] == "cap"
+            assert np.array_equal(u.values, u_ref)
+            assert rep.cost_trace[-1] == c_ref
+
+    @pytest.mark.parametrize("at, raises", [(1, True), (4, True), (5, False)])
+    def test_other_errors_surface_where_the_sequential_search_raises(
+        self, monkeypatch, at, raises
+    ):
+        # a chunk that raises is scored again one trial at a time: the error
+        # surfaces only if every trial before it is rejected
+        cp, _ = tracking_problem(n=8)
+        u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+        opts = OptimizeOptions(max_iterations=1, initial_step=1e3)
+        trials, (u_ref, _), _ = sequential_line_search(cp, u0, opts)
+        fail_trials(monkeypatch, trials, (at,), error=ValueError)
+        if raises:
+            with pytest.raises(ValueError, match="forced failure"):
+                optimize_control(cp, u0, opts)
+        else:
+            u, rep = optimize_control(cp, u0, opts)
+            assert np.array_equal(u.values, u_ref)
+            assert rep.extras["linesearch_retries"] == 0
 
 
 class TestGradientSelfConsistency:

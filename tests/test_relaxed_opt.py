@@ -396,6 +396,27 @@ class TestCertifyGap:
         assert not rep.failed
         assert abs(rep.gap) <= 1e-3
 
+    def test_classical_run_pinned(self, monkeypatch):
+        # gap-family-1d at h = 1/128: the classical run from the best sampled
+        # candidate, recorded from the one-trial-at-a-time line search
+        runs = []
+        optimize = relaxed_opt.optimize_control
+
+        def record(*args, **kwargs):
+            out = optimize(*args, **kwargs)
+            runs.append(out[1])
+            return out
+
+        monkeypatch.setattr(relaxed_opt, "optimize_control", record)
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
+        (classical,) = runs
+        assert classical.iterations == 3
+        assert classical.extras == {"stopped": "linesearch", "linesearch_retries": 0}
+        assert classical.cost == -0.06071327435300106
+        assert rep.best_classical == -0.06071327435300824
+        assert rep.relaxed == -0.06946644528883975
+
     def test_report_serializes(self):
         rp, init = small_gap_problem(n=16)
         rep = certify_gap(rp, samples=2, seed=0, designed_init=init)
