@@ -35,6 +35,10 @@ __all__ = [
     "field_to_csv",
 ]
 
+# a fixed-point column with no new lowest measure in a window of this many
+# iterations has stalled
+_STALL_ITERATIONS = 100
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -269,10 +273,14 @@ def _fixed_point_columns(step, y, data, tol, max_iterations, first):
     measure and the next iterate.  ``data`` holds per-column arrays that
     follow the live columns.  A column freezes at the first iteration whose
     measure is at most ``tol``; iterations are counted from ``first`` (0
-    when the measure is taken before the step, 1 when after it).  Returns
-    the states, holding each unfrozen column's last iterate, and one
-    ``(iterations, measure, worst ratio, converged)`` per column; at the cap
-    ``iterations`` is ``max_iterations``.
+    when the measure is taken before the step, 1 when after it).  The
+    iterations run in windows of _STALL_ITERATIONS; a column with no new
+    lowest measure in a whole window has stalled at its floating-point
+    floor and stops at the window's end, unconverged.  Returns the states,
+    holding the candidate of each column that stopped and the last iterate
+    of each column at the cap, and one ``(iterations, measure, worst ratio,
+    converged)`` per column; at the cap ``iterations`` is
+    ``max_iterations``, and a stalled column's is below it.
     """
     states = np.empty(y.shape)
     outcome = [None] * y.shape[0]
@@ -281,21 +289,32 @@ def _fixed_point_columns(step, y, data, tol, max_iterations, first):
     # since a zero measure meets any tolerance
     prev = np.full(ids.size, np.inf)
     worst = np.zeros(ids.size)
+    low = np.full(ids.size, np.inf)  # lowest measure before this window
+    window = []  # this window's measures, reduced only at its end
     for it in range(first, max_iterations + first):
         candidate, measure, y = step(y, *data)
         worst = np.maximum(worst, measure / prev)
         prev = measure
-        done = measure <= tol
-        r = select_rows(done)
+        window.append(measure)
+        leave = done = measure <= tol
+        if len(window) == _STALL_ITERATIONS:
+            wlow = np.fmin.reduce(window)  # NaN measures never set a low
+            leave = done | ~(wlow < low)
+            low = np.fmin(low, wlow)
+            window = []
+        r = select_rows(leave)
         if r is not None:
             j = ids[r]
             states[j] = candidate[r]
-            for c, d, w in zip(j.tolist(), measure[r].tolist(), worst[r].tolist()):
-                outcome[c] = (it, d, w, True)
+            for c, d, w, ok in zip(
+                j.tolist(), measure[r].tolist(), worst[r].tolist(), done[r].tolist()
+            ):
+                outcome[c] = (it, d, w, ok)
             if isinstance(r, slice):
                 break
-            keep = ~done
-            ids, y, prev, worst = ids[keep], y[keep], prev[keep], worst[keep]
+            keep = ~leave
+            ids, y, prev, worst, low = (a[keep] for a in (ids, y, prev, worst, low))
+            window = [m[keep] for m in window]
             data = tuple(a[keep] for a in data)
     else:
         states[ids] = y

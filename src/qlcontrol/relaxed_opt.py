@@ -28,8 +28,8 @@ from .control_opt import (
     _FD_BLOCK,
     ControlProblem,
     OptimizeOptions,
+    _costs,
     _state_costs,
-    evaluate_cost,
     evaluate_costs,
     minimizing_sequence_demo,
     optimize_control,
@@ -524,6 +524,8 @@ def certify_gap(
     of the alternating optimizer (from the designed init when given) and the
     Dirac embedding of the best classical control.  A violated inequality
     marks the report FAILED; it is a bug trap, not a tolerated outcome.
+    The report's ``minimizer`` holds the relaxed point (mu, nu, y) whose
+    cost is ``relaxed``; on a tie it is the optimizer's.
     """
     cp = rp.control
     mesh = rp.mesh
@@ -551,17 +553,20 @@ def certify_gap(
             if t < best_cost:
                 best_cost = float(t)  # realization meshes refine the base one
 
-    # classical best re-evaluated tightly for the embedding comparison
-    best_cost_tight = evaluate_cost(cp, best_u, state_tol=_TIGHT_STATE_TOL)
+    # classical best re-evaluated tightly, on the embedding's own state
+    mu_e, nu_e, y_e = embed_classical(rp, best_u)
+    best_cost_tight = float(_costs(cp, best_u.values[None], y_e.values[None])[0])
     best_cost = min(best_cost, best_cost_tight)
 
-    mu_e, nu_e, _ = embed_classical(rp, best_u)
     embedded_cost = evaluate_relaxed_cost(rp, mu_e, nu_e)
     dirac_residual = abs(embedded_cost - best_cost_tight)
 
     init = designed_init or RelaxedInit(mu_e, nu_e, best_cost_tight)
-    _, _, _, relax_report = optimize_relaxed(rp, init, relax_opts)
-    relaxed_value = min(relax_report.cost, embedded_cost)
+    mu, nu, y, relax_report = optimize_relaxed(rp, init, relax_opts)
+    relaxed_value = relax_report.cost
+    if embedded_cost < relaxed_value:
+        relaxed_value, mu, nu = embedded_cost, mu_e, nu_e
+        y, _ = solve_mv_state(rp, potential(mu), nu)
 
     certificates = [
         {
@@ -584,5 +589,6 @@ def certify_gap(
         certificates=certificates,
         trace=trace_info,
         failed=not all(c["passed"] for c in certificates),
+        minimizer=(mu, nu, y),
     )
     return report

@@ -51,7 +51,8 @@ class RelaxationReport:
     ``failed`` flags a violated sub-relaxation inequality, which is a bug
     trap rather than a tolerated outcome.  A nonzero gap at fixed mesh width
     mixes a genuine relaxation gap with discretization effects; the split is
-    not resolved here (see ``note``).
+    not resolved here (see ``note``).  ``minimizer`` holds the relaxed
+    point (mu, nu, y) behind ``relaxed``; it is not serialized.
     """
 
     best_classical: float
@@ -64,6 +65,7 @@ class RelaxationReport:
         "gap measured at fixed mesh width; continuum vs discretization "
         "contributions are not separated"
     )
+    minimizer: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def gap(self) -> float:

@@ -145,10 +145,15 @@ def solve_monotone_columns(
     ]
     failed = [rep for rep in reports if not rep.converged]
     if failed:
+        rep = failed[0]
+        where = (
+            f"in {max_iterations} steps" if rep.iterations == max_iterations
+            else f"and stalled after {rep.iterations} steps"
+        )
         raise NonConvergenceError(
-            f"Zarantonello iteration did not reach {tol} in {max_iterations} steps "
-            f"(last residual {failed[0].residual:.3e})",
-            failed[0],
+            f"Zarantonello iteration did not reach {tol} {where} "
+            f"(last residual {rep.residual:.3e})",
+            rep,
             states,
             reports,
         )

@@ -201,11 +201,16 @@ def solve_quasilinear_columns(
     ]
     failed = [rep for rep in reports if not rep.converged]
     if failed:
+        rep = failed[0]
+        where = (
+            f"within {max_iterations} steps" if rep.iterations == max_iterations
+            else f"and stalled after {rep.iterations} steps"
+        )
         raise NonConvergenceError(
-            f"Picard iteration did not contract to {tol} within {max_iterations} "
-            f"steps (measured ratio {failed[0].contraction_ratio:.4f}); b may "
-            "barely exceed the uniqueness threshold",
-            failed[0],
+            f"Picard iteration did not contract to {tol} {where} (measured "
+            f"ratio {rep.contraction_ratio:.4f}); b may barely exceed the "
+            "uniqueness threshold",
+            rep,
             states,
             reports,
         )

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6
+_HALVINGS = 59  # a rejected step is halved at most this often
+_LADDER = 8  # halvings scored per stacked energy evaluation
 _VALIDATION_SAMPLES = 2000
 
 
@@ -127,15 +129,14 @@ def _column_data(mesh: Mesh, u: np.ndarray, source: np.ndarray) -> tuple:
     return u, grid.node_to_cell_values(mesh, u), source
 
 
-def _energy_values(
+def _energies(
     p: VariationalStateProblem,
     y: np.ndarray,
     u: np.ndarray,
     ucell: np.ndarray,
     source: np.ndarray,
 ):
-    """Inner energy of every column and the cell gradients of y it used;
-    raises if any energy is not finite."""
+    """Inner energy of every column and the cell gradients of y it used."""
     mesh = p.mesh
     Gy = grid.gradient_values(mesh, y)
     if p.form == "general":
@@ -146,6 +147,12 @@ def _energy_values(
         zero_order = p.cs.w(y) * u + source * y
     cv = mesh.cell_volume
     val = cv * Wc.sum(axis=-1) + cv * (mesh.node_weights() * zero_order).sum(axis=-1)
+    return val, Gy
+
+
+def _energy_values(p: VariationalStateProblem, y: np.ndarray, *data):
+    """_energies, raising if any energy is not finite."""
+    val, Gy = _energies(p, y, *data)
     if not np.isfinite(val).all():
         raise ValueError("inner energy is not finite")
     return val, Gy
@@ -284,13 +291,28 @@ def solve_state_columns(
         etrial, Gtrial = _energy_values(p, ytrial, *data)
         ok = etrial <= energy - 1e-12 * step * gnorm2
         r = grid.select_rows(~ok)
-        for _ in range(59):
-            if r is None:
-                break
-            step[r] *= 0.5
-            ytrial[r] = y[r] - step[r, None] * g[r]
-            etrial[r], Gtrial[r] = _energy_values(p, ytrial[r], *(d[r] for d in data))
-            ok[r] = etrial[r] <= energy[r] - 1e-12 * step[r] * gnorm2[r]
+        halvings = 0
+        while r is not None and halvings < _HALVINGS:
+            # the next rungs step * 2**-j of every rejected column in one stack
+            n = min(_LADDER, _HALVINGS - halvings)
+            halvings += n
+            rungs = step[r] * 0.5 ** np.arange(1, n + 1)[:, None]
+            ys = y[r] - rungs[..., None] * g[r]
+            es, Gs = _energies(
+                p, ys.reshape(-1, ys.shape[-1]), *(np.tile(d[r], (n, 1)) for d in data)
+            )
+            es = es.reshape(rungs.shape)
+            passed = es <= energy[r] - 1e-12 * rungs * gnorm2[r]
+            cols = np.arange(rungs.shape[1])
+            # each column's first passing rung, else its last
+            pick = np.where(passed.any(axis=0), np.argmax(passed, axis=0), n - 1)
+            # a column stops halving at its first passing rung, so only the
+            # rungs up to it are evaluated one halving at a time
+            if not np.isfinite(es[np.arange(n)[:, None] <= pick]).all():
+                raise ValueError("inner energy is not finite")
+            step[r], ytrial[r], etrial[r] = rungs[pick, cols], ys[pick, cols], es[pick, cols]
+            Gtrial[r] = Gs.reshape(rungs.shape + Gs.shape[1:])[pick, cols]
+            ok[r] = passed[pick, cols]
             r = grid.select_rows(~ok)
         if r is not None:
             # energy at its floating-point floor: polish below

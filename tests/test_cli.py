@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, runs, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -8,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 import qlcontrol
+from qlcontrol import grid, instances, relaxed_opt
 from qlcontrol.cli import ConfigError, ExperimentConfig, list_builtin, main, run
+from qlcontrol.control_opt import _state_costs
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -130,6 +135,58 @@ samples = 2
         assert relax["failed"] is False
         assert relax["relaxed"] <= relax["best_classical"] + 1e-8
         assert "demo_trace" not in report["results"]
+
+    def test_gap_demo_optimizes_relaxed_once(self, tmp_path, monkeypatch):
+        calls = []
+        optimize = relaxed_opt.optimize_relaxed
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return optimize(*args, **kwargs)
+
+        monkeypatch.setattr(relaxed_opt, "optimize_relaxed", count)
+        cfg = write(tmp_path, GAP_INI)
+        assert run(cfg, out=str(tmp_path / "out")) == 0
+        assert len(calls) == 1
+        # recorded from the run that optimized the relaxed problem twice
+        digests = {
+            "state_measure.csv":
+                "b2f3919458bda7756bde3d55c577be08f6eecd0557d9585e9dde9b7a00d98bae",
+            "control_measure.csv":
+                "680fcbe9f559c02074907c155913cef7d77f211e9e3e9c64e72bb7bba1d13d77",
+            "relaxed_state.csv":
+                "d74d477e0f558bcfc3eb81ac987e1070f24360fb4a655b93d77cf05d0f920948",
+        }
+        for name, digest in digests.items():
+            data = (tmp_path / "out" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, name
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "optimize_relaxed" not in report["timings"]
+
+    def test_relax_writes_the_certified_point(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "out"
+        assert run(root / "configs" / "relax-linear.ini", out=str(out)) == 0
+        relaxed = json.loads((out / "report.json").read_text())["results"][
+            "relaxation"]["relaxed"]
+        rp, _ = instances.build_relaxed_problem(
+            "linear-quasilinear-1d", grid.build_mesh(1, 32))
+        mesh = rp.mesh
+
+        def columns(name):
+            return np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+
+        y = columns("relaxed_state.csv")[:, -1]
+        mu = columns("control_measure.csv")
+        nu = columns("state_measure.csv")
+        # one atom per cell (the embedding of a classical pair)
+        assert np.array_equal(mu[:, 0], np.arange(mesh.n_cells))
+        second_moment = mesh.cell_volume * np.sum(mu[:, 3] * mu[:, 2] ** 2)
+        cost = _state_costs(rp.control, y) + 0.5 * rp.control.M * second_moment
+        assert abs(cost - relaxed) <= 1e-12
+        # the state measure is coupled to the written state
+        mismatch = grid.gradient_values(mesh, y)[:, 0] - nu[:, 2]
+        assert np.sqrt(mesh.cell_volume * np.sum(mismatch**2)) <= 1e-6
 
     def test_zero_iterations_kept(self, tmp_path):
         # 0 is a setting, not a request for the default cap

@@ -9,7 +9,8 @@ count, the contraction-ratio bookkeeping or the error message shows here.
 Each case solves the control ``0.3 * N(0, 1)`` (seed 7) cold, warm-started
 at the state of that control shifted by 0.05, and capped at 3 iterations
 with an unreachable tolerance.  The checksum is the exactly rounded sum of
-``(i + 1) * y[i]`` over the nodes.
+``(i + 1) * y[i]`` over the nodes.  A column stuck at its floating-point
+floor stops after a 100-iteration window with no new lowest measure.
 """
 
 import math
@@ -20,7 +21,7 @@ import pytest
 from qlcontrol import grid, instances
 from qlcontrol.grid import ScalarField
 from qlcontrol.reports import NonConvergenceError
-from qlcontrol.state_monotone import solve_monotone
+from qlcontrol.state_monotone import solve_monotone, solve_monotone_columns
 from qlcontrol.state_quasilinear import solve_quasilinear
 
 TAU = {"tau": 0.2222222222222222}
@@ -101,3 +102,32 @@ def test_report_matches_pinned_values(name, dim, n, mode):
     assert rep.residual == residual
     assert rep.contraction_ratio == ratio
     assert rep.extras == extras
+
+
+@pytest.mark.parametrize("level", [1e8, 1e30])
+def test_stalled_column_stops_early(level):
+    # a huge constant control leaves the residual at its floating-point
+    # floor, above the tolerance; the loop used to run to its 100,000 cap
+    mesh = grid.build_mesh(1, 8)
+    p = instances.build_state_problem("monotone-perturbed-1d", mesh)
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_monotone(p, ScalarField(mesh, np.full(mesh.n_nodes, level)))
+    rep = exc.value.report
+    assert not rep.converged
+    assert rep.iterations < 1000
+    assert f"stalled after {rep.iterations} steps" in str(exc.value)
+
+
+def test_stalled_column_leaves_the_others_alone():
+    # one stalled column in a stack: the converging column keeps its
+    # one-column solve bit for bit
+    mesh = grid.build_mesh(1, 8)
+    p = instances.build_state_problem("monotone-perturbed-1d", mesh)
+    u = 0.3 * np.random.default_rng(7).standard_normal(mesh.n_nodes)
+    y, rep = solve_monotone(p, ScalarField(mesh, u))
+    with pytest.raises(NonConvergenceError) as exc:
+        solve_monotone_columns(p, np.stack([np.full(mesh.n_nodes, 1e8), u]))
+    stalled, converged = exc.value.reports
+    assert not stalled.converged and stalled.iterations < 1000
+    assert converged.to_dict() == rep.to_dict()
+    assert np.array_equal(exc.value.states[1], y.values)

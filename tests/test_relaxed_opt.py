@@ -417,6 +417,43 @@ class TestCertifyGap:
         assert rep.best_classical == -0.06071327435300824
         assert rep.relaxed == -0.06946644528883975
 
+    @pytest.mark.parametrize("name, relaxed, best_classical", [
+        # recorded before certify_gap kept its relaxed point
+        ("gap-family-1d", -0.06939192492772742, -0.060649991285394375),
+        ("linear-quasilinear-1d", 0.0019253592777499161, 0.0019256669970917017),
+    ])
+    def test_minimizer_is_the_certified_point(self, name, relaxed, best_classical):
+        rp, init = instances.build_relaxed_problem(name, grid.build_mesh(1, 32))
+        rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
+        assert (rep.relaxed, rep.best_classical) == (relaxed, best_classical)
+        mu, nu, y = rep.minimizer
+        assert abs(evaluate_relaxed_cost(rp, mu, nu) - rep.relaxed) <= 1e-12
+        assert np.array_equal(y.values, solve_mv_state(rp, potential(mu), nu)[0].values)
+        assert "minimizer" not in rep.to_dict()
+
+    def test_minimizer_is_the_embedding_when_it_wins(self, monkeypatch):
+        # one outer step from the zero control's embedding ends far above
+        # the embedding of the best classical control
+        runs = []
+        optimize = relaxed_opt.optimize_relaxed
+
+        def record(*args, **kwargs):
+            out = optimize(*args, **kwargs)
+            runs.append(out[3].cost)
+            return out
+
+        monkeypatch.setattr(relaxed_opt, "optimize_relaxed", record)
+        rp, _ = small_gap_problem(n=16)
+        mu0, nu0, _ = embed_classical(rp, ScalarField(rp.mesh, np.zeros(rp.mesh.n_nodes)))
+        rep = certify_gap(rp, samples=2, seed=0, designed_init=RelaxedInit(mu0, nu0),
+                          relax_opts=RelaxOptions(max_outer=1, inner_steps=1))
+        (optimized,) = runs
+        assert rep.relaxed < optimized
+        mu, nu, y = rep.minimizer
+        assert evaluate_relaxed_cost(rp, mu, nu) == rep.relaxed
+        assert np.array_equal(y.values, solve_mv_state(rp, potential(mu), nu)[0].values)
+        assert mu.n_atoms == nu.n_atoms == 1
+
     def test_report_serializes(self):
         rp, init = small_gap_problem(n=16)
         rep = certify_gap(rp, samples=2, seed=0, designed_init=init)

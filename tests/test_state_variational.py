@@ -1,5 +1,7 @@
 """Variational state solves: energies, minimizers, minimality checks."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,81 @@ class TestSolveState:
         assert rep.converged and rep.residual <= 1e-8
         assert rep.iterations < 1000
         assert np.max(np.abs(y.values - expected)) <= 1e-12
+
+
+def _solve_with_ladder(monkeypatch, p, u, ladder, poison_rate=None):
+    """solve_state with the halving ladder set to ``ladder`` rungs per
+    stacked evaluation (1: the one-halving-at-a-time loop).  With a poison
+    rate, every halving trial whose bits hash to 0 mod the rate has a NaN
+    energy; the poison depends only on the trial point, so both ladders see
+    the same NaNs at the trials they evaluate.  Returns the outcome and how
+    many poisoned trials were evaluated."""
+    energies = state_variational._energies
+    seen = []
+
+    def checked(p, y, *data):  # first trials and polish stay unpoisoned
+        val, Gy = energies(p, y, *data)
+        if not np.isfinite(val).all():
+            raise ValueError("inner energy is not finite")
+        return val, Gy
+
+    def poisoned(p, y, *data):
+        val, Gy = energies(p, y, *data)
+        hit = np.array([zlib.crc32(row.tobytes()) % poison_rate == 0 for row in y])
+        seen.append(int(np.count_nonzero(hit)))
+        return np.where(hit, np.nan, val), Gy
+
+    with monkeypatch.context() as m:
+        m.setattr(state_variational, "_LADDER", ladder)
+        if poison_rate is not None:
+            m.setattr(state_variational, "_energy_values", checked)
+            m.setattr(state_variational, "_energies", poisoned)
+        try:
+            y, rep = solve_state(p, u)
+        except ValueError as exc:
+            return ("raised", str(exc)), sum(seen)
+    return ("solved", y.values.tobytes(), rep.to_dict()), sum(seen)
+
+
+class TestHalvingLadder:
+    """A rejected BB step scores its next halvings as one stack; the step,
+    the state and every report field stay those of one halving at a time."""
+
+    @staticmethod
+    def problem():
+        mesh = grid.build_mesh(1, 12)
+        u = ScalarField(mesh, 0.3 * np.random.default_rng(5).standard_normal(mesh.n_nodes))
+        p = instances.build_state_problem("variational-quartic-1d", mesh).with_source(u)
+        return p, u
+
+    def test_matches_one_halving_at_a_time(self, monkeypatch):
+        p, u = self.problem()
+        assert (_solve_with_ladder(monkeypatch, p, u, 8)
+                == _solve_with_ladder(monkeypatch, p, u, 1))
+
+    def test_stacked_columns_match_one_halving_at_a_time(self, monkeypatch):
+        mesh = grid.build_mesh(1, 16)
+        p = instances.build_state_problem("variational-quartic-1d", mesh)
+        U = 0.3 * np.random.default_rng(2).standard_normal((5, mesh.n_nodes))
+        runs = []
+        for ladder in (8, 1):
+            monkeypatch.setattr(state_variational, "_LADDER", ladder)
+            y, reps = state_variational.solve_state_columns(p, U, source=U)
+            runs.append((y.tobytes(), [r.to_dict() for r in reps]))
+        assert runs[0] == runs[1]
+
+    def test_non_finite_energy_raises_only_where_halving_would(self, monkeypatch):
+        p, u = self.problem()
+        ignored = raised = 0
+        for rate in (133, 181, 197, 213, 341, 533):
+            stacked, seen = _solve_with_ladder(monkeypatch, p, u, 8, rate)
+            single, seen_single = _solve_with_ladder(monkeypatch, p, u, 1, rate)
+            assert stacked == single
+            raised += stacked[0] == "raised"
+            ignored += stacked[0] == "solved" and seen > seen_single
+        # both sides of the rule are exercised: a NaN on a rung past the
+        # accepted one is ignored, a NaN before it raises
+        assert raised and ignored
 
 
 class TestWithSource:
