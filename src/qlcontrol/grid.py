@@ -483,8 +483,10 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(rhs)):
         raise ValueError("non-finite right-hand side")
-    interior = mesh.interior_indices
-    cols = rhs[..., interior].reshape(-1, interior.size).T
+    # the 1D interior is the contiguous slice 1:-1, cheaper than a fancy index
+    interior = slice(1, -1) if mesh.dimension == 1 else mesh.interior_indices
+    m = mesh.interior_indices.size
+    cols = rhs[..., interior].reshape(-1, m).T
     if mesh.dimension == 1:
         # LAPACK directly: the banded-solve wrapper costs more than the solve
         sol, info = scipy.linalg.lapack.dpbtrs(_interior_operator_1d(mesh, b), cols)
@@ -493,7 +495,7 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     else:
         sol = _interior_operator_2d(mesh, b).solve(cols)
     out = np.zeros(rhs.shape)
-    out[..., interior] = sol.T.reshape(rhs.shape[:-1] + (interior.size,))
+    out[..., interior] = sol.T.reshape(rhs.shape[:-1] + (m,))
     return out
 
 

@@ -136,10 +136,19 @@ class RelaxOptions:
 
 
 def _abar_cells(rp: RelaxedProblem, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-cell moment of a against the atoms.  On a stack of points a is
+    evaluated at the first point's atoms and then only at the atom rows that
+    differ from them: an FD perturbation moves one coordinate.  This relies
+    on a being pointwise per row."""
     a = rp.control.cs.a
     if a is None:
         return np.zeros(atoms.shape[:-2])
-    vals = np.asarray(a(atoms.reshape(-1, rp.mesh.dimension)), dtype=float)
+    rows = atoms.reshape(-1, atoms.shape[-3] * atoms.shape[-2], atoms.shape[-1])
+    vals = np.empty(rows.shape[:2])
+    vals[:] = np.asarray(a(rows[0]), dtype=float)
+    moved = np.any(rows[1:] != rows[0], axis=-1)
+    if moved.any():
+        vals[1:][moved] = np.asarray(a(rows[1:][moved]), dtype=float)
     return np.sum(weights * vals.reshape(atoms.shape[:-1]), axis=-1)
 
 

@@ -256,18 +256,12 @@ def realize_sequence(
     lo_s = lo + delta
     hi_s = hi + delta
 
-    slopes = np.empty(n * r)
-    period = np.arange(j + 1)
-    for i in range(n):
-        cuts = np.rint(theta[i] * q * period).astype(int)  # cumulative hi counts
-        cell = np.empty(r)
-        for p in range(j):
-            # cumulative rounding: per-cell upper counts telescope to m_hi
-            c_hi = cuts[p + 1] - cuts[p]
-            base = p * q
-            cell[base : base + q - c_hi] = lo_s[i]
-            cell[base + q - c_hi : base + q] = hi_s[i]
-        slopes[i * r : (i + 1) * r] = cell
+    # cumulative rounding: per-period upper counts telescope to m_hi per cell
+    cuts = np.rint(theta[:, None] * q * np.arange(j + 1)).astype(int)
+    c_hi = np.diff(cuts, axis=1)
+    # each period takes the lower atom on its first q - c_hi subcells
+    upper = np.arange(q) >= q - c_hi[:, :, None]  # (n, j, q)
+    slopes = np.where(upper, hi_s[:, None, None], lo_s[:, None, None]).ravel()
 
     u = np.empty(fine.n_nodes)
     u[0] = pot.values[0]

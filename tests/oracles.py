@@ -294,3 +294,51 @@ def enumerate_controls_oracle(cp, value_set, max_combos: int = 3**7):
             best = cost
             best_u = u
     return best_u, float(best)
+
+
+# -- laminate realization (one cell, period and subcell at a time) -------------
+
+
+def laminate_oracle(atoms, weights, pot, j: int, q: int) -> np.ndarray:
+    """Nodal values of the j-th laminate of a 1D field with one or two atoms
+    per cell, on the mesh refined j * q times.
+
+    ``atoms`` and ``weights`` have shape (n, K), K <= 2, and ``pot`` holds
+    the n + 1 base-node values of the barycenter potential.  In every period
+    of q subcells the lower atom comes first; the upper atom's subcell count
+    in period p is round(theta q (p + 1)) - round(theta q p), and both levels
+    are shifted by the one constant that makes the cell's increment equal
+    its barycenter.  The base nodes keep ``pot``; when no cell oscillates
+    the result is ``pot`` on the base mesh.
+    """
+    n = len(pot) - 1
+    r = j * q
+    hf = 1.0 / (n * r)
+    cells = []
+    for i in range(n):
+        if len(atoms[i]) == 1:
+            lo = hi = float(atoms[i][0])
+            theta = 0.0
+        elif atoms[i][1] < atoms[i][0]:
+            lo, hi, theta = float(atoms[i][1]), float(atoms[i][0]), float(weights[i][0])
+        else:
+            lo, hi, theta = float(atoms[i][0]), float(atoms[i][1]), float(weights[i][1])
+        cells.append((lo, hi, theta))
+    if all(abs(hi - lo) * min(theta, 1.0 - theta) < 1e-15 for lo, hi, theta in cells):
+        return np.array(pot, dtype=float)
+    slopes = []
+    for lo, hi, theta in cells:
+        m_hi = round(theta * r)
+        delta = ((1.0 - theta) * lo + theta * hi) - ((r - m_hi) * lo + m_hi * hi) / r
+        for p in range(j):
+            c_hi = round(theta * q * (p + 1)) - round(theta * q * p)
+            for s in range(q):
+                slopes.append(hi + delta if s >= q - c_hi else lo + delta)
+    u = [float(pot[0])]
+    acc = 0.0
+    for slope in slopes:
+        acc += slope * hf
+        u.append(acc + float(pot[0]))
+    u = np.array(u)
+    u[::r] = pot
+    return u

@@ -12,9 +12,9 @@ import pytest
 import numpy as np
 
 import qlcontrol
-from qlcontrol import grid, instances, relaxed_opt
+from qlcontrol import control_opt, grid, instances, relaxed_opt
 from qlcontrol.cli import ConfigError, ExperimentConfig, list_builtin, main, run
-from qlcontrol.control_opt import _state_costs
+from qlcontrol.control_opt import _state_costs, minimizing_sequence_demo
 
 
 def write(tmp_path, text, name="exp.ini"):
@@ -64,6 +64,15 @@ class TestConfigParsing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.parse("[experiment]\nkind = fly\n")
+
+    @pytest.mark.parametrize("js", ["2, 0", "-4", "4, 16, -1"])
+    def test_non_positive_js_rejected(self, tmp_path, js):
+        text = GAP_INI.replace("js = 2, 4, 8", f"js = {js}")
+        with pytest.raises(ConfigError, match="js"):
+            ExperimentConfig.parse(text)
+        # rejected before any solve and before the output directory exists
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
 
 
 class TestRuns:
@@ -162,6 +171,27 @@ samples = 2
             assert hashlib.sha256(data).hexdigest() == digest, name
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert "optimize_relaxed" not in report["timings"]
+
+    def test_gap_demo_reuses_the_certified_realizations(self, tmp_path, monkeypatch):
+        calls = []
+        realize = control_opt.realize_sequence
+
+        def count(ym, j, *args, **kwargs):
+            calls.append(j)
+            return realize(ym, j, *args, **kwargs)
+
+        monkeypatch.setattr(control_opt, "realize_sequence", count)
+        js = (2, 4, 8, 16, 32)
+        text = GAP_INI.replace("js = 2, 4, 8", "js = " + ", ".join(map(str, js)))
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
+        # certify_gap realizes j = 4 and 16; the demo only the other three
+        assert len(calls) == 5
+        assert sorted(calls) == list(js)
+        trace = json.loads((tmp_path / "out" / "report.json").read_text())[
+            "results"]["demo_trace"]
+        rp, _ = instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, 32))
+        assert trace["j"] == list(js)
+        assert trace["costs"] == [float(c) for c in minimizing_sequence_demo(rp.control, js)]
 
     def test_relax_writes_the_certified_point(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qlcontrol import grid
 from qlcontrol.grid import ScalarField, VectorField
@@ -170,6 +171,36 @@ class TestHelmholtz:
                 assert np.array_equal(stacked[idx], single)
             else:
                 assert np.max(np.abs(stacked[idx] - single)) <= 1e-14 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,)])
+    def test_1d_slice_matches_fancy_index_reference(self, lead):
+        # 1D gathers and scatters the interior by the slice 1:-1
+        mesh = grid.build_mesh(1, 16)
+        interior = mesh.interior_indices
+        rng = np.random.default_rng(len(lead))
+        contiguous = rng.standard_normal(lead + (mesh.n_nodes,))
+        strided = rng.standard_normal((mesh.n_nodes,) + lead[::-1]).T
+        for rhs in (contiguous, strided):
+            cols = rhs[..., interior].reshape(-1, interior.size).T
+            sol, info = scipy.linalg.lapack.dpbtrs(grid._interior_operator_1d(mesh, 1.5), cols)
+            assert info == 0
+            want = np.zeros(rhs.shape)
+            want[..., interior] = sol.T.reshape(lead + (interior.size,))
+            got = grid.helmholtz_solve_values(mesh, 1.5, rhs)
+            assert got.shape == rhs.shape
+            assert np.array_equal(got, want)
+
+    def test_1d_error_messages(self):
+        mesh = grid.build_mesh(1, 8)
+        bad = np.ones((2, 9))
+        bad[1, 3] = np.nan
+        with pytest.raises(ValueError, match="^non-finite right-hand side$"):
+            grid.helmholtz_solve_values(mesh, 1.0, bad)
+        with pytest.raises(ValueError, match=r"^right-hand side has shape \(2, 8\), "
+                           r"mesh expects \(\.\.\., 9\) nodal values$"):
+            grid.helmholtz_solve_values(mesh, 1.0, np.ones((2, 8)))
+        with pytest.raises(ValueError, match="^b must be a finite nonnegative real, got -1.0$"):
+            grid.helmholtz_solve_values(mesh, -1.0, np.ones(9))
 
     @pytest.mark.parametrize("dim,b", [(1, 0.0), (1, 2.0), (2, 0.0), (2, 3.0)])
     def test_residual_bound(self, dim, b):

@@ -252,11 +252,13 @@ def kernel_free_control(mesh):
     return ScalarField(mesh, uv - (uv @ checker) / (checker @ checker) * checker)
 
 
-def sin_gradient_2d_problem(n):
+def sin_gradient_2d_problem(n, a=None):
+    """sin-gradient problem in 2D; ``a`` replaces its a (Lipschitz 1)."""
     mesh = grid.build_mesh(2, n)
-    cs = co.CoefficientSet(
-        M=1e-3, **{**co.a_sin_gradient(1.0), **co.f_tanh(), **co.cost_tracking(0.05)}
-    )
+    parts = {**co.a_sin_gradient(1.0), **co.f_tanh(), **co.cost_tracking(0.05)}
+    if a is not None:
+        parts["a"] = a
+    cs = co.CoefficientSet(M=1e-3, **parts)
     state = QuasilinearStateProblem(mesh, cs, b=1.0)
     return RelaxedProblem(ControlProblem(mesh, "quasilinear", state, cs, M=1e-3))
 
@@ -375,6 +377,57 @@ class TestBatchedPhases:
         assert (step > 0.0) == descends
         for p, q in zip(got, ref):
             assert np.array_equal(p, q)
+
+
+def per_point_abar(rp, atoms, weights):
+    """Reference: a at every atom of every point, one point at a time."""
+    a = rp.control.cs.a
+    out = np.empty(atoms.shape[:-2])
+    for idx in np.ndindex(atoms.shape[:-3]):
+        vals = np.asarray(a(atoms[idx].reshape(-1, rp.mesh.dimension)), dtype=float)
+        out[idx] = np.sum(weights[idx] * vals.reshape(atoms.shape[-3:-1]), axis=-1)
+    return out
+
+
+def abar_cases():
+    """(label, rp, nu) with one and two atoms per cell, in 1D and 2D."""
+    rp, _ = small_gap_problem(n=16)
+    x = rp.mesh.node_coords()[:, 0]
+    _, nu, _ = embed_classical(rp, ScalarField(rp.mesh, 0.5 + np.sin(np.pi * x)))
+    yield "1d-K1", rp, nu
+    yield "1d-K2", rp, split_atoms(nu, [-0.3, 0.3])
+    # an a of both gradient components, so a row moved along either axis counts
+    rp = sin_gradient_2d_problem(4, a=lambda Y: np.sin(0.8 * Y[:, 0] + 0.6 * Y[:, 1]))
+    _, nu, _ = embed_classical(rp, kernel_free_control(rp.mesh))
+    yield "2d-K1", rp, nu
+    yield "2d-K2", rp, split_atoms(nu, [-0.2, 0.2])
+
+
+class TestAbarCells:
+    """_abar_cells evaluates a only at the atom rows that differ from the
+    first point's; every point must keep its own evaluation bit for bit."""
+
+    @pytest.mark.parametrize("case", list(abar_cases()), ids=lambda c: c[0])
+    def test_stacks_and_single_point_match_per_point(self, case):
+        _, rp, nu = case
+        sizes = []
+
+        def values(atoms, weights):
+            got = relaxed_opt._abar_cells(rp, atoms, weights)
+            assert np.array_equal(got, per_point_abar(rp, atoms, weights))
+            sizes.append(atoms.shape[0])
+            return np.zeros(atoms.shape[0])
+
+        params = [nu.atoms, nu.weights]
+        relaxed_opt._fd_gradient(values, params, 1e-6)
+        assert sum(sizes) == 1 + nu.atoms.size + (nu.weights.size if nu.n_atoms > 1 else 0)
+        grads = [np.random.default_rng(5).standard_normal(np.shape(p)) for p in params]
+        relaxed_opt._descend(values, params, grads, 1e-2, np.inf)
+        assert sizes[-1] == relaxed_opt._HALVINGS
+        # one unstacked point, as solve_mv_state and _MuPhase pass it
+        got = relaxed_opt._abar_cells(rp, nu.atoms, nu.weights)
+        assert got.shape == (rp.mesh.n_cells,)
+        assert np.array_equal(got, per_point_abar(rp, nu.atoms, nu.weights))
 
 
 class TestCertifyGap:

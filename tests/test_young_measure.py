@@ -7,6 +7,8 @@ from qlcontrol import grid
 from qlcontrol import young_measure as ym
 from qlcontrol.grid import ScalarField, VectorField
 
+from oracles import laminate_oracle
+
 
 def psi_sq(lam):
     return np.sum(lam * lam, axis=1)
@@ -229,6 +231,24 @@ class TestRealizeSequence:
             cell = slopes[i * r : (i + 1) * r]
             upper_frac = np.mean(np.abs(cell - 1.0) < np.abs(cell + 1.0))
             assert abs(upper_frac - theta) <= 1.0 / 64
+
+    @pytest.mark.parametrize("q", [1, 3, 8])
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 16, 32])
+    def test_matches_loop_laminate_bit_for_bit(self, j, q):
+        rng = np.random.default_rng(1000 * j + q)
+        n = 7
+        mesh = grid.build_mesh(1, n)
+        atoms = rng.normal(0.0, 1.0, (n, 2))  # either order within a cell
+        theta = rng.uniform(0.02, 0.98, n)
+        assert np.all(np.abs(theta * q - np.rint(theta * q)) > 1e-3)  # off the q grid
+        theta[[1, 4]] = 0.0
+        theta[5] = 1.0  # zero weights on either atom
+        weights = np.column_stack([1.0 - theta, theta])
+        field = ym.YoungMeasureField(mesh, atoms, weights, "PH1", 0.3)
+        u = ym.realize_sequence(field, j, subcells_per_period=q)
+        assert u.mesh.cells_per_axis == n * j * q
+        want = laminate_oracle(atoms, weights, ym.potential(field).values, j, q)
+        assert np.array_equal(u.values, want)
 
     def test_rejects_2d(self):
         mesh = grid.build_mesh(2, 3)
