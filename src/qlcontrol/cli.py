@@ -114,12 +114,16 @@ class ExperimentConfig:
             sv = cp["solver"]
             if "state_tol" in sv:
                 cfg.state_tol = sv.getfloat("state_tol")
+                if not cfg.state_tol > 0.0:
+                    raise ConfigError(f"state_tol must be positive, got {sv['state_tol']!r}")
             if "max_iterations" in sv:
                 cfg.max_iterations = sv.getint("max_iterations")
             if "gradient_tol" in sv:
                 cfg.gradient_tol = sv.getfloat("gradient_tol")
             if "samples" in sv:
                 cfg.samples = sv.getint("samples")
+                if cfg.samples < 0:
+                    raise ConfigError(f"samples must be non-negative, got {sv['samples']!r}")
         if "coefficients" in cp:
             cfg.coefficients = dict(cp["coefficients"])
         if "output" in cp:
@@ -226,14 +230,14 @@ def _build_state(cfg: ExperimentConfig):
 def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings):
     state, mesh = _build_state(cfg)
     u = _control_field(mesh, cfg.control)
-    tol = cfg.state_tol
+    kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
     if hasattr(state, "b"):
-        y, rep = solve_quasilinear(state, u, **({"tol": tol} if tol else {}))
+        y, rep = solve_quasilinear(state, u, **kw)
     elif hasattr(state, "source"):
-        y, rep = solve_state(state, u, **({"tol": tol} if tol else {}))
+        y, rep = solve_state(state, u, **kw)
     else:
-        y, rep = solve_monotone(state, u, **({"tol": tol} if tol else {}))
+        y, rep = solve_monotone(state, u, **kw)
     timings["state_solve"] = time.perf_counter() - t0
     rep_d = rep.to_dict()
     rep_d.pop("wall_time", None)
@@ -285,15 +289,12 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, want_demo
             report.relaxed <= report.best_classical - delta + 1e-3
         )
     if want_demo:
-        # certify_gap has already costed some realizations of the same measure
         t0 = time.perf_counter()
-        costs = dict(zip(report.trace.get("j", []), report.trace.get("costs", [])))
-        missing = [j for j in cfg.js if j not in costs]
-        costs.update(zip(missing, minimizing_sequence_demo(rp.control, missing)))
+        costs = minimizing_sequence_demo(rp.control, cfg.js)
         timings["minimizing_sequence_demo"] = time.perf_counter() - t0
         results["demo_trace"] = {
             "j": [int(j) for j in cfg.js],
-            "costs": [float(costs[j]) for j in cfg.js],
+            "costs": [float(c) for c in costs],
         }
     mu, nu, y = report.minimizer
     young_measure_to_csv(nu, out_dir / "state_measure.csv")

@@ -4,7 +4,7 @@ A :class:`CoefficientSet` bundles the functions a problem uses (flux A,
 gradient nonlinearity a, control-to-source map f, inner energy W, cost
 integrand F, affine coupling w) together with the structural constants the
 theory needs (Lipschitz constant L of a, monotonicity/growth constants c < C,
-Tychonov weight M, zero-order coefficient b, ellipticity floor a0).
+Tychonov weight M).
 
 The structural hypotheses are analytic statements; here they are checked by
 seeded random sampling, which falsifies a wrong declaration but proves
@@ -15,7 +15,7 @@ nothing.  All function evaluations are vectorized over numpy arrays:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -75,8 +75,7 @@ class CoefficientSet:
 
     Every function is optional; a problem declares which it uses.  Constants:
     L (Lipschitz constant of a), 0 < c < C (monotonicity / growth), M > 0
-    (Tychonov weight), b >= 0 (zero-order coefficient), a0 > 0 (ellipticity
-    floor of the perturbed-linear family).
+    (Tychonov weight).
     """
 
     A: Optional[Callable] = None
@@ -91,11 +90,7 @@ class CoefficientSet:
     c: Optional[float] = None
     C: Optional[float] = None
     M: Optional[float] = None
-    b: Optional[float] = None
-    a0: Optional[float] = None
-    f_bound: Optional[float] = None
     w_grad_identity: bool = False  # True iff dW(y,u) == y exactly
-    names: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.c is not None and self.C is not None:
@@ -114,10 +109,8 @@ class CoefficientSet:
                 raise ValueError(f"a(0) must vanish, got {a0val}")
 
     def merged(self, **updates) -> "CoefficientSet":
-        """Copy with fields replaced (names dictionaries are merged)."""
-        names = dict(self.names)
-        names.update(updates.pop("names", {}))
-        return replace(self, names=names, **updates)
+        """Copy with fields replaced."""
+        return replace(self, **updates)
 
 
 def apply_cellwise(fn: Callable, Y: np.ndarray, *cell_args: np.ndarray) -> np.ndarray:
@@ -143,8 +136,6 @@ def identity_flux() -> CoefficientSet:
         A=lambda Y: Y,
         c=1.0,
         C=1.0 * (1.0 + _EPS_STRICT),
-        a0=1.0,
-        names={"A": "identity"},
     )
 
 
@@ -182,13 +173,7 @@ def make_perturbed_linear(
         A = lambda Y: a_coeff * Y
     else:
         A = lambda Y: a_coeff * Y + g(Y)
-    return CoefficientSet(
-        A=A,
-        c=c,
-        C=C,
-        a0=a_coeff,
-        names={"A": f"perturbed-linear(a0={a_coeff}, L_g={lipschitz_g})"},
-    )
+    return CoefficientSet(A=A, c=c, C=C)
 
 
 def sin_perturbation(amplitude: float) -> Callable:
@@ -197,7 +182,7 @@ def sin_perturbation(amplitude: float) -> Callable:
 
 
 def a_zero() -> dict:
-    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0, "names": {"a": "zero"}}
+    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0}
 
 
 def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
@@ -205,7 +190,6 @@ def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * np.sin(Y[:, axis]),
         "L": abs(kappa),
-        "names": {"a": f"sin-gradient(kappa={kappa})"},
     }
 
 
@@ -214,7 +198,6 @@ def a_clamped_linear(kappa: float = 1.0, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * np.clip(Y[:, axis], -1.0, 1.0),
         "L": abs(kappa),
-        "names": {"a": f"clamped-linear(kappa={kappa})"},
     }
 
 
@@ -225,32 +208,23 @@ def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * (1.0 - np.cos(omega * Y[:, axis])),
         "L": abs(kappa * omega),
-        "names": {"a": f"cosine-wells(kappa={kappa}, omega={omega})"},
     }
 
 
 def f_linear() -> dict:
-    return {"f": lambda u: np.asarray(u, dtype=float), "names": {"f": "linear"}}
+    return {"f": lambda u: np.asarray(u, dtype=float)}
 
 
 def f_zero() -> dict:
-    return {
-        "f": lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-        "f_bound": 0.0,
-        "names": {"f": "zero"},
-    }
+    return {"f": lambda u: np.zeros_like(np.asarray(u, dtype=float))}
 
 
 def f_tanh() -> dict:
-    return {"f": np.tanh, "f_bound": 1.0, "names": {"f": "tanh"}}
+    return {"f": np.tanh}
 
 
 def f_clamp() -> dict:
-    return {
-        "f": lambda u: np.clip(u, -1.0, 1.0),
-        "f_bound": 1.0,
-        "names": {"f": "clamp"},
-    }
+    return {"f": lambda u: np.clip(u, -1.0, 1.0)}
 
 
 def w_quadratic() -> dict:
@@ -261,7 +235,6 @@ def w_quadratic() -> dict:
         "w_grad_identity": True,
         "c": 0.4,
         "C": 0.6,
-        "names": {"W": "quadratic"},
     }
 
 
@@ -274,7 +247,6 @@ def w_quadratic_bump(delta: float = 0.2) -> dict:
         "w_grad_identity": True,
         "c": 0.4,
         "C": 0.5 + 2.0 * abs(delta),
-        "names": {"W": f"quadratic-bump(delta={delta})"},
     }
 
 
@@ -295,7 +267,6 @@ def w_u_scaled_quadratic(eps: float = 0.25) -> dict:
         "dW": dW,
         "c": 0.5 * (1.0 - eps) * 0.9,
         "C": 0.5 * (1.0 + eps) + 0.1,
-        "names": {"W": f"u-scaled-quadratic(eps={eps})"},
     }
 
 
@@ -329,7 +300,6 @@ def w_quartic_clamped(radius: float = 10.0) -> dict:
         "dW": dW,
         "c": 0.4,
         "C": float(disc_C),
-        "names": {"W": f"quartic-clamped(R={radius})"},
     }
 
 
@@ -349,7 +319,7 @@ def w_coupling(name: str) -> dict:
     if name not in table:
         raise ValueError(f"unknown coupling {name!r}")
     w, dw = table[name]
-    return {"w": w, "dw": dw, "names": {"w": name}}
+    return {"w": w, "dw": dw}
 
 
 def cost_tracking(target: float, cap: float = 1e6) -> dict:
@@ -358,7 +328,7 @@ def cost_tracking(target: float, cap: float = 1e6) -> dict:
     def F(y):
         return np.minimum((np.asarray(y, dtype=float) - target) ** 2, cap)
 
-    return {"F": F, "names": {"F": f"tracking(cap={cap})"}}
+    return {"F": F}
 
 
 def cost_tracking_field(target_values: np.ndarray, cap: float = 1e6) -> dict:
@@ -368,15 +338,12 @@ def cost_tracking_field(target_values: np.ndarray, cap: float = 1e6) -> dict:
     def F(y):
         return np.minimum((np.asarray(y, dtype=float) - tv) ** 2, cap)
 
-    return {"F": F, "names": {"F": f"tracking-field(cap={cap})"}}
+    return {"F": F}
 
 
 def cost_zero() -> dict:
     """F = 0: the outer problem reduces to the Tychonov regularizer."""
-    return {
-        "F": lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        "names": {"F": "zero"},
-    }
+    return {"F": lambda y: np.zeros_like(np.asarray(y, dtype=float))}
 
 
 def cost_shortfall(cap: float = 1.0) -> dict:
@@ -386,7 +353,7 @@ def cost_shortfall(cap: float = 1.0) -> dict:
     def F(y):
         return -np.minimum(np.asarray(y, dtype=float), cap)
 
-    return {"F": F, "names": {"F": f"shortfall(cap={cap})"}}
+    return {"F": F}
 
 
 # -- sampled hypothesis checks --------------------------------------------------

@@ -21,9 +21,13 @@ from . import grid
 from .coefficients import CoefficientSet
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
-from .state_monotone import solve_monotone, solve_monotone_columns
-from .state_quasilinear import solve_quasilinear, solve_quasilinear_columns
-from .state_variational import solve_state, solve_state_columns
+from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
+from .state_quasilinear import (
+    QuasilinearStateProblem,
+    solve_quasilinear,
+    solve_quasilinear_columns,
+)
+from .state_variational import VariationalStateProblem, solve_state, solve_state_columns
 from .young_measure import YoungMeasureField, realize_sequence
 
 __all__ = [
@@ -37,6 +41,7 @@ __all__ = [
 ]
 
 _STATE_TOL_DEFAULTS = {"variational": 1e-8, "monotone": 1e-9, "quasilinear": 1e-11}
+_FD_STEP = 1e-5  # relative forward-difference step of the cost gradient
 # points solved per stacked call; bounds the memory of a finite-difference
 # stack at _FD_BLOCK columns, whatever the mesh size
 _FD_BLOCK = 512
@@ -46,54 +51,65 @@ _LADDER_CHUNK = 16
 _log = logging.getLogger(__name__)
 
 
+# regime of each state problem type
+REGIMES = {
+    VariationalStateProblem: "variational",
+    MonotoneStateProblem: "monotone",
+    QuasilinearStateProblem: "quasilinear",
+}
+
+
 @dataclass(frozen=True)
 class ControlProblem:
-    """Outer problem data: regime, state problem, cost integrand, regularizer.
+    """Outer problem data: state problem, regularizer and per-instance extras.
 
-    ``cs`` carries the cost integrand F and the control-to-source map f.  For
-    the variational regime, ``source_from_control`` selects whether f(u)
-    replaces the state problem's fixed source (the control then also enters
-    the inner energy through W's second slot).
+    The state problem fixes the mesh, the regime and the coefficient set,
+    which carries the cost integrand F, the control-to-source map f and the
+    Tychonov weight M.  In the variational regime f(u) replaces the state
+    problem's fixed source (the control then also enters the inner energy
+    through W's second slot).  ``rebuild`` maps a mesh to the instance's
+    state problem on that mesh.
     """
 
-    mesh: Mesh
-    regime: str
     state: object
-    cs: CoefficientSet
-    M: float
     regularizer: str = "gradient"
-    source_from_control: bool = True
-    rebuild: Optional[Callable[[Mesh], "ControlProblem"]] = field(
-        default=None, compare=False
-    )
+    rebuild: Optional[Callable[[Mesh], object]] = field(default=None, compare=False)
     demo_measure: Optional[YoungMeasureField] = field(default=None, compare=False)
-    tracking_target: Optional[np.ndarray] = field(default=None, compare=False)
     reference_controls: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if self.regime not in ("variational", "monotone", "quasilinear"):
-            raise ValueError(f"unknown regime {self.regime!r}")
+        if type(self.state) not in REGIMES:
+            raise ValueError(f"unknown state problem type {type(self.state).__name__}")
         if self.regularizer not in ("gradient", "l2"):
             raise ValueError(f"unknown regularizer {self.regularizer!r}")
-        if not self.M > 0.0:
-            raise ValueError(f"M must be positive, got {self.M}")
+        if self.cs.M is None:
+            raise ValueError("control problem needs the Tychonov weight M")
         if self.cs.F is None:
             raise ValueError("control problem needs the cost integrand F")
+        if self.regime == "variational" and self.cs.f is None:
+            raise ValueError("variational control problem needs the map f")
+
+    @property
+    def mesh(self) -> Mesh:
+        return self.state.mesh
+
+    @property
+    def cs(self) -> CoefficientSet:
+        return self.state.cs
+
+    @property
+    def M(self) -> float:
+        return self.cs.M
+
+    @property
+    def regime(self) -> str:
+        return REGIMES[type(self.state)]
 
     def with_mesh(self, mesh: Mesh) -> "ControlProblem":
+        """The same problem on another mesh, without the per-instance extras."""
         if self.rebuild is None:
             raise ValueError("this problem carries no mesh rebuilder")
-        return self.rebuild(mesh)
-
-
-def _control_source(cp: ControlProblem, u: np.ndarray) -> Optional[np.ndarray]:
-    """Source f(u) that replaces the variational state's fixed source, or
-    None when the fixed source stays."""
-    if cp.regime != "variational" or not cp.source_from_control:
-        return None
-    if cp.cs.f is None:
-        raise ValueError("source_from_control needs the map f")
-    return np.asarray(cp.cs.f(u), dtype=float)
+        return ControlProblem(self.rebuild(mesh), self.regularizer, self.rebuild)
 
 
 def solve_state_for(
@@ -105,11 +121,8 @@ def solve_state_for(
     """State solve of the problem's regime for control u."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     if cp.regime == "variational":
-        p = cp.state
-        source = _control_source(cp, u.values)
-        if source is not None:
-            p = p.with_source(ScalarField(cp.mesh, source))
-        return solve_state(p, u, tol=tol, y0=warm)
+        source = ScalarField(cp.mesh, np.asarray(cp.cs.f(u.values), dtype=float))
+        return solve_state(cp.state.with_source(source), u, tol=tol, y0=warm)
     if cp.regime == "monotone":
         return solve_monotone(cp.state, u, tol=tol, y0=warm)
     return solve_quasilinear(cp.state, u, tol=tol, y0=warm)
@@ -127,7 +140,7 @@ def _state_columns(
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     y0 = None if warm is None else warm.values
     if cp.regime == "variational":
-        source = _control_source(cp, U)
+        source = np.asarray(cp.cs.f(U), dtype=float)
         Y, _ = solve_state_columns(cp.state, U, y0=y0, source=source, tol=tol)
     elif cp.regime == "monotone":
         Y, _ = solve_monotone_columns(cp.state, U, tol=tol, y0=y0)
@@ -201,7 +214,6 @@ class OptimizeOptions:
     max_iterations: int = 500
     linesearch_max: int = 30
     gradient_tol: float = 1e-6
-    fd_step: float = 1e-5
     initial_step: float = 1.0
     state_tol: Optional[float] = None
 
@@ -210,9 +222,8 @@ class OptimizeOptions:
             raise ValueError(
                 "max_iterations must be non-negative and linesearch_max at least 1"
             )
-        for name in ("fd_step", "initial_step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.initial_step > 0.0:
+            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
         if not self.gradient_tol >= 0.0:
             raise ValueError(f"gradient_tol must be non-negative, got {self.gradient_tol}")
         if self.state_tol is not None and not self.state_tol > 0.0:
@@ -231,7 +242,7 @@ def _fd_cost_gradient(
     perturbations; the n (or 2n) perturbed controls are costed as one stack,
     warm-started from base_state."""
     mesh = cp.mesh
-    delta = opts.fd_step * (1.0 + float(np.max(np.abs(u))))
+    delta = _FD_STEP * (1.0 + float(np.max(np.abs(u))))
     n = mesh.n_nodes
     diag = np.arange(n)
     U = np.tile(u, (2 * n if central else n, 1))

@@ -10,13 +10,14 @@ optima.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
 from . import coefficients as co
 from . import grid
-from .control_opt import ControlProblem
+from .control_opt import REGIMES, ControlProblem
 from .grid import Mesh, ScalarField
 from .relaxed_opt import (
     RelaxedInit,
@@ -79,7 +80,7 @@ def _gap_cs() -> co.CoefficientSet:
     parts.update(co.f_clamp())
     parts.update(co.cost_shortfall(GAP_CAP))
     L = parts["L"]
-    return co.CoefficientSet(M=GAP_M, b=GAP_B, C=L, c=L / 2.0, **parts)
+    return co.CoefficientSet(M=GAP_M, C=L, c=L / 2.0, **parts)
 
 
 def _sin_gradient_cs() -> co.CoefficientSet:
@@ -87,7 +88,7 @@ def _sin_gradient_cs() -> co.CoefficientSet:
     parts.update(co.a_sin_gradient(1.0))
     parts.update(co.f_tanh())
     parts.update(co.cost_tracking(0.05))
-    return co.CoefficientSet(M=1e-3, b=1.0, c=0.5, C=1.0, **parts)
+    return co.CoefficientSet(M=1e-3, c=0.5, C=1.0, **parts)
 
 
 def _linear_quasilinear_cs() -> co.CoefficientSet:
@@ -95,7 +96,7 @@ def _linear_quasilinear_cs() -> co.CoefficientSet:
     parts.update(co.a_zero())
     parts.update(co.f_tanh())
     parts.update(co.cost_tracking(0.05))
-    return co.CoefficientSet(M=1e-3, b=1.0, **parts)
+    return co.CoefficientSet(M=1e-3, **parts)
 
 
 def _variational_quartic_cs() -> co.CoefficientSet:
@@ -156,57 +157,16 @@ def build_control_problem(
     name: str, mesh: Optional[Mesh] = None, b: Optional[float] = None
 ) -> ControlProblem:
     """Outer control problem for the named instance."""
-    if mesh is None:
-        mesh = default_mesh(name)
-    state = build_state_problem(name, mesh, b=b)
-
-    def rebuild(m: Mesh) -> ControlProblem:
-        return build_control_problem(name, m, b=b)
-
-    common = dict(rebuild=rebuild)
+    rebuild = partial(build_state_problem, name, b=b)
+    state = rebuild(mesh)
+    mesh = state.mesh
+    extras: dict = {}
     if name == "gap-family-1d":
-        cs = state.cs
-        demo = uniform_two_atom(mesh, -1.0, 1.0, 0.5, potential_offset=1.0)
-        return ControlProblem(
-            mesh,
-            "quasilinear",
-            state,
-            cs,
-            M=GAP_M,
-            demo_measure=demo,
-            reference_controls=(np.ones(mesh.n_nodes),),
-            **common,
-        )
-    if name in ("sin-gradient-1d", "sin-gradient-2d", "linear-quasilinear-1d"):
-        cs = state.cs
-        return ControlProblem(
-            mesh,
-            "quasilinear",
-            state,
-            cs,
-            M=cs.M,
-            reference_controls=(np.zeros(mesh.n_nodes),),
-            **common,
-        )
-    if name == "variational-quartic-1d":
-        cs = state.cs
-        return ControlProblem(mesh, "variational", state, cs, M=cs.M, **common)
-    if name == "quadratic-variational-1d":
-        cs = state.cs
-        x = mesh.node_coords()[:, 0]
-        return ControlProblem(
-            mesh,
-            "variational",
-            state,
-            cs,
-            M=cs.M,
-            tracking_target=0.01 * np.sin(np.pi * x),
-            **common,
-        )
-    if name == "monotone-perturbed-1d":
-        cs = state.cs
-        return ControlProblem(mesh, "monotone", state, cs, M=cs.M, **common)
-    raise KeyError(f"unknown instance {name!r}")
+        extras["demo_measure"] = uniform_two_atom(mesh, -1.0, 1.0, 0.5, potential_offset=1.0)
+        extras["reference_controls"] = (np.ones(mesh.n_nodes),)
+    elif name in ("sin-gradient-1d", "sin-gradient-2d", "linear-quasilinear-1d"):
+        extras["reference_controls"] = (np.zeros(mesh.n_nodes),)
+    return ControlProblem(state, rebuild=rebuild, **extras)
 
 
 def build_relaxed_problem(
@@ -250,7 +210,7 @@ def gap_designed_init(rp: RelaxedProblem) -> RelaxedInit:
         "PH1",
         potential_offset=1.0,
     )
-    return RelaxedInit(mu, nu, classical_cost=None)
+    return RelaxedInit(mu, nu)
 
 
 def gap_margin(mesh: Optional[Mesh] = None) -> float:
@@ -308,7 +268,7 @@ def catalog() -> list:
             {
                 "name": name,
                 "kind": kind,
-                "regime": type(state).__name__.replace("StateProblem", "").lower(),
+                "regime": REGIMES[type(state)],
                 "constants": constants,
             }
         )

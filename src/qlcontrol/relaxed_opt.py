@@ -31,7 +31,6 @@ from .control_opt import (
     _costs,
     _state_costs,
     evaluate_costs,
-    minimizing_sequence_demo,
     optimize_control,
     solve_state_for,
 )
@@ -61,6 +60,8 @@ FEASIBILITY_TOL = 1e-6
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
+_FD_STEP = 1e-6  # forward-difference step of the phase objectives
+_STEP0 = 1e-2  # first trial step of each phase
 _HALVINGS = 25  # line-search trials step0 * 2**-k, k < _HALVINGS
 
 _log = logging.getLogger(__name__)
@@ -96,20 +97,16 @@ class RelaxedProblem:
 
 @dataclass(frozen=True)
 class RelaxedInit:
-    """Initial measures for the alternating scheme; ``classical_cost`` is the
-    cost of the embedded classical pair when the init is an embedding."""
+    """Initial measures for the alternating scheme."""
 
     mu: YoungMeasureField
     nu: YoungMeasureField
-    classical_cost: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class RelaxOptions:
     max_outer: int = 40
     inner_steps: int = 4
-    fd_step: float = 1e-6
-    step0: float = 1e-2
     rho0: float = 1e3
     rho_max: float = 1e8
     stationarity_tol: float = 1e-5
@@ -118,9 +115,8 @@ class RelaxOptions:
     def __post_init__(self):
         if self.max_outer < 1 or self.inner_steps < 1:
             raise ValueError("max_outer and inner_steps must be at least 1")
-        for name in ("fd_step", "step0", "rho0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.rho0 > 0.0:
+            raise ValueError(f"rho0 must be positive, got {self.rho0}")
         if not self.rho0 <= self.rho_max:
             raise ValueError(f"rho0 {self.rho0} exceeds rho_max {self.rho_max}")
         for name in ("stationarity_tol", "feasibility_tol"):
@@ -337,10 +333,10 @@ def _phase_descent(phase: _Phase, params, opts: RelaxOptions, gnorms: list):
     """Up to opts.inner_steps projected-gradient steps on one phase; appends
     each gradient's sup norm to gnorms and returns the final parameters and
     the number of steps accepted (0: the parameters are returned as given)."""
-    step = opts.step0
+    step = _STEP0
     accepted = 0
     for _ in range(opts.inner_steps):
-        base, grads = _fd_gradient(phase.values, params, opts.fd_step)
+        base, grads = _fd_gradient(phase.values, params, _FD_STEP)
         gnorms.append(float(np.max([np.max(np.abs(g)) for g in grads])))
         params, used = _descend(phase.values, params, grads, step, base)
         if used == 0.0:
@@ -523,17 +519,15 @@ def certify_gap(
     classical_opts: Optional[OptimizeOptions] = None,
     relax_opts: Optional[RelaxOptions] = None,
     designed_init: Optional[RelaxedInit] = None,
-    demo_j: tuple = (4, 16),
 ) -> RelaxationReport:
     """Sub-relaxation certificate m_relaxed <= m_classical + 1e-8.
 
     The classical side samples reference controls, seeded smooth random
-    controls, oscillating realizations of the demo measure (when one is
-    prescribed) and a budgeted optimizer run; the relaxed side takes the best
-    of the alternating optimizer (from the designed init when given) and the
-    Dirac embedding of the best classical control.  A violated inequality
-    marks the report FAILED; it is a bug trap, not a tolerated outcome.
-    The report's ``minimizer`` holds the relaxed point (mu, nu, y) whose
+    controls and a budgeted optimizer run, all on the problem's mesh; the
+    relaxed side takes the best of the alternating optimizer (from the
+    designed init when given) and the Dirac embedding of the best classical
+    control.  A violated inequality marks the report FAILED; it is a bug
+    trap, not a tolerated outcome.  The report's ``minimizer`` holds the relaxed point (mu, nu, y) whose
     cost is ``relaxed``; on a tie it is the optimizer's.
     """
     cp = rp.control
@@ -554,14 +548,6 @@ def certify_gap(
     if opt_report.cost < best_cost:
         best_cost, best_u = opt_report.cost, u_opt
 
-    trace_info: dict = {}
-    if cp.demo_measure is not None:
-        trace = minimizing_sequence_demo(cp, demo_j)
-        trace_info = {"j": list(map(int, demo_j)), "costs": [float(t) for t in trace]}
-        for t in trace:
-            if t < best_cost:
-                best_cost = float(t)  # realization meshes refine the base one
-
     # classical best re-evaluated tightly, on the embedding's own state
     mu_e, nu_e, y_e = embed_classical(rp, best_u)
     best_cost_tight = float(_costs(cp, best_u.values[None], y_e.values[None])[0])
@@ -570,7 +556,7 @@ def certify_gap(
     embedded_cost = evaluate_relaxed_cost(rp, mu_e, nu_e)
     dirac_residual = abs(embedded_cost - best_cost_tight)
 
-    init = designed_init or RelaxedInit(mu_e, nu_e, best_cost_tight)
+    init = designed_init or RelaxedInit(mu_e, nu_e)
     mu, nu, y, relax_report = optimize_relaxed(rp, init, relax_opts)
     relaxed_value = relax_report.cost
     if embedded_cost < relaxed_value:
@@ -596,7 +582,6 @@ def certify_gap(
         relaxed=float(relaxed_value),
         dirac_residual=float(dirac_residual),
         certificates=certificates,
-        trace=trace_info,
         failed=not all(c["passed"] for c in certificates),
         minimizer=(mu, nu, y),
     )

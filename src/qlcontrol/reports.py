@@ -59,7 +59,6 @@ class RelaxationReport:
     relaxed: float
     dirac_residual: float
     certificates: list = field(default_factory=list)
-    trace: dict = field(default_factory=dict)
     failed: bool = False
     note: str = (
         "gap measured at fixed mesh width; continuum vs discretization "
@@ -78,7 +77,6 @@ class RelaxationReport:
             "gap": self.gap,
             "dirac_residual": self.dirac_residual,
             "certificates": list(self.certificates),
-            "trace": dict(self.trace),
             "failed": self.failed,
             "note": self.note,
         }

@@ -217,13 +217,13 @@ def coordinate_descent_energy_oracle(
     return y
 
 
-def quadratic_program_oracle(cp):
+def quadratic_program_oracle(cp, target):
     """Exact solve of the all-quadratic control instance.
 
     Valid only for the variational regime with identity-gradient W, linear
     control-to-source map and (possibly capped but inactive) quadratic
-    tracking cost; assembles the reduced normal equations with its own
-    operators and solves by least squares.
+    tracking cost against the nodal ``target``; assembles the reduced normal
+    equations with its own operators and solves by least squares.
 
     Returns (u_values, cost).
     """
@@ -251,7 +251,7 @@ def quadratic_program_oracle(cp):
     wts[0] = wts[-1] = 0.5
     if dim == 2:
         wts = np.outer(wts, wts).ravel()
-    target = np.asarray(cp.tracking_target, dtype=float)
+    target = np.asarray(target, dtype=float)
     Mw = cp.M
 
     # quadratic form in all nodal u values

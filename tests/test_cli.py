@@ -74,6 +74,20 @@ class TestConfigParsing:
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "setting, name",
+        [("state_tol = 0", "state_tol"), ("state_tol = -1", "state_tol"),
+         ("samples = -3", "samples")],
+        ids=["state_tol=0", "state_tol=-1", "samples=-3"],
+    )
+    def test_bad_solver_setting_rejected(self, tmp_path, setting, name):
+        text = GAP_INI + f"\n[solver]\n{setting}\n"
+        with pytest.raises(ConfigError, match=name):
+            ExperimentConfig.parse(text)
+        # rejected before any solve and before the output directory exists
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestRuns:
     def test_verify_hypotheses_identity(self, tmp_path):
@@ -184,7 +198,7 @@ samples = 2
         js = (2, 4, 8, 16, 32)
         text = GAP_INI.replace("js = 2, 4, 8", "js = " + ", ".join(map(str, js)))
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
-        # certify_gap realizes j = 4 and 16; the demo only the other three
+        # certify_gap realizes nothing; the demo realizes each j once
         assert len(calls) == 5
         assert sorted(calls) == list(js)
         trace = json.loads((tmp_path / "out" / "report.json").read_text())[
@@ -192,6 +206,21 @@ samples = 2
         rp, _ = instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, 32))
         assert trace["j"] == list(js)
         assert trace["costs"] == [float(c) for c in minimizing_sequence_demo(rp.control, js)]
+
+    def test_gap_demo_builds_the_demo_measure_twice(self, tmp_path, monkeypatch):
+        # once for the certified problem and once in gap_margin; the
+        # realization meshes build none
+        calls = []
+        build = instances.uniform_two_atom
+
+        def count(*args, **kwargs):
+            calls.append(1)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(instances, "uniform_two_atom", count)
+        text = GAP_INI.replace("js = 2, 4, 8", "js = 2, 4, 8, 16, 32")
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
+        assert len(calls) == 2
 
     def test_relax_writes_the_certified_point(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -100,7 +100,7 @@ def test_one_failing_column_raises(name, dim, n):
 def _loop_gradient(cp, u, opts, central):
     """Per-coordinate reference: one evaluate_cost per perturbed control."""
     mesh = cp.mesh
-    delta = opts.fd_step * (1.0 + float(np.max(np.abs(u.values))))
+    delta = control_opt._FD_STEP * (1.0 + float(np.max(np.abs(u.values))))
     base, state = evaluate_cost(cp, u, state_tol=opts.state_tol, return_state=True)
 
     def cost(k, shift):

@@ -20,6 +20,7 @@ from qlcontrol.control_opt import (
 from qlcontrol.grid import ScalarField
 from qlcontrol.reports import NonConvergenceError, SolveReport
 from qlcontrol.state_quasilinear import QuasilinearStateProblem
+from qlcontrol.state_variational import VariationalStateProblem
 
 from oracles import quadratic_program_oracle
 
@@ -30,7 +31,7 @@ def regularizer_only_problem(n=8, M=1.0):
         M=M, **{**co.a_zero(), **co.f_zero(), **co.cost_zero()}
     )
     state = QuasilinearStateProblem(mesh, cs, b=1.0)
-    return ControlProblem(mesh, "quasilinear", state, cs, M=M)
+    return ControlProblem(state)
 
 
 def tracking_problem(n=16):
@@ -40,7 +41,7 @@ def tracking_problem(n=16):
     parts = {**co.a_zero(), **co.f_linear(), **co.cost_tracking_field(ystar.values)}
     cs = co.CoefficientSet(M=1e-3, **parts)
     state = QuasilinearStateProblem(mesh, cs, b=1.0)
-    return ControlProblem(mesh, "quasilinear", state, cs, M=1e-3), ystar
+    return ControlProblem(state), ystar
 
 
 class TestEvaluateCost:
@@ -56,7 +57,7 @@ class TestEvaluateCost:
             M=0.5, **{**co.a_zero(), **co.f_zero(), **co.cost_tracking(0.0)}
         )
         state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        cp = ControlProblem(mesh, "quasilinear", state, cs, M=0.5)
+        cp = ControlProblem(state)
         x = mesh.node_coords()[:, 0]
         u = ScalarField(mesh, x)
         g = grid.gradient(u)
@@ -86,9 +87,57 @@ class TestEvaluateCost:
             M=2.0, **{**co.a_zero(), **co.f_zero(), **co.cost_zero()}
         )
         state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        cp = ControlProblem(mesh, "quasilinear", state, cs, M=2.0, regularizer="l2")
+        cp = ControlProblem(state, regularizer="l2")
         u = ScalarField(mesh, np.ones(mesh.n_nodes))
         assert abs(evaluate_cost(cp, u) - 1.0) <= 1e-14
+
+
+class TestControlProblem:
+    @pytest.mark.parametrize(
+        "name, regime",
+        [
+            ("gap-family-1d", "quasilinear"),
+            ("sin-gradient-2d", "quasilinear"),
+            ("variational-quartic-1d", "variational"),
+            ("monotone-perturbed-1d", "monotone"),
+        ],
+    )
+    def test_state_fixes_mesh_coefficients_weight_and_regime(self, name, regime):
+        cp = instances.build_control_problem(name)
+        assert cp.mesh is cp.state.mesh
+        assert cp.cs is cp.state.cs
+        assert cp.M == cp.state.cs.M
+        assert cp.regime == regime
+
+    def test_unknown_state_type_rejected(self):
+        cp, _ = tracking_problem(n=8)
+        with pytest.raises(ValueError, match="state problem type"):
+            ControlProblem(cp.cs)
+
+    @pytest.mark.parametrize("missing", ["M", "F"])
+    def test_coefficients_without_weight_or_cost_rejected(self, missing):
+        cp, _ = tracking_problem(n=8)
+        state = QuasilinearStateProblem(cp.mesh, cp.cs.merged(**{missing: None}), b=1.0)
+        with pytest.raises(ValueError, match=missing):
+            ControlProblem(state)
+
+    def test_variational_state_without_source_map_rejected(self):
+        state = instances.build_state_problem("variational-quartic-1d")
+        state = VariationalStateProblem(state.mesh, state.cs.merged(f=None), state.source)
+        with pytest.raises(ValueError, match="map f"):
+            ControlProblem(state)
+
+    def test_with_mesh_carries_no_demo_measure(self, monkeypatch):
+        cp = instances.build_control_problem("gap-family-1d", grid.build_mesh(1, 16))
+        assert cp.demo_measure is not None and cp.reference_controls
+        built = []
+        monkeypatch.setattr(instances, "uniform_two_atom", lambda *a, **k: built.append(a))
+        fine = grid.build_mesh(1, 64)
+        cp_fine = cp.with_mesh(fine)
+        assert built == []
+        assert cp_fine.demo_measure is None and cp_fine.reference_controls == ()
+        assert cp_fine.mesh == fine and cp_fine.regularizer == cp.regularizer
+        assert cp_fine.regime == "quasilinear" and cp_fine.state.b == cp.state.b
 
 
 class TestOptimizeControl:
@@ -120,7 +169,8 @@ class TestOptimizeControl:
 
     def test_matches_quadratic_program_oracle(self):
         cp = instances.build_control_problem("quadratic-variational-1d")
-        _, oracle_cost = quadratic_program_oracle(cp)
+        target = 0.01 * np.sin(np.pi * cp.mesh.node_coords()[:, 0])
+        _, oracle_cost = quadratic_program_oracle(cp, target)
         u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
         _, rep = optimize_control(cp, u0, OptimizeOptions(max_iterations=200))
         assert abs(rep.cost - oracle_cost) <= 1e-4
@@ -196,7 +246,6 @@ class TestOptimizeControl:
             {"max_iterations": -1},
             {"linesearch_max": 0},
             {"gradient_tol": -1e-6},
-            {"fd_step": 0.0},
             {"initial_step": float("nan")},
             {"state_tol": 0.0},
         ],

@@ -75,15 +75,7 @@ class TestQuadraticProgramOracle:
         state = VariationalStateProblem(
             mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes))
         )
-        cp = ControlProblem(
-            mesh,
-            "variational",
-            state,
-            cs,
-            M=1e6,
-            tracking_target=0.01 * np.sin(np.pi * x),
-        )
-        u, _ = quadratic_program_oracle(cp)
+        u, _ = quadratic_program_oracle(ControlProblem(state), 0.01 * np.sin(np.pi * x))
         assert np.max(u) - np.min(u) <= 1e-6
 
     def test_zero_source_map_minimizes_pure_regularizer(self):
@@ -101,21 +93,14 @@ class TestQuadraticProgramOracle:
         state = VariationalStateProblem(
             mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes))
         )
-        cp = ControlProblem(
-            mesh,
-            "variational",
-            state,
-            cs,
-            M=1e-3,
-            tracking_target=np.zeros(mesh.n_nodes),
-        )
-        u, cost = quadratic_program_oracle(cp)
+        u, cost = quadratic_program_oracle(ControlProblem(state), np.zeros(mesh.n_nodes))
         assert np.max(np.abs(u)) <= 1e-10
         assert abs(cost) <= 1e-14
 
     def test_oracle_cost_is_evaluable(self):
         cp = instances.build_control_problem("quadratic-variational-1d")
-        u, cost = quadratic_program_oracle(cp)
+        target = 0.01 * np.sin(np.pi * cp.mesh.node_coords()[:, 0])
+        u, cost = quadratic_program_oracle(cp, target)
         direct = evaluate_cost(cp, ScalarField(cp.mesh, u))
         assert abs(direct - cost) <= 1e-8
 
@@ -127,7 +112,7 @@ class TestEnumerateOracle:
             M=1.0, **{**co.a_zero(), **co.f_zero(), **co.cost_zero()}
         )
         state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        cp = ControlProblem(mesh, "quasilinear", state, cs, M=1.0)
+        cp = ControlProblem(state)
         u, best = enumerate_controls_oracle(cp, (-1.0, 0.0, 1.0))
         assert best == 0.0  # constants have zero gradient
         assert np.max(u.values) == np.min(u.values)
@@ -138,6 +123,6 @@ class TestEnumerateOracle:
             M=1.0, **{**co.a_zero(), **co.f_zero(), **co.cost_zero()}
         )
         state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        cp = ControlProblem(mesh, "quasilinear", state, cs, M=1.0)
+        cp = ControlProblem(state)
         with pytest.raises(ValueError):
             enumerate_controls_oracle(cp, (-1.0, 0.0, 1.0))
