@@ -25,6 +25,7 @@ from . import coefficients as co
 from . import grid
 from . import instances
 from .control_opt import (
+    REGIMES,
     OptimizeOptions,
     minimizing_sequence_demo,
     optimize_control,
@@ -37,17 +38,6 @@ from .state_quasilinear import solve_quasilinear
 from .state_variational import solve_state
 from .young_measure import young_measure_to_csv
 
-SCHEMA = {
-    "experiment": {"kind", "seed", "control", "js"},
-    "instance": {"name", "b"},
-    "mesh": {"dimension", "cells_per_axis"},
-    "solver": {"state_tol", "max_iterations", "gradient_tol", "samples"},
-    "coefficients": {"flux", "a0", "lipschitz_g", "a", "kappa", "omega", "f"},
-    "output": {"directory"},
-}
-KINDS = ("state", "control", "relax", "gap-demo", "verify-hypotheses")
-_CONTROL_PRESETS = ("zero", "one", "sin")
-
 
 class ConfigError(ValueError):
     pass
@@ -55,7 +45,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; serializes back to canonical text."""
+    """Parsed experiment description; serializes back to canonical text.
+
+    Every config key, its attribute, parser and accepted values are listed
+    once, in ``_KEYS``; ``[coefficients]`` keys keep their config names in
+    ``coefficients``.
+    """
 
     kind: str
     seed: int = 0
@@ -80,105 +75,60 @@ class ExperimentConfig:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+        values: dict = {"coefficients": {}}
         for section in cp.sections():
-            if section not in SCHEMA:
+            if not any(s == section for s, _ in _KEYS):
                 raise ConfigError(f"unknown section [{section}]")
-            for key in cp[section]:
-                if key not in SCHEMA[section]:
+            for key, raw in cp[section].items():
+                if (section, key) not in _KEYS:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
-        if "experiment" not in cp or "kind" not in cp["experiment"]:
+                attr, read, accepted = _KEYS[section, key]
+                value = read(raw)
+                if value is not None and not _accepts(value, accepted):
+                    if not isinstance(accepted, str):
+                        accepted = "one of " + ", ".join(map(str, accepted))
+                    raise ConfigError(f"[{section}] {key} must be {accepted}, got {raw!r}")
+                if attr == "coefficients":
+                    values[attr][key] = value
+                else:
+                    values[attr] = value
+        if "kind" not in values:
             raise ConfigError("config needs [experiment] kind = ...")
-        kind = cp["experiment"]["kind"].strip()
-        if kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}; choose {KINDS}")
-        cfg = cls(kind=kind)
-        exp = cp["experiment"]
-        cfg.seed = exp.getint("seed", 0)
-        cfg.control = exp.get("control", "one").strip()
-        if cfg.control not in _CONTROL_PRESETS:
-            raise ConfigError(f"unknown control preset {cfg.control!r}")
-        if "js" in exp:
-            cfg.js = tuple(int(t) for t in exp["js"].replace(",", " ").split())
-            if any(j < 1 for j in cfg.js):
-                raise ConfigError(f"js must list positive integers, got {exp['js']!r}")
-        if "instance" in cp:
-            cfg.instance = cp["instance"].get("name", "").strip() or None
-            if "b" in cp["instance"]:
-                cfg.b_override = cp["instance"].getfloat("b")
-        if "mesh" in cp:
-            if "dimension" in cp["mesh"]:
-                cfg.dimension = cp["mesh"].getint("dimension")
-            if "cells_per_axis" in cp["mesh"]:
-                cfg.cells_per_axis = cp["mesh"].getint("cells_per_axis")
-        if "solver" in cp:
-            sv = cp["solver"]
-            if "state_tol" in sv:
-                cfg.state_tol = sv.getfloat("state_tol")
-                if not cfg.state_tol > 0.0:
-                    raise ConfigError(f"state_tol must be positive, got {sv['state_tol']!r}")
-            if "max_iterations" in sv:
-                cfg.max_iterations = sv.getint("max_iterations")
-            if "gradient_tol" in sv:
-                cfg.gradient_tol = sv.getfloat("gradient_tol")
-            if "samples" in sv:
-                cfg.samples = sv.getint("samples")
-                if cfg.samples < 0:
-                    raise ConfigError(f"samples must be non-negative, got {sv['samples']!r}")
-        if "coefficients" in cp:
-            cfg.coefficients = dict(cp["coefficients"])
-        if "output" in cp:
-            cfg.output_dir = cp["output"].get("directory", "").strip() or None
-        return cfg
+        return cls(**values)
 
     def to_text(self) -> str:
-        out = io.StringIO()
-        out.write("[experiment]\n")
-        out.write(f"kind = {self.kind}\n")
-        out.write(f"seed = {self.seed}\n")
-        out.write(f"control = {self.control}\n")
-        out.write(f"js = {', '.join(str(j) for j in self.js)}\n")
-        if self.instance or self.b_override is not None:
-            out.write("\n[instance]\n")
-            if self.instance:
-                out.write(f"name = {self.instance}\n")
-            if self.b_override is not None:
-                out.write(f"b = {self.b_override!r}\n")
-        if self.dimension is not None or self.cells_per_axis is not None:
-            out.write("\n[mesh]\n")
-            if self.dimension is not None:
-                out.write(f"dimension = {self.dimension}\n")
-            if self.cells_per_axis is not None:
-                out.write(f"cells_per_axis = {self.cells_per_axis}\n")
-        solver_bits = {
-            "state_tol": self.state_tol,
-            "max_iterations": self.max_iterations,
-            "gradient_tol": self.gradient_tol,
-        }
-        if any(v is not None for v in solver_bits.values()) or self.samples != 4:
-            out.write("\n[solver]\n")
-            for k, v in solver_bits.items():
-                if v is not None:
-                    out.write(f"{k} = {v!r}\n")
-            if self.samples != 4:
-                out.write(f"samples = {self.samples}\n")
-        if self.coefficients:
-            out.write("\n[coefficients]\n")
-            for k in sorted(self.coefficients):
-                out.write(f"{k} = {self.coefficients[k]}\n")
-        if self.output_dir:
-            out.write("\n[output]\n")
-            out.write(f"directory = {self.output_dir}\n")
-        return out.getvalue()
+        """Canonical text: every key whose value differs from its default."""
+        sections: dict = {}
+        for (section, key), (attr, _, _) in _KEYS.items():
+            if attr == "coefficients":
+                value, default = self.coefficients.get(key), None
+            else:
+                value, default = getattr(self, attr), self.__dataclass_fields__[attr].default
+            if value is not None and value != default:
+                if isinstance(value, tuple):
+                    value = ", ".join(str(v) for v in value)
+                text = repr(value) if isinstance(value, float) else str(value)
+                sections.setdefault(section, []).append(f"{key} = {text}\n")
+        return "\n".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
 
     def mesh(self):
-        if self.instance and self.dimension is None and self.cells_per_axis is None:
-            return instances.default_mesh(self.instance)
         if self.instance:
             default = instances.default_mesh(self.instance)
-            dim = self.dimension or default.dimension
-            cells = self.cells_per_axis or default.cells_per_axis
-            return grid.build_mesh(dim, cells)
-        return grid.build_mesh(self.dimension or 1, self.cells_per_axis or 32)
+        else:
+            default = grid.build_mesh(1, 32)
+        return grid.build_mesh(
+            self.dimension or default.dimension, self.cells_per_axis or default.cells_per_axis
+        )
+
+
+def _accepts(value, accepted) -> bool:
+    """Whether ``accepted`` (None: anything; a tuple of names; or a bound
+    such as ">= 0" on a number or on each entry of a tuple) takes value."""
+    if isinstance(accepted, str):
+        op, bound = accepted.split()
+        values = np.atleast_1d(value)
+        return bool(np.all(values > float(bound) if op == ">" else values >= float(bound)))
+    return accepted is None or value in accepted
 
 
 def _apply_overrides(cfg_text: str, overrides) -> str:
@@ -199,58 +149,89 @@ def _apply_overrides(cfg_text: str, overrides) -> str:
     return out.getvalue()
 
 
+# control presets: nodal values from the node coordinates
+_CONTROLS = {
+    "zero": lambda x: np.zeros(len(x)),
+    "one": lambda x: np.ones(len(x)),
+    "sin": lambda x: np.prod(np.sin(np.pi * x), axis=1),
+}
+
+
 def _control_field(mesh, preset: str) -> ScalarField:
-    x = mesh.node_coords()
-    if preset == "zero":
-        vals = np.zeros(mesh.n_nodes)
-    elif preset == "one":
-        vals = np.ones(mesh.n_nodes)
-    else:
-        vals = np.sin(np.pi * x[:, 0])
-        if mesh.dimension == 2:
-            vals = vals * np.sin(np.pi * x[:, 1])
-    return ScalarField(mesh, vals)
+    return ScalarField(mesh, _CONTROLS[preset](mesh.node_coords()))
 
 
-def _require_instance(cfg: ExperimentConfig) -> str:
+# [coefficients] names: the flux builds the coefficient set and the a and f
+# terms merge into it, each from the numeric keys
+_FLUXES = {
+    "identity": lambda c: co.identity_flux(),
+    "perturbed-linear": lambda c: co.make_perturbed_linear(
+        c["a0"], co.sin_perturbation(c["lipschitz_g"]), c["lipschitz_g"]
+    ),
+}
+_TERMS = {
+    "a": {
+        "sin": lambda c: co.a_sin_gradient(c["kappa"]),
+        "clamped-linear": lambda c: co.a_clamped_linear(c["kappa"]),
+        "cosine-wells": lambda c: co.a_cosine_wells(c["kappa"], c["omega"]),
+        "zero": lambda c: co.a_zero(),
+    },
+    "f": {"linear": lambda c: co.f_linear(), "tanh": lambda c: co.f_tanh(),
+          "clamp": lambda c: co.f_clamp(), "zero": lambda c: co.f_zero()},
+}
+# the numeric [coefficients] keys and their defaults
+_COEFFICIENT_NUMBERS = {"a0": 1.0, "lipschitz_g": 0.5, "kappa": 1.0, "omega": 5.0}
+
+
+def _coefficients_from_config(conf: dict) -> co.CoefficientSet:
+    c = {**_COEFFICIENT_NUMBERS, **conf}
+    cs = _FLUXES[c.get("flux", "identity")](c)
+    for term, names in _TERMS.items():
+        if term in c:
+            cs = cs.merged(**names[c[term]](c))
+    return cs
+
+
+# -- experiment kinds: build and check the problem before anything is
+# written, then run it into the output directory
+
+
+def _instance(cfg: ExperimentConfig, build):
+    """build(name, mesh, b=...) on the configured instance."""
     if not cfg.instance:
         raise ConfigError(f"experiment kind {cfg.kind!r} needs [instance] name")
-    if cfg.instance not in instances.instance_names():
-        raise ConfigError(f"unknown instance {cfg.instance!r}; try `qlcontrol list`")
-    return cfg.instance
+    return build(cfg.instance, cfg.mesh(), b=cfg.b_override)
+
+
+def _without_wall_time(rep) -> dict:
+    return {k: v for k, v in rep.to_dict().items() if k != "wall_time"}
 
 
 def _build_state(cfg: ExperimentConfig):
-    name = _require_instance(cfg)
-    mesh = cfg.mesh()
-    state = instances.build_state_problem(name, mesh, b=cfg.b_override)
-    return state, mesh
+    state = _instance(cfg, instances.build_state_problem)
+    return state, _control_field(state.mesh, cfg.control)
 
 
-def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings):
-    state, mesh = _build_state(cfg)
-    u = _control_field(mesh, cfg.control)
+def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u):
+    # each solver keeps its own defaults (tolerance, iteration cap)
+    solve = {"variational": solve_state, "monotone": solve_monotone,
+             "quasilinear": solve_quasilinear}[REGIMES[type(state)]]
     kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
-    if hasattr(state, "b"):
-        y, rep = solve_quasilinear(state, u, **kw)
-    elif hasattr(state, "source"):
-        y, rep = solve_state(state, u, **kw)
-    else:
-        y, rep = solve_monotone(state, u, **kw)
+    y, rep = solve(state, u, **kw)
     timings["state_solve"] = time.perf_counter() - t0
-    rep_d = rep.to_dict()
-    rep_d.pop("wall_time", None)
-    results["state"] = rep_d
+    results["state"] = _without_wall_time(rep)
     field_to_csv(y, out_dir / "state.csv")
     field_to_csv(u, out_dir / "control.csv")
     return 0
 
 
-def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings):
-    name = _require_instance(cfg)
-    cp = instances.build_control_problem(name, cfg.mesh(), b=cfg.b_override)
-    u0 = _control_field(cp.mesh, cfg.control)
+def _build_control(cfg: ExperimentConfig):
+    cp = _instance(cfg, instances.build_control_problem)
+    return cp, _control_field(cp.mesh, cfg.control)
+
+
+def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings, cp, u0):
     opts = OptimizeOptions(
         max_iterations=60 if cfg.max_iterations is None else cfg.max_iterations,
         gradient_tol=1e-6 if cfg.gradient_tol is None else cfg.gradient_tol,
@@ -259,16 +240,21 @@ def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings):
     t0 = time.perf_counter()
     u_opt, rep = optimize_control(cp, u0, opts)
     timings["optimize_control"] = time.perf_counter() - t0
-    rep_d = rep.to_dict()
-    rep_d.pop("wall_time", None)
-    results["control"] = rep_d
+    results["control"] = _without_wall_time(rep)
     field_to_csv(u_opt, out_dir / "control.csv")
     return 0
 
 
-def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, want_demo):
-    name = _require_instance(cfg)
-    rp, designed = instances.build_relaxed_problem(name, cfg.mesh(), b=cfg.b_override)
+def _build_relax(cfg: ExperimentConfig):
+    rp, designed = _instance(cfg, instances.build_relaxed_problem)
+    if cfg.kind == "gap-demo" and rp.control.demo_measure is None:
+        raise ConfigError(
+            f"instance {cfg.instance!r} prescribes no oscillation measure for gap-demo"
+        )
+    return rp, designed
+
+
+def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, rp, designed):
     t0 = time.perf_counter()
     report = certify_gap(
         rp,
@@ -280,15 +266,14 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, want_demo
         ),
     )
     timings["certify_gap"] = time.perf_counter() - t0
-    rep_d = report.to_dict()
-    results["relaxation"] = rep_d
-    if name == "gap-family-1d":
+    relaxation = results["relaxation"] = report.to_dict()
+    if cfg.instance == "gap-family-1d":
         delta = instances.gap_margin(rp.mesh)
-        results["relaxation"]["delta_star"] = delta
-        results["relaxation"]["gap_exceeds_margin"] = bool(
+        relaxation["delta_star"] = delta
+        relaxation["gap_exceeds_margin"] = bool(
             report.relaxed <= report.best_classical - delta + 1e-3
         )
-    if want_demo:
+    if cfg.kind == "gap-demo":
         t0 = time.perf_counter()
         costs = minimizing_sequence_demo(rp.control, cfg.js)
         timings["minimizing_sequence_demo"] = time.perf_counter() - t0
@@ -303,23 +288,27 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, want_demo
     return 2 if report.failed else 0
 
 
-def _run_verify(cfg: ExperimentConfig, out_dir: Path, results, timings):
+def _build_verify(cfg: ExperimentConfig):
     if cfg.coefficients:
         cs = _coefficients_from_config(cfg.coefficients)
     else:
-        name = _require_instance(cfg)
-        cs = instances.build_state_problem(name, cfg.mesh()).cs
+        cs = _instance(cfg, instances.build_state_problem).cs
     checks = []
-    t0 = time.perf_counter()
     if cs.A is not None and cs.c is not None:
-        checks.append(co.check_monotonicity(cs, seed=cfg.seed))
+        checks.append(co.check_monotonicity)
     if (cs.A is not None or cs.a is not None) and cs.c is not None and cs.C is not None:
-        checks.append(co.check_growth(cs, seed=cfg.seed))
+        checks.append(co.check_growth)
     if cs.W is not None and cs.c is not None and cs.C is not None:
-        checks.append(co.check_w_growth(cs, seed=cfg.seed))
-    timings["hypothesis_checks"] = time.perf_counter() - t0
+        checks.append(co.check_w_growth)
     if not checks:
         raise ConfigError("nothing to verify for this coefficient set")
+    return cs, checks
+
+
+def _run_verify(cfg: ExperimentConfig, out_dir: Path, results, timings, cs, checks):
+    t0 = time.perf_counter()
+    reports = [check(cs, seed=cfg.seed) for check in checks]
+    timings["hypothesis_checks"] = time.perf_counter() - t0
     results["hypotheses"] = [
         {
             "hypothesis": c.hypothesis,
@@ -327,43 +316,51 @@ def _run_verify(cfg: ExperimentConfig, out_dir: Path, results, timings):
             "worst_margin": c.worst_margin,
             "passed": c.passed,
         }
-        for c in checks
+        for c in reports
     ]
-    return 0 if all(c.passed for c in checks) else 2
+    return 0 if all(c.passed for c in reports) else 2
 
 
-def _coefficients_from_config(conf: dict) -> co.CoefficientSet:
-    flux = conf.get("flux", "identity")
-    if flux == "identity":
-        cs = co.identity_flux()
-    elif flux == "perturbed-linear":
-        a0 = float(conf.get("a0", 1.0))
-        lg = float(conf.get("lipschitz_g", 0.5))
-        cs = co.make_perturbed_linear(a0, co.sin_perturbation(lg), lg)
-    else:
-        raise ConfigError(f"unknown flux {flux!r}")
-    a_name = conf.get("a")
-    if a_name:
-        kappa = float(conf.get("kappa", 1.0))
-        omega = float(conf.get("omega", 5.0))
-        if a_name == "sin":
-            cs = cs.merged(**co.a_sin_gradient(kappa))
-        elif a_name == "clamped-linear":
-            cs = cs.merged(**co.a_clamped_linear(kappa))
-        elif a_name == "cosine-wells":
-            cs = cs.merged(**co.a_cosine_wells(kappa, omega))
-        elif a_name == "zero":
-            cs = cs.merged(**co.a_zero())
-        else:
-            raise ConfigError(f"unknown a term {a_name!r}")
-    f_name = conf.get("f")
-    if f_name:
-        table = {"linear": co.f_linear, "tanh": co.f_tanh, "clamp": co.f_clamp,
-                 "zero": co.f_zero}
-        if f_name not in table:
-            raise ConfigError(f"unknown f map {f_name!r}")
-        cs = cs.merged(**table[f_name]())
-    return cs
+# experiment kind -> (build, run): build returns the problem that run takes
+# after the output directory exists
+_KINDS = {
+    "state": (_build_state, _run_state),
+    "control": (_build_control, _run_control),
+    "relax": (_build_relax, _run_relax),
+    "gap-demo": (_build_relax, _run_relax),
+    "verify-hypotheses": (_build_verify, _run_verify),
+}
+
+
+def _name(text: str) -> Optional[str]:
+    return text or None
+
+
+def _ints(text: str) -> tuple:
+    return tuple(int(t) for t in text.replace(",", " ").split())
+
+
+# (section, key) -> (ExperimentConfig attribute, parser, accepted values); see
+# _accepts for the accepted values
+_KEYS = {
+    ("experiment", "kind"): ("kind", str, tuple(_KINDS)),
+    ("experiment", "seed"): ("seed", int, None),
+    ("experiment", "control"): ("control", str, tuple(_CONTROLS)),
+    ("experiment", "js"): ("js", _ints, ">= 1"),
+    ("instance", "name"): ("instance", _name, tuple(instances.instance_names())),
+    ("instance", "b"): ("b_override", float, None),
+    ("mesh", "dimension"): ("dimension", int, (1, 2)),
+    ("mesh", "cells_per_axis"): ("cells_per_axis", int, ">= 2"),
+    ("solver", "state_tol"): ("state_tol", float, "> 0"),
+    ("solver", "max_iterations"): ("max_iterations", int, ">= 0"),
+    ("solver", "gradient_tol"): ("gradient_tol", float, ">= 0"),
+    ("solver", "samples"): ("samples", int, ">= 0"),
+    ("coefficients", "flux"): ("coefficients", str, tuple(_FLUXES)),
+    ("coefficients", "a"): ("coefficients", str, tuple(_TERMS["a"])),
+    ("coefficients", "f"): ("coefficients", str, tuple(_TERMS["f"])),
+    **{("coefficients", k): ("coefficients", float, None) for k in _COEFFICIENT_NUMBERS},
+    ("output", "directory"): ("output_dir", _name, None),
+}
 
 
 def run(
@@ -385,21 +382,13 @@ def run(
         cfg = ExperimentConfig.parse(text)
         if seed is not None:
             cfg.seed = seed
+        build, execute = _KINDS[cfg.kind]
+        problem = build(cfg)
         out_dir = Path(out or cfg.output_dir or "qlcontrol-out")
         out_dir.mkdir(parents=True, exist_ok=True)
-
         results: dict = {}
         timings: dict = {}
-        if cfg.kind == "state":
-            code = _run_state(cfg, out_dir, results, timings)
-        elif cfg.kind == "control":
-            code = _run_control(cfg, out_dir, results, timings)
-        elif cfg.kind == "relax":
-            code = _run_relax(cfg, out_dir, results, timings, want_demo=False)
-        elif cfg.kind == "gap-demo":
-            code = _run_relax(cfg, out_dir, results, timings, want_demo=True)
-        else:
-            code = _run_verify(cfg, out_dir, results, timings)
+        code = execute(cfg, out_dir, results, timings, *problem)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

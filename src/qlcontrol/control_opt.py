@@ -21,13 +21,9 @@ from . import grid
 from .coefficients import CoefficientSet
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
-from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
-from .state_quasilinear import (
-    QuasilinearStateProblem,
-    solve_quasilinear,
-    solve_quasilinear_columns,
-)
-from .state_variational import VariationalStateProblem, solve_state, solve_state_columns
+from .state_monotone import MonotoneStateProblem, solve_monotone_columns
+from .state_quasilinear import QuasilinearStateProblem, solve_quasilinear_columns
+from .state_variational import VariationalStateProblem, solve_state_columns
 from .young_measure import YoungMeasureField, realize_sequence
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "evaluate_costs",
     "optimize_control",
     "minimizing_sequence_demo",
-    "solve_state_for",
 ]
 
 _STATE_TOL_DEFAULTS = {"variational": 1e-8, "monotone": 1e-9, "quasilinear": 1e-11}
@@ -112,31 +107,15 @@ class ControlProblem:
         return ControlProblem(self.rebuild(mesh), self.regularizer, self.rebuild)
 
 
-def solve_state_for(
-    cp: ControlProblem,
-    u: ScalarField,
-    warm: Optional[ScalarField] = None,
-    state_tol: Optional[float] = None,
-):
-    """State solve of the problem's regime for control u."""
-    tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
-    if cp.regime == "variational":
-        source = ScalarField(cp.mesh, np.asarray(cp.cs.f(u.values), dtype=float))
-        return solve_state(cp.state.with_source(source), u, tol=tol, y0=warm)
-    if cp.regime == "monotone":
-        return solve_monotone(cp.state, u, tol=tol, y0=warm)
-    return solve_quasilinear(cp.state, u, tol=tol, y0=warm)
-
-
 def _state_columns(
     cp: ControlProblem,
     U: np.ndarray,
     warm: Optional[ScalarField],
     state_tol: Optional[float],
 ) -> np.ndarray:
-    """States of a stack of controls (k, n_nodes) in one stacked solve;
-    column i is the state solve_state_for returns for control i (bit for
-    bit in 1D)."""
+    """States of a stack of controls (k, n_nodes) in one stacked solve of
+    the problem's regime; a single state solve is its one-row case, and in
+    1D every row equals that single solve bit for bit."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     y0 = None if warm is None else warm.values
     if cp.regime == "variational":
@@ -178,10 +157,11 @@ def evaluate_cost(
 ):
     """Quadrature of F(y_u) plus the Tychonov term; propagates state-solver
     non-convergence."""
-    y, _ = solve_state_for(cp, u, warm=warm, state_tol=state_tol)
-    cost = float(_costs(cp, u.values[None], y.values[None])[0])
+    U = u.values[None]
+    Y = _state_columns(cp, U, warm, state_tol)
+    cost = float(_costs(cp, U, Y)[0])
     if return_state:
-        return cost, y
+        return cost, ScalarField(cp.mesh, Y[0])
     return cost
 
 

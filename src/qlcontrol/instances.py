@@ -173,9 +173,9 @@ def build_relaxed_problem(
     name: str, mesh: Optional[Mesh] = None, b: Optional[float] = None
 ):
     """Relaxed problem plus the designed init (None when no design exists)."""
+    if name not in relaxable_names():
+        raise ValueError(f"instance {name!r} has no relaxation; try `qlcontrol list`")
     cp = build_control_problem(name, mesh, b=b)
-    if cp.regime != "quasilinear":
-        raise ValueError(f"instance {name!r} has no quasilinear relaxation")
     K = 2 if name == "gap-family-1d" else 4
     rp = RelaxedProblem(cp, atom_budget_state=K, atom_budget_control=K)
     init = gap_designed_init(rp) if name == "gap-family-1d" else None

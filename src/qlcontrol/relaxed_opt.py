@@ -30,9 +30,9 @@ from .control_opt import (
     OptimizeOptions,
     _costs,
     _state_costs,
+    _state_columns,
     evaluate_costs,
     optimize_control,
-    solve_state_for,
 )
 from .grid import Mesh, ScalarField, VectorField
 from .reports import RelaxationReport, SolveReport
@@ -157,6 +157,14 @@ def _mv_state_values(rp: RelaxedProblem, fvals: np.ndarray, abar: np.ndarray) ->
     return grid.helmholtz_solve_values(rp.mesh, rp.b, rhs)
 
 
+def _mv_state(rp: RelaxedProblem, fvals: np.ndarray, nu: YoungMeasureField):
+    """Relaxed state values for source values f(u), and the coupling
+    residual ``l2_norm(gradient(y) - barycenter(nu))``."""
+    y = _mv_state_values(rp, fvals, _abar_cells(rp, nu.atoms, nu.weights))
+    gy = grid.gradient_values(rp.mesh, y)
+    return y, grid.l2_norm(VectorField(rp.mesh, gy - barycenter(nu).values))
+
+
 def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     """Relaxed state for a control and a PH1_0 state-gradient measure.
 
@@ -166,11 +174,13 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     """
     if nu.klass != "PH10":
         raise ValueError("state-gradient measure must be of class PH10")
-    fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
-    y = _mv_state_values(rp, fvals, _abar_cells(rp, nu.atoms, nu.weights))
-    gy = grid.gradient_values(rp.mesh, y)
-    cons = grid.l2_norm(VectorField(rp.mesh, gy - barycenter(nu).values))
+    y, cons = _mv_state(rp, np.asarray(rp.control.cs.f(u.values), dtype=float), nu)
     return ScalarField(rp.mesh, y), cons
+
+
+def _relaxed_cost(rp: RelaxedProblem, mu: YoungMeasureField, y: np.ndarray) -> float:
+    """F(y) + (M/2) * second_moment(mu) for relaxed state values y."""
+    return float(_state_costs(rp.control, y) + 0.5 * rp.control.M * second_moment(mu))
 
 
 def evaluate_relaxed_cost(
@@ -184,14 +194,12 @@ def evaluate_relaxed_cost(
     infeasible nu."""
     if mu.klass != "PH1":
         raise ValueError("control measure must be of class PH1")
-    u = potential(mu)
-    y, cons = solve_mv_state(rp, u, nu)
+    y, cons = solve_mv_state(rp, potential(mu), nu)
     if cons > feasibility_tol:
         raise InfeasibleMeasureError(
             f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
         )
-    cp = rp.control
-    return float(_state_costs(cp, y.values) + 0.5 * cp.M * second_moment(mu))
+    return _relaxed_cost(rp, mu, y.values)
 
 
 def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGHT_STATE_TOL):
@@ -201,7 +209,7 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGH
     normalization of PH1 potentials.
     """
     mesh = rp.mesh
-    y, _ = solve_state_for(rp.control, u, state_tol=state_tol)
+    y = ScalarField(mesh, _state_columns(rp.control, u.values[None], None, state_tol)[0])
     gu = grid.gradient_values(mesh, u.values)
     mu = YoungMeasureField(
         mesh, gu[:, None, :], np.ones((mesh.n_cells, 1)), "PH1", float(np.mean(u.values))
@@ -396,35 +404,29 @@ def optimize_relaxed(
     nu_weights = np.array(init.nu.weights)
 
     def current_mu():
-        return YoungMeasureField(mesh, mu_atoms, mu_weights, "PH1", mu_offset)
+        """The control measure and its source values f(u)."""
+        mu_f = YoungMeasureField(mesh, mu_atoms, mu_weights, "PH1", mu_offset)
+        return mu_f, np.asarray(rp.control.cs.f(potential(mu_f).values), dtype=float)
 
     def current_nu(atoms):
         return YoungMeasureField(mesh, atoms, nu_weights, "PH10")
 
     def feasible_snapshot(atoms):
-        """Project nu exactly and evaluate the true relaxed cost."""
-        mu_f = current_mu()
-        u = potential(mu_f)
-        fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
-        atoms_r = _restore_feasibility(rp, fvals, atoms, nu_weights)
-        nu_f = current_nu(atoms_r)
-        try:
-            val = evaluate_relaxed_cost(rp, mu_f, nu_f, opts.feasibility_tol)
-        except InfeasibleMeasureError:
+        """Project nu exactly; the point's true relaxed cost, measures,
+        state and coupling residual, or None if it stays infeasible."""
+        nu_f = current_nu(_restore_feasibility(rp, fvals, atoms, nu_weights))
+        y, cons = _mv_state(rp, fvals, nu_f)
+        if cons > opts.feasibility_tol:
             return None
-        return val, mu_f, nu_f
+        return _relaxed_cost(rp, mu_f, y), mu_f, nu_f, y, cons
 
+    # mu_f and fvals follow every update of mu
+    mu_f, fvals = current_mu()
     best = feasible_snapshot(nu_atoms)
     rho = opts.rho0
     stopped = "cap"
-    outer_done = 0
 
     for outer in range(1, opts.max_outer + 1):
-        outer_done = outer
-        mu_f = current_mu()
-        u = potential(mu_f)
-        fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
-
         # (i) descend in nu under the penalty
         gnorms: list = []
         (nu_atoms, nu_weights), nu_steps = _phase_descent(
@@ -441,7 +443,9 @@ def optimize_relaxed(
             opts,
             gnorms,
         )
-        mu_offset = float(mu_offset)
+        if mu_steps:
+            mu_offset = float(mu_offset)
+            mu_f, fvals = current_mu()
 
         snap = feasible_snapshot(nu_atoms)
         if snap is not None and (best is None or snap[0] < best[0]):
@@ -459,8 +463,7 @@ def optimize_relaxed(
             break
 
         # tighten the penalty while the raw iterate stays infeasible
-        mu_f = current_mu()
-        _, cons = solve_mv_state(rp, potential(mu_f), current_nu(nu_atoms))
+        _, cons = _mv_state(rp, fvals, current_nu(nu_atoms))
         if cons > opts.feasibility_tol:
             if rho >= opts.rho_max:
                 stopped = "infeasible"
@@ -471,18 +474,16 @@ def optimize_relaxed(
             # the next iteration would redo at the same rho
             stopped = "stalled"
             break
-    _log.debug("optimize_relaxed stopped: %s after %d outer iterations", stopped, outer_done)
+    _log.debug("optimize_relaxed stopped: %s after %d outer iterations", stopped, outer)
 
     if best is None:
         raise InfeasibleMeasureError(
             "no feasible iterate found (penalty capped at rho_max)"
         )
-    value, mu_best, nu_best = best
-    u_best = potential(mu_best)
-    y_best, cons_best = solve_mv_state(rp, u_best, nu_best)
+    value, mu_best, nu_best, y_best, cons_best = best
     report = SolveReport(
         method="alternating-penalty",
-        iterations=outer_done,
+        iterations=outer,
         residual=cons_best,
         converged=stopped == "stationary",
         cost=value,
@@ -490,7 +491,7 @@ def optimize_relaxed(
         wall_time=time.perf_counter() - t0,
         extras={"rho": rho, "stopped": stopped},
     )
-    return mu_best, nu_best, y_best, report
+    return mu_best, nu_best, ScalarField(mesh, y_best), report
 
 
 # -- certification ----------------------------------------------------------------

@@ -10,7 +10,7 @@ contraction of this map on the discrete problem, with margin growing in b.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -48,16 +48,15 @@ def poincare_constant(mesh: Mesh) -> float:
 class QuasilinearStateProblem:
     """Quasilinear problem -lap y + a(grad y) + b y = f(u), zero Dirichlet.
 
-    ``unique`` is derived from the declared Lipschitz constant: b must exceed
-    L^2/4 strictly (linear problems, L = 0, are unique for every b >= 0).
-    Omitting b picks ``max(1, 2 L^2/4)``, a comfortable margin above the
-    threshold.
+    Construction guarantees a unique state: b must exceed L^2/4 strictly,
+    for the declared Lipschitz constant L of a (linear problems, L = 0,
+    accept every b >= 0).  Omitting b picks ``max(1, 2 L^2/4)``, a
+    comfortable margin above the threshold.
     """
 
     mesh: Mesh
     cs: CoefficientSet
     b: Optional[float] = None
-    unique: bool = field(init=False)
 
     def __post_init__(self):
         if self.cs.f is None:
@@ -81,7 +80,6 @@ class QuasilinearStateProblem:
                 "Picard contraction may be slow",
                 stacklevel=2,
             )
-        object.__setattr__(self, "unique", L == 0.0 or self.b > thr)
 
         if self.cs.a is not None:
             # |a(y)| <= C|y| on samples (C defaults to the Lipschitz constant)
@@ -225,10 +223,6 @@ def verify_uniqueness(
     tol: float = 1e-6,
 ) -> HypothesisReport:
     """Solve from random initial iterates and compare all results pairwise."""
-    if not p.unique:
-        raise ValueError(
-            "uniqueness is only guaranteed for b > L^2/4; refusing to verify"
-        )
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal((trials, p.mesh.n_nodes))
     worst = 0.0

@@ -1,5 +1,6 @@
 """Experiment runner: config parsing, runs, exit codes, determinism."""
 
+import configparser
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 import numpy as np
 
 import qlcontrol
-from qlcontrol import control_opt, grid, instances, relaxed_opt
+from qlcontrol import cli, control_opt, grid, instances, relaxed_opt
 from qlcontrol.cli import ConfigError, ExperimentConfig, list_builtin, main, run
 from qlcontrol.control_opt import _state_costs, minimizing_sequence_demo
 
@@ -47,11 +48,60 @@ cells_per_axis = 32
 """
 
 
+# sets every key of the config schema to a value other than its default
+EVERY_KEY_INI = """\
+[experiment]
+kind = verify-hypotheses
+seed = 3
+control = sin
+js = 1, 3
+
+[instance]
+name = sin-gradient-1d
+b = 2.5
+
+[mesh]
+dimension = 1
+cells_per_axis = 16
+
+[solver]
+state_tol = 1e-10
+max_iterations = 7
+gradient_tol = 0.0
+samples = 2
+
+[coefficients]
+flux = perturbed-linear
+a0 = 1.5
+lipschitz_g = 0.25
+a = cosine-wells
+kappa = 0.3
+omega = 4.0
+f = tanh
+
+[output]
+directory = somewhere
+"""
+
+
+def config_keys(text):
+    cp = configparser.ConfigParser()
+    cp.optionxform = str
+    cp.read_string(text)
+    return {(section, key) for section in cp.sections() for key in cp[section]}
+
+
 class TestConfigParsing:
     def test_round_trip(self):
-        cfg = ExperimentConfig.parse(GAP_INI)
-        again = ExperimentConfig.parse(cfg.to_text())
-        assert again == cfg
+        for text in (GAP_INI, EVERY_KEY_INI):
+            cfg = ExperimentConfig.parse(text)
+            again = ExperimentConfig.parse(cfg.to_text())
+            assert again == cfg
+
+    def test_every_key_written_back(self):
+        assert config_keys(EVERY_KEY_INI) == set(cli._KEYS)
+        text = ExperimentConfig.parse(EVERY_KEY_INI).to_text()
+        assert config_keys(text) == set(cli._KEYS)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -77,8 +127,10 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "setting, name",
         [("state_tol = 0", "state_tol"), ("state_tol = -1", "state_tol"),
-         ("samples = -3", "samples")],
-        ids=["state_tol=0", "state_tol=-1", "samples=-3"],
+         ("samples = -3", "samples"), ("max_iterations = -1", "max_iterations"),
+         ("gradient_tol = -1", "gradient_tol")],
+        ids=["state_tol=0", "state_tol=-1", "samples=-3", "max_iterations=-1",
+             "gradient_tol=-1"],
     )
     def test_bad_solver_setting_rejected(self, tmp_path, setting, name):
         text = GAP_INI + f"\n[solver]\n{setting}\n"
@@ -86,6 +138,43 @@ class TestConfigParsing:
             ExperimentConfig.parse(text)
         # rejected before any solve and before the output directory exists
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new", [("dimension = 1", "dimension = 3"),
+                     ("cells_per_axis = 32", "cells_per_axis = 0")],
+        ids=["dimension=3", "cells_per_axis=0"],
+    )
+    def test_mesh_out_of_range_rejected(self, tmp_path, old, new):
+        # a 0 cells_per_axis used to fall back to the instance's mesh
+        text = GAP_INI.replace(old, new)
+        with pytest.raises(ConfigError, match=new.split()[0] + " must be"):
+            ExperimentConfig.parse(text)
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            # the Dirac embedding of a 2D control is infeasible: no relaxation
+            ("[experiment]\nkind = relax\n\n[instance]\nname = sin-gradient-2d\n\n"
+             "[mesh]\ndimension = 2\ncells_per_axis = 6\n", "sin-gradient-2d"),
+            # relaxable, but prescribes no oscillation measure to realize
+            ("[experiment]\nkind = gap-demo\n\n[instance]\nname = sin-gradient-1d\n",
+             "sin-gradient-1d"),
+            (VERIFY_INI.replace("flux = identity", "flux = bogus"), "flux"),
+            ("[experiment]\nkind = state\n\n[instance]\nname = bogus-1d\n", "bogus-1d"),
+        ],
+        ids=["relax-2d", "gap-demo-without-measure", "unknown-flux", "unknown-instance"],
+    )
+    def test_unrunnable_experiment_rejected(self, tmp_path, capsys, monkeypatch, text,
+                                            named):
+        calls = []
+        monkeypatch.setattr(cli, "certify_gap", lambda *a, **k: calls.append(1))
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert named in capsys.readouterr().err
+        # rejected before anything runs and before the output directory exists
+        assert calls == []
         assert not (tmp_path / "out").exists()
 
 

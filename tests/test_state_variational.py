@@ -8,6 +8,7 @@ import pytest
 from qlcontrol import coefficients as co
 from qlcontrol import grid, instances, state_variational
 from qlcontrol.grid import ScalarField
+from qlcontrol.reports import NonConvergenceError
 from qlcontrol.state_variational import (
     VariationalStateProblem,
     inner_energy,
@@ -248,6 +249,36 @@ class TestHalvingLadder:
         # both sides of the rule are exercised: a NaN on a rung past the
         # accepted one is ignored, a NaN before it raises
         assert raised and ignored
+
+
+class TestLineSearchExhaustion:
+    def test_one_exhausted_column_leaves_the_others_alone(self, monkeypatch):
+        mesh = grid.build_mesh(1, 16)
+        p = instances.build_state_problem("variational-quartic-1d", mesh)
+        U = 0.3 * np.random.default_rng(3).standard_normal((4, mesh.n_nodes))
+        singles = [
+            state_variational.solve_state_columns(p, U[i : i + 1], source=U[i : i + 1])
+            for i in range(4)
+        ]
+        gradient = state_variational._energy_gradient
+
+        def flipped(p, y, Gy, u, ucell, source):
+            # column 2 steps uphill, so every halving of its first step is
+            # rejected and it leaves the stack unconverged
+            g = gradient(p, y, Gy, u, ucell, source)
+            return np.where(np.all(source == U[2], axis=-1)[:, None], -g, g)
+
+        monkeypatch.setattr(state_variational, "_energy_gradient", flipped)
+        with pytest.raises(NonConvergenceError) as info:
+            state_variational.solve_state_columns(p, U, source=U)
+        err = info.value
+        assert err.states.shape == U.shape and len(err.reports) == 4
+        assert [r.converged for r in err.reports] == [True, True, False, True]
+        assert err.reports[2].iterations == 1
+        for i in (0, 1, 3):
+            y, reports = singles[i]
+            assert np.array_equal(err.states[i], y[0])
+            assert err.reports[i].to_dict() == reports[0].to_dict()
 
 
 class TestWithSource:
