@@ -29,13 +29,11 @@ from .control_opt import (
     OptimizeOptions,
     minimizing_sequence_demo,
     optimize_control,
+    state_solvers,
 )
 from .grid import ScalarField, field_to_csv
 from .relaxed_opt import certify_gap
 from .reports import NonConvergenceError
-from .state_monotone import solve_monotone
-from .state_quasilinear import solve_quasilinear
-from .state_variational import solve_state
 from .young_measure import young_measure_to_csv
 
 
@@ -84,10 +82,8 @@ class ExperimentConfig:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 attr, read, accepted = _KEYS[section, key]
                 value = read(raw)
-                if value is not None and not _accepts(value, accepted):
-                    if not isinstance(accepted, str):
-                        accepted = "one of " + ", ".join(map(str, accepted))
-                    raise ConfigError(f"[{section}] {key} must be {accepted}, got {raw!r}")
+                if value is not None and accepted is not None and not accepted[0](value):
+                    raise ConfigError(f"[{section}] {key} must be {accepted[1]}, got {raw!r}")
                 if attr == "coefficients":
                     values[attr][key] = value
                 else:
@@ -119,16 +115,6 @@ class ExperimentConfig:
         return grid.build_mesh(
             self.dimension or default.dimension, self.cells_per_axis or default.cells_per_axis
         )
-
-
-def _accepts(value, accepted) -> bool:
-    """Whether ``accepted`` (None: anything; a tuple of names; or a bound
-    such as ">= 0" on a number or on each entry of a tuple) takes value."""
-    if isinstance(accepted, str):
-        op, bound = accepted.split()
-        values = np.atleast_1d(value)
-        return bool(np.all(values > float(bound) if op == ">" else values >= float(bound)))
-    return accepted is None or value in accepted
 
 
 def _apply_overrides(cfg_text: str, overrides) -> str:
@@ -213,9 +199,8 @@ def _build_state(cfg: ExperimentConfig):
 
 
 def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u):
-    # each solver keeps its own defaults (tolerance, iteration cap)
-    solve = {"variational": solve_state, "monotone": solve_monotone,
-             "quasilinear": solve_quasilinear}[REGIMES[type(state)]]
+    # the single solve keeps its own defaults (tolerance, iteration cap)
+    solve = state_solvers(REGIMES[type(state)])[0]
     kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
     y, rep = solve(state, u, **kw)
@@ -340,24 +325,33 @@ def _ints(text: str) -> tuple:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-# (section, key) -> (ExperimentConfig attribute, parser, accepted values); see
-# _accepts for the accepted values
+# accepted values of a key: (check, description) or None for anything
+def _one_of(names) -> tuple:
+    return (lambda v: v in names, "one of " + ", ".join(map(str, names)))
+
+
+def _at_least(low) -> tuple:
+    """Every entry of a number or of a tuple of numbers is >= low."""
+    return (lambda v: bool(np.all(np.atleast_1d(v) >= low)), f">= {low}")
+
+
+# (section, key) -> (ExperimentConfig attribute, parser, accepted values)
 _KEYS = {
-    ("experiment", "kind"): ("kind", str, tuple(_KINDS)),
+    ("experiment", "kind"): ("kind", str, _one_of(_KINDS)),
     ("experiment", "seed"): ("seed", int, None),
-    ("experiment", "control"): ("control", str, tuple(_CONTROLS)),
-    ("experiment", "js"): ("js", _ints, ">= 1"),
-    ("instance", "name"): ("instance", _name, tuple(instances.instance_names())),
+    ("experiment", "control"): ("control", str, _one_of(_CONTROLS)),
+    ("experiment", "js"): ("js", _ints, _at_least(1)),
+    ("instance", "name"): ("instance", _name, _one_of(instances.instance_names())),
     ("instance", "b"): ("b_override", float, None),
-    ("mesh", "dimension"): ("dimension", int, (1, 2)),
-    ("mesh", "cells_per_axis"): ("cells_per_axis", int, ">= 2"),
-    ("solver", "state_tol"): ("state_tol", float, "> 0"),
-    ("solver", "max_iterations"): ("max_iterations", int, ">= 0"),
-    ("solver", "gradient_tol"): ("gradient_tol", float, ">= 0"),
-    ("solver", "samples"): ("samples", int, ">= 0"),
-    ("coefficients", "flux"): ("coefficients", str, tuple(_FLUXES)),
-    ("coefficients", "a"): ("coefficients", str, tuple(_TERMS["a"])),
-    ("coefficients", "f"): ("coefficients", str, tuple(_TERMS["f"])),
+    ("mesh", "dimension"): ("dimension", int, _one_of((1, 2))),
+    ("mesh", "cells_per_axis"): ("cells_per_axis", int, _at_least(2)),
+    ("solver", "state_tol"): ("state_tol", float, (lambda v: v > 0, "> 0")),
+    ("solver", "max_iterations"): ("max_iterations", int, _at_least(0)),
+    ("solver", "gradient_tol"): ("gradient_tol", float, _at_least(0)),
+    ("solver", "samples"): ("samples", int, _at_least(0)),
+    ("coefficients", "flux"): ("coefficients", str, _one_of(_FLUXES)),
+    ("coefficients", "a"): ("coefficients", str, _one_of(_TERMS["a"])),
+    ("coefficients", "f"): ("coefficients", str, _one_of(_TERMS["f"])),
     **{("coefficients", k): ("coefficients", float, None) for k in _COEFFICIENT_NUMBERS},
     ("output", "directory"): ("output_dir", _name, None),
 }

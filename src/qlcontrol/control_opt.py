@@ -21,9 +21,13 @@ from . import grid
 from .coefficients import CoefficientSet
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
-from .state_monotone import MonotoneStateProblem, solve_monotone_columns
-from .state_quasilinear import QuasilinearStateProblem, solve_quasilinear_columns
-from .state_variational import VariationalStateProblem, solve_state_columns
+from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
+from .state_quasilinear import (
+    QuasilinearStateProblem,
+    solve_quasilinear,
+    solve_quasilinear_columns,
+)
+from .state_variational import VariationalStateProblem, solve_state, solve_state_columns
 from .young_measure import YoungMeasureField, realize_sequence
 
 __all__ = [
@@ -107,6 +111,34 @@ class ControlProblem:
         return ControlProblem(self.rebuild(mesh), self.regularizer, self.rebuild)
 
 
+def state_solvers(regime: str) -> tuple:
+    """(single solve, stacked solve) of a regime: the one place a regime
+    picks its state solver.  The table is built per call, so it reads this
+    module's current bindings (wrappers installed on them, as perfbench's
+    tracer does, see every solve)."""
+    return {
+        "variational": (solve_state, solve_state_columns),
+        "monotone": (solve_monotone, solve_monotone_columns),
+        "quasilinear": (solve_quasilinear, solve_quasilinear_columns),
+    }[regime]
+
+
+def _state_one(
+    cp: ControlProblem,
+    u: ScalarField,
+    warm: Optional[ScalarField],
+    state_tol: Optional[float],
+) -> ScalarField:
+    """State of one control through the regime's single solve; in 1D it
+    equals row 0 of _state_columns on ``u.values[None]`` bit for bit."""
+    tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
+    state = cp.state
+    if cp.regime == "variational":
+        state = state.with_source(ScalarField(cp.mesh, np.asarray(cp.cs.f(u.values), dtype=float)))
+    y, _ = state_solvers(cp.regime)[0](state, u, tol=tol, y0=warm)
+    return y
+
+
 def _state_columns(
     cp: ControlProblem,
     U: np.ndarray,
@@ -114,17 +146,12 @@ def _state_columns(
     state_tol: Optional[float],
 ) -> np.ndarray:
     """States of a stack of controls (k, n_nodes) in one stacked solve of
-    the problem's regime; a single state solve is its one-row case, and in
-    1D every row equals that single solve bit for bit."""
+    the problem's regime; in 1D row i equals _state_one on control i bit for
+    bit."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     y0 = None if warm is None else warm.values
-    if cp.regime == "variational":
-        source = np.asarray(cp.cs.f(U), dtype=float)
-        Y, _ = solve_state_columns(cp.state, U, y0=y0, source=source, tol=tol)
-    elif cp.regime == "monotone":
-        Y, _ = solve_monotone_columns(cp.state, U, tol=tol, y0=y0)
-    else:
-        Y, _ = solve_quasilinear_columns(cp.state, U, tol=tol, y0=y0)
+    kw = {"source": np.asarray(cp.cs.f(U), dtype=float)} if cp.regime == "variational" else {}
+    Y, _ = state_solvers(cp.regime)[1](cp.state, U, tol=tol, y0=y0, **kw)
     return Y
 
 
@@ -157,11 +184,10 @@ def evaluate_cost(
 ):
     """Quadrature of F(y_u) plus the Tychonov term; propagates state-solver
     non-convergence."""
-    U = u.values[None]
-    Y = _state_columns(cp, U, warm, state_tol)
-    cost = float(_costs(cp, U, Y)[0])
+    y = _state_one(cp, u, warm, state_tol)
+    cost = float(_costs(cp, u.values[None], y.values[None])[0])
     if return_state:
-        return cost, ScalarField(cp.mesh, Y[0])
+        return cost, y
     return cost
 
 

@@ -30,7 +30,7 @@ from .control_opt import (
     OptimizeOptions,
     _costs,
     _state_costs,
-    _state_columns,
+    _state_one,
     evaluate_costs,
     optimize_control,
 )
@@ -157,14 +157,6 @@ def _mv_state_values(rp: RelaxedProblem, fvals: np.ndarray, abar: np.ndarray) ->
     return grid.helmholtz_solve_values(rp.mesh, rp.b, rhs)
 
 
-def _mv_state(rp: RelaxedProblem, fvals: np.ndarray, nu: YoungMeasureField):
-    """Relaxed state values for source values f(u), and the coupling
-    residual ``l2_norm(gradient(y) - barycenter(nu))``."""
-    y = _mv_state_values(rp, fvals, _abar_cells(rp, nu.atoms, nu.weights))
-    gy = grid.gradient_values(rp.mesh, y)
-    return y, grid.l2_norm(VectorField(rp.mesh, gy - barycenter(nu).values))
-
-
 def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     """Relaxed state for a control and a PH1_0 state-gradient measure.
 
@@ -174,7 +166,10 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     """
     if nu.klass != "PH10":
         raise ValueError("state-gradient measure must be of class PH10")
-    y, cons = _mv_state(rp, np.asarray(rp.control.cs.f(u.values), dtype=float), nu)
+    fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
+    y = _mv_state_values(rp, fvals, _abar_cells(rp, nu.atoms, nu.weights))
+    gy = grid.gradient_values(rp.mesh, y)
+    cons = grid.l2_norm(VectorField(rp.mesh, gy - barycenter(nu).values))
     return ScalarField(rp.mesh, y), cons
 
 
@@ -209,7 +204,7 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGH
     normalization of PH1 potentials.
     """
     mesh = rp.mesh
-    y = ScalarField(mesh, _state_columns(rp.control, u.values[None], None, state_tol)[0])
+    y = _state_one(rp.control, u, None, state_tol)
     gu = grid.gradient_values(mesh, u.values)
     mu = YoungMeasureField(
         mesh, gu[:, None, :], np.ones((mesh.n_cells, 1)), "PH1", float(np.mean(u.values))
@@ -404,9 +399,10 @@ def optimize_relaxed(
     nu_weights = np.array(init.nu.weights)
 
     def current_mu():
-        """The control measure and its source values f(u)."""
+        """The control measure, its control u and the source values f(u)."""
         mu_f = YoungMeasureField(mesh, mu_atoms, mu_weights, "PH1", mu_offset)
-        return mu_f, np.asarray(rp.control.cs.f(potential(mu_f).values), dtype=float)
+        u = potential(mu_f)
+        return mu_f, u, np.asarray(rp.control.cs.f(u.values), dtype=float)
 
     def current_nu(atoms):
         return YoungMeasureField(mesh, atoms, nu_weights, "PH10")
@@ -415,13 +411,13 @@ def optimize_relaxed(
         """Project nu exactly; the point's true relaxed cost, measures,
         state and coupling residual, or None if it stays infeasible."""
         nu_f = current_nu(_restore_feasibility(rp, fvals, atoms, nu_weights))
-        y, cons = _mv_state(rp, fvals, nu_f)
+        y, cons = solve_mv_state(rp, u, nu_f)
         if cons > opts.feasibility_tol:
             return None
-        return _relaxed_cost(rp, mu_f, y), mu_f, nu_f, y, cons
+        return _relaxed_cost(rp, mu_f, y.values), mu_f, nu_f, y, cons
 
-    # mu_f and fvals follow every update of mu
-    mu_f, fvals = current_mu()
+    # mu_f, u and fvals follow every update of mu
+    mu_f, u, fvals = current_mu()
     best = feasible_snapshot(nu_atoms)
     rho = opts.rho0
     stopped = "cap"
@@ -445,7 +441,7 @@ def optimize_relaxed(
         )
         if mu_steps:
             mu_offset = float(mu_offset)
-            mu_f, fvals = current_mu()
+            mu_f, u, fvals = current_mu()
 
         snap = feasible_snapshot(nu_atoms)
         if snap is not None and (best is None or snap[0] < best[0]):
@@ -463,7 +459,7 @@ def optimize_relaxed(
             break
 
         # tighten the penalty while the raw iterate stays infeasible
-        _, cons = _mv_state(rp, fvals, current_nu(nu_atoms))
+        _, cons = solve_mv_state(rp, u, current_nu(nu_atoms))
         if cons > opts.feasibility_tol:
             if rho >= opts.rho_max:
                 stopped = "infeasible"
@@ -491,7 +487,7 @@ def optimize_relaxed(
         wall_time=time.perf_counter() - t0,
         extras={"rho": rho, "stopped": stopped},
     )
-    return mu_best, nu_best, ScalarField(mesh, y_best), report
+    return mu_best, nu_best, y_best, report
 
 
 # -- certification ----------------------------------------------------------------

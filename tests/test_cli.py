@@ -98,10 +98,10 @@ class TestConfigParsing:
             again = ExperimentConfig.parse(cfg.to_text())
             assert again == cfg
 
-    def test_every_key_written_back(self):
+    def test_every_key_config_covers_the_schema(self):
+        # every key of EVERY_KEY_INI differs from its default, so the round
+        # trip above also checks that to_text writes each one back
         assert config_keys(EVERY_KEY_INI) == set(cli._KEYS)
-        text = ExperimentConfig.parse(EVERY_KEY_INI).to_text()
-        assert config_keys(text) == set(cli._KEYS)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
