@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import json
 import sys
 import time
@@ -43,7 +42,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """Parsed experiment description; serializes back to canonical text.
+    """Parsed experiment description.
 
     Every config key, its attribute, parser and accepted values are listed
     once, in ``_KEYS``; ``[coefficients]`` keys keep their config names in
@@ -66,13 +65,23 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     @classmethod
-    def parse(cls, text: str) -> "ExperimentConfig":
+    def parse(cls, text: str, overrides=()) -> "ExperimentConfig":
+        """Parse config text after applying ``section.key=value`` overrides."""
         cp = configparser.ConfigParser()
         cp.optionxform = str  # keep key case
         try:
             cp.read_string(text)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse config: {exc}") from exc
+        for ov in overrides:
+            key, eq, value = ov.partition("=")
+            section, dot, name = key.partition(".")
+            if not (eq and dot):
+                raise ConfigError(f"override must be section.key=value, got {ov!r}")
+            section = section.strip()
+            if not cp.has_section(section):
+                cp.add_section(section)
+            cp[section][name.strip()] = value.strip()
         values: dict = {"coefficients": {}}
         for section in cp.sections():
             if not any(s == section for s, _ in _KEYS):
@@ -92,21 +101,6 @@ class ExperimentConfig:
             raise ConfigError("config needs [experiment] kind = ...")
         return cls(**values)
 
-    def to_text(self) -> str:
-        """Canonical text: every key whose value differs from its default."""
-        sections: dict = {}
-        for (section, key), (attr, _, _) in _KEYS.items():
-            if attr == "coefficients":
-                value, default = self.coefficients.get(key), None
-            else:
-                value, default = getattr(self, attr), self.__dataclass_fields__[attr].default
-            if value is not None and value != default:
-                if isinstance(value, tuple):
-                    value = ", ".join(str(v) for v in value)
-                text = repr(value) if isinstance(value, float) else str(value)
-                sections.setdefault(section, []).append(f"{key} = {text}\n")
-        return "\n".join(f"[{s}]\n" + "".join(lines) for s, lines in sections.items())
-
     def mesh(self):
         if self.instance:
             default = instances.default_mesh(self.instance)
@@ -115,24 +109,6 @@ class ExperimentConfig:
         return grid.build_mesh(
             self.dimension or default.dimension, self.cells_per_axis or default.cells_per_axis
         )
-
-
-def _apply_overrides(cfg_text: str, overrides) -> str:
-    """Apply --override section.key=value pairs to the raw config text."""
-    cp = configparser.ConfigParser()
-    cp.optionxform = str
-    cp.read_string(cfg_text)
-    for ov in overrides:
-        if "=" not in ov or "." not in ov.split("=", 1)[0]:
-            raise ConfigError(f"override must be section.key=value, got {ov!r}")
-        key, value = ov.split("=", 1)
-        section, name = key.split(".", 1)
-        if not cp.has_section(section):
-            cp.add_section(section)
-        cp[section.strip()][name.strip()] = value.strip()
-    out = io.StringIO()
-    cp.write(out)
-    return out.getvalue()
 
 
 # control presets: nodal values from the node coordinates
@@ -189,10 +165,6 @@ def _instance(cfg: ExperimentConfig, build):
     return build(cfg.instance, cfg.mesh(), b=cfg.b_override)
 
 
-def _without_wall_time(rep) -> dict:
-    return {k: v for k, v in rep.to_dict().items() if k != "wall_time"}
-
-
 def _build_state(cfg: ExperimentConfig):
     state = _instance(cfg, instances.build_state_problem)
     return state, _control_field(state.mesh, cfg.control)
@@ -205,7 +177,7 @@ def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u)
     t0 = time.perf_counter()
     y, rep = solve(state, u, **kw)
     timings["state_solve"] = time.perf_counter() - t0
-    results["state"] = _without_wall_time(rep)
+    results["state"] = rep.to_dict()
     field_to_csv(y, out_dir / "state.csv")
     field_to_csv(u, out_dir / "control.csv")
     return 0
@@ -225,7 +197,7 @@ def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings, cp, u0)
     t0 = time.perf_counter()
     u_opt, rep = optimize_control(cp, u0, opts)
     timings["optimize_control"] = time.perf_counter() - t0
-    results["control"] = _without_wall_time(rep)
+    results["control"] = rep.to_dict()
     field_to_csv(u_opt, out_dir / "control.csv")
     return 0
 
@@ -252,8 +224,8 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, rp, desig
     )
     timings["certify_gap"] = time.perf_counter() - t0
     relaxation = results["relaxation"] = report.to_dict()
-    if cfg.instance == "gap-family-1d":
-        delta = instances.gap_margin(rp.mesh)
+    if designed is not None:
+        delta = instances.designed_margin(rp, designed)
         relaxation["delta_star"] = delta
         relaxation["gap_exceeds_margin"] = bool(
             report.relaxed <= report.best_classical - delta + 1e-3
@@ -371,9 +343,7 @@ def run(
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
     try:
-        if overrides:
-            text = _apply_overrides(text, overrides)
-        cfg = ExperimentConfig.parse(text)
+        cfg = ExperimentConfig.parse(text, overrides)
         if seed is not None:
             cfg.seed = seed
         build, execute = _KINDS[cfg.kind]

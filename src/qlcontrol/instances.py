@@ -28,7 +28,7 @@ from .control_opt import evaluate_cost
 from .state_monotone import MonotoneStateProblem
 from .state_quasilinear import QuasilinearStateProblem, uniqueness_threshold
 from .state_variational import VariationalStateProblem
-from .young_measure import YoungMeasureField, uniform_two_atom
+from .young_measure import YoungMeasureField, potential, uniform_two_atom
 
 __all__ = [
     "GAP_KAPPA",
@@ -39,6 +39,7 @@ __all__ = [
     "build_control_problem",
     "build_relaxed_problem",
     "build_state_problem",
+    "designed_margin",
     "gap_designed_init",
     "gap_margin",
     "catalog",
@@ -124,7 +125,8 @@ def _monotone_cs() -> co.CoefficientSet:
 
 
 def build_state_problem(name: str, mesh: Optional[Mesh] = None, b: Optional[float] = None):
-    """State-level problem for the named instance (optional b override)."""
+    """State-level problem for the named instance; b overrides the b of a
+    quasilinear instance and is an error on any other."""
     if mesh is None:
         mesh = default_mesh(name)
     if name == "gap-family-1d":
@@ -137,6 +139,8 @@ def build_state_problem(name: str, mesh: Optional[Mesh] = None, b: Optional[floa
         return QuasilinearStateProblem(
             mesh, _linear_quasilinear_cs(), b=1.0 if b is None else b
         )
+    if b is not None and name in _DEFAULT_CELLS:
+        raise ValueError(f"instance {name!r} has no b; only quasilinear instances do")
     if name == "variational-quartic-1d":
         cs = _variational_quartic_cs()
         return VariationalStateProblem(
@@ -213,22 +217,23 @@ def gap_designed_init(rp: RelaxedProblem) -> RelaxedInit:
     return RelaxedInit(mu, nu)
 
 
-def gap_margin(mesh: Optional[Mesh] = None) -> float:
-    """Designed margin delta* between the classical and relaxed optima.
+def designed_margin(rp: RelaxedProblem, init: RelaxedInit) -> float:
+    """Designed margin delta* between the classical and relaxed optima of rp.
 
-    Computed from the instance itself: classical cost at the reference
-    control u = 1 minus the two-atom candidate's relaxed value, scaled by a
-    safety factor covering whatever ground the classical optimizer can still
-    gain over the reference control.
+    Classical cost at the designed init's control minus the designed
+    candidate's relaxed value, scaled by a safety factor covering whatever
+    ground the classical optimizer can still gain over that control.
     """
-    rp, init = build_relaxed_problem("gap-family-1d", mesh)
-    classical_ref = evaluate_cost(rp.control, ScalarField(
-        rp.mesh, np.ones(rp.mesh.n_nodes)), state_tol=1e-12)
-    relaxed_cand = evaluate_relaxed_cost(rp, init.mu, init.nu)
-    raw = classical_ref - relaxed_cand
+    classical_ref = evaluate_cost(rp.control, potential(init.mu), state_tol=1e-12)
+    raw = classical_ref - evaluate_relaxed_cost(rp, init.mu, init.nu)
     if raw <= 0.0:
-        raise RuntimeError("gap family lost its designed margin")
+        raise RuntimeError("the designed init lost its margin")
     return GAP_MARGIN_SAFETY * raw
+
+
+def gap_margin(mesh: Optional[Mesh] = None) -> float:
+    """delta* of gap-family-1d at its default b."""
+    return designed_margin(*build_relaxed_problem("gap-family-1d", mesh))
 
 
 # -- catalog ----------------------------------------------------------------------

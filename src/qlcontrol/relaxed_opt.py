@@ -152,9 +152,13 @@ def _barycenters(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.einsum("...ck,...ckn->...cn", weights, atoms)
 
 
-def _mv_state_values(rp: RelaxedProblem, fvals: np.ndarray, abar: np.ndarray) -> np.ndarray:
-    rhs = fvals - grid.cell_to_node_values(rp.mesh, abar)
-    return grid.helmholtz_solve_values(rp.mesh, rp.b, rhs)
+def _relaxed_states(rp: RelaxedProblem, fvals, abar, bary):
+    """Relaxed states y of (-lap + b) y = f(u) - avg(a) for a stack of
+    points, and their coupling mismatch grad y - barycenter."""
+    y = grid.helmholtz_solve_values(
+        rp.mesh, rp.b, fvals - grid.cell_to_node_values(rp.mesh, abar)
+    )
+    return y, grid.gradient_values(rp.mesh, y) - bary
 
 
 def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
@@ -167,15 +171,27 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
     if nu.klass != "PH10":
         raise ValueError("state-gradient measure must be of class PH10")
     fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
-    y = _mv_state_values(rp, fvals, _abar_cells(rp, nu.atoms, nu.weights))
-    gy = grid.gradient_values(rp.mesh, y)
-    cons = grid.l2_norm(VectorField(rp.mesh, gy - barycenter(nu).values))
-    return ScalarField(rp.mesh, y), cons
+    y, mismatch = _relaxed_states(
+        rp, fvals, _abar_cells(rp, nu.atoms, nu.weights), barycenter(nu).values
+    )
+    return ScalarField(rp.mesh, y), grid.l2_norm(VectorField(rp.mesh, mismatch))
 
 
 def _relaxed_cost(rp: RelaxedProblem, mu: YoungMeasureField, y: np.ndarray) -> float:
     """F(y) + (M/2) * second_moment(mu) for relaxed state values y."""
     return float(_state_costs(rp.control, y) + 0.5 * rp.control.M * second_moment(mu))
+
+
+def _relaxed_point(rp: RelaxedProblem, mu, nu, feasibility_tol: float = FEASIBILITY_TOL):
+    """Relaxed cost and relaxed state of (mu, nu); raises on infeasible nu."""
+    if mu.klass != "PH1":
+        raise ValueError("control measure must be of class PH1")
+    y, cons = solve_mv_state(rp, potential(mu), nu)
+    if cons > feasibility_tol:
+        raise InfeasibleMeasureError(
+            f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
+        )
+    return _relaxed_cost(rp, mu, y.values), y
 
 
 def evaluate_relaxed_cost(
@@ -187,14 +203,7 @@ def evaluate_relaxed_cost(
     """Relaxed cost F(y) + (M/2) * second_moment(mu); the control is the
     barycenter potential of mu plus its stored constant.  Raises on
     infeasible nu."""
-    if mu.klass != "PH1":
-        raise ValueError("control measure must be of class PH1")
-    y, cons = solve_mv_state(rp, potential(mu), nu)
-    if cons > feasibility_tol:
-        raise InfeasibleMeasureError(
-            f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
-        )
-    return _relaxed_cost(rp, mu, y.values)
+    return _relaxed_point(rp, mu, nu, feasibility_tol)[0]
 
 
 def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGHT_STATE_TOL):
@@ -231,50 +240,37 @@ def _project_simplex_rows(W: np.ndarray) -> np.ndarray:
     return out / np.sum(out, axis=1, keepdims=True)
 
 
-class _Phase:
-    """Penalized objective of one alternation phase; ``values`` scores a
-    stack of parameter points (atoms, weights[, offset]) at once."""
+def _nu_objective(rp: RelaxedProblem, fvals: np.ndarray, rho: float):
+    """Penalized objective in the state-gradient measure at fixed control,
+    on a stack of (atoms, weights) points."""
 
-    def value(self, *params) -> float:
-        return float(self.values(*(np.asarray(p)[None] for p in params))[0])
-
-
-class _NuPhase(_Phase):
-    """Penalized objective in the state-gradient measure at fixed control."""
-
-    def __init__(self, rp: RelaxedProblem, fvals: np.ndarray, rho: float):
-        self.rp = rp
-        self.fvals = fvals
-        self.rho = rho
-
-    def values(self, atoms, weights):
-        rp = self.rp
-        y = _mv_state_values(rp, self.fvals, _abar_cells(rp, atoms, weights))
-        mismatch = grid.gradient_values(rp.mesh, y) - _barycenters(atoms, weights)
+    def values(atoms, weights):
+        y, mismatch = _relaxed_states(
+            rp, fvals, _abar_cells(rp, atoms, weights), _barycenters(atoms, weights)
+        )
         cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
-        return _state_costs(rp.control, y) + self.rho * cons2
+        return _state_costs(rp.control, y) + rho * cons2
+
+    return values
 
 
-class _MuPhase(_Phase):
-    """Penalized objective in the control measure at fixed nu."""
+def _mu_objective(rp: RelaxedProblem, nu_atoms, nu_weights, rho: float):
+    """Penalized objective in the control measure at fixed nu, on a stack of
+    (atoms, weights, offset) points."""
+    abar = _abar_cells(rp, nu_atoms, nu_weights)
+    nu_bary = _barycenters(nu_atoms, nu_weights)
 
-    def __init__(self, rp: RelaxedProblem, nu_atoms, nu_weights, rho: float):
-        self.rp = rp
-        self.abar = _abar_cells(rp, nu_atoms, nu_weights)
-        self.nu_bary = _barycenters(nu_atoms, nu_weights)
-        self.rho = rho
-
-    def values(self, atoms, weights, offset):
-        rp = self.rp
+    def values(atoms, weights, offset):
         pot = grid.gradient_potential_values(rp.mesh, _barycenters(atoms, weights), "h1")
         fvals = np.asarray(rp.control.cs.f(pot + offset[..., None]), dtype=float)
-        y = _mv_state_values(rp, fvals, self.abar)
-        mismatch = grid.gradient_values(rp.mesh, y) - self.nu_bary
+        y, mismatch = _relaxed_states(rp, fvals, abar, nu_bary)
         cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
         sm = rp.mesh.cell_volume * np.sum(
             weights * np.sum(atoms * atoms, axis=-1), axis=(-2, -1)
         )
-        return _state_costs(rp.control, y) + 0.5 * rp.control.M * sm + self.rho * cons2
+        return _state_costs(rp.control, y) + 0.5 * rp.control.M * sm + rho * cons2
+
+    return values
 
 
 def _fd_gradient(values, params, fd: float):
@@ -332,16 +328,17 @@ def _descend(values, params, grads, step0: float, base: float):
     return [t[k] for t in trials], float(steps[k])
 
 
-def _phase_descent(phase: _Phase, params, opts: RelaxOptions, gnorms: list):
-    """Up to opts.inner_steps projected-gradient steps on one phase; appends
-    each gradient's sup norm to gnorms and returns the final parameters and
-    the number of steps accepted (0: the parameters are returned as given)."""
+def _phase_descent(values, params, opts: RelaxOptions, gnorms: list):
+    """Up to opts.inner_steps projected-gradient steps on the stacked phase
+    objective ``values``; appends each gradient's sup norm to gnorms and
+    returns the final parameters and the number of steps accepted (0: the
+    parameters are returned as given)."""
     step = _STEP0
     accepted = 0
     for _ in range(opts.inner_steps):
-        base, grads = _fd_gradient(phase.values, params, _FD_STEP)
+        base, grads = _fd_gradient(values, params, _FD_STEP)
         gnorms.append(float(np.max([np.max(np.abs(g)) for g in grads])))
-        params, used = _descend(phase.values, params, grads, step, base)
+        params, used = _descend(values, params, grads, step, base)
         if used == 0.0:
             break
         accepted += 1
@@ -352,9 +349,10 @@ def _phase_descent(phase: _Phase, params, opts: RelaxOptions, gnorms: list):
 def _restore_feasibility(rp: RelaxedProblem, fvals, atoms, weights):
     """Shift atoms per cell so the barycenter matches the current state
     gradient exactly (one linear solve)."""
-    y = _mv_state_values(rp, fvals, _abar_cells(rp, atoms, weights))
-    gy = grid.gradient_values(rp.mesh, y)
-    return atoms + (gy - _barycenters(atoms, weights))[:, None, :]
+    _, mismatch = _relaxed_states(
+        rp, fvals, _abar_cells(rp, atoms, weights), _barycenters(atoms, weights)
+    )
+    return atoms + mismatch[:, None, :]
 
 
 def optimize_relaxed(
@@ -426,7 +424,7 @@ def optimize_relaxed(
         # (i) descend in nu under the penalty
         gnorms: list = []
         (nu_atoms, nu_weights), nu_steps = _phase_descent(
-            _NuPhase(rp, fvals, rho), [nu_atoms, nu_weights], opts, gnorms
+            _nu_objective(rp, fvals, rho), [nu_atoms, nu_weights], opts, gnorms
         )
 
         # (ii) feasibility restoration
@@ -434,7 +432,7 @@ def optimize_relaxed(
 
         # (iii) descend in mu (atoms, weights, additive constant)
         (mu_atoms, mu_weights, mu_offset), mu_steps = _phase_descent(
-            _MuPhase(rp, nu_atoms, nu_weights, rho),
+            _mu_objective(rp, nu_atoms, nu_weights, rho),
             [mu_atoms, mu_weights, mu_offset],
             opts,
             gnorms,
@@ -550,15 +548,14 @@ def certify_gap(
     best_cost_tight = float(_costs(cp, best_u.values[None], y_e.values[None])[0])
     best_cost = min(best_cost, best_cost_tight)
 
-    embedded_cost = evaluate_relaxed_cost(rp, mu_e, nu_e)
+    embedded_cost, y_mv = _relaxed_point(rp, mu_e, nu_e)
     dirac_residual = abs(embedded_cost - best_cost_tight)
 
     init = designed_init or RelaxedInit(mu_e, nu_e)
     mu, nu, y, relax_report = optimize_relaxed(rp, init, relax_opts)
     relaxed_value = relax_report.cost
     if embedded_cost < relaxed_value:
-        relaxed_value, mu, nu = embedded_cost, mu_e, nu_e
-        y, _ = solve_mv_state(rp, potential(mu), nu)
+        relaxed_value, mu, nu, y = embedded_cost, mu_e, nu_e, y_mv
 
     certificates = [
         {

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = ["SolveReport", "RelaxationReport", "NonConvergenceError"]
@@ -25,23 +26,11 @@ class SolveReport:
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "iterations": self.iterations,
-            "residual": self.residual,
-            "converged": self.converged,
-        }
-        if self.cost is not None:
-            d["cost"] = self.cost
-        if self.stationarity is not None:
-            d["stationarity"] = self.stationarity
-        if self.cost_trace is not None:
-            d["cost_trace"] = list(self.cost_trace)
-        if self.contraction_ratio is not None:
-            d["contraction_ratio"] = self.contraction_ratio
-        if self.extras:
-            d["extras"] = dict(self.extras)
-        return d
+        """Every field that is set, lists and dicts copied; the wall time is
+        left out, as it differs from run to run."""
+        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)
+             if f.name != "wall_time"}
+        return {k: v for k, v in d.items() if v is not None and v != {}}
 
 
 @dataclass

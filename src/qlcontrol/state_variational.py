@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,7 +35,6 @@ __all__ = [
     "verify_minimality",
 ]
 
-_FD_STEP = 1e-6
 _HALVINGS = 59  # a rejected step is halved at most this often
 _LADDER = 8  # halvings scored per stacked energy evaluation
 _VALIDATION_SAMPLES = 2000
@@ -47,8 +45,10 @@ class VariationalStateProblem:
     """State defined through minimization of a strictly convex inner energy.
 
     ``form`` selects the general W(grad y, u) energy or the affine-in-u
-    variant W(grad y) + w(y) u.  Strict convexity of W in its gradient slot
-    and the two-sided quadratic growth are spot-checked at construction.
+    variant W(grad y) + w(y) u.  The coefficient set must supply the
+    derivatives the solver uses: dW, and dw for the affine-in-u form.  Strict
+    convexity of W in its gradient slot and the two-sided quadratic growth
+    are spot-checked at construction.
     """
 
     mesh: Mesh
@@ -59,10 +59,10 @@ class VariationalStateProblem:
     def __post_init__(self):
         if self.form not in ("general", "affine-in-u"):
             raise ValueError(f"unknown form {self.form!r}")
-        if self.cs.W is None:
-            raise ValueError("variational problem needs the inner energy W")
-        if self.form == "affine-in-u" and self.cs.w is None:
-            raise ValueError("affine-in-u form needs the coupling weight w")
+        if self.cs.W is None or self.cs.dW is None:
+            raise ValueError("variational problem needs the inner energy W and its dW")
+        if self.form == "affine-in-u" and (self.cs.w is None or self.cs.dw is None):
+            raise ValueError("affine-in-u form needs the coupling weight w and its dw")
         _check_source(self.mesh, self.source)
         growth = check_w_growth(self.cs, _VALIDATION_SAMPLES, dim=self.mesh.dimension)
         if not growth.passed:
@@ -92,35 +92,6 @@ def _check_source(mesh: Mesh, source: ScalarField) -> None:
 # The helpers below act on stacks of columns: y, u and source have shape
 # (k, n_nodes), the cell averages ucell of u and the cell gradients Gy of y
 # have k leading rows, and every column is independent of the others.
-
-
-def _fd_grad_W(W, Y: np.ndarray, ucell: np.ndarray) -> np.ndarray:
-    """Central differences of W in the gradient slot, step 1e-6 * (1 + |y|)
-    per component."""
-    out = np.empty_like(Y)
-    for comp in range(Y.shape[1]):
-        step = _FD_STEP * (1.0 + np.abs(Y[:, comp]))
-        Yp = Y.copy()
-        Ym = Y.copy()
-        Yp[:, comp] += step
-        Ym[:, comp] -= step
-        out[:, comp] = (W(Yp, ucell) - W(Ym, ucell)) / (2.0 * step)
-    return out
-
-
-def _grad_W(p: VariationalStateProblem, Gy: np.ndarray, ucell: np.ndarray) -> np.ndarray:
-    """Gradient of W in the gradient slot, closed form or central FD."""
-    if p.cs.dW is not None:
-        return apply_cellwise(p.cs.dW, Gy, ucell)
-    return apply_cellwise(partial(_fd_grad_W, p.cs.W), Gy, ucell)
-
-
-def _dw_coupling(p: VariationalStateProblem, y: np.ndarray) -> np.ndarray:
-    """Derivative of the coupling weight w, closed form or central FD."""
-    if p.cs.dw is not None:
-        return np.asarray(p.cs.dw(y), dtype=float)
-    step = _FD_STEP * (1.0 + np.abs(y))
-    return (p.cs.w(y + step) - p.cs.w(y - step)) / (2.0 * step)
 
 
 def _column_data(mesh: Mesh, u: np.ndarray, source: np.ndarray) -> tuple:
@@ -170,15 +141,11 @@ def _energy_gradient(
     are Gy (zero on Dirichlet nodes)."""
     mesh = p.mesh
     if p.form == "general":
-        flux = _grad_W(p, Gy, ucell)
+        flux = apply_cellwise(p.cs.dW, Gy, ucell)
         g = -grid.divergence_weak_values(mesh, flux) + source
     else:
-        flux = _grad_W(p, Gy, np.zeros_like(ucell))
-        g = (
-            -grid.divergence_weak_values(mesh, flux)
-            + _dw_coupling(p, y) * u
-            + source
-        )
+        flux = apply_cellwise(p.cs.dW, Gy, np.zeros_like(ucell))
+        g = -grid.divergence_weak_values(mesh, flux) + p.cs.dw(y) * u + source
     np.copyto(g, 0.0, where=mesh.boundary_mask)
     return g
 

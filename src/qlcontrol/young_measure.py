@@ -274,14 +274,16 @@ def realize_sequence(
 
 
 def young_measure_to_csv(ym: YoungMeasureField, path) -> None:
-    """Dump as CSV ``cell,atom_index,lambda...,weight`` ordered by cell."""
+    """Dump as CSV ``cell,atom_index,lambda...,weight,potential_offset``
+    ordered by cell; every row repeats the field's potential offset."""
     dim = ym.mesh.dimension
     header = "cell,atom_index," + ",".join(
         f"lambda_{ax}" for ax in ("x", "y")[:dim]
-    ) + ",weight\n"
+    ) + ",weight,potential_offset\n"
+    offset = repr(float(ym.potential_offset))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         for c in range(ym.mesh.n_cells):
             for k in range(ym.n_atoms):
                 lam = ",".join(repr(float(v)) for v in ym.atoms[c, k])
-                fh.write(f"{c},{k},{lam},{float(ym.weights[c, k])!r}\n")
+                fh.write(f"{c},{k},{lam},{float(ym.weights[c, k])!r},{offset}\n")

@@ -13,7 +13,7 @@ import pytest
 import numpy as np
 
 import qlcontrol
-from qlcontrol import cli, control_opt, grid, instances, relaxed_opt
+from qlcontrol import cli, control_opt, grid, instances, relaxed_opt, young_measure
 from qlcontrol.cli import ConfigError, ExperimentConfig, list_builtin, main, run
 from qlcontrol.control_opt import _state_costs, minimizing_sequence_demo
 
@@ -91,17 +91,55 @@ def config_keys(text):
     return {(section, key) for section in cp.sections() for key in cp[section]}
 
 
+def readme_ini():
+    """The INI block of README.md's CLI example."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return text.split("```ini\n", 1)[1].split("```", 1)[0]
+
+
 class TestConfigParsing:
-    def test_round_trip(self):
-        for text in (GAP_INI, EVERY_KEY_INI):
-            cfg = ExperimentConfig.parse(text)
-            again = ExperimentConfig.parse(cfg.to_text())
-            assert again == cfg
+    def test_every_key_parses_to_its_field(self):
+        assert ExperimentConfig.parse(EVERY_KEY_INI) == ExperimentConfig(
+            kind="verify-hypotheses",
+            seed=3,
+            instance="sin-gradient-1d",
+            b_override=2.5,
+            dimension=1,
+            cells_per_axis=16,
+            control="sin",
+            js=(1, 3),
+            state_tol=1e-10,
+            max_iterations=7,
+            gradient_tol=0.0,
+            samples=2,
+            coefficients={"flux": "perturbed-linear", "a0": 1.5, "lipschitz_g": 0.25,
+                          "a": "cosine-wells", "kappa": 0.3, "omega": 4.0, "f": "tanh"},
+            output_dir="somewhere",
+        )
 
     def test_every_key_config_covers_the_schema(self):
-        # every key of EVERY_KEY_INI differs from its default, so the round
-        # trip above also checks that to_text writes each one back
+        # every key of EVERY_KEY_INI differs from its default, so the parse
+        # test above checks each key's parser and attribute
         assert config_keys(EVERY_KEY_INI) == set(cli._KEYS)
+
+    def test_override_adds_a_section(self):
+        assert "[solver]" not in GAP_INI
+        cfg = ExperimentConfig.parse(GAP_INI, ["solver.samples=2", " instance.b = 3 "])
+        assert cfg.samples == 2
+        assert cfg.b_override == 3.0
+        assert cfg.js == (2, 4, 8)
+
+    @pytest.mark.parametrize("override", ["instance.b3", "b=3"])
+    def test_malformed_override_rejected(self, tmp_path, capsys, override):
+        code = run(write(tmp_path, GAP_INI), out=str(tmp_path / "out"), overrides=[override])
+        assert code == 1
+        assert "section.key=value" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_readme_example_parses_and_runs(self, tmp_path):
+        cfg = ExperimentConfig.parse(readme_ini())
+        assert (cfg.kind, cfg.instance, cfg.js) == ("gap-demo", "gap-family-1d", (2, 4, 8, 16, 32))
+        assert run(write(tmp_path, readme_ini()), out=str(tmp_path / "out")) == 0
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError):
@@ -164,8 +202,14 @@ class TestConfigParsing:
              "sin-gradient-1d"),
             (VERIFY_INI.replace("flux = identity", "flux = bogus"), "flux"),
             ("[experiment]\nkind = state\n\n[instance]\nname = bogus-1d\n", "bogus-1d"),
+            # only quasilinear instances have a b
+            ("[experiment]\nkind = state\n\n[instance]\nname = variational-quartic-1d\n"
+             "b = 3\n", "variational-quartic-1d"),
+            ("[experiment]\nkind = control\n\n[instance]\nname = monotone-perturbed-1d\n"
+             "b = 3\n", "monotone-perturbed-1d"),
         ],
-        ids=["relax-2d", "gap-demo-without-measure", "unknown-flux", "unknown-instance"],
+        ids=["relax-2d", "gap-demo-without-measure", "unknown-flux", "unknown-instance",
+             "b-on-variational", "b-on-monotone"],
     )
     def test_unrunnable_experiment_rejected(self, tmp_path, capsys, monkeypatch, text,
                                             named):
@@ -260,12 +304,13 @@ samples = 2
         cfg = write(tmp_path, GAP_INI)
         assert run(cfg, out=str(tmp_path / "out")) == 0
         assert len(calls) == 1
-        # recorded from the run that optimized the relaxed problem twice
+        # recorded from the run that optimized the relaxed problem twice; the
+        # measure CSVs since gained their potential_offset column
         digests = {
             "state_measure.csv":
-                "b2f3919458bda7756bde3d55c577be08f6eecd0557d9585e9dde9b7a00d98bae",
+                "d618d108c392fbbe508f096edccbe0756ad158632a376af6f13e920f7ea7868a",
             "control_measure.csv":
-                "680fcbe9f559c02074907c155913cef7d77f211e9e3e9c64e72bb7bba1d13d77",
+                "0f5ebf2e517ec3bb557c473745513b52d4a2863a0e99cb8faef1ed684296ca24",
             "relaxed_state.csv":
                 "d74d477e0f558bcfc3eb81ac987e1070f24360fb4a655b93d77cf05d0f920948",
         }
@@ -296,8 +341,8 @@ samples = 2
         assert trace["j"] == list(js)
         assert trace["costs"] == [float(c) for c in minimizing_sequence_demo(rp.control, js)]
 
-    def test_gap_demo_builds_the_demo_measure_twice(self, tmp_path, monkeypatch):
-        # once for the certified problem and once in gap_margin; the
+    def test_gap_demo_builds_the_demo_measure_once(self, tmp_path, monkeypatch):
+        # for the certified problem, whose delta* is computed from it; the
         # realization meshes build none
         calls = []
         build = instances.uniform_two_atom
@@ -309,7 +354,48 @@ samples = 2
         monkeypatch.setattr(instances, "uniform_two_atom", count)
         text = GAP_INI.replace("js = 2, 4, 8", "js = 2, 4, 8, 16, 32")
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_delta_star_of_the_configured_b(self, tmp_path):
+        # delta* belongs to the certified problem, not to the default b = 2
+        out = tmp_path / "out"
+        assert run(write(tmp_path, GAP_INI), out=str(out), overrides=["instance.b=3"]) == 0
+        relax = json.loads((out / "report.json").read_text())["results"]["relaxation"]
+        assert abs(relax["delta_star"] - 0.003559) <= 1e-6
+        assert abs(instances.gap_margin(grid.build_mesh(1, 32)) - 0.004371) <= 1e-6
+        rp, designed = instances.build_relaxed_problem(
+            "gap-family-1d", grid.build_mesh(1, 32), b=3.0)
+        assert relax["delta_star"] == instances.designed_margin(rp, designed)
+        assert relax["gap_exceeds_margin"] is True
+
+    @pytest.mark.parametrize(
+        "config, b", [("relax-linear.ini", None), ("gap-demo.ini", None),
+                      ("gap-demo.ini", 3.0)], ids=["relax-linear", "gap-demo", "gap-demo-b3"])
+    def test_measure_csvs_reproduce_the_relaxed_cost(self, tmp_path, config, b):
+        root = Path(__file__).resolve().parents[1]
+        out = tmp_path / "out"
+        overrides = ["mesh.cells_per_axis=32"] + ([f"instance.b={b}"] if b else [])
+        assert run(root / "configs" / config, out=str(out), overrides=overrides) == 0
+        report = json.loads((out / "report.json").read_text())
+        rp, _ = instances.build_relaxed_problem(
+            report["experiment"]["instance"], grid.build_mesh(1, 32), b=b)
+
+        def measure(name, klass):
+            rows = np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+            K = int(rows[:, 1].max()) + 1
+            atoms = rows[:, 2].reshape(rp.mesh.n_cells, K, 1)
+            weights = rows[:, 3].reshape(rp.mesh.n_cells, K)
+            assert np.all(rows[:, 4] == rows[0, 4])
+            return young_measure.YoungMeasureField(rp.mesh, atoms, weights, klass, rows[0, 4])
+
+        mu = measure("control_measure.csv", "PH1")
+        nu = measure("state_measure.csv", "PH10")
+        assert nu.potential_offset == 0.0
+        y, _ = relaxed_opt.solve_mv_state(rp, young_measure.potential(mu), nu)
+        written = np.loadtxt(out / "relaxed_state.csv", delimiter=",", skiprows=1)[:, -1]
+        assert np.max(np.abs(y.values - written)) <= 1e-14
+        relaxed = report["results"]["relaxation"]["relaxed"]
+        assert abs(relaxed_opt.evaluate_relaxed_cost(rp, mu, nu) - relaxed) <= 1e-12
 
     def test_relax_writes_the_certified_point(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

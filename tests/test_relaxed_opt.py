@@ -275,18 +275,24 @@ def split_atoms(ym, spread):
 
 
 def phases_at(rp, mu, nu, rho=1e3):
+    """The stacked objectives of both phases with their parameters."""
     fvals = np.asarray(rp.control.cs.f(potential(mu).values), dtype=float)
-    nu_phase = relaxed_opt._NuPhase(rp, fvals, rho)
-    mu_phase = relaxed_opt._MuPhase(rp, nu.atoms, nu.weights, rho)
+    nu_phase = relaxed_opt._nu_objective(rp, fvals, rho)
+    mu_phase = relaxed_opt._mu_objective(rp, nu.atoms, nu.weights, rho)
     return (
         (nu_phase, [nu.atoms, nu.weights]),
         (mu_phase, [mu.atoms, mu.weights, mu.potential_offset]),
     )
 
 
+def value(phase, *params):
+    """A phase objective at one point, scored as a stack of one."""
+    return float(phase(*(np.asarray(p)[None] for p in params))[0])
+
+
 def loop_fd_gradient(phase, params, fd):
     """Reference: one scalar value per perturbed coordinate."""
-    base = phase.value(*params)
+    base = value(phase, *params)
     grads = []
     for i, p in enumerate(params):
         p = np.asarray(p, dtype=float)
@@ -297,7 +303,7 @@ def loop_fd_gradient(phase, params, fd):
         for idx in np.ndindex(p.shape):
             pert = [np.array(q, dtype=float) for q in params]
             pert[i][idx] += fd
-            g[idx] = (phase.value(*pert) - base) / fd
+            g[idx] = (value(phase, *pert) - base) / fd
         if i == 1:
             g -= np.mean(g, axis=1, keepdims=True)
         grads.append(g)
@@ -306,13 +312,13 @@ def loop_fd_gradient(phase, params, fd):
 
 def loop_descend(phase, params, grads, step0, tries=25):
     """Reference: sequential halving, one scalar value per trial."""
-    base = phase.value(*params)
+    base = value(phase, *params)
     step = step0
     for _ in range(tries):
         trial = [np.asarray(p, dtype=float) - step * g for p, g in zip(params, grads)]
         if trial[1].shape[-1] > 1:
             trial[1] = relaxed_opt._project_simplex_rows(trial[1])
-        if phase.value(*trial) < base:
+        if value(phase, *trial) < base:
             return trial, step
         step *= 0.5
     return [np.asarray(p, dtype=float) for p in params], 0.0
@@ -357,7 +363,7 @@ class TestBatchedPhases:
         for phase, params in phases_at(rp, mu, nu):
             n_points = 1 + sum(np.size(p) for p in params)
             assert not small_blocks or n_points > 2 * relaxed_opt._FD_BLOCK
-            base, grads = relaxed_opt._fd_gradient(phase.values, params, self.FD)
+            base, grads = relaxed_opt._fd_gradient(phase, params, self.FD)
             ref_base, ref_grads = loop_fd_gradient(phase, params, self.FD)
             # FD round-off: a few ulps of the objective divided by the step
             tol = 64 * np.finfo(float).eps * (1.0 + abs(ref_base)) / self.FD
@@ -370,8 +376,8 @@ class TestBatchedPhases:
     @pytest.mark.parametrize("case", list(descent_cases()), ids=lambda c: c[0])
     def test_descend_matches_sequential_halving(self, case, step0):
         _, phase, params, descends = case
-        base, grads = relaxed_opt._fd_gradient(phase.values, params, self.FD)
-        got, step = relaxed_opt._descend(phase.values, params, grads, step0, base)
+        base, grads = relaxed_opt._fd_gradient(phase, params, self.FD)
+        got, step = relaxed_opt._descend(phase, params, grads, step0, base)
         ref, ref_step = loop_descend(phase, params, grads, step0)
         assert step == ref_step
         assert (step > 0.0) == descends
@@ -424,7 +430,7 @@ class TestAbarCells:
         grads = [np.random.default_rng(5).standard_normal(np.shape(p)) for p in params]
         relaxed_opt._descend(values, params, grads, 1e-2, np.inf)
         assert sizes[-1] == relaxed_opt._HALVINGS
-        # one unstacked point, as solve_mv_state and _MuPhase pass it
+        # one unstacked point, as solve_mv_state and _mu_objective pass it
         got = relaxed_opt._abar_cells(rp, nu.atoms, nu.weights)
         assert got.shape == (rp.mesh.n_cells,)
         assert np.array_equal(got, per_point_abar(rp, nu.atoms, nu.weights))

@@ -334,10 +334,38 @@ class TestVerifyMinimality:
 
 class TestValidation:
     def test_nonconvex_w_rejected(self):
+        # W'' = 1 + 2 cos(y_0) < 0 near y_0 = pi; the growth bounds hold, so
+        # only the convexity check can reject it
         def W(Y, u):
-            return 0.5 * np.sum(Y * Y, axis=1) - 2.0 * np.cos(Y[:, 0])
+            return 0.5 * np.sum(Y * Y, axis=1) + 2.0 * (1.0 - np.cos(Y[:, 0]))
+
+        def dW(Y, u):
+            out = np.array(Y, dtype=float)
+            out[:, 0] += 2.0 * np.sin(Y[:, 0])
+            return out
 
         mesh = grid.build_mesh(1, 8)
-        cs = co.CoefficientSet(W=W, c=0.1, C=5.0)
-        with pytest.raises(ValueError):
+        cs = co.CoefficientSet(W=W, dW=dW, c=0.1, C=5.0)
+        with pytest.raises(ValueError, match="convexity"):
             VariationalStateProblem(mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes)))
+
+    def test_w_without_dw_rejected(self):
+        mesh = grid.build_mesh(1, 8)
+        parts = co.w_quadratic()
+        del parts["dW"]
+        with pytest.raises(ValueError, match="dW"):
+            VariationalStateProblem(
+                mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)))
+
+    def test_affine_form_without_dw_rejected(self):
+        mesh = grid.build_mesh(1, 8)
+        parts = {**co.w_quadratic(), "w": np.tanh}
+        with pytest.raises(ValueError, match="dw"):
+            VariationalStateProblem(
+                mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)),
+                "affine-in-u")
+        # with dw the same form builds
+        parts["dw"] = co.w_coupling("tanh")["dw"]
+        VariationalStateProblem(
+            mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)),
+            "affine-in-u")

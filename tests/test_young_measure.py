@@ -274,6 +274,11 @@ class TestCsv:
         path = tmp_path / "ym.csv"
         ym.young_measure_to_csv(two, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0] == "cell,atom_index,lambda_x,weight"
+        assert lines[0] == "cell,atom_index,lambda_x,weight,potential_offset"
         assert len(lines) == 1 + 3 * 2
         assert lines[1].split(",")[:2] == ["0", "0"]
+        assert {line.split(",")[-1] for line in lines[1:]} == {"0.0"}
+        shifted = ym.uniform_two_atom(mesh, -1.0, 1.0, 0.5, potential_offset=0.25)
+        ym.young_measure_to_csv(shifted, path)
+        lines = path.read_text().strip().splitlines()
+        assert {line.split(",")[-1] for line in lines[1:]} == {"0.25"}
