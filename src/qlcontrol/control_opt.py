@@ -417,14 +417,19 @@ def minimizing_sequence_demo(
     Realizes the prescribed two-atom control-gradient measure at each
     oscillation count and evaluates the classical cost on the realization
     mesh (rebuilding the problem there); the trace is non-increasing in j up
-    to O(1/j) wiggle.
+    to O(1/j) wiggle.  Each state solve after the first starts from the
+    previous realization's state, interpolated to the new mesh.
     """
     ymf = measure if measure is not None else cp.demo_measure
     if ymf is None:
         raise ValueError("no oscillation measure prescribed for this problem")
-    costs = []
+    costs, y = [], None
     for j in j_list:
         u_j = realize_sequence(ymf, int(j))
         cp_j = cp if u_j.mesh == cp.mesh else cp.with_mesh(u_j.mesh)
-        costs.append(evaluate_cost(cp_j, u_j))
+        if y is not None:
+            x = u_j.mesh.node_coords()[:, 0]
+            y = ScalarField(u_j.mesh, np.interp(x, y.mesh.node_coords()[:, 0], y.values))
+        cost, y = evaluate_cost(cp_j, u_j, warm=y, return_state=True)
+        costs.append(cost)
     return np.asarray(costs)

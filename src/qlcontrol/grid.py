@@ -5,8 +5,8 @@ nodal values on a uniform grid over (0,1) or (0,1)^2 with zero-Dirichlet
 bookkeeping, gradients are cell-centered difference quotients, and
 ``divergence_weak`` is the exact negative adjoint of ``gradient`` with respect
 to the trapezoid (nodes) and midpoint (cells) inner products.  The linear
-backbone used by every state solver is ``helmholtz_solve``, a direct
-factorization of ``-lap + b`` on the interior nodes.
+backbone of every state solver, ``helmholtz_solve`` of ``-lap + b``, is a
+banded Cholesky solve in 1D and a sine-basis (fast diagonalization) one in 2D.
 """
 
 from __future__ import annotations
@@ -197,12 +197,15 @@ def gradient_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     h = mesh.h
     if mesh.dimension == 1:
         return ((y[..., 1:] - y[..., :-1]) / h)[..., None]
-    m = mesh.nodes_per_axis
+    n = mesh.cells_per_axis
     lead = y.shape[:-1]
-    y2 = y.reshape(lead + (m, m))
-    gx = (y2[..., 1:, :-1] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., :-1, 1:]) / (2.0 * h)
-    gy = (y2[..., :-1, 1:] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., 1:, :-1]) / (2.0 * h)
-    return np.stack([gx.reshape(lead + (-1,)), gy.reshape(lead + (-1,))], axis=-1)
+    y2 = y.reshape(lead + (n + 1, n + 1))
+    g = np.empty(lead + (n, n, 2))
+    np.divide(y2[..., 1:, :-1] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., :-1, 1:],
+              2.0 * h, out=g[..., 0])
+    np.divide(y2[..., :-1, 1:] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., 1:, :-1],
+              2.0 * h, out=g[..., 1])
+    return g.reshape(lead + (n * n, 2))
 
 
 def gradient(y: ScalarField) -> VectorField:
@@ -407,12 +410,11 @@ def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
     n = mesh.cells_per_axis
     c2 = c.reshape(lead + (n, n))
     acc = np.zeros(lead + (n + 1, n + 1))
-    cnt = np.zeros((n + 1, n + 1))
     for di in (0, 1):
         for dj in (0, 1):
             acc[..., di : n + di, dj : n + dj] += c2
-            cnt[di : n + di, dj : n + dj] += 1.0
-    return (acc / cnt).reshape(lead + (-1,))
+    # each node's cell count (1, 2 or 4) is 4 times its trapezoid weight
+    return acc.reshape(lead + (-1,)) / (4.0 * mesh.node_weights())
 
 
 def cell_to_node(c: ScalarField) -> ScalarField:
@@ -441,37 +443,26 @@ def _interior_operator_1d(mesh: Mesh, b: float):
     return fac
 
 
-def _interior_operator_2d(mesh: Mesh, b: float):
-    key = (2, mesh.cells_per_axis, float(b))
-    fac = _FACTOR_CACHE.get(key)
-    if fac is None:
+def _sine_basis_2d(mesh: Mesh):
+    """Cached (S, lam0): the 2D interior operator is (2/h^2) I - (1/2h^2) T(x)T
+    + b I with T the 1D neighbour matrix, and the symmetric orthogonal sine
+    matrix S diagonalizes it with eigenvalues lam0 + b for every b."""
+    key = (2, mesh.cells_per_axis)
+    entry = _FACTOR_CACHE.get(key)
+    if entry is None:
         n = mesh.cells_per_axis
-        h2 = mesh.h**2
-        m = n - 1  # interior nodes per axis
-        idx = np.arange(m * m).reshape(m, m)
-        diag = np.full(m * m, 2.0 / h2 + b)
-        rows, cols, vals = [np.arange(m * m)], [np.arange(m * m)], [diag]
-        # diagonal-neighbor couplings of the cell-averaged Laplacian
-        for di, dj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-            src = idx[max(0, -di) : m - max(0, di), max(0, -dj) : m - max(0, dj)]
-            dst = idx[max(0, di) : m - max(0, -di), max(0, dj) : m - max(0, -dj)]
-            rows.append(src.ravel())
-            cols.append(dst.ravel())
-            vals.append(np.full(src.size, -1.0 / (2.0 * h2)))
-        A = scipy.sparse.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m * m, m * m),
-        )
-        fac = scipy.sparse.linalg.splu(A)
-        _FACTOR_CACHE[key] = fac
-    return fac
+        k = np.arange(1, n)
+        S = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
+        c = np.cos(np.pi * k / n)
+        entry = _FACTOR_CACHE[key] = (S, 2.0 / mesh.h**2 * (1.0 - np.outer(c, c)))
+    return entry
 
 
 def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     """Flat nodal solution of (-lap_h + b) y = rhs, y = 0 on Dirichlet nodes.
 
-    Leading axes of rhs stack independent right-hand sides; all of them go
-    through the cached factorization in one multi-right-hand-side solve.
+    Leading axes of rhs stack independent right-hand sides, solved together;
+    a stacked column equals its single solve bit for bit.
     """
     if not np.isfinite(b) or b < 0:
         raise ValueError(f"b must be a finite nonnegative real, got {b}")
@@ -486,21 +477,24 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     # the 1D interior is the contiguous slice 1:-1, cheaper than a fancy index
     interior = slice(1, -1) if mesh.dimension == 1 else mesh.interior_indices
     m = mesh.interior_indices.size
-    cols = rhs[..., interior].reshape(-1, m).T
     if mesh.dimension == 1:
+        cols = rhs[..., interior].reshape(-1, m).T
         # LAPACK directly: the banded-solve wrapper costs more than the solve
         sol, info = scipy.linalg.lapack.dpbtrs(_interior_operator_1d(mesh, b), cols)
         if info != 0:
             raise ValueError(f"banded Cholesky solve failed (info={info})")
+        sol = sol.T
     else:
-        sol = _interior_operator_2d(mesh, b).solve(cols)
+        S, lam0 = _sine_basis_2d(mesh)
+        F = rhs[..., interior].reshape(rhs.shape[:-1] + lam0.shape)
+        sol = S @ ((S @ F @ S) / (lam0 + b)) @ S
     out = np.zeros(rhs.shape)
-    out[..., interior] = sol.T.reshape(rhs.shape[:-1] + (m,))
+    out[..., interior] = sol.reshape(rhs.shape[:-1] + (m,))
     return out
 
 
 def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:
-    """Direct factorization solve of the zero-Dirichlet Helmholtz problem.
+    """Zero-Dirichlet Helmholtz solve: banded Cholesky (1D), sine basis (2D).
 
     Parameters
     ----------

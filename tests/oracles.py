@@ -86,6 +86,21 @@ def _boundary_mask(dim: int, n: int) -> np.ndarray:
     return mask.ravel()
 
 
+def helmholtz_matrix_2d(n: int, b: float) -> np.ndarray:
+    """Dense -lap_h + b on the (n-1)^2 interior nodes of the unit square,
+    flattened in C order, assembled from the stencil alone: centre
+    2/h^2 + b, each of the four diagonal neighbours -1/(2 h^2)."""
+    h2 = (1.0 / n) ** 2
+    m = n - 1
+    A = np.zeros((m, m, m, m))
+    for i, j in itertools.product(range(m), repeat=2):
+        A[i, j, i, j] = 2.0 / h2 + b
+        for di, dj in itertools.product((-1, 1), repeat=2):
+            if 0 <= i + di < m and 0 <= j + dj < m:
+                A[i, j, i + di, j + dj] = -1.0 / (2.0 * h2)
+    return A.reshape(m * m, m * m)
+
+
 def _newton(residual, y0: np.ndarray, tol: float = 1e-10, max_steps: int = 50):
     """Dense Newton with finite-difference Jacobian on the interior dofs."""
     y = y0.copy()

@@ -21,6 +21,7 @@ from qlcontrol.grid import ScalarField
 from qlcontrol.reports import NonConvergenceError, SolveReport
 from qlcontrol.state_quasilinear import QuasilinearStateProblem
 from qlcontrol.state_variational import VariationalStateProblem
+from qlcontrol.young_measure import realize_sequence
 
 from oracles import quadratic_program_oracle
 
@@ -441,6 +442,27 @@ class TestMinimizingSequenceDemo:
         trace = minimizing_sequence_demo(rp.control, [32])
         relaxed = evaluate_relaxed_cost(rp, init.mu, init.nu)
         assert abs(trace[-1] - relaxed) <= 5e-2
+
+    def test_realizations_after_the_first_start_warm(self, monkeypatch):
+        solve = control_opt.solve_quasilinear
+        calls = []
+
+        def recording(p, u, **kw):
+            calls.append((u.mesh, kw.get("y0")))
+            return solve(p, u, **kw)
+
+        monkeypatch.setattr(control_opt, "solve_quasilinear", recording)
+        cp = instances.build_control_problem("gap-family-1d", grid.build_mesh(1, 16))
+        js = [2, 4, 8]
+        trace = minimizing_sequence_demo(cp, js)
+        assert len(calls) == len(js)
+        assert calls[0][1] is None
+        for mesh, y0 in calls[1:]:
+            assert y0 is not None and y0.mesh == mesh
+        monkeypatch.undo()
+        for j, cost in zip(js, trace):
+            u_j = realize_sequence(cp.demo_measure, j)
+            assert abs(cost - evaluate_cost(cp.with_mesh(u_j.mesh), u_j)) <= 1e-10
 
     def test_missing_measure_rejected(self):
         cp, _ = tracking_problem()

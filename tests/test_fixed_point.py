@@ -44,13 +44,13 @@ PINNED = {
         3, 0.006559346561171229, 0.6666691630695799, TAU, Z_CAP.format("6.559e-03")
     ),
     ("monotone-perturbed-1d", 2, 6, "cold"): (
-        38, 8.354681066556139e-09, 0.6667306693056951, TAU, -3.1402371538147826
+        38, 8.35468106661912e-09, 0.666730669369731, TAU, -3.140237153814783
     ),
     ("monotone-perturbed-1d", 2, 6, "warm"): (
-        34, 9.591531209109093e-09, 0.6667019009569964, TAU, -3.1402367249068974
+        34, 9.591531209866511e-09, 0.6667019009702861, TAU, -3.1402367249068974
     ),
     ("monotone-perturbed-1d", 2, 6, "capped"): (
-        3, 0.018188530149468026, 0.6666795521982162, TAU, Z_CAP.format("1.819e-02")
+        3, 0.01818853014946803, 0.6666795521982163, TAU, Z_CAP.format("1.819e-02")
     ),
     ("sin-gradient-1d", 1, 16, "cold"): (
         10, 2.796857370310875e-10, 0.1495990926764547,
@@ -65,16 +65,16 @@ PINNED = {
         {"final_increment": 0.00018494347549114087}, P_CAP.format("0.1329"),
     ),
     ("sin-gradient-2d", 2, 6, "cold"): (
-        9, 1.2847993554073042e-10, 0.09868892417803846,
-        {"final_increment": 1.9917852886900372e-10}, -4.216977684698338,
+        9, 1.2847994557620524e-10, 0.09868892770845195,
+        {"final_increment": 1.9917853570001055e-10}, -4.216977684698338,
     ),
     ("sin-gradient-2d", 2, 6, "warm"): (
-        8, 3.208942574698391e-10, 0.09868388263186381,
-        {"final_increment": 5.07546271268603e-10}, -4.216977679759992,
+        8, 3.2089424455990316e-10, 0.09868388256007862,
+        {"final_increment": 5.075462674788502e-10}, -4.216977679759992,
     ),
     ("sin-gradient-2d", 2, 6, "capped"): (
-        3, 0.00013893850448148194, 0.09326684126960852,
-        {"final_increment": 0.00021930023517385925}, P_CAP.format("0.0933"),
+        3, 0.0001389385044814557, 0.09326684126960597,
+        {"final_increment": 0.00021930023517385345}, P_CAP.format("0.0933"),
     ),
 }
 

@@ -7,6 +7,8 @@ import scipy.linalg
 from qlcontrol import grid
 from qlcontrol.grid import ScalarField, VectorField
 
+from oracles import helmholtz_matrix_2d
+
 
 class TestBuildMesh:
     def test_interval(self):
@@ -167,10 +169,36 @@ class TestHelmholtz:
         assert stacked.shape == rhs.shape
         for idx in np.ndindex(2, 3):
             single = grid.helmholtz_solve_values(mesh, 1.5, rhs[idx])
-            if dim == 1:  # one banded LAPACK solve per column either way
-                assert np.array_equal(stacked[idx], single)
-            else:
-                assert np.max(np.abs(stacked[idx] - single)) <= 1e-14 * np.max(np.abs(single))
+            # one banded LAPACK solve (1D) or one matrix product chain (2D)
+            # per column either way
+            assert np.array_equal(stacked[idx], single)
+
+    @pytest.mark.parametrize("n", [2, 3, 6, 12])
+    @pytest.mark.parametrize("b", [0.0, 1.5, 4.0])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,)])
+    def test_2d_matches_dense_stencil_oracle(self, n, b, lead):
+        # n = 2 leaves a single interior node
+        mesh = grid.build_mesh(2, n)
+        interior = mesh.interior_indices
+        rhs = np.random.default_rng(n).standard_normal(lead + (mesh.n_nodes,))
+        cols = rhs[..., interior].reshape(-1, interior.size).T
+        want = np.zeros(rhs.shape)
+        want[..., interior] = np.linalg.solve(helmholtz_matrix_2d(n, b), cols).T.reshape(
+            lead + (interior.size,)
+        )
+        got = grid.helmholtz_solve_values(mesh, b, rhs)
+        assert got.shape == rhs.shape
+        err = np.max(np.abs(got - want), initial=0.0)
+        assert err <= 1e-12 * np.max(np.abs(want), initial=0.0)
+
+    def test_2d_b_sweep_builds_one_cache_entry(self, monkeypatch):
+        # the 2D cache entry depends on the mesh alone; b enters per solve
+        monkeypatch.setattr(grid, "_FACTOR_CACHE", {})
+        mesh = grid.build_mesh(2, 8)
+        rhs = np.ones(mesh.n_nodes)
+        for b in np.linspace(0.0, 4.0, 100):
+            grid.helmholtz_solve_values(mesh, b, rhs)
+        assert len(grid._FACTOR_CACHE) == 1
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,)])
     def test_1d_slice_matches_fancy_index_reference(self, lead):
