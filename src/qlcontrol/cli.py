@@ -26,6 +26,7 @@ from . import instances
 from .control_opt import (
     REGIMES,
     OptimizeOptions,
+    _state_problem,
     minimizing_sequence_demo,
     optimize_control,
     state_solvers,
@@ -175,7 +176,7 @@ def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u)
     solve = state_solvers(REGIMES[type(state)])[0]
     kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
-    y, rep = solve(state, u, **kw)
+    y, rep = solve(_state_problem(state, u), u, **kw)
     timings["state_solve"] = time.perf_counter() - t0
     results["state"] = rep.to_dict()
     field_to_csv(y, out_dir / "state.csv")
@@ -188,14 +189,19 @@ def _build_control(cfg: ExperimentConfig):
     return cp, _control_field(cp.mesh, cfg.control)
 
 
-def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings, cp, u0):
-    opts = OptimizeOptions(
-        max_iterations=60 if cfg.max_iterations is None else cfg.max_iterations,
+def _optimize_options(cfg: ExperimentConfig, max_iterations: int) -> OptimizeOptions:
+    """The [solver] keys of an optimizer run; max_iterations is the kind's
+    own cap, used when the config sets none."""
+    return OptimizeOptions(
+        max_iterations=max_iterations if cfg.max_iterations is None else cfg.max_iterations,
         gradient_tol=1e-6 if cfg.gradient_tol is None else cfg.gradient_tol,
         state_tol=cfg.state_tol,
     )
+
+
+def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings, cp, u0):
     t0 = time.perf_counter()
-    u_opt, rep = optimize_control(cp, u0, opts)
+    u_opt, rep = optimize_control(cp, u0, _optimize_options(cfg, 60))
     timings["optimize_control"] = time.perf_counter() - t0
     results["control"] = rep.to_dict()
     field_to_csv(u_opt, out_dir / "control.csv")
@@ -218,9 +224,7 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, rp, desig
         samples=cfg.samples,
         seed=cfg.seed,
         designed_init=designed,
-        classical_opts=OptimizeOptions(
-            max_iterations=12 if cfg.max_iterations is None else cfg.max_iterations
-        ),
+        classical_opts=_optimize_options(cfg, 12),
     )
     timings["certify_gap"] = time.perf_counter() - t0
     relaxation = results["relaxation"] = report.to_dict()
@@ -310,7 +314,7 @@ def _at_least(low) -> tuple:
 # (section, key) -> (ExperimentConfig attribute, parser, accepted values)
 _KEYS = {
     ("experiment", "kind"): ("kind", str, _one_of(_KINDS)),
-    ("experiment", "seed"): ("seed", int, None),
+    ("experiment", "seed"): ("seed", int, _at_least(0)),
     ("experiment", "control"): ("control", str, _one_of(_CONTROLS)),
     ("experiment", "js"): ("js", _ints, _at_least(1)),
     ("instance", "name"): ("instance", _name, _one_of(instances.instance_names())),
@@ -342,10 +346,10 @@ def run(
     except OSError as exc:
         print(f"error: cannot read config {config_path}: {exc}", file=sys.stderr)
         return 1
+    if seed is not None:  # checked as [experiment] seed
+        overrides = [*overrides, f"experiment.seed={seed}"]
     try:
         cfg = ExperimentConfig.parse(text, overrides)
-        if seed is not None:
-            cfg.seed = seed
         build, execute = _KINDS[cfg.kind]
         problem = build(cfg)
         out_dir = Path(out or cfg.output_dir or "qlcontrol-out")

@@ -132,11 +132,16 @@ def _state_one(
     """State of one control through the regime's single solve; in 1D it
     equals row 0 of _state_columns on ``u.values[None]`` bit for bit."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
-    state = cp.state
-    if cp.regime == "variational":
-        state = state.with_source(ScalarField(cp.mesh, np.asarray(cp.cs.f(u.values), dtype=float)))
-    y, _ = state_solvers(cp.regime)[0](state, u, tol=tol, y0=warm)
+    y, _ = state_solvers(cp.regime)[0](_state_problem(cp.state, u), u, tol=tol, y0=warm)
     return y
+
+
+def _state_problem(state, u: ScalarField):
+    """The state problem the control u solves: in the variational regime
+    f(u) replaces the problem's fixed source."""
+    if not isinstance(state, VariationalStateProblem):
+        return state
+    return state.with_source(ScalarField(state.mesh, np.asarray(state.cs.f(u.values), dtype=float)))
 
 
 def _state_columns(

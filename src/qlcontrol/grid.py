@@ -267,27 +267,27 @@ def select_rows(mask: np.ndarray):
     return slice(None) if n == mask.size else np.flatnonzero(mask)
 
 
-def _fixed_point_columns(step, y, data, tol, max_iterations, first):
-    """Contraction iteration on a stack of columns, shared by the
-    Zarantonello and Picard solvers.
+def _fixed_point_columns(step, carry, tol, max_iterations, first):
+    """Iteration on a stack of columns, shared by the Zarantonello and Picard
+    solvers and the variational polish.
 
-    ``step(y, *data)`` returns ``(candidate, measure, next)`` for the live
-    columns: the iterate a column stops with, its per-column convergence
-    measure and the next iterate.  ``data`` holds per-column arrays that
-    follow the live columns.  A column freezes at the first iteration whose
-    measure is at most ``tol``; iterations are counted from ``first`` (0
-    when the measure is taken before the step, 1 when after it).  The
-    iterations run in windows of _STALL_ITERATIONS; a column with no new
-    lowest measure in a whole window has stalled at its floating-point
-    floor and stops at the window's end, unconverged.  Returns the states,
-    holding the candidate of each column that stopped and the last iterate
-    of each column at the cap, and one ``(iterations, measure, worst ratio,
-    converged)`` per column; at the cap ``iterations`` is
-    ``max_iterations``, and a stalled column's is below it.
+    ``carry`` holds per-column arrays, the iterate first, that follow the
+    live columns; ``step(*carry)`` returns ``(candidate, measure, floor,
+    carry)``: the iterate a column stops with, its convergence measure, None
+    or a mask of the columns that stop unconverged at their floating-point
+    floor, and the next carry.  A column freezes at the first iteration
+    whose measure is at most ``tol``, converged even at its floor;
+    iterations are counted from ``first`` (0 when the measure is taken
+    before the step, 1 when after it).  A column with no new lowest measure
+    in a whole window of _STALL_ITERATIONS has stalled at its floor too and
+    stops at the window's end.  Returns the states, holding the candidate of
+    each column that stopped and the last iterate of each column at the
+    cap, and one ``(iterations, measure, worst ratio, converged)`` per
+    column; ``iterations`` is ``max_iterations`` at the cap, fewer at a floor.
     """
-    states = np.empty(y.shape)
-    outcome = [None] * y.shape[0]
-    ids = np.arange(y.shape[0])
+    states = np.empty(carry[0].shape)
+    outcome = [None] * len(states)
+    ids = np.arange(len(states))
     # no ratio on the first step; after it prev > 0 on every live column,
     # since a zero measure meets any tolerance
     prev = np.full(ids.size, np.inf)
@@ -295,14 +295,15 @@ def _fixed_point_columns(step, y, data, tol, max_iterations, first):
     low = np.full(ids.size, np.inf)  # lowest measure before this window
     window = []  # this window's measures, reduced only at its end
     for it in range(first, max_iterations + first):
-        candidate, measure, y = step(y, *data)
+        candidate, measure, floor, carry = step(*carry)
         worst = np.maximum(worst, measure / prev)
         prev = measure
         window.append(measure)
-        leave = done = measure <= tol
+        done = measure <= tol
+        leave = done if floor is None else done | floor
         if len(window) == _STALL_ITERATIONS:
             wlow = np.fmin.reduce(window)  # NaN measures never set a low
-            leave = done | ~(wlow < low)
+            leave = leave | ~(wlow < low)
             low = np.fmin(low, wlow)
             window = []
         r = select_rows(leave)
@@ -316,14 +317,21 @@ def _fixed_point_columns(step, y, data, tol, max_iterations, first):
             if isinstance(r, slice):
                 break
             keep = ~leave
-            ids, y, prev, worst, low = (a[keep] for a in (ids, y, prev, worst, low))
+            ids, prev, worst, low = (a[keep] for a in (ids, prev, worst, low))
             window = [m[keep] for m in window]
-            data = tuple(a[keep] for a in data)
+            carry = tuple(a[keep] for a in carry)
     else:
-        states[ids] = y
+        states[ids] = carry[0]
         for c, d, w in zip(ids.tolist(), prev.tolist(), worst.tolist()):
             outcome[c] = (max_iterations, d, w, False)
     return states, outcome
+
+
+def _one_column(solve_columns, p, u: ScalarField, y0, **kw):
+    """Row 0 of ``solve_columns`` on the single control u: the one-column
+    case behind each regime's single solve."""
+    y, reports = solve_columns(p, u.values[None], y0=None if y0 is None else y0.values, **kw)
+    return ScalarField(p.mesh, y[0]), reports[0]
 
 
 # -- inner products and norms -------------------------------------------------
@@ -603,12 +611,6 @@ def gradient_potential(v: VectorField, space: str = "h10"):
     pot = gradient_potential_values(mesh, v.values, space)
     res = l2_norm(VectorField(mesh, gradient_values(mesh, pot) - v.values))
     return ScalarField(mesh, pot), res
-
-
-def is_discrete_gradient(v: VectorField, space: str, tol: float = 1e-9) -> bool:
-    """Range-of-gradient test for the given class, relative tolerance."""
-    _, res = gradient_potential(v, space)
-    return res <= tol * (1.0 + l2_norm(v))
 
 
 # -- serialization -------------------------------------------------------------

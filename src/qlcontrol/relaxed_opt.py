@@ -38,6 +38,7 @@ from .grid import Mesh, ScalarField, VectorField
 from .reports import RelaxationReport, SolveReport
 from .young_measure import (
     YoungMeasureField,
+    _barycenters,
     barycenter,
     dirac_field,
     potential,
@@ -146,10 +147,6 @@ def _abar_cells(rp: RelaxedProblem, atoms: np.ndarray, weights: np.ndarray) -> n
     if moved.any():
         vals[1:][moved] = np.asarray(a(rows[1:][moved]), dtype=float)
     return np.sum(weights * vals.reshape(atoms.shape[:-1]), axis=-1)
-
-
-def _barycenters(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.einsum("...ck,...ckn->...cn", weights, atoms)
 
 
 def _relaxed_states(rp: RelaxedProblem, fvals, abar, bary):

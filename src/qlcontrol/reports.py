@@ -90,3 +90,12 @@ class NonConvergenceError(RuntimeError):
         self.report = report
         self.states = states
         self.reports = reports
+
+
+def _columns_result(states, reports: list, message):
+    """(states, reports) of a stacked solve if every column converged, else
+    NonConvergenceError with message(report) of the first failed column."""
+    failed = [rep for rep in reports if not rep.converged]
+    if failed:
+        raise NonConvergenceError(message(failed[0]), failed[0], states, reports)
+    return states, reports

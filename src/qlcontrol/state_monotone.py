@@ -24,7 +24,7 @@ from .coefficients import (
     check_monotonicity,
 )
 from .grid import Mesh, ScalarField
-from .reports import NonConvergenceError, SolveReport
+from .reports import SolveReport, _columns_result
 
 __all__ = [
     "MonotoneStateProblem",
@@ -86,15 +86,9 @@ def solve_monotone(
     measured update-contraction ratio.  This is the one-column case of
     :func:`solve_monotone_columns`.
     """
-    y, reports = solve_monotone_columns(
-        p,
-        u.values[None],
-        tau=tau,
-        tol=tol,
-        max_iterations=max_iterations,
-        y0=None if y0 is None else y0.values,
+    return grid._one_column(
+        solve_monotone_columns, p, u, y0, tau=tau, tol=tol, max_iterations=max_iterations
     )
-    return ScalarField(p.mesh, y[0]), reports[0]
 
 
 def solve_monotone_columns(
@@ -125,11 +119,11 @@ def solve_monotone_columns(
         resid = -grid.divergence_weak_values(mesh, flux) - f
         lift = grid.helmholtz_solve_values(mesh, 0.0, resid)
         rnorm = grid.l2_norm_values(mesh, grid.gradient_values(mesh, lift), "cells")
-        return y, rnorm, y - tau * lift
+        return y, rnorm, None, (y - tau * lift, f)
 
     # the residual of y is measured before y steps, so counting starts at 0
     states, outcome = grid._fixed_point_columns(
-        step, grid.start_columns(mesh, u.shape, y0), (f_int,), tol, max_iterations, 0
+        step, (grid.start_columns(mesh, u.shape, y0), f_int), tol, max_iterations, 0
     )
 
     reports = [
@@ -143,21 +137,12 @@ def solve_monotone_columns(
         )
         for i, d, w, c in outcome
     ]
-    failed = [rep for rep in reports if not rep.converged]
-    if failed:
-        rep = failed[0]
-        where = (
-            f"in {max_iterations} steps" if rep.iterations == max_iterations
-            else f"and stalled after {rep.iterations} steps"
-        )
-        raise NonConvergenceError(
-            f"Zarantonello iteration did not reach {tol} {where} "
-            f"(last residual {rep.residual:.3e})",
-            rep,
-            states,
-            reports,
-        )
-    return states, reports
+    return _columns_result(states, reports, lambda rep: (
+        f"Zarantonello iteration did not reach {tol} "
+        + (f"in {max_iterations} steps" if rep.iterations == max_iterations
+           else f"and stalled after {rep.iterations} steps")
+        + f" (last residual {rep.residual:.3e})"
+    ))
 
 
 def verify_limit_identity(

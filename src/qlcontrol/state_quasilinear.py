@@ -18,7 +18,7 @@ import numpy as np
 from . import grid
 from .coefficients import CoefficientSet, HypothesisReport, apply_cellwise
 from .grid import Mesh, ScalarField
-from .reports import NonConvergenceError, SolveReport
+from .reports import SolveReport, _columns_result
 
 __all__ = [
     "QuasilinearStateProblem",
@@ -147,14 +147,9 @@ def solve_quasilinear(
     the measured contraction ratio.  This is the one-column case of
     :func:`solve_quasilinear_columns`.
     """
-    y, reports = solve_quasilinear_columns(
-        p,
-        u.values[None],
-        tol=tol,
-        max_iterations=max_iterations,
-        y0=None if y0 is None else y0.values,
+    return grid._one_column(
+        solve_quasilinear_columns, p, u, y0, tol=tol, max_iterations=max_iterations
     )
-    return ScalarField(p.mesh, y[0]), reports[0]
 
 
 def solve_quasilinear_columns(
@@ -178,11 +173,11 @@ def solve_quasilinear_columns(
 
     def step(y, f):
         ynew = grid.helmholtz_solve_values(mesh, p.b, f - _a_node_values(p, y))
-        return ynew, _h1_norm_values(mesh, ynew - y), ynew
+        return ynew, _h1_norm_values(mesh, ynew - y), None, (ynew, f)
 
     # the increment is measured after the step, so counting starts at 1
     states, outcome = grid._fixed_point_columns(
-        step, grid.start_columns(mesh, u.shape, y0), (fvals,), tol, max_iterations, 1
+        step, (grid.start_columns(mesh, u.shape, y0), fvals), tol, max_iterations, 1
     )
 
     residual = strong_residual(p, states, fvals).tolist()
@@ -197,22 +192,13 @@ def solve_quasilinear_columns(
         )
         for (i, d, w, c), r in zip(outcome, residual)
     ]
-    failed = [rep for rep in reports if not rep.converged]
-    if failed:
-        rep = failed[0]
-        where = (
-            f"within {max_iterations} steps" if rep.iterations == max_iterations
-            else f"and stalled after {rep.iterations} steps"
-        )
-        raise NonConvergenceError(
-            f"Picard iteration did not contract to {tol} {where} (measured "
-            f"ratio {rep.contraction_ratio:.4f}); b may barely exceed the "
-            "uniqueness threshold",
-            rep,
-            states,
-            reports,
-        )
-    return states, reports
+    return _columns_result(states, reports, lambda rep: (
+        f"Picard iteration did not contract to {tol} "
+        + (f"within {max_iterations} steps" if rep.iterations == max_iterations
+           else f"and stalled after {rep.iterations} steps")
+        + f" (measured ratio {rep.contraction_ratio:.4f}); b may barely exceed "
+        "the uniqueness threshold"
+    ))
 
 
 def verify_uniqueness(

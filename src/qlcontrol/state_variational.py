@@ -25,7 +25,7 @@ from .coefficients import (
     check_w_growth,
 )
 from .grid import Mesh, ScalarField
-from .reports import NonConvergenceError, SolveReport
+from .reports import SolveReport, _columns_result
 
 __all__ = [
     "VariationalStateProblem",
@@ -186,15 +186,10 @@ def solve_state(
     the lifted Euler-Lagrange residual drops below ``tol``.  This is the
     one-column case of :func:`solve_state_columns`.
     """
-    y, reports = solve_state_columns(
-        p,
-        u.values[None],
-        y0=None if y0 is None else y0.values,
-        source=p.source.values[None],
-        tol=tol,
+    return grid._one_column(
+        solve_state_columns, p, u, y0, source=p.source.values[None], tol=tol,
         max_iterations=max_iterations,
     )
-    return ScalarField(p.mesh, y[0]), reports[0]
 
 
 def solve_state_columns(
@@ -352,39 +347,34 @@ def solve_state_columns(
         )
         for (i, d, e), t in zip(outcome, traces)
     ]
-    failed = [rep for rep in reports if not rep.converged]
-    if failed:
-        raise NonConvergenceError(
-            f"energy descent stalled at residual {failed[0].residual:.3e} "
-            f"(target {tol})",
-            failed[0],
-            states,
-            reports,
-        )
-    return states, reports
+    return _columns_result(states, reports, lambda rep: (
+        f"energy descent stalled at residual {rep.residual:.3e} (target {tol})"
+    ))
 
 
 def _polish(p, y, data, tol):
     """Preconditioned polish of plateaued columns: once the energy plateaus
     in floating point, the lifted Euler-Lagrange residual can still be
-    contracted directly.  Returns the states, residuals and energies."""
-    res = residual_norm(p, y, *data)
-    tau = np.ones(len(y))
-    live = res > tol
-    for _ in range(200):
-        r = grid.select_rows(live)
-        if r is None:
-            break
-        rows = tuple(d[r] for d in data)
-        g = _energy_gradient(p, y[r], grid.gradient_values(p.mesh, y[r]), *rows)
-        lift = grid.helmholtz_solve_values(p.mesh, 0.0, g)
-        ytrial = y[r] - tau[r, None] * lift
+    contracted directly, with a step tau that grows on every step that
+    lowers it and halves on every other, down to the floor tau < 1e-6.
+    Returns the states, residuals and energies."""
+
+    def step(y, res, tau, *rows):
+        g = _energy_gradient(p, y, grid.gradient_values(p.mesh, y), *rows)
+        ytrial = y - tau[:, None] * grid.helmholtz_solve_values(p.mesh, 0.0, g)
         rtrial = residual_norm(p, ytrial, *rows)
-        better = rtrial < res[r]
-        y[r] = np.where(better[:, None], ytrial, y[r])
-        res[r] = np.where(better, rtrial, res[r])
-        tau[r] = np.where(better, np.minimum(tau[r] * 1.25, 1.0), tau[r] * 0.5)
-        live[r] = np.where(better, res[r] > tol, tau[r] >= 1e-6)
+        better = rtrial < res
+        y = np.where(better[:, None], ytrial, y)
+        res = np.where(better, rtrial, res)
+        tau = np.where(better, np.minimum(tau * 1.25, 1.0), tau * 0.5)
+        return y, res, ~better & (tau < 1e-6), (y, res, tau) + rows
+
+    res = residual_norm(p, y, *data)
+    r = grid.select_rows(res > tol)
+    if r is not None:
+        carry = (y[r], res[r], np.ones(len(y[r]))) + tuple(d[r] for d in data)
+        y[r], outcome = grid._fixed_point_columns(step, carry, tol, 200, 1)
+        res[r] = [d for _, d, _, _ in outcome]
     return y, res, _energy_values(p, y, *data)[0]
 
 

@@ -11,6 +11,7 @@ Oscillating control sequences are realized as 1D laminates on a refined mesh.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -85,34 +86,42 @@ class YoungMeasureField:
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "weights", weights)
         if self.klass in ("PH10", "PH1"):
-            bary = self._barycenter_field()
-            space = "h10" if self.klass == "PH10" else "h1"
-            if not grid.is_discrete_gradient(bary, space, CLASS_TOL):
+            # the class check solves for the potential; keep it
+            bary = self._barycenter
+            pot, res = grid.gradient_potential(bary, "h10" if self.klass == "PH10" else "h1")
+            if not res <= CLASS_TOL * (1.0 + grid.l2_norm(bary)):
                 raise ValueError(
                     f"barycenter is not a discrete gradient of class {self.klass}"
                 )
+            if self.klass == "PH1":
+                pot = ScalarField(self.mesh, pot.values + self.potential_offset)
+            object.__setattr__(self, "_potential", pot)
 
     @property
     def n_atoms(self) -> int:
         return self.atoms.shape[1]
 
-    def _barycenter_field(self) -> VectorField:
-        vals = np.einsum("ck,ckn->cn", self.weights, self.atoms)
-        return VectorField(self.mesh, vals)
+    @cached_property
+    def _barycenter(self) -> VectorField:
+        return VectorField(self.mesh, _barycenters(self.atoms, self.weights))
+
+
+def _barycenters(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-cell barycenters of atoms (..., n_cells, K, N) under weights
+    (..., n_cells, K); leading axes are batch axes."""
+    return np.einsum("...ck,...ckn->...cn", weights, atoms)
 
 
 def dirac_field(v: VectorField) -> YoungMeasureField:
     """One unit-weight atom per cell at the field value; the class tag is
-    inherited from whether v is a discrete gradient (H1_0 first, then H1)."""
-    if grid.is_discrete_gradient(v, "h10", CLASS_TOL):
-        klass = "PH10"
-    elif grid.is_discrete_gradient(v, "h1", CLASS_TOL):
-        klass = "PH1"
-    else:
-        klass = "unconstrained"
-    return YoungMeasureField(
-        v.mesh, v.values[:, None, :], np.ones((v.mesh.n_cells, 1)), klass
-    )
+    the first of PH10 and PH1 whose check v passes, else unconstrained."""
+    args = (v.mesh, v.values[:, None, :], np.ones((v.mesh.n_cells, 1)))
+    for klass in ("PH10", "PH1"):
+        try:
+            return YoungMeasureField(*args, klass)
+        except ValueError:  # v is not a discrete gradient of this class
+            pass
+    return YoungMeasureField(*args)
 
 
 def moment(ym: YoungMeasureField, psi: Callable) -> ScalarField:
@@ -130,7 +139,7 @@ def moment(ym: YoungMeasureField, psi: Callable) -> ScalarField:
 
 def barycenter(ym: YoungMeasureField) -> VectorField:
     """First moment per cell (psi = identity per component)."""
-    return ym._barycenter_field()
+    return ym._barycenter
 
 
 def second_moment(ym: YoungMeasureField) -> float:
@@ -146,13 +155,9 @@ def potential(ym: YoungMeasureField) -> ScalarField:
     PH10 potentials vanish on the boundary; PH1 potentials are normalized to
     zero plain nodal mean plus the stored additive constant.
     """
-    if ym.klass == "PH10":
-        pot, _ = grid.gradient_potential(barycenter(ym), "h10")
-        return pot
-    if ym.klass == "PH1":
-        pot, _ = grid.gradient_potential(barycenter(ym), "h1")
-        return ScalarField(ym.mesh, pot.values + ym.potential_offset)
-    raise ValueError("unconstrained measures have no canonical potential")
+    if ym.klass == "unconstrained":
+        raise ValueError("unconstrained measures have no canonical potential")
+    return ym._potential
 
 
 def project_class(ym: YoungMeasureField, target: str) -> YoungMeasureField:

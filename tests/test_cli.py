@@ -48,6 +48,22 @@ cells_per_axis = 32
 """
 
 
+RELAX_INI = """\
+[experiment]
+kind = relax
+seed = 0
+
+[instance]
+name = linear-quasilinear-1d
+
+[mesh]
+dimension = 1
+cells_per_axis = 16
+
+[solver]
+samples = 2
+"""
+
 # sets every key of the config schema to a value other than its default
 EVERY_KEY_INI = """\
 [experiment]
@@ -222,6 +238,18 @@ class TestConfigParsing:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, where):
+        # numpy rejects a negative seed only once the run has started
+        text = VERIFY_INI.replace("seed = 0", "seed = -1") if where == "config" else VERIFY_INI
+        argv = ["run", str(write(tmp_path, text)), "--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--seed", "-5"]
+        assert main(argv) == 1
+        assert "[experiment] seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRuns:
     def test_verify_hypotheses_identity(self, tmp_path):
         cfg = write(tmp_path, VERIFY_INI)
@@ -268,23 +296,39 @@ name = {instance}
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["results"]["state"]["converged"] is True
 
+    @pytest.mark.parametrize("instance", ["variational-quartic-1d", "quadratic-variational-1d"])
+    def test_variational_state_solves_with_the_control_source(self, tmp_path, instance):
+        # f(u) replaces the state problem's zero source, as in the control
+        # layer; with that source ignored the state was 0 for every control
+        text = f"[experiment]\nkind = state\ncontrol = one\n\n[instance]\nname = {instance}\n"
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
+        written = np.loadtxt(tmp_path / "out" / "state.csv", delimiter=",", skiprows=1)
+        cp = instances.build_control_problem(instance)
+        u = grid.ScalarField(cp.mesh, np.ones(cp.mesh.n_nodes))
+        _, y = control_opt.evaluate_cost(cp, u, return_state=True)
+        assert np.array_equal(written[:, -1], y.values)
+        assert np.min(y.values) < -0.1
+
+    @pytest.mark.parametrize("ini", ["relax", "gap-demo"])
+    def test_relax_passes_solver_settings_to_the_classical_run(self, tmp_path, monkeypatch,
+                                                               ini):
+        seen = []
+        optimize = relaxed_opt.optimize_control
+
+        def record(cp, u0, opts=None):
+            seen.append(opts)
+            return optimize(cp, u0, opts)
+
+        monkeypatch.setattr(relaxed_opt, "optimize_control", record)
+        text = GAP_INI if ini == "gap-demo" else RELAX_INI
+        settings = ["solver.gradient_tol=1e3", "solver.state_tol=1e-10"]
+        assert run(write(tmp_path, text), out=str(tmp_path / "out"), overrides=settings) == 0
+        assert [(o.max_iterations, o.gradient_tol, o.state_tol) for o in seen] == [
+            (12, 1e3, 1e-10)
+        ]
+
     def test_relax_experiment(self, tmp_path):
-        text = """\
-[experiment]
-kind = relax
-seed = 0
-
-[instance]
-name = linear-quasilinear-1d
-
-[mesh]
-dimension = 1
-cells_per_axis = 16
-
-[solver]
-samples = 2
-"""
-        cfg = write(tmp_path, text)
+        cfg = write(tmp_path, RELAX_INI)
         assert run(cfg, out=str(tmp_path / "out")) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         relax = report["results"]["relaxation"]

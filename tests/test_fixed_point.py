@@ -131,3 +131,37 @@ def test_stalled_column_leaves_the_others_alone():
     assert not stalled.converged and stalled.iterations < 1000
     assert converged.to_dict() == rep.to_dict()
     assert np.array_equal(exc.value.states[1], y.values)
+
+
+class TestFloor:
+    """The driver's ``floor`` mask, on a step that adds 1 to the iterate and
+    measures 2**-iterate: with tol = 2**-3 a column converges once its
+    iterate reaches 3, and it is at its floor once it reaches its own
+    ``floor_at``."""
+
+    @staticmethod
+    def step(y, floor_at):
+        nxt = y + 1.0
+        return nxt, 2.0 ** -nxt[:, 0], nxt[:, 0] >= floor_at, (nxt, floor_at)
+
+    def test_floor_stops_unconverged_with_its_candidate(self):
+        y0 = np.array([[0.0], [0.0], [-2.0]])
+        floor_at = np.array([2.0, 3.0, np.inf])
+        states, outcome = grid._fixed_point_columns(
+            self.step, (y0, floor_at), 2.0**-3, 50, 1
+        )
+        # column 0 stops at its floor, one step short of the tolerance;
+        # column 1 reaches both at once and is converged; column 2 has no
+        # floor and keeps stepping after the others stopped
+        assert outcome == [(2, 0.25, 0.5, False), (3, 0.125, 0.5, True),
+                           (5, 0.125, 0.5, True)]
+        assert np.array_equal(states, [[2.0], [3.0], [3.0]])
+
+    def test_no_floor_runs_to_the_cap(self):
+        y0 = np.array([[-100.0], [0.0]])
+        states, outcome = grid._fixed_point_columns(
+            lambda y: (y + 1.0, 2.0 ** -(y[:, 0] + 1.0), None, (y + 1.0,)),
+            (y0,), 2.0**-3, 4, 1,
+        )
+        assert outcome == [(4, 2.0**96, 0.5, False), (3, 0.125, 0.5, True)]
+        assert np.array_equal(states, [[-96.0], [3.0]])

@@ -281,6 +281,59 @@ class TestLineSearchExhaustion:
             assert err.reports[i].to_dict() == reports[0].to_dict()
 
 
+def _polish_one(p, y, u, source, tol):
+    """The polish of one column, one step at a time: a step along the lifted
+    energy gradient with step tau, kept only if it lowers the lifted
+    residual; tau grows by 1.25 (to at most 1) after a kept step and halves
+    after any other, and the column stops at ``tol``, once tau < 1e-6 or
+    after 200 steps.  Returns the state, its residual and the stop."""
+    data = state_variational._column_data(p.mesh, u[None], source[None])
+    y = y[None]
+    res = state_variational.residual_norm(p, y, *data)[0]
+    tau, steps = 1.0, 0
+    while res > tol:
+        if steps == 200:
+            return y[0], res, "cap"
+        g = state_variational._energy_gradient(p, y, grid.gradient_values(p.mesh, y), *data)
+        trial = y - tau * grid.helmholtz_solve_values(p.mesh, 0.0, g)
+        rtrial = state_variational.residual_norm(p, trial, *data)[0]
+        steps += 1
+        if rtrial < res:
+            y, res, tau = trial, rtrial, min(tau * 1.25, 1.0)
+        else:
+            tau *= 0.5
+            if tau < 1e-6:
+                return y[0], res, "floor"
+    return y[0], res, "tol"
+
+
+class TestPolish:
+    def test_stacked_polish_equals_one_column_loop(self):
+        # W = (1 + 0.99 tanh u)|grad y|^2/2: a control of +-5 on the two
+        # halves makes the energy ill-conditioned (cap); a 1e8 source puts
+        # the residual's rounding floor above the tolerance (floor)
+        mesh = grid.build_mesh(1, 16)
+        x = mesh.node_coords()[:, 0]
+        cs = co.CoefficientSet(**co.w_u_scaled_quadratic(0.99))
+        p = VariationalStateProblem(mesh, cs, ScalarField(mesh, np.ones(mesh.n_nodes)))
+        U = np.array([np.full(mesh.n_nodes, 0.3), np.zeros(mesh.n_nodes),
+                      np.where(x < 0.5, 5.0, -5.0)])
+        S = np.array([np.sin(7.0 * x), 1e8 * np.sin(7.0 * x), np.ones(mesh.n_nodes)])
+        tol = 1e-12
+        y, res, energy = state_variational._polish(
+            p, np.zeros(U.shape), state_variational._column_data(mesh, U, S), tol
+        )
+        stops = []
+        for i in range(len(U)):
+            y_ref, res_ref, stop = _polish_one(p, np.zeros(mesh.n_nodes), U[i], S[i], tol)
+            stops.append(stop)
+            assert np.array_equal(y[i], y_ref)
+            assert res[i] == res_ref
+            data = state_variational._column_data(mesh, U[i][None], S[i][None])
+            assert energy[i] == state_variational._energy_values(p, y_ref[None], *data)[0][0]
+        assert stops == ["tol", "floor", "cap"]
+
+
 class TestWithSource:
     def test_runs_no_w_checks(self, monkeypatch):
         p = quadratic_problem()

@@ -44,6 +44,69 @@ class TestDiracField:
         assert d.klass == "unconstrained"
 
 
+def count_potential_solves(monkeypatch):
+    """List that gains one entry per grid.gradient_potential_values call."""
+    calls = []
+    solve = grid.gradient_potential_values
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "gradient_potential_values", counted)
+    return calls
+
+
+class TestPotentialSolves:
+    """A field keeps the barycenter and the potential its class check
+    solves for."""
+
+    @pytest.mark.parametrize("klass", ["PH10", "PH1"])
+    def test_potential_and_barycenter_solve_nothing(self, monkeypatch, klass):
+        mesh = grid.build_mesh(1, 8)
+        rng = np.random.default_rng(4)
+        yv = rng.standard_normal(mesh.n_nodes)
+        if klass == "PH10":
+            yv[mesh.boundary_mask] = 0.0
+        g = grid.gradient_values(mesh, yv)
+        atoms = np.stack([g - 0.5, g + 1.5], axis=1)
+        field = ym.YoungMeasureField(mesh, atoms, np.tile([0.75, 0.25], (8, 1)), klass, 2.0)
+        calls = count_potential_solves(monkeypatch)
+        pot = ym.potential(field)
+        bary = ym.barycenter(field)
+        assert calls == []
+        # the values a fresh solve gives, bit for bit
+        space = "h10" if klass == "PH10" else "h1"
+        fresh, _ = grid.gradient_potential(bary, space)
+        offset = 2.0 if klass == "PH1" else 0.0
+        assert np.array_equal(pot.values, fresh.values + offset)
+        assert np.array_equal(bary.values, np.einsum("ck,ckn->cn", field.weights, atoms))
+
+    @pytest.mark.parametrize(
+        "values, klass, solves",
+        [("h10", "PH10", 1), ("ones", "PH1", 2), ("noise", "unconstrained", 2)],
+    )
+    def test_dirac_field_solves_once_per_class_tried(self, monkeypatch, values, klass,
+                                                     solves):
+        mesh = grid.build_mesh(2, 4)
+        rng = np.random.default_rng(5)
+        if values == "h10":
+            yv = rng.standard_normal(mesh.n_nodes)
+            yv[mesh.boundary_mask] = 0.0
+            v = grid.gradient(ScalarField(mesh, yv))
+        elif values == "ones":
+            v = VectorField(mesh, np.ones((mesh.n_cells, 2)))
+        else:
+            v = VectorField(mesh, rng.standard_normal((mesh.n_cells, 2)))
+        calls = count_potential_solves(monkeypatch)
+        d = ym.dirac_field(v)
+        assert d.klass == klass
+        assert len(calls) == solves
+        if klass != "unconstrained":
+            ym.potential(d)
+            assert len(calls) == solves
+
+
 class TestMoments:
     def test_dirac_reproduces_composition(self):
         mesh = grid.build_mesh(1, 8)
@@ -167,7 +230,9 @@ class TestProjectClass:
         mesh = grid.build_mesh(2, 3)
         v = VectorField(mesh, rng.standard_normal((mesh.n_cells, 2)))
         p = ym.project_class(ym.dirac_field(v), "PH10")
-        assert grid.is_discrete_gradient(ym.barycenter(p), "h10")
+        bary = ym.barycenter(p)
+        _, res = grid.gradient_potential(bary, "h10")
+        assert res <= 1e-9 * (1.0 + grid.l2_norm(bary))
 
 
 class TestRealizeSequence:
