@@ -26,7 +26,7 @@ from . import instances
 from .control_opt import (
     REGIMES,
     OptimizeOptions,
-    _state_problem,
+    _source_kw,
     minimizing_sequence_demo,
     optimize_control,
     state_solvers,
@@ -176,7 +176,7 @@ def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u)
     solve = state_solvers(REGIMES[type(state)])[0]
     kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
-    y, rep = solve(_state_problem(state, u), u, **kw)
+    y, rep = solve(state, u, **kw, **_source_kw(state, u.values))
     timings["state_solve"] = time.perf_counter() - t0
     results["state"] = rep.to_dict()
     field_to_csv(y, out_dir / "state.csv")

@@ -132,16 +132,18 @@ def _state_one(
     """State of one control through the regime's single solve; in 1D it
     equals row 0 of _state_columns on ``u.values[None]`` bit for bit."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
-    y, _ = state_solvers(cp.regime)[0](_state_problem(cp.state, u), u, tol=tol, y0=warm)
+    solve = state_solvers(cp.regime)[0]
+    y, _ = solve(cp.state, u, tol=tol, y0=warm, **_source_kw(cp.state, u.values))
     return y
 
 
-def _state_problem(state, u: ScalarField):
-    """The state problem the control u solves: in the variational regime
-    f(u) replaces the problem's fixed source."""
+def _source_kw(state, U: np.ndarray) -> dict:
+    """Keywords of the state solve of one control or a stack of them: the
+    one place of the rule that in the variational regime f(u) replaces the
+    problem's fixed source."""
     if not isinstance(state, VariationalStateProblem):
-        return state
-    return state.with_source(ScalarField(state.mesh, np.asarray(state.cs.f(u.values), dtype=float)))
+        return {}
+    return {"source": np.asarray(state.cs.f(U), dtype=float)}
 
 
 def _state_columns(
@@ -155,8 +157,7 @@ def _state_columns(
     bit."""
     tol = state_tol if state_tol is not None else _STATE_TOL_DEFAULTS[cp.regime]
     y0 = None if warm is None else warm.values
-    kw = {"source": np.asarray(cp.cs.f(U), dtype=float)} if cp.regime == "variational" else {}
-    Y, _ = state_solvers(cp.regime)[1](cp.state, U, tol=tol, y0=y0, **kw)
+    Y, _ = state_solvers(cp.regime)[1](cp.state, U, tol=tol, y0=y0, **_source_kw(cp.state, U))
     return Y
 
 

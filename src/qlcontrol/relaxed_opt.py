@@ -207,7 +207,9 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGH
     """Dirac embedding (delta_{grad u}, delta_{grad y_u}) of a classical pair.
 
     The stored constant is the plain nodal mean of u, matching the zero-mean
-    normalization of PH1 potentials.
+    normalization of PH1 potentials.  A constant is all it can carry: in 2D
+    the gradient's kernel also holds the checkerboard, which potential(mu)
+    drops, so the embedding is exact on 1D meshes only.
     """
     mesh = rp.mesh
     y = _state_one(rp.control, u, None, state_tol)

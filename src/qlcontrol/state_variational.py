@@ -177,6 +177,7 @@ def solve_state(
     tol: float = 1e-8,
     max_iterations: int = 10_000,
     y0: Optional[ScalarField] = None,
+    source: Optional[np.ndarray] = None,
 ):
     """Minimize I(., u) over discrete H1_0.
 
@@ -184,11 +185,12 @@ def solve_state(
     otherwise damped Barzilai-Borwein descent with a bisected line search
     that enforces monotone energy decrease.  Convergence is declared when
     the lifted Euler-Lagrange residual drops below ``tol``.  This is the
-    one-column case of :func:`solve_state_columns`.
+    one-column case of :func:`solve_state_columns`; ``source`` (nodal
+    values) replaces the problem's source, as there.
     """
+    src = p.source.values if source is None else source
     return grid._one_column(
-        solve_state_columns, p, u, y0, source=p.source.values[None], tol=tol,
-        max_iterations=max_iterations,
+        solve_state_columns, p, u, y0, source=src[None], tol=tol, max_iterations=max_iterations
     )
 
 

@@ -213,6 +213,11 @@ class TestConfigParsing:
             # the Dirac embedding of a 2D control is infeasible: no relaxation
             ("[experiment]\nkind = relax\n\n[instance]\nname = sin-gradient-2d\n\n"
              "[mesh]\ndimension = 2\ncells_per_axis = 6\n", "sin-gradient-2d"),
+            # relaxable in 1D only: a 2D Dirac embedding drops u's checkerboard
+            ("[experiment]\nkind = relax\n\n[instance]\nname = sin-gradient-1d\n\n"
+             "[mesh]\ndimension = 2\ncells_per_axis = 6\n", "sin-gradient-1d"),
+            ("[experiment]\nkind = relax\n\n[instance]\nname = linear-quasilinear-1d\n\n"
+             "[mesh]\ndimension = 2\ncells_per_axis = 4\n", "linear-quasilinear-1d"),
             # relaxable, but prescribes no oscillation measure to realize
             ("[experiment]\nkind = gap-demo\n\n[instance]\nname = sin-gradient-1d\n",
              "sin-gradient-1d"),
@@ -224,7 +229,8 @@ class TestConfigParsing:
             ("[experiment]\nkind = control\n\n[instance]\nname = monotone-perturbed-1d\n"
              "b = 3\n", "monotone-perturbed-1d"),
         ],
-        ids=["relax-2d", "gap-demo-without-measure", "unknown-flux", "unknown-instance",
+        ids=["relax-2d", "sin-gradient-1d-on-2d-mesh", "linear-quasilinear-1d-on-2d-mesh",
+             "gap-demo-without-measure", "unknown-flux", "unknown-instance",
              "b-on-variational", "b-on-monotone"],
     )
     def test_unrunnable_experiment_rejected(self, tmp_path, capsys, monkeypatch, text,
@@ -541,18 +547,28 @@ class TestListCommand:
         assert main(["list"]) == 0
         assert "gap-family-1d" in capsys.readouterr().out
 
-    def test_python_dash_m_list(self):
+    @staticmethod
+    def _fresh_python(*args):
         src = str(Path(qlcontrol.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-m", "qlcontrol", "list"],
+            [sys.executable, *args],
             env={**os.environ, "PYTHONPATH": path},
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert "gap-family-1d" in proc.stdout
+        return proc.stdout
+
+    def test_python_dash_m_list(self):
+        assert "gap-family-1d" in self._fresh_python("-m", "qlcontrol", "list")
+
+    def test_import_loads_no_sparse_module(self):
+        # every linear solve is banded Cholesky or a cached tensor eigenbasis
+        out = self._fresh_python("-c", "import sys, qlcontrol; print(sorted(m for m in sys.modules"
+                                 " if m.split('.')[:2] == ['scipy', 'sparse']))")
+        assert out.strip() == "[]"
 
 
 class TestShippedConfigs:

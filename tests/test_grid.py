@@ -7,7 +7,7 @@ import scipy.linalg
 from qlcontrol import grid
 from qlcontrol.grid import ScalarField, VectorField
 
-from oracles import helmholtz_matrix_2d
+from oracles import h1_potential_2d, helmholtz_matrix_2d
 
 
 class TestBuildMesh:
@@ -315,8 +315,7 @@ class TestBatchAxes:
             out = op(mesh, stack)
             for i in range(4):
                 single = op(mesh, stack[i])
-                assert out[i].shape == single.shape
-                assert np.max(np.abs(out[i] - single)) <= 1e-12 * (1.0 + np.max(np.abs(single)))
+                assert np.array_equal(out[i], single)
 
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -371,16 +370,19 @@ class TestGradientPotential:
         _, res = grid.gradient_potential(v, "h1")
         assert res > 1e-3
 
-    @pytest.mark.parametrize("n", [5, 6])
-    def test_gradient_matrix_matches_gradient_values(self, n):
+    @pytest.mark.parametrize("n", [2, 3, 5, 6, 12, 32])
+    def test_2d_h1_matches_dense_oracle(self, n):
         rng = np.random.default_rng(19)
         mesh = grid.build_mesh(2, n)
-        y = rng.standard_normal(mesh.n_nodes)
-        # rows: the x-components of every cell, then the y-components
-        expected = grid.gradient_values(mesh, y).T.ravel()
-        out = grid._gradient_matrix(mesh) @ y
-        assert out.shape == expected.shape
-        assert np.max(np.abs(out - expected)) <= 1e-12 * (1.0 + np.max(np.abs(expected)))
+        y = rng.standard_normal((2, 3, mesh.n_nodes))
+        for v in (grid.gradient_values(mesh, y), rng.standard_normal((2, 3, mesh.n_cells, 2))):
+            expected = h1_potential_2d(n, v)
+            # batch shapes (), (3,), (2, 3) and (0,)
+            for index in ((0, 0), (0,), (), (0, slice(0))):
+                out = grid.gradient_potential_values(mesh, v[index], "h1")
+                assert out.shape == expected[index].shape
+                scale = np.max(np.abs(expected))
+                assert np.all(np.abs(out - expected[index]) <= 1e-12 * scale)
 
 
 class TestCsvDump:
