@@ -5,10 +5,10 @@ nodal values on a uniform grid over (0,1) or (0,1)^2 with zero-Dirichlet
 bookkeeping, gradients are cell-centered difference quotients, and
 ``divergence_weak`` is the exact negative adjoint of ``gradient`` with respect
 to the trapezoid (nodes) and midpoint (cells) inner products.  The linear
-backbone of every state solver, ``helmholtz_solve`` of ``-lap + b``, is a
-banded Cholesky solve in 1D and a sine-basis (fast diagonalization) one in 2D;
-the H1 gradient potential is a cumulative sum in 1D and a cosine-basis solve
-in 2D.
+backbone of every state solver, ``helmholtz_solve`` of ``-lap + b``, applies
+the closed-form Green's function in 1D and solves in the sine basis (fast
+diagonalization) in 2D; the H1 gradient potential is a cumulative sum in 1D
+and a cosine-basis solve in 2D.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "Mesh",
@@ -428,37 +427,134 @@ def cell_to_node(c: ScalarField) -> ScalarField:
 
 # -- the Helmholtz backbone ----------------------------------------------------
 
+# cached 1D Green's functions and 2D sine bases; beyond _CACHE_ENTRIES the
+# oldest entry goes first.  perfbench counts its entries as factorizations.
 _FACTOR_CACHE: dict = {}
+_CACHE_ENTRIES = 32
+# 1D meshes with at most this many interior nodes apply a dense Green's
+# function; its products lose to rounding on oscillating right-hand sides as
+# n^2 (2e-13 relative at 63, 2e-12 at 126), so finer meshes sweep instead
+_DENSE_INTERIOR = 63
+# largest decay exponent across one chunk of a sweep: weights stay in
+# [e^-300, 1], far from underflow and overflow
+_CHUNK_EXPONENT = 300.0
 
 
-def _interior_operator_1d(mesh: Mesh, b: float):
-    key = (1, mesh.cells_per_axis, float(b))
-    fac = _FACTOR_CACHE.get(key)
-    if fac is None:
-        n = mesh.cells_per_axis
-        h2 = mesh.h**2
-        m = n - 1
-        ab = np.zeros((2, m))
-        ab[0, 1:] = -1.0 / h2
-        ab[1, :] = 2.0 / h2 + b
-        fac = scipy.linalg.cholesky_banded(ab, lower=False)
-        _FACTOR_CACHE[key] = fac
-    return fac
+def _cached(key, build):
+    entry = _FACTOR_CACHE.get(key)
+    if entry is None:
+        while len(_FACTOR_CACHE) >= _CACHE_ENTRIES:
+            del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
+        entry = _FACTOR_CACHE[key] = build()
+    return entry
+
+
+def _green_1d(n: int, b: float):
+    """(r, p, theta) of the 1D interior operator tridiag(-1, 2 + b h^2, -1)/h^2,
+    whose inverse is G[i, j] = r[min(i, j)] p[n - max(i, j)] e^{-|i - j| theta}.
+
+    With cosh(theta) = 1 + b h^2/2 the inverse is h^2 sinh(i theta)
+    sinh((n - j) theta) / (sinh(theta) sinh(n theta)) for i <= j (Meurant,
+    SIAM J. Matrix Anal. Appl. 13, 1992).  Splitting sinh(k theta) =
+    e^{k theta} s_k / 2 with s_k = 1 - e^{-2 k theta} gives r_k = s_k h^2 /
+    (2 sinh theta) and p_k = s_k / s_n, which neither overflow for large b
+    nor underflow for tiny b; b = 0 is the limit r_k = k h^2, p_k = k/n.
+    """
+    h = 1.0 / n
+    k = np.arange(n + 1)
+    a = 0.5 * h * np.sqrt(b)  # sinh(theta/2)
+    theta = 2.0 * float(np.arcsinh(a))
+    if theta == 0.0:
+        return k * (h * h), k / n, 0.0
+    s = -np.expm1(-2.0 * theta * k)
+    # 2 sinh(theta) = 4 sinh(theta/2) cosh(theta/2)
+    return s * (h * h / (4.0 * a * np.hypot(1.0, a))), s / s[n], theta
+
+
+def _dense_green_1d(n: int, b: float) -> np.ndarray:
+    r, p, theta = _green_1d(n, b)
+    i = np.arange(1, n)
+    lo, hi = np.minimum.outer(i, i), np.maximum.outer(i, i)
+    return r[lo] * p[n - hi] * np.exp(-theta * (hi - lo))
+
+
+def _sweep_weights_1d(n: int, b: float):
+    """(L, decay, u1, w1, v1, u2, w2, v2) of the two sweeps of _solve_1d.
+
+    Each sweep runs in chunks of L entries, with L theta at most
+    _CHUNK_EXPONENT (one chunk unless b h^2 n^2 is large): within a chunk
+    the terms are weighted by up = e^{-(L-1-t) theta} <= 1 at position t
+    and the cumulative sums rescaled by down = 1/up, and each chunk takes
+    the carry of the chunks before it, decayed by enter = e^{-(t+1)
+    theta}.  The weights fold in the Green's function factors.
+    """
+    r, p, theta = _green_1d(n, b)
+    m = n - 1
+    L = m if theta * (m - 1) <= _CHUNK_EXPONENT else max(1, int(_CHUNK_EXPONENT / theta))
+    t = np.arange(m) % L
+    up, down, enter = (np.exp(c * theta) for c in (-(L - 1 - t), L - 1 - t, -(t + 1.0)))
+    # the lower sweep feeds node i from j <= i; the upper one runs over the
+    # reversed row, position t feeding node m - 1 - t from j > m - 1 - t
+    lower, upper = p[m:0:-1], np.exp(-theta) * r[m - 1::-1]
+    return (L, np.exp(-theta * L), r[1:n] * up, lower * down, lower * enter,
+            p[1:n] * up, upper * down, upper * enter)
+
+
+def _sweep(g: np.ndarray, L: int, decay: float, w: np.ndarray, v: np.ndarray):
+    """Overwrite each row of g with w times its cumulative sums within chunks
+    of L entries, plus v times the carry into each chunk: the last sum of the
+    chunk before plus its own carry, decayed."""
+    k, m = g.shape
+    if L >= m:
+        np.add.accumulate(g, axis=-1, out=g)
+        g *= w
+        return g
+    chunks = -(-m // L)
+    padded = np.zeros((k, chunks * L))
+    padded[:, :m] = g
+    local = np.add.accumulate(padded.reshape(k, chunks, L), axis=-1)
+    carry = np.zeros((k, chunks))
+    for c in range(1, chunks):
+        carry[:, c] = local[:, c - 1, -1] + decay * carry[:, c - 1]
+    g[:] = local.reshape(k, chunks * L)[:, :m] * w + np.repeat(carry, L, axis=-1)[:, :m] * v
+    return g
+
+
+def _solve_1d(n: int, b: float, F: np.ndarray, y: np.ndarray) -> None:
+    """Write into y the interior solutions for the rows of the (k, n - 1)
+    stack F.
+
+    Every row is computed on its own, so a stacked row equals its single
+    solve bit for bit: a dense Green's function applies one matrix-vector
+    product per row (a stacked matrix product would not keep that), and on
+    finer meshes two sweeps of per-row cumulative sums apply
+
+        y_i = p_{n-i} sum_{j <= i} e^{-(i-j) theta} r_j f_j
+              + r_i sum_{j > i} e^{-(j-i) theta} p_{n-j} f_j.
+    """
+    if n - 1 <= _DENSE_INTERIOR:
+        G = _cached((1, n, b), lambda: _dense_green_1d(n, b))
+        # one contiguous layout, so a row's products never depend on its stride
+        y[:] = (G @ np.ascontiguousarray(F)[..., None])[..., 0]
+        return
+    L, decay, u1, w1, v1, u2, w2, v2 = _cached((1, n, b), lambda: _sweep_weights_1d(n, b))
+    _sweep(np.multiply(F, u1, out=y), L, decay, w1, v1)
+    y[:, :-1] += _sweep(F[:, ::-1] * u2, L, decay, w2, v2)[:, -2::-1]
 
 
 def _sine_basis_2d(mesh: Mesh):
     """Cached (S, lam0): the 2D interior operator is (2/h^2) I - (1/2h^2) T(x)T
     + b I with T the 1D neighbour matrix, and the symmetric orthogonal sine
     matrix S diagonalizes it with eigenvalues lam0 + b for every b."""
-    key = (2, mesh.cells_per_axis)
-    entry = _FACTOR_CACHE.get(key)
-    if entry is None:
-        n = mesh.cells_per_axis
+    n = mesh.cells_per_axis
+
+    def build():
         k = np.arange(1, n)
         S = np.sqrt(2.0 / n) * np.sin(np.pi * np.outer(k, k) / n)
         c = np.cos(np.pi * k / n)
-        entry = _FACTOR_CACHE[key] = (S, 2.0 / mesh.h**2 * (1.0 - np.outer(c, c)))
-    return entry
+        return S, 2.0 / mesh.h**2 * (1.0 - np.outer(c, c))
+
+    return _cached((2, n), build)
 
 
 def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
@@ -477,27 +573,24 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
         )
     if not np.all(np.isfinite(rhs)):
         raise ValueError("non-finite right-hand side")
-    # the 1D interior is the contiguous slice 1:-1, cheaper than a fancy index
-    interior = slice(1, -1) if mesh.dimension == 1 else mesh.interior_indices
-    m = mesh.interior_indices.size
-    if mesh.dimension == 1:
-        cols = rhs[..., interior].reshape(-1, m).T
-        # LAPACK directly: the banded-solve wrapper costs more than the solve
-        sol, info = scipy.linalg.lapack.dpbtrs(_interior_operator_1d(mesh, b), cols)
-        if info != 0:
-            raise ValueError(f"banded Cholesky solve failed (info={info})")
-        sol = sol.T
-    else:
-        S, lam0 = _sine_basis_2d(mesh)
-        F = rhs[..., interior].reshape(rhs.shape[:-1] + lam0.shape)
-        sol = S @ ((S @ F @ S) / (lam0 + b)) @ S
     out = np.zeros(rhs.shape)
-    out[..., interior] = sol.reshape(rhs.shape[:-1] + (m,))
+    if mesh.dimension == 1:
+        # the interior is the slice 1:-1, solved straight into the output
+        n = mesh.cells_per_axis
+        F = rhs[..., 1:-1].reshape(-1, n - 1)
+        _solve_1d(n, float(b), F, out.reshape(-1, n + 1)[:, 1:-1])
+        return out
+    interior = mesh.interior_indices
+    S, lam0 = _sine_basis_2d(mesh)
+    F = rhs[..., interior].reshape(rhs.shape[:-1] + lam0.shape)
+    sol = S @ ((S @ F @ S) / (lam0 + b)) @ S
+    out[..., interior] = sol.reshape(rhs.shape[:-1] + (interior.size,))
     return out
 
 
 def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:
-    """Zero-Dirichlet Helmholtz solve: banded Cholesky (1D), sine basis (2D).
+    """Zero-Dirichlet Helmholtz solve: closed-form Green's function (1D), sine
+    basis (2D).
 
     Parameters
     ----------

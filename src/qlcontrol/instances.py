@@ -22,6 +22,7 @@ from .grid import Mesh, ScalarField
 from .relaxed_opt import (
     RelaxedInit,
     RelaxedProblem,
+    _check_mesh,
     evaluate_relaxed_cost,
 )
 from .control_opt import evaluate_cost
@@ -179,9 +180,8 @@ def build_relaxed_problem(
     """Relaxed problem plus the designed init (None when no design exists)."""
     if name not in relaxable_names():
         raise ValueError(f"instance {name!r} has no relaxation; try `qlcontrol list`")
-    if mesh is not None and mesh.dimension != 1:
-        raise ValueError(f"instance {name!r} relaxes on 1D meshes only: the 2D gradient's "
-                         "kernel holds the checkerboard, which a PH1 potential drops")
+    if mesh is not None:  # before the control problem, which may need 1D itself
+        _check_mesh(mesh, f"instance {name!r}")
     cp = build_control_problem(name, mesh, b=b)
     K = 2 if name == "gap-family-1d" else 4
     rp = RelaxedProblem(cp, atom_budget_state=K, atom_budget_control=K)

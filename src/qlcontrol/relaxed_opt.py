@@ -72,9 +72,18 @@ class InfeasibleMeasureError(ValueError):
     """Raised when a state-gradient measure violates the coupling residual."""
 
 
+def _check_mesh(mesh: Mesh, subject: str = "the control problem") -> None:
+    """Relaxation runs on 1D meshes only: in 2D the gradient's kernel also
+    holds the checkerboard, which potential(mu) drops, so a Dirac embedding
+    loses part of u and fails late on its coupling residual."""
+    if mesh.dimension != 1:
+        raise ValueError(f"{subject} relaxes on 1D meshes only: the 2D gradient's "
+                         "kernel holds the checkerboard, which a PH1 potential drops")
+
+
 @dataclass(frozen=True)
 class RelaxedProblem:
-    """Relaxation data on top of a quasilinear control problem."""
+    """Relaxation data on top of a quasilinear control problem on a 1D mesh."""
 
     control: ControlProblem
     atom_budget_state: int = 4
@@ -83,6 +92,7 @@ class RelaxedProblem:
     def __post_init__(self):
         if self.control.regime != "quasilinear":
             raise ValueError("relaxation applies to the quasilinear regime")
+        _check_mesh(self.mesh)
         # the state problem construction enforces b > L^2/4 already
         if self.atom_budget_state < 1 or self.atom_budget_control < 1:
             raise ValueError("atom budgets must be positive")
@@ -132,12 +142,11 @@ class RelaxOptions:
 # nodal or cell values are batch axes in the helpers below.
 
 
-def _abar_cells(rp: RelaxedProblem, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-cell moment of a against the atoms.  On a stack of points a is
-    evaluated at the first point's atoms and then only at the atom rows that
-    differ from them: an FD perturbation moves one coordinate.  This relies
-    on a being pointwise per row."""
-    a = rp.control.cs.a
+def _abar_cells(a, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-cell moment of the coefficient a against the atoms.  On a stack
+    of points a is evaluated at the first point's atoms and then only at the
+    atom rows that differ from them: an FD perturbation moves one
+    coordinate.  This relies on a being pointwise per row."""
     if a is None:
         return np.zeros(atoms.shape[:-2])
     rows = atoms.reshape(-1, atoms.shape[-3] * atoms.shape[-2], atoms.shape[-1])
@@ -169,7 +178,7 @@ def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
         raise ValueError("state-gradient measure must be of class PH10")
     fvals = np.asarray(rp.control.cs.f(u.values), dtype=float)
     y, mismatch = _relaxed_states(
-        rp, fvals, _abar_cells(rp, nu.atoms, nu.weights), barycenter(nu).values
+        rp, fvals, _abar_cells(rp.control.cs.a, nu.atoms, nu.weights), barycenter(nu).values
     )
     return ScalarField(rp.mesh, y), grid.l2_norm(VectorField(rp.mesh, mismatch))
 
@@ -207,9 +216,8 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGH
     """Dirac embedding (delta_{grad u}, delta_{grad y_u}) of a classical pair.
 
     The stored constant is the plain nodal mean of u, matching the zero-mean
-    normalization of PH1 potentials.  A constant is all it can carry: in 2D
-    the gradient's kernel also holds the checkerboard, which potential(mu)
-    drops, so the embedding is exact on 1D meshes only.
+    normalization of PH1 potentials; on a 1D mesh the gradient's kernel holds
+    the constants alone, so the embedding is exact.
     """
     mesh = rp.mesh
     y = _state_one(rp.control, u, None, state_tol)
@@ -245,7 +253,7 @@ def _nu_objective(rp: RelaxedProblem, fvals: np.ndarray, rho: float):
 
     def values(atoms, weights):
         y, mismatch = _relaxed_states(
-            rp, fvals, _abar_cells(rp, atoms, weights), _barycenters(atoms, weights)
+            rp, fvals, _abar_cells(rp.control.cs.a, atoms, weights), _barycenters(atoms, weights)
         )
         cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
         return _state_costs(rp.control, y) + rho * cons2
@@ -256,7 +264,7 @@ def _nu_objective(rp: RelaxedProblem, fvals: np.ndarray, rho: float):
 def _mu_objective(rp: RelaxedProblem, nu_atoms, nu_weights, rho: float):
     """Penalized objective in the control measure at fixed nu, on a stack of
     (atoms, weights, offset) points."""
-    abar = _abar_cells(rp, nu_atoms, nu_weights)
+    abar = _abar_cells(rp.control.cs.a, nu_atoms, nu_weights)
     nu_bary = _barycenters(nu_atoms, nu_weights)
 
     def values(atoms, weights, offset):
@@ -349,7 +357,7 @@ def _restore_feasibility(rp: RelaxedProblem, fvals, atoms, weights):
     """Shift atoms per cell so the barycenter matches the current state
     gradient exactly (one linear solve)."""
     _, mismatch = _relaxed_states(
-        rp, fvals, _abar_cells(rp, atoms, weights), _barycenters(atoms, weights)
+        rp, fvals, _abar_cells(rp.control.cs.a, atoms, weights), _barycenters(atoms, weights)
     )
     return atoms + mismatch[:, None, :]
 
@@ -498,10 +506,7 @@ def _smooth_random_controls(mesh: Mesh, samples: int, seed: int, scale: float = 
     for _ in range(samples):
         vals = np.full(mesh.n_nodes, rng.normal(0.0, scale))
         for k in range(1, 4):
-            amp = rng.normal(0.0, scale / k)
-            vals += amp * np.sin(np.pi * k * x[:, 0])
-            if mesh.dimension == 2:
-                vals += rng.normal(0.0, scale / k) * np.sin(np.pi * k * x[:, 1])
+            vals += rng.normal(0.0, scale / k) * np.sin(np.pi * k * x[:, 0])
         out.append(ScalarField(mesh, vals))
     return out
 

@@ -107,12 +107,12 @@ class QuasilinearStateProblem:
         return self.cs.C if self.cs.C is not None else self.cs.L
 
 
-def _a_node_values(p: QuasilinearStateProblem, y: np.ndarray) -> np.ndarray:
-    """Nodal average of a(grad y); leading axes of y are batch axes."""
+def _a_node_values(p: QuasilinearStateProblem, g: np.ndarray) -> np.ndarray:
+    """Nodal average of a(g) for cell gradients g of shape (..., n_cells,
+    dim); leading axes are batch axes."""
     if p.cs.a is None:
-        return np.zeros(y.shape)
-    acell = apply_cellwise(p.cs.a, grid.gradient_values(p.mesh, y))
-    return grid.cell_to_node_values(p.mesh, acell)
+        return np.zeros(g.shape[:-2] + (p.mesh.n_nodes,))
+    return grid.cell_to_node_values(p.mesh, apply_cellwise(p.cs.a, g))
 
 
 def strong_residual(
@@ -121,15 +121,17 @@ def strong_residual(
     """L2 norm of -lap_h y + a(grad y) + b y - f on the interior nodes, per
     column of stacked y and fvals."""
     mesh = p.mesh
-    res = -grid.laplacian_values(mesh, y) + _a_node_values(p, y) + p.b * y - fvals
+    a_nodes = _a_node_values(p, grid.gradient_values(mesh, y))
+    res = -grid.laplacian_values(mesh, y) + a_nodes + p.b * y - fvals
     res[..., mesh.boundary_mask] = 0.0
     return grid.l2_norm_values(mesh, res)
 
 
-def _h1_norm_values(mesh: Mesh, z: np.ndarray) -> np.ndarray:
-    """Discrete H1 norm sqrt(||z||^2 + ||grad z||^2) of each column of z."""
+def _h1_norm_values(mesh: Mesh, z: np.ndarray, gz: np.ndarray) -> np.ndarray:
+    """Discrete H1 norm sqrt(||z||^2 + ||grad z||^2) of each column of z,
+    given its gradient gz."""
     l2 = grid.l2_norm_values(mesh, z)
-    semi = grid.l2_norm_values(mesh, grid.gradient_values(mesh, z), "cells")
+    semi = grid.l2_norm_values(mesh, gz, "cells")
     return np.sqrt(l2**2 + semi**2)
 
 
@@ -171,13 +173,17 @@ def solve_quasilinear_columns(
     mesh = p.mesh
     fvals = np.asarray(p.cs.f(u), dtype=float)
 
-    def step(y, f):
-        ynew = grid.helmholtz_solve_values(mesh, p.b, f - _a_node_values(p, y))
-        return ynew, _h1_norm_values(mesh, ynew - y), None, (ynew, f)
+    # the carry holds each iterate's gradient: one gradient per step serves
+    # both a(grad y) and the increment's H1 norm
+    def step(y, g, f):
+        ynew = grid.helmholtz_solve_values(mesh, p.b, f - _a_node_values(p, g))
+        gnew = grid.gradient_values(mesh, ynew)
+        return ynew, _h1_norm_values(mesh, ynew - y, gnew - g), None, (ynew, gnew, f)
 
+    y = grid.start_columns(mesh, u.shape, y0)
     # the increment is measured after the step, so counting starts at 1
     states, outcome = grid._fixed_point_columns(
-        step, (grid.start_columns(mesh, u.shape, y0), fvals), tol, max_iterations, 1
+        step, (y, grid.gradient_values(mesh, y), fvals), tol, max_iterations, 1
     )
 
     residual = strong_residual(p, states, fvals).tolist()

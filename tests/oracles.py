@@ -101,6 +101,31 @@ def helmholtz_matrix_2d(n: int, b: float) -> np.ndarray:
     return A.reshape(m * m, m * m)
 
 
+def helmholtz_1d(n: int, b: float, rhs: np.ndarray) -> np.ndarray:
+    """Nodal solution of (-lap_h + b) y = rhs on the unit interval with n
+    cells, zero at both ends, in np.longdouble: the stencil's tridiagonal
+    system (diagonal 2/h^2 + b, neighbours -1/h^2) on the interior nodes,
+    solved by the Thomas algorithm.  Leading axes of rhs are batch axes."""
+    rhs = np.asarray(rhs, dtype=np.longdouble)
+    h2 = np.longdouble(1) / (np.longdouble(n) * n)
+    diag = 2 + np.longdouble(b) * h2
+    m = n - 1
+    # forward elimination of the scaled system tridiag(-1, diag, -1) y = h^2 rhs
+    c = np.empty(m, dtype=np.longdouble)
+    d = np.empty(rhs.shape[:-1] + (m,), dtype=np.longdouble)
+    c[0] = -1 / diag
+    d[..., 0] = h2 * rhs[..., 1] / diag
+    for i in range(1, m):
+        denom = diag + c[i - 1]
+        c[i] = -1 / denom
+        d[..., i] = (h2 * rhs[..., i + 1] + d[..., i - 1]) / denom
+    y = np.zeros(rhs.shape, dtype=np.longdouble)
+    y[..., m] = d[..., m - 1]
+    for i in range(m - 2, -1, -1):
+        y[..., i + 1] = d[..., i] - c[i] * y[..., i + 2]
+    return y
+
+
 def h1_potential_2d(n: int, v: np.ndarray) -> np.ndarray:
     """Least-squares nodal potential of cell vectors v, shape (..., n^2, 2),
     on the n x n unit square: the dense 2D gradient assembled from its

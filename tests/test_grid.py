@@ -2,12 +2,11 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from qlcontrol import grid
 from qlcontrol.grid import ScalarField, VectorField
 
-from oracles import h1_potential_2d, helmholtz_matrix_2d
+from oracles import h1_potential_2d, helmholtz_1d, helmholtz_matrix_2d
 
 
 class TestBuildMesh:
@@ -163,15 +162,17 @@ class TestHelmholtz:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_stacked_rhs_match_single_solves(self, dim):
         rng = np.random.default_rng(23)
-        mesh = grid.build_mesh(dim, 8)
-        rhs = rng.standard_normal((2, 3, mesh.n_nodes))
-        stacked = grid.helmholtz_solve_values(mesh, 1.5, rhs)
-        assert stacked.shape == rhs.shape
-        for idx in np.ndindex(2, 3):
-            single = grid.helmholtz_solve_values(mesh, 1.5, rhs[idx])
-            # one banded LAPACK solve (1D) or one matrix product chain (2D)
-            # per column either way
-            assert np.array_equal(stacked[idx], single)
+        # 1D: a dense Green's function at n = 8, its sweeps at 200 and 1024
+        for n in (8, 200, 1024) if dim == 1 else (8,):
+            mesh = grid.build_mesh(dim, n)
+            rhs = rng.standard_normal((2, 3, mesh.n_nodes))
+            stacked = grid.helmholtz_solve_values(mesh, 1.5, rhs)
+            assert stacked.shape == rhs.shape
+            for idx in np.ndindex(2, 3):
+                single = grid.helmholtz_solve_values(mesh, 1.5, rhs[idx])
+                # one matrix-vector product or two per-row sweeps (1D), or
+                # one matrix product chain (2D), per column either way
+                assert np.array_equal(stacked[idx], single)
 
     @pytest.mark.parametrize("n", [2, 3, 6, 12])
     @pytest.mark.parametrize("b", [0.0, 1.5, 4.0])
@@ -202,21 +203,73 @@ class TestHelmholtz:
 
     @pytest.mark.parametrize("lead", [(), (3,), (2, 3), (0,)])
     def test_1d_slice_matches_fancy_index_reference(self, lead):
-        # 1D gathers and scatters the interior by the slice 1:-1
-        mesh = grid.build_mesh(1, 16)
-        interior = mesh.interior_indices
+        # 1D gathers and scatters the interior by the slice 1:-1; a strided
+        # right-hand side gives the same bits as its contiguous copy, on
+        # either side of the dense Green's function's size limit
         rng = np.random.default_rng(len(lead))
-        contiguous = rng.standard_normal(lead + (mesh.n_nodes,))
-        strided = rng.standard_normal((mesh.n_nodes,) + lead[::-1]).T
-        for rhs in (contiguous, strided):
-            cols = rhs[..., interior].reshape(-1, interior.size).T
-            sol, info = scipy.linalg.lapack.dpbtrs(grid._interior_operator_1d(mesh, 1.5), cols)
-            assert info == 0
-            want = np.zeros(rhs.shape)
-            want[..., interior] = sol.T.reshape(lead + (interior.size,))
-            got = grid.helmholtz_solve_values(mesh, 1.5, rhs)
-            assert got.shape == rhs.shape
-            assert np.array_equal(got, want)
+        for n in (16, 200):
+            mesh = grid.build_mesh(1, n)
+            strided = rng.standard_normal((mesh.n_nodes,) + lead[::-1]).T
+            contiguous = np.ascontiguousarray(strided)
+            got = grid.helmholtz_solve_values(mesh, 1.5, strided)
+            assert got.shape == strided.shape
+            assert np.array_equal(got, grid.helmholtz_solve_values(mesh, 1.5, contiguous))
+            assert np.all(got[..., mesh.boundary_mask] == 0.0)
+            want = helmholtz_1d(n, 1.5, strided)
+            err = np.max(np.abs(got - want), initial=0.0)
+            assert err <= 1e-13 * np.max(np.abs(want), initial=0.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 127, 128, 129, 1024, 4096])
+    @pytest.mark.parametrize("b", [0.0, 1.5, 30.0, 1e6])
+    def test_1d_matches_extended_precision_oracle(self, n, b):
+        mesh = grid.build_mesh(1, n)
+        x = mesh.node_coords()[:, 0]
+        point = np.zeros(mesh.n_nodes)
+        point[n // 3 + 1] = 1.0
+        rhs = np.stack([
+            np.random.default_rng(n).standard_normal(mesh.n_nodes),
+            np.sin(np.pi * x) + x**2,
+            (-1.0) ** np.arange(mesh.n_nodes),
+            point,
+        ])
+        got = grid.helmholtz_solve_values(mesh, b, rhs)
+        want = helmholtz_1d(n, b, rhs)
+        err = np.max(np.abs(got - want), axis=-1) / np.max(np.abs(want), axis=-1)
+        # the oscillating right-hand side costs most: about 1e-11 at n = 4096
+        assert np.max(err) <= (1e-12 if n <= 256 else 1e-9)
+
+    @pytest.mark.parametrize("n", [16, 128, 32768])
+    @pytest.mark.parametrize("b", [0.0, 5e-324, 1.0, 1e6, 1e12])
+    def test_1d_extreme_b_solves_to_rounding(self, n, b):
+        # the Green's function neither overflows (large n theta) nor loses
+        # itself to 0/0 (theta near underflow)
+        mesh = grid.build_mesh(1, n)
+        rhs = np.random.default_rng(5).standard_normal(mesh.n_nodes)
+        y = grid.helmholtz_solve_values(mesh, b, rhs)
+        assert np.all(np.isfinite(y))
+        h2 = mesh.h**2
+        yi = y[1:-1]
+        resid = (2.0 * yi - y[:-2] - y[2:]) / h2 + b * yi - rhs[1:-1]
+        # normwise backward error: the residual against |rhs| + |A| |y|
+        scale = np.max(np.abs(rhs)) + (4.0 / h2 + b) * np.max(np.abs(y))
+        assert np.max(np.abs(resid)) <= 1e-13 * scale
+        # stacks of two rows and of none take the same path
+        stack = grid.helmholtz_solve_values(mesh, b, np.stack([rhs, -rhs]))
+        assert np.array_equal(stack, np.stack([y, -y]))
+        empty = np.empty((0, mesh.n_nodes))
+        assert grid.helmholtz_solve_values(mesh, b, empty).shape == empty.shape
+
+    def test_1d_b_sweep_keeps_the_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(grid, "_FACTOR_CACHE", {})
+        mesh = grid.build_mesh(1, 128)
+        rhs = np.random.default_rng(9).standard_normal(mesh.n_nodes)
+        bs = np.linspace(0.0, 50.0, 100)
+        first = [grid.helmholtz_solve_values(mesh, b, rhs) for b in bs]
+        assert len(grid._FACTOR_CACHE) == grid._CACHE_ENTRIES
+        # rebuilt entries give the same bits as the dropped ones
+        for b, y in zip(bs, first):
+            assert np.array_equal(grid.helmholtz_solve_values(mesh, b, rhs), y)
+        assert len(grid._FACTOR_CACHE) == grid._CACHE_ENTRIES
 
     def test_1d_error_messages(self):
         mesh = grid.build_mesh(1, 8)
