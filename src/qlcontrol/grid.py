@@ -427,7 +427,8 @@ def cell_to_node(c: ScalarField) -> ScalarField:
 
 # -- the Helmholtz backbone ----------------------------------------------------
 
-# cached 1D Green's functions and 2D sine bases; beyond _CACHE_ENTRIES the
+# cached 1D Green's functions and 2D sine bases, and the relaxed state's
+# response to a unit cell moment (relaxed_opt); beyond _CACHE_ENTRIES the
 # oldest entry goes first.  perfbench counts its entries as factorizations.
 _FACTOR_CACHE: dict = {}
 _CACHE_ENTRIES = 32
@@ -440,12 +441,16 @@ _DENSE_INTERIOR = 63
 _CHUNK_EXPONENT = 300.0
 
 
-def _cached(key, build):
-    entry = _FACTOR_CACHE.get(key)
+def _cached(cache: dict, key, build):
+    """cache[key], built on a miss; the cache keeps at most _CACHE_ENTRIES
+    entries, dropping the oldest.  The build runs before the eviction, so
+    a build that fills the cache itself cannot push it past the bound."""
+    entry = cache.get(key)
     if entry is None:
-        while len(_FACTOR_CACHE) >= _CACHE_ENTRIES:
-            del _FACTOR_CACHE[next(iter(_FACTOR_CACHE))]
-        entry = _FACTOR_CACHE[key] = build()
+        entry = build()
+        while len(cache) >= _CACHE_ENTRIES:
+            del cache[next(iter(cache))]
+        cache[key] = entry
     return entry
 
 
@@ -513,9 +518,14 @@ def _sweep(g: np.ndarray, L: int, decay: float, w: np.ndarray, v: np.ndarray):
     padded = np.zeros((k, chunks * L))
     padded[:, :m] = g
     local = np.add.accumulate(padded.reshape(k, chunks, L), axis=-1)
+    # the carry into chunk c is the sum over j < c of decay^(c-1-j) times
+    # chunk j's last sum.  With two chunks or more L theta >= 150 (L is the
+    # largest with L theta <= 300, and 1 for theta >= 150), so every term two
+    # chunks back or more is decayed by e^-300 or less and is dropped: no
+    # step loops over the chunks
     carry = np.zeros((k, chunks))
-    for c in range(1, chunks):
-        carry[:, c] = local[:, c - 1, -1] + decay * carry[:, c - 1]
+    carry[:, 1:] = local[:, :-1, -1]
+    carry[:, 2:] += decay * local[:, :-2, -1]
     g[:] = local.reshape(k, chunks * L)[:, :m] * w + np.repeat(carry, L, axis=-1)[:, :m] * v
     return g
 
@@ -533,11 +543,13 @@ def _solve_1d(n: int, b: float, F: np.ndarray, y: np.ndarray) -> None:
               + r_i sum_{j > i} e^{-(j-i) theta} p_{n-j} f_j.
     """
     if n - 1 <= _DENSE_INTERIOR:
-        G = _cached((1, n, b), lambda: _dense_green_1d(n, b))
+        G = _cached(_FACTOR_CACHE, (1, n, b), lambda: _dense_green_1d(n, b))
         # one contiguous layout, so a row's products never depend on its stride
         y[:] = (G @ np.ascontiguousarray(F)[..., None])[..., 0]
         return
-    L, decay, u1, w1, v1, u2, w2, v2 = _cached((1, n, b), lambda: _sweep_weights_1d(n, b))
+    L, decay, u1, w1, v1, u2, w2, v2 = _cached(
+        _FACTOR_CACHE, (1, n, b), lambda: _sweep_weights_1d(n, b)
+    )
     _sweep(np.multiply(F, u1, out=y), L, decay, w1, v1)
     y[:, :-1] += _sweep(F[:, ::-1] * u2, L, decay, w2, v2)[:, -2::-1]
 
@@ -554,7 +566,7 @@ def _sine_basis_2d(mesh: Mesh):
         c = np.cos(np.pi * k / n)
         return S, 2.0 / mesh.h**2 * (1.0 - np.outer(c, c))
 
-    return _cached((2, n), build)
+    return _cached(_FACTOR_CACHE, (2, n), build)
 
 
 def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
@@ -617,8 +629,8 @@ def laplacian_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
 
 # -- gradient potentials (range-of-gradient tests and projections) ------------
 
-# the cosine bases of the 2D H1 potential, one per mesh; perfbench counts
-# its entries as factorizations
+# the cosine bases of the 2D H1 potential, one per mesh, bounded as
+# _FACTOR_CACHE; perfbench counts its entries as factorizations
 _KKT_CACHE: dict = {}
 
 
@@ -632,10 +644,9 @@ def _cosine_basis_2d(mesh: Mesh):
     checkerboard, which the orthonormal rows of Q span.  L and R form
     B^T (G^T v) B.
     """
-    key = (2, mesh.cells_per_axis)
-    entry = _KKT_CACHE.get(key)
-    if entry is None:
-        n = mesh.cells_per_axis
+    n = mesh.cells_per_axis
+
+    def build():
         k = np.arange(n + 1)
         # jk reduced mod 2n first: cos(pi jk/n) to rounding for every jk
         B = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) / np.sqrt(n)
@@ -649,8 +660,9 @@ def _cosine_basis_2d(mesh: Mesh):
         checker = (-1.0) ** np.indices((n + 1, n + 1)).sum(0).ravel()
         Q = np.linalg.qr(np.column_stack([np.ones(mesh.n_nodes), checker]))[0].T
         # inv: 2h^2/(1 - cos cos) times the 1/(2h) of the gradient
-        entry = _KKT_CACHE[key] = (B, L, R, mesh.h / denom, Q)
-    return entry
+        return B, L, R, mesh.h / denom, Q
+
+    return _cached(_KKT_CACHE, (2, n), build)
 
 
 def gradient_potential_values(mesh: Mesh, v: np.ndarray, space: str = "h10") -> np.ndarray:

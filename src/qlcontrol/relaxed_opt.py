@@ -142,20 +142,19 @@ class RelaxOptions:
 # nodal or cell values are batch axes in the helpers below.
 
 
-def _abar_cells(a, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Per-cell moment of the coefficient a against the atoms.  On a stack
-    of points a is evaluated at the first point's atoms and then only at the
-    atom rows that differ from them: an FD perturbation moves one
-    coordinate.  This relies on a being pointwise per row."""
+def _a_values(a, atoms: np.ndarray) -> np.ndarray:
+    """The coefficient a at every atom, shape atoms.shape[:-1] (zeros when
+    a is None)."""
     if a is None:
-        return np.zeros(atoms.shape[:-2])
-    rows = atoms.reshape(-1, atoms.shape[-3] * atoms.shape[-2], atoms.shape[-1])
-    vals = np.empty(rows.shape[:2])
-    vals[:] = np.asarray(a(rows[0]), dtype=float)
-    moved = np.any(rows[1:] != rows[0], axis=-1)
-    if moved.any():
-        vals[1:][moved] = np.asarray(a(rows[1:][moved]), dtype=float)
-    return np.sum(weights * vals.reshape(atoms.shape[:-1]), axis=-1)
+        return np.zeros(atoms.shape[:-1])
+    return np.asarray(a(atoms.reshape(-1, atoms.shape[-1])), dtype=float).reshape(
+        atoms.shape[:-1]
+    )
+
+
+def _abar_cells(a, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-cell moment of the coefficient a against the atoms."""
+    return np.sum(weights * _a_values(a, atoms), axis=-1)
 
 
 def _relaxed_states(rp: RelaxedProblem, fvals, abar, bary):
@@ -165,6 +164,22 @@ def _relaxed_states(rp: RelaxedProblem, fvals, abar, bary):
         rp.mesh, rp.b, fvals - grid.cell_to_node_values(rp.mesh, abar)
     )
     return y, grid.gradient_values(rp.mesh, y) - bary
+
+
+def _response(rp: RelaxedProblem):
+    """Cached (Z, grad Z), Z[c] = (-lap + b)^-1 C2N e_c: the relaxed
+    state's response to a unit moment in cell c, every cell in one stacked
+    solve.  The state is affine in the moment, so a point whose moment
+    moves by d in cell c alone has the state y - d Z[c]."""
+    mesh = rp.mesh
+
+    def build():
+        Z = grid.helmholtz_solve_values(
+            mesh, rp.b, grid.cell_to_node_values(mesh, np.eye(mesh.n_cells))
+        )
+        return Z, grid.gradient_values(mesh, Z)
+
+    return grid._cached(grid._FACTOR_CACHE, ("response", mesh.cells_per_axis, rp.b), build)
 
 
 def solve_mv_state(rp: RelaxedProblem, u: ScalarField, nu: YoungMeasureField):
@@ -249,15 +264,53 @@ def _project_simplex_rows(W: np.ndarray) -> np.ndarray:
 
 def _nu_objective(rp: RelaxedProblem, fvals: np.ndarray, rho: float):
     """Penalized objective in the state-gradient measure at fixed control,
-    on a stack of (atoms, weights) points."""
+    on a stack of (atoms, weights) points.  Its ``fd_rows`` scores the rows
+    of :func:`_fd_gradient` by rank-one updates of the point's state."""
+    a = rp.control.cs.a
 
-    def values(atoms, weights):
-        y, mismatch = _relaxed_states(
-            rp, fvals, _abar_cells(rp.control.cs.a, atoms, weights), _barycenters(atoms, weights)
-        )
+    def score(y, mismatch):
         cons2 = rp.mesh.cell_volume * np.sum(mismatch**2, axis=(-2, -1))
         return _state_costs(rp.control, y) + rho * cons2
 
+    def values(atoms, weights):
+        return score(*_relaxed_states(
+            rp, fvals, _abar_cells(a, atoms, weights), _barycenters(atoms, weights)
+        ))
+
+    def fd_rows(atoms, weights, fd):
+        """The value at (atoms, weights), solved as a stack of one, then at
+        each forward perturbation in _fd_gradient's order: every atom, then
+        every weight when a cell has more than one atom.  A perturbation
+        moves the moment and the barycenter of its own cell only, so its
+        state is the point's minus the moment's change times the cell's
+        response.  Like the stacked moment, this needs a pointwise per row."""
+        point = (atoms[None], weights[None])
+        abar, bary = _abar_cells(a, *point), _barycenters(*point)
+        y0, m0 = _relaxed_states(rp, fvals, abar, bary)
+        # per perturbation: its cell, and the cell's weights and atoms
+        # after the move (relaxation is 1D: one gradient component)
+        K = atoms.shape[1]
+        i = np.arange(atoms.size)
+        cell = i // K
+        move = fd * np.eye(K)[i % K]
+        w, x = weights[cell], atoms[cell, :, 0]
+        moved = [(w, x + move)] + ([(w + move, x)] if K > 1 else [])
+        w, x = (np.concatenate(m) for m in zip(*moved))
+        cell = np.tile(cell, len(moved))
+        d_abar = np.sum(w * _a_values(a, x[..., None]), axis=-1) - abar[0, cell]
+        d_bary = np.einsum("rk,rk->r", w, x) - bary[0, cell, 0]
+        Z, dZ = _response(rp)
+        out = np.empty(1 + cell.size)
+        out[0] = score(y0, m0)[0]
+        for lo in range(0, cell.size, _FD_BLOCK):
+            r = slice(lo, lo + _FD_BLOCK)
+            c, d = cell[r], d_abar[r, None]
+            mismatch = m0 - d[..., None] * dZ[c]
+            mismatch[np.arange(c.size), c, 0] -= d_bary[r]
+            out[1:][r] = score(y0 - d * Z[c], mismatch)
+        return out
+
+    values.fd_rows = fd_rows
     return values
 
 
@@ -284,25 +337,30 @@ def _fd_gradient(values, params, fd: float):
     """Forward-difference gradient of a phase objective at (atoms, weights[,
     offset]); returns (value, gradients).
 
-    The base point and every coordinate perturbation are scored in stacks of
-    at most _FD_BLOCK points.  The weight gradient is taken tangent to the
-    simplex; with one atom per cell that tangent space is {0}, so the weights
-    are not perturbed at all.
+    The base point and every coordinate perturbation are scored by the
+    objective's ``fd_rows`` when it has one, else in stacks of at most
+    _FD_BLOCK points.  The weight gradient is taken tangent to the simplex;
+    with one atom per cell that tangent space is {0}, so the weights are not
+    perturbed at all.
     """
     params = [np.asarray(p, dtype=float) for p in params]
     sizes = [0 if i == 1 and p.shape[-1] == 1 else p.size for i, p in enumerate(params)]
     firsts = np.cumsum([1] + sizes[:-1])  # stack row of each block's first perturbation
     n = 1 + sum(sizes)
-    vals = np.empty(n)
-    for lo in range(0, n, _FD_BLOCK):
-        rows = np.arange(lo, min(lo + _FD_BLOCK, n))
-        stack = []
-        for p, first, size in zip(params, firsts, sizes):
-            q = np.repeat(p.reshape(1, -1), rows.size, axis=0)
-            hit = (rows >= first) & (rows < first + size)
-            q[hit, rows[hit] - first] += fd
-            stack.append(q.reshape((rows.size,) + p.shape))
-        vals[rows] = values(*stack)
+    fd_rows = getattr(values, "fd_rows", None)
+    if fd_rows is not None:
+        vals = fd_rows(*params, fd)
+    else:
+        vals = np.empty(n)
+        for lo in range(0, n, _FD_BLOCK):
+            rows = np.arange(lo, min(lo + _FD_BLOCK, n))
+            stack = []
+            for p, first, size in zip(params, firsts, sizes):
+                q = np.repeat(p.reshape(1, -1), rows.size, axis=0)
+                hit = (rows >= first) & (rows < first + size)
+                q[hit, rows[hit] - first] += fd
+                stack.append(q.reshape((rows.size,) + p.shape))
+            vals[rows] = values(*stack)
     grads = [
         ((vals[first : first + size] - vals[0]) / fd).reshape(p.shape)
         if size else np.zeros_like(p)

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import copy
+import logging
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 __all__ = ["SolveReport", "RelaxationReport", "NonConvergenceError"]
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -92,9 +95,19 @@ class NonConvergenceError(RuntimeError):
         self.reports = reports
 
 
-def _columns_result(states, reports: list, message):
+def _columns_result(regime: str, states, reports: list, max_iterations: int, message):
     """(states, reports) of a stacked solve if every column converged, else
-    NonConvergenceError with message(report) of the first failed column."""
+    NonConvergenceError with message(report) of the first failed column.
+
+    At debug level, logs one record per column: the regime, the stop reason
+    ("converged", "cap" at max_iterations, else "floor") and the iteration
+    count."""
+    if _log.isEnabledFor(logging.DEBUG):
+        for i, rep in enumerate(reports):
+            stop = ("converged" if rep.converged
+                    else "cap" if rep.iterations == max_iterations else "floor")
+            _log.debug("%s column %d: %s after %d iterations, residual %.3e",
+                       regime, i, stop, rep.iterations, rep.residual)
     failed = [rep for rep in reports if not rep.converged]
     if failed:
         raise NonConvergenceError(message(failed[0]), failed[0], states, reports)

@@ -137,7 +137,7 @@ def solve_monotone_columns(
         )
         for i, d, w, c in outcome
     ]
-    return _columns_result(states, reports, lambda rep: (
+    return _columns_result("monotone", states, reports, max_iterations, lambda rep: (
         f"Zarantonello iteration did not reach {tol} "
         + (f"in {max_iterations} steps" if rep.iterations == max_iterations
            else f"and stalled after {rep.iterations} steps")

@@ -198,7 +198,7 @@ def solve_quasilinear_columns(
         )
         for (i, d, w, c), r in zip(outcome, residual)
     ]
-    return _columns_result(states, reports, lambda rep: (
+    return _columns_result("quasilinear", states, reports, max_iterations, lambda rep: (
         f"Picard iteration did not contract to {tol} "
         + (f"within {max_iterations} steps" if rep.iterations == max_iterations
            else f"and stalled after {rep.iterations} steps")

@@ -225,7 +225,8 @@ def solve_state_columns(
         y = grid.helmholtz_solve_values(mesh, 0.0, -src)
         res = residual_norm(p, y, *stack)
         energy, _ = _energy_values(p, y, *stack)
-        return y, [
+        # every column converges: no failure message is needed
+        return _columns_result("variational", y, [
             SolveReport(
                 method="linear-shortcut",
                 iterations=1,
@@ -234,7 +235,7 @@ def solve_state_columns(
                 cost=e,
             )
             for r, e in zip(res.tolist(), energy.tolist())
-        ]
+        ], max_iterations, None)
 
     data = stack  # follows the live columns
     y = grid.start_columns(mesh, u.shape, y0)
@@ -349,7 +350,7 @@ def solve_state_columns(
         )
         for (i, d, e), t in zip(outcome, traces)
     ]
-    return _columns_result(states, reports, lambda rep: (
+    return _columns_result("variational", states, reports, max_iterations, lambda rep: (
         f"energy descent stalled at residual {rep.residual:.3e} (target {tol})"
     ))
 

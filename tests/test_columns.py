@@ -8,6 +8,8 @@ bit, and the stacked gradients equal a per-coordinate loop over
 ``evaluate_cost``.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,35 @@ def test_one_failing_column_raises(name, dim, n):
     with pytest.raises(NonConvergenceError) as err:
         solve(U, y0=Y0, **kw)
     assert not err.value.report.converged
+
+
+def _regime(name):
+    return {"variational": "variational", "monotone": "monotone"}.get(
+        name.split("-")[0], "quasilinear")
+
+
+@pytest.mark.parametrize("name, dim, n", CASES)
+def test_debug_log_records_each_column(name, dim, n, caplog):
+    mesh, p, U, Y0 = _stack(name, dim, n)
+    solve = _column_solver(p, name)
+    Y, reports = solve(U, y0=Y0)
+    with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
+        logged_Y, logged = solve(U, y0=Y0)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{_regime(name)} column {i}: converged after {rep.iterations} iterations, "
+        f"residual {rep.residual:.3e}"
+        for i, rep in enumerate(reports)
+    ]
+    assert np.array_equal(logged_Y, Y)
+    assert [r.to_dict() for r in logged] == [r.to_dict() for r in reports]
+    # the failure path logs every column before it raises
+    U[0] = Y0[0] = 0.0
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
+        with pytest.raises(NonConvergenceError):
+            solve(U, y0=Y0, tol=1e-30, max_iterations=5)
+    stops = [r.getMessage().split(": ")[1].split(" after")[0] for r in caplog.records]
+    assert stops == ["converged", "cap", "cap", "cap"]
 
 
 def _loop_gradient(cp, u, opts, central):

@@ -1,5 +1,7 @@
 """Mesh, discrete operators, Helmholtz backbone and quadrature."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,43 @@ class TestHelmholtz:
             assert np.array_equal(grid.helmholtz_solve_values(mesh, b, rhs), y)
         assert len(grid._FACTOR_CACHE) == grid._CACHE_ENTRIES
 
+    def test_1d_sweep_carry_takes_no_step_per_chunk(self):
+        # theta > 300: one node per chunk, 32,767 chunks at n = 32,768
+        def sweep_lines(n, b):
+            mesh = grid.build_mesh(1, n)
+            rhs = np.random.default_rng(3).standard_normal(mesh.n_nodes)
+            grid.helmholtz_solve_values(mesh, b, rhs)  # build the weights
+            lines = [0]
+
+            def trace(frame, event, arg):
+                if frame.f_code is not grid._sweep.__code__:
+                    return None
+
+                def count(frame, event, arg):
+                    lines[0] += event == "line"
+                    return count
+
+                return count
+
+            old = sys.gettrace()
+            sys.settrace(trace)
+            try:
+                y = grid.helmholtz_solve_values(mesh, b, rhs)
+            finally:
+                sys.settrace(old)
+            yi = y[1:-1]
+            resid = (2.0 * yi - y[:-2] - y[2:]) * n * n + b * yi - rhs[1:-1]
+            scale = np.max(np.abs(rhs)) + (4.0 * n * n + b) * np.max(np.abs(y))
+            assert np.max(np.abs(resid)) <= 1e-13 * scale
+            return lines[0]
+
+        b = 1.7e308
+        short, long = sweep_lines(1024, b), sweep_lines(32768, b)
+        # two sweeps with a constant number of lines each, whatever the
+        # number of chunks; a loop over chunks takes over 65,000 steps here
+        assert short == long
+        assert long <= 40
+
     def test_1d_error_messages(self):
         mesh = grid.build_mesh(1, 8)
         bad = np.ones((2, 9))
@@ -422,6 +461,15 @@ class TestGradientPotential:
         v = VectorField(mesh, rng.standard_normal((mesh.n_cells, 2)))
         _, res = grid.gradient_potential(v, "h1")
         assert res > 1e-3
+
+    def test_2d_h1_cache_stays_bounded(self, monkeypatch):
+        monkeypatch.setattr(grid, "_KKT_CACHE", {})
+        for n in range(2, 42):
+            mesh = grid.build_mesh(2, n)
+            grid.gradient_potential_values(mesh, np.ones((mesh.n_cells, 2)), "h1")
+        assert len(grid._KKT_CACHE) == grid._CACHE_ENTRIES
+        # the oldest went first
+        assert (2, 41) in grid._KKT_CACHE and (2, 2) not in grid._KKT_CACHE
 
     @pytest.mark.parametrize("n", [2, 3, 5, 6, 12, 32])
     def test_2d_h1_matches_dense_oracle(self, n):

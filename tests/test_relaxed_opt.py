@@ -392,8 +392,8 @@ def abar_cases():
 
 
 class TestAbarCells:
-    """_abar_cells evaluates a only at the atom rows that differ from the
-    first point's; every point must keep its own evaluation bit for bit."""
+    """_abar_cells evaluates a at every atom of a stack of points in one
+    call; every point must keep its own evaluation bit for bit."""
 
     @pytest.mark.parametrize("case", list(abar_cases()), ids=lambda c: c[0])
     def test_stacks_and_single_point_match_per_point(self, case):
@@ -416,6 +416,57 @@ class TestAbarCells:
         got = relaxed_opt._abar_cells(a, nu.atoms, nu.weights)
         assert got.shape == (nu.mesh.n_cells,)
         assert np.array_equal(got, per_point_abar(a, nu.atoms, nu.weights))
+
+
+class TestRankOneRows:
+    """The nu phase scores the rows of _fd_gradient as rank-one updates of
+    the point's state with the cached response Z[c] = (-lap + b)^-1 C2N e_c."""
+
+    def test_nu_gradient_solves_one_right_hand_side(self, monkeypatch):
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        assert rp.mesh.cells_per_axis == 128 and init.nu.n_atoms == 2
+        (phase, params), _ = phases_at(rp, init.mu, init.nu)
+        relaxed_opt._response(rp)
+        solve, rows = grid.helmholtz_solve_values, []
+
+        def counted(mesh, b, rhs):
+            rows.append(np.shape(rhs)[:-1])
+            return solve(mesh, b, rhs)
+
+        monkeypatch.setattr(grid, "helmholtz_solve_values", counted)
+        base, _ = relaxed_opt._fd_gradient(phase, params, 1e-6)
+        assert rows == [(1,)]
+        assert base == value(phase, *params)
+        # the stacked rows the updates replace: the point, 256 atoms and
+        # 256 weights, in blocks of _FD_BLOCK
+        rows.clear()
+        relaxed_opt._fd_gradient(lambda *p: phase(*p), params, 1e-6)
+        assert sum(np.prod(r) for r in rows) == 513
+
+    def test_response_is_one_bounded_cache_entry_per_mesh_and_b(self, monkeypatch):
+        rp, _ = small_gap_problem(n=16)
+        mesh = rp.mesh
+        others = [instances.build_relaxed_problem("gap-family-1d", mesh, b=b)[0]
+                  for b in np.linspace(3.0, 40.0, 40)]
+        monkeypatch.setattr(grid, "_FACTOR_CACHE", {})
+        grid.helmholtz_solve_values(mesh, rp.b, np.zeros(mesh.n_nodes))
+        assert len(grid._FACTOR_CACHE) == 1
+        Z, dZ = relaxed_opt._response(rp)
+        assert len(grid._FACTOR_CACHE) == 2
+        assert relaxed_opt._response(rp)[0] is Z
+        # row c is the single solve of cell c's unit moment, bit for bit
+        for c in (0, 7, 15):
+            z = grid.helmholtz_solve_values(
+                mesh, rp.b, grid.cell_to_node_values(mesh, np.eye(mesh.n_cells)[c])
+            )
+            assert np.array_equal(Z[c], z)
+            assert np.array_equal(dZ[c], grid.gradient_values(mesh, z))
+        # one response per b; the oldest entries leave first
+        for other in others:
+            relaxed_opt._response(other)
+        assert len(grid._FACTOR_CACHE) == grid._CACHE_ENTRIES
+        again = relaxed_opt._response(rp)[0]
+        assert again is not Z and np.array_equal(again, Z)
 
 
 class TestCertifyGap:
