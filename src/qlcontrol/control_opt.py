@@ -324,6 +324,8 @@ def optimize_control(
     cp: ControlProblem,
     u0: ScalarField,
     opts: Optional[OptimizeOptions] = None,
+    *,
+    base: Optional[tuple] = None,
 ):
     """Projected-gradient descent on the control cost.
 
@@ -331,15 +333,22 @@ def optimize_control(
     non-increasing cost; stops at the gradient tolerance, on line-search
     exhaustion, or at the iteration cap (returning the best iterate with the
     converged flag cleared).
+
+    ``base`` is u0's ``(cost, state)`` when the caller has solved it already,
+    at ``opts.state_tol``; the run then skips its first state solve.  A 1D
+    column of a stacked solve equals the single solve bit for bit, so a base
+    taken from one leaves the run unchanged.
     """
     if opts is None:
         opts = OptimizeOptions()
     mesh = cp.mesh
     t0 = time.perf_counter()
     u = np.array(u0.values, dtype=float)
-    cost, state = evaluate_cost(
-        cp, ScalarField(mesh, u), state_tol=opts.state_tol, return_state=True
-    )
+    if base is None:
+        base = evaluate_cost(
+            cp, ScalarField(mesh, u), state_tol=opts.state_tol, return_state=True
+        )
+    cost, state = base
     trace = [cost]
     step = opts.initial_step
     stationarity = np.inf

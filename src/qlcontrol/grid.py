@@ -586,17 +586,17 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("non-finite right-hand side")
     out = np.zeros(rhs.shape)
+    n = mesh.cells_per_axis
     if mesh.dimension == 1:
         # the interior is the slice 1:-1, solved straight into the output
-        n = mesh.cells_per_axis
         F = rhs[..., 1:-1].reshape(-1, n - 1)
         _solve_1d(n, float(b), F, out.reshape(-1, n + 1)[:, 1:-1])
         return out
-    interior = mesh.interior_indices
+    # the interior is the block [1:-1, 1:-1] of the (n+1)^2 node grid
+    square = rhs.shape[:-1] + (n + 1, n + 1)
     S, lam0 = _sine_basis_2d(mesh)
-    F = rhs[..., interior].reshape(rhs.shape[:-1] + lam0.shape)
-    sol = S @ ((S @ F @ S) / (lam0 + b)) @ S
-    out[..., interior] = sol.reshape(rhs.shape[:-1] + (interior.size,))
+    F = rhs.reshape(square)[..., 1:-1, 1:-1]
+    out.reshape(square)[..., 1:-1, 1:-1] = S @ ((S @ F @ S) / (lam0 + b)) @ S
     return out
 
 

@@ -29,9 +29,9 @@ from .control_opt import (
     ControlProblem,
     OptimizeOptions,
     _costs,
+    _state_columns,
     _state_costs,
     _state_one,
-    evaluate_costs,
     optimize_control,
 )
 from .grid import Mesh, ScalarField, VectorField
@@ -227,15 +227,21 @@ def evaluate_relaxed_cost(
     return _relaxed_point(rp, mu, nu, feasibility_tol)[0]
 
 
-def embed_classical(rp: RelaxedProblem, u: ScalarField, state_tol: float = _TIGHT_STATE_TOL):
+def embed_classical(
+    rp: RelaxedProblem,
+    u: ScalarField,
+    state_tol: float = _TIGHT_STATE_TOL,
+    warm: Optional[ScalarField] = None,
+):
     """Dirac embedding (delta_{grad u}, delta_{grad y_u}) of a classical pair.
 
     The stored constant is the plain nodal mean of u, matching the zero-mean
     normalization of PH1 potentials; on a 1D mesh the gradient's kernel holds
-    the constants alone, so the embedding is exact.
+    the constants alone, so the embedding is exact.  The state solve starts
+    from ``warm`` (zero when None), as in evaluate_cost.
     """
     mesh = rp.mesh
-    y = _state_one(rp.control, u, None, state_tol)
+    y = _state_one(rp.control, u, warm, state_tol)
     gu = grid.gradient_values(mesh, u.values)
     mu = YoungMeasureField(
         mesh, gu[:, None, :], np.ones((mesh.n_cells, 1)), "PH1", float(np.mean(u.values))
@@ -436,9 +442,12 @@ def optimize_relaxed(
     ``extras["stopped"]`` names the exit: "stationary" (every gradient of
     the iteration is below stationarity_tol; the only converged exit),
     "infeasible" (the penalty reached rho_max with the iterate still
-    infeasible), "stalled" (after the first iteration, neither phase
-    accepted a step and the iterate ended feasible, so the next iteration
-    would repeat this one at the same rho) or "cap" (max_outer reached).
+    infeasible), "stalled" (an iteration that started from a restored nu
+    accepted no step in either phase and ended feasible, so the next
+    iteration would repeat it at the same rho) or "cap" (max_outer
+    reached).  A feasible init starts the loop from the restored nu of its
+    snapshot, so the stall can come at the first iteration; an infeasible
+    init starts from its own nu and stalls from the second on.
     """
     if opts is None:
         opts = RelaxOptions()
@@ -482,6 +491,11 @@ def optimize_relaxed(
     # mu_f, u and fvals follow every update of mu
     mu_f, u, fvals = current_mu()
     best = feasible_snapshot(nu_atoms)
+    # a feasible init starts the loop from its restored nu, the point the
+    # second iteration would start from if the first accepted no step
+    restored = best is not None
+    if restored:
+        nu_atoms = np.array(best[2].atoms)
     rho = opts.rho0
     stopped = "cap"
 
@@ -528,9 +542,10 @@ def optimize_relaxed(
                 stopped = "infeasible"
                 break
             rho = min(rho * 10.0, opts.rho_max)
-        elif outer > 1 and nu_steps == mu_steps == 0:
-            # mu is unchanged and nu moved only by the restoration, which
-            # the next iteration would redo at the same rho
+        elif (outer > 1 or restored) and nu_steps == mu_steps == 0:
+            # mu is unchanged and the iteration started from a restored nu,
+            # which it moved only by the restoration: the next iteration
+            # would redo it at the same rho
             stopped = "stalled"
             break
     _log.debug("optimize_relaxed stopped: %s after %d outer iterations", stopped, outer)
@@ -584,8 +599,14 @@ def certify_gap(
     relaxed side takes the best of the alternating optimizer (from the
     designed init when given) and the Dirac embedding of the best classical
     control.  A violated inequality marks the report FAILED; it is a bug
-    trap, not a tolerated outcome.  The report's ``minimizer`` holds the relaxed point (mu, nu, y) whose
-    cost is ``relaxed``; on a tie it is the optimizer's.
+    trap, not a tolerated outcome.  The report's ``minimizer`` holds the
+    relaxed point (mu, nu, y) whose cost is ``relaxed``; on a tie it is the
+    optimizer's.
+
+    No classical state is solved twice: the candidates are solved as one
+    stack at ``classical_opts.state_tol`` (the classical run's own
+    tolerance), the best candidate's cost and state are the classical run's
+    ``base``, and the tight embedding solve starts from that state.
     """
     cp = rp.control
     mesh = rp.mesh
@@ -595,18 +616,24 @@ def certify_gap(
     candidates.append(ScalarField(mesh, np.zeros(mesh.n_nodes)))
     candidates.extend(_smooth_random_controls(mesh, samples, seed))
 
-    costs = evaluate_costs(cp, np.array([u.values for u in candidates]))
-    best = int(np.argmin(costs))  # the first of equal minima
-    best_cost, best_u = float(costs[best]), candidates[best]
-
     if classical_opts is None:
         classical_opts = OptimizeOptions(max_iterations=12)
-    u_opt, opt_report = optimize_control(cp, best_u, classical_opts)
+    # the candidates' states, at the classical run's tolerance, in one stack
+    U = np.array([u.values for u in candidates])
+    Y = _state_columns(cp, U, None, classical_opts.state_tol)
+    costs = _costs(cp, U, Y)
+    best = int(np.argmin(costs))  # the first of equal minima
+    best_cost, best_u = float(costs[best]), candidates[best]
+    best_y = ScalarField(mesh, Y[best])
+
+    u_opt, opt_report = optimize_control(
+        cp, best_u, classical_opts, base=(best_cost, best_y)
+    )
     if opt_report.cost < best_cost:
         best_cost, best_u = opt_report.cost, u_opt
 
     # classical best re-evaluated tightly, on the embedding's own state
-    mu_e, nu_e, y_e = embed_classical(rp, best_u)
+    mu_e, nu_e, y_e = embed_classical(rp, best_u, warm=best_y)
     best_cost_tight = float(_costs(cp, best_u.values[None], y_e.values[None])[0])
     best_cost = min(best_cost, best_cost_tight)
 

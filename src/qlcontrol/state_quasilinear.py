@@ -121,8 +121,9 @@ def strong_residual(
     """L2 norm of -lap_h y + a(grad y) + b y - f on the interior nodes, per
     column of stacked y and fvals."""
     mesh = p.mesh
-    a_nodes = _a_node_values(p, grid.gradient_values(mesh, y))
-    res = -grid.laplacian_values(mesh, y) + a_nodes + p.b * y - fvals
+    g = grid.gradient_values(mesh, y)
+    # lap_h y is divergence_weak of this same gradient
+    res = -grid.divergence_weak_values(mesh, g) + _a_node_values(p, g) + p.b * y - fvals
     res[..., mesh.boundary_mask] = 0.0
     return grid.l2_norm_values(mesh, res)
 

@@ -321,17 +321,43 @@ name = {instance}
         seen = []
         optimize = relaxed_opt.optimize_control
 
-        def record(cp, u0, opts=None):
-            seen.append(opts)
-            return optimize(cp, u0, opts)
+        def record(cp, u0, opts=None, **kwargs):
+            seen.append((cp, u0, opts, kwargs))
+            return optimize(cp, u0, opts, **kwargs)
 
         monkeypatch.setattr(relaxed_opt, "optimize_control", record)
         text = GAP_INI if ini == "gap-demo" else RELAX_INI
         settings = ["solver.gradient_tol=1e3", "solver.state_tol=1e-10"]
         assert run(write(tmp_path, text), out=str(tmp_path / "out"), overrides=settings) == 0
-        assert [(o.max_iterations, o.gradient_tol, o.state_tol) for o in seen] == [
+        assert [(o.max_iterations, o.gradient_tol, o.state_tol) for _, _, o, _ in seen] == [
             (12, 1e3, 1e-10)
         ]
+        # the run starts from the best candidate's state at that tolerance
+        ((cp, u0, opts, kwargs),) = seen
+        cost, y = kwargs["base"]
+        want_cost, want_y = control_opt.evaluate_cost(cp, u0, state_tol=1e-10, return_state=True)
+        assert cost == want_cost
+        assert np.array_equal(y.values, want_y.values)
+
+    @pytest.mark.parametrize("ini", ["relax", "gap-demo"])
+    def test_relax_solves_the_candidates_at_the_configured_state_tol(self, tmp_path,
+                                                                      monkeypatch, ini):
+        # the candidates were costed at the default tolerance while the
+        # classical run used the configured one
+        tols = []
+        solve = control_opt.solve_quasilinear_columns
+
+        def record(p, U, *args, **kwargs):
+            tols.append((len(U), kwargs["tol"]))
+            return solve(p, U, *args, **kwargs)
+
+        monkeypatch.setattr(control_opt, "solve_quasilinear_columns", record)
+        text = GAP_INI if ini == "gap-demo" else RELAX_INI
+        settings = ["solver.state_tol=1e-10"]
+        assert run(write(tmp_path, text), out=str(tmp_path / "out"), overrides=settings) == 0
+        # the first stack is the candidates': references, zero and samples
+        assert tols[0][0] >= 3
+        assert {tol for _, tol in tols} == {1e-10}
 
     def test_relax_experiment(self, tmp_path):
         cfg = write(tmp_path, RELAX_INI)

@@ -444,6 +444,19 @@ class TestMinimizingSequenceDemo:
         relaxed = evaluate_relaxed_cost(rp, init.mu, init.nu)
         assert abs(trace[-1] - relaxed) <= 5e-2
 
+    def test_gap_family_trace_tends_to_the_classical_value(self):
+        # the realized controls tend to u = 1, the best classical control:
+        # the trace stays above the classical value and well above the
+        # relaxed one (about 0.0088 above it at h = 1/128)
+        from qlcontrol.relaxed_opt import certify_gap
+
+        rp, designed = instances.build_relaxed_problem("gap-family-1d")
+        assert rp.mesh.cells_per_axis == 128
+        rep = certify_gap(rp, samples=3, seed=0, designed_init=designed)
+        trace = minimizing_sequence_demo(rp.control, [2, 4, 8, 16, 32])
+        assert np.min(trace) >= rep.best_classical - 1e-6
+        assert trace[-1] >= rep.relaxed + 5e-3
+
     def test_realizations_after_the_first_start_warm(self, monkeypatch):
         solve = control_opt.solve_quasilinear
         calls = []

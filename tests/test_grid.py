@@ -194,6 +194,24 @@ class TestHelmholtz:
         err = np.max(np.abs(got - want), initial=0.0)
         assert err <= 1e-12 * np.max(np.abs(want), initial=0.0)
 
+    @pytest.mark.parametrize("n", [6, 16, 32])
+    @pytest.mark.parametrize("lead", [(), (0,), (1,), (5,), (2, 3)])
+    def test_2d_block_matches_index_array_formula(self, n, lead):
+        # 2D gathers and scatters the interior as the block [1:-1, 1:-1] of
+        # the node grid; the same bits as through the interior index array,
+        # for a contiguous and a strided right-hand side
+        mesh = grid.build_mesh(2, n)
+        interior = mesh.interior_indices
+        S, lam0 = grid._sine_basis_2d(mesh)
+        rng = np.random.default_rng(n + len(lead))
+        strided = rng.standard_normal((mesh.n_nodes,) + lead[::-1]).T
+        for rhs in (np.ascontiguousarray(strided), strided):
+            F = rhs[..., interior].reshape(lead + lam0.shape)
+            want = np.zeros(rhs.shape)
+            want[..., interior] = (S @ ((S @ F @ S) / (lam0 + 1.5)) @ S).reshape(
+                lead + (interior.size,))
+            assert np.array_equal(grid.helmholtz_solve_values(mesh, 1.5, rhs), want)
+
     def test_2d_b_sweep_builds_one_cache_entry(self, monkeypatch):
         # the 2D cache entry depends on the mesh alone; b enters per solve
         monkeypatch.setattr(grid, "_FACTOR_CACHE", {})

@@ -194,7 +194,7 @@ class TestStopRule:
         # no step is ever accepted from the designed init (f's kink holds mu)
         rp, init = small_gap_problem(n=n)
         mu, nu, y, rep = optimize_relaxed(rp, init)
-        assert rep.iterations == 2
+        assert rep.iterations == 1
         assert rep.extras["stopped"] == "stalled"
         assert rep.converged is False
         assert rep.cost == cost and rep.residual == residual
@@ -235,10 +235,11 @@ class TestStopRule:
         with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
             logged = optimize_relaxed(rp, init)
         messages = [r.getMessage() for r in caplog.records]
-        assert len(messages) == 3
-        assert all(m.startswith("optimize_relaxed outer") for m in messages[:2])
-        assert "steps accepted nu 0 mu 0" in messages[1] and "rho 1.0e+03" in messages[1]
-        assert messages[2] == "optimize_relaxed stopped: stalled after 2 outer iterations"
+        # the designed init is feasible, so its first iteration already stalls
+        assert len(messages) == 2
+        assert messages[0].startswith("optimize_relaxed outer 1:")
+        assert "steps accepted nu 0 mu 0" in messages[0] and "rho 1.0e+03" in messages[0]
+        assert messages[1] == "optimize_relaxed stopped: stalled after 1 outer iterations"
         assert logged[3].to_dict() == quiet[3].to_dict()
         assert outputs_sha256(*logged[:3]) == outputs_sha256(*quiet[:3])
 
@@ -491,29 +492,65 @@ class TestCertifyGap:
     def test_classical_run_pinned(self, monkeypatch):
         # gap-family-1d at h = 1/128: the classical run from the best sampled
         # candidate, recorded from the one-trial-at-a-time line search and
-        # re-recorded with the Green's function backbone (rounding level)
+        # re-recorded with the Green's function backbone (rounding level);
+        # best_classical re-recorded when the tight embedding solve started
+        # from the candidate's state (-0.06071327435300832 before)
         runs = []
         optimize = relaxed_opt.optimize_control
 
-        def record(*args, **kwargs):
-            out = optimize(*args, **kwargs)
-            runs.append(out[1])
+        def record(cp, u0, opts=None, **kwargs):
+            out = optimize(cp, u0, opts, **kwargs)
+            runs.append((u0, opts, kwargs, out[1]))
             return out
 
         monkeypatch.setattr(relaxed_opt, "optimize_control", record)
         rp, init = instances.build_relaxed_problem("gap-family-1d")
         rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
-        (classical,) = runs
+        ((u0, opts, kwargs, classical),) = runs
         assert classical.iterations == 3
         assert classical.extras == {"stopped": "linesearch", "linesearch_retries": 0}
         assert classical.cost == -0.060713274353001126
-        assert rep.best_classical == -0.06071327435300832
+        assert rep.best_classical == -0.060713274353001126
         assert rep.relaxed == -0.06946644528883991
+        # the run starts from the best candidate's own cost and state, as
+        # its single solve at the run's tolerance gives them
+        cost, y = kwargs["base"]
+        want_cost, want_y = evaluate_cost(
+            rp.control, u0, state_tol=opts.state_tol, return_state=True)
+        assert cost == want_cost
+        assert np.array_equal(y.values, want_y.values)
+
+    def test_work_counts_pinned(self, monkeypatch):
+        # gap-family-1d at h = 1/128: the designed init stalls in its first
+        # outer iteration, and no state is solved twice (101 Helmholtz
+        # solves from an empty cache before the candidate states were reused)
+        solves, outer = [], []
+        helmholtz = grid.helmholtz_solve_values
+        optimize = relaxed_opt.optimize_relaxed
+
+        def count(*args, **kwargs):
+            solves.append(1)
+            return helmholtz(*args, **kwargs)
+
+        def record(*args, **kwargs):
+            out = optimize(*args, **kwargs)
+            outer.append(out[3].iterations)
+            return out
+
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        monkeypatch.setattr(grid, "_FACTOR_CACHE", {})
+        monkeypatch.setattr(grid, "helmholtz_solve_values", count)
+        monkeypatch.setattr(relaxed_opt, "optimize_relaxed", record)
+        certify_gap(rp, samples=3, seed=0, designed_init=init)
+        assert outer == [1]
+        assert len(solves) <= 70
 
     @pytest.mark.parametrize("name, relaxed, best_classical", [
         # recorded before certify_gap kept its relaxed point; re-recorded
-        # with the Green's function backbone (at most 3.8e-11 relative)
-        ("gap-family-1d", -0.06939192492772764, -0.06064999128539454),
+        # with the Green's function backbone (at most 3.8e-11 relative), and
+        # gap-family's best_classical again when the tight embedding solve
+        # started from the candidate's state (-0.06064999128539454 before)
+        ("gap-family-1d", -0.06939192492772764, -0.06064999128538711),
         ("linear-quasilinear-1d", 0.0019253592776774364, 0.0019256669970192334),
     ])
     def test_minimizer_is_the_certified_point(self, name, relaxed, best_classical):

@@ -11,6 +11,7 @@ from qlcontrol.state_quasilinear import (
     QuasilinearStateProblem,
     apriori_gradient_bound,
     solve_quasilinear,
+    strong_residual,
     uniqueness_threshold,
     verify_uniqueness,
 )
@@ -77,6 +78,30 @@ class TestSolveQuasilinear:
             ScalarField(p.mesh, np.asarray(p.cs.f(u.values), dtype=float))
         )
         assert rep.residual <= 1e-6 * (1.0 + fnorm)
+
+    @pytest.mark.parametrize("dim, n", [(1, 64), (2, 8)])
+    def test_strong_residual_takes_one_gradient(self, monkeypatch, dim, n):
+        # a(grad y) and lap_h y share one gradient; the residual is the one
+        # of lap_h = divergence_weak o gradient, bit for bit
+        p = sin_problem(n=n, dim=dim)
+        rng = np.random.default_rng(dim)
+        y = rng.standard_normal((3, p.mesh.n_nodes))
+        fvals = rng.standard_normal((3, p.mesh.n_nodes))
+        a_nodes = grid.cell_to_node_values(
+            p.mesh, co.apply_cellwise(p.cs.a, grid.gradient_values(p.mesh, y)))
+        want = -grid.laplacian_values(p.mesh, y) + a_nodes + p.b * y - fvals
+        want[..., p.mesh.boundary_mask] = 0.0
+        calls = []
+        gradient = grid.gradient_values
+
+        def count(*args):
+            calls.append(1)
+            return gradient(*args)
+
+        monkeypatch.setattr(grid, "gradient_values", count)
+        got = strong_residual(p, y, fvals)
+        assert len(calls) == 1
+        assert np.array_equal(got, grid.l2_norm_values(p.mesh, want))
 
     def test_contraction_ratio_decreases_in_b(self):
         thr = uniqueness_threshold(1.0)
