@@ -127,6 +127,36 @@ def apply_cellwise(fn: Callable, Y: np.ndarray, *cell_args: np.ndarray) -> np.nd
     return out.reshape(Y.shape[:-1] + out.shape[1:])
 
 
+# central-difference step relative to 1 + |x|: the cube root of machine
+# epsilon balances the truncation and the rounding error
+_DERIVATIVE_STEP = np.finfo(float).eps ** (1.0 / 3.0)
+
+
+def pointwise_derivative(fn: Callable, x: np.ndarray) -> np.ndarray:
+    """Central-difference derivative of an elementwise map (f or F) at every
+    entry of x.  At a kink of a piecewise-linear map the chord's slope is a
+    convex combination of the one-sided slopes: an element of Clarke's
+    generalized derivative."""
+    step = _DERIVATIVE_STEP * (1.0 + np.abs(x))
+    return (np.asarray(fn(x + step), dtype=float)
+            - np.asarray(fn(x - step), dtype=float)) / (2.0 * step)
+
+
+def cellwise_jacobian(fn: Callable, Y: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a per-cell coefficient at cell values Y
+    of shape (n_cells, N): shape (n_cells, N) for a scalar a, (n_cells, N, N)
+    with entry [c, i, j] = dA_i/dy_j for a flux A.  Kinks as in
+    pointwise_derivative: an element of Clarke's generalized Jacobian."""
+    N = Y.shape[-1]
+    step = _DERIVATIVE_STEP * (1.0 + np.abs(Y))
+    # all 2N shifted copies of Y in one evaluation; axis -2 is the direction
+    shifts = step[:, :, None] * np.eye(N)
+    V = apply_cellwise(fn, np.stack([Y[:, None] + shifts, Y[:, None] - shifts]))
+    if V.ndim == 3:
+        return (V[0] - V[1]) / (2.0 * step)
+    return np.swapaxes((V[0] - V[1]) / (2.0 * step[:, :, None]), -1, -2)
+
+
 # -- constructors for the built-in families -----------------------------------
 
 

@@ -1,11 +1,15 @@
 """Outer control problem: minimize F(y_u) plus a Tychonov regularizer.
 
-The cost gradient is estimated by forward finite differences over nodal
-control perturbations (the work never assumes an adjoint equation), descent
-is plain projected gradient with Armijo backtracking, and the perturbed
-states of one gradient evaluation are solved as one stack of columns, each
-warm-started from the unperturbed state; so are the backtracking trials, a
-few chunks of them at a time.
+Descent is plain projected gradient with Armijo backtracking.  In the
+quasilinear and monotone regimes the cost gradient is the discrete adjoint:
+one dense solve with the transposed Jacobian of the state residual at the
+solved state (the regime's ``interior_jacobian``).  The variational regime
+still estimates it by forward finite differences over nodal control
+perturbations, whose perturbed states are solved as one stack of columns,
+each warm-started from the unperturbed state: its recorded reference cost
+(perfbench) is set by that estimate's noise, and an exact gradient moves it
+by about 2%.  The backtracking trials are solved as stacks too, a few chunks
+of them at a time.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import grid
-from .coefficients import CoefficientSet
+from . import state_monotone, state_quasilinear
+from .coefficients import CoefficientSet, pointwise_derivative
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
 from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
@@ -242,6 +247,63 @@ class OptimizeOptions:
             raise ValueError(f"state_tol must be positive, got {self.state_tol}")
 
 
+# The one place each regime's gradient is chosen: the dense interior Jacobian
+# of the regimes with an adjoint gradient.  The variational regime keeps the
+# forward-difference stack until its perfbench reference cost, an artifact of
+# that stack's noise at state_tol 1e-8, is re-recorded (ROADMAP.md, item 1).
+_ADJOINT_JACOBIANS = {
+    "monotone": state_monotone.interior_jacobian,
+    "quasilinear": state_quasilinear.interior_jacobian,
+}
+
+
+def gradient_method(cp: ControlProblem) -> str:
+    """The ``SolveReport.method`` of optimize_control on cp."""
+    if cp.regime in _ADJOINT_JACOBIANS:
+        return "adjoint-projected-gradient"
+    return "fd-projected-gradient"
+
+
+def _cost_gradient(cp, u, cost, state, opts) -> np.ndarray:
+    """optimize_control's L2 cost gradient at u, whose cost and state are
+    solved: see gradient_method."""
+    if cp.regime in _ADJOINT_JACOBIANS:
+        return _adjoint_cost_gradient(cp, u, state)
+    return _fd_cost_gradient(cp, u, cost, state, opts)
+
+
+def _regularizer_gradient(cp: ControlProblem, u: np.ndarray) -> np.ndarray:
+    """Gradient of the Tychonov term of _costs with respect to nodal u."""
+    mesh = cp.mesh
+    if cp.regularizer == "gradient":
+        gtg = grid.gradient_transpose_values(mesh, grid.gradient_values(mesh, u))
+        return cp.M * mesh.cell_volume * gtg
+    return cp.M * mesh.cell_volume * mesh.node_weights() * u
+
+
+def _adjoint_cost_gradient(
+    cp: ControlProblem, u: np.ndarray, state: ScalarField
+) -> np.ndarray:
+    """Discrete adjoint L2 cost gradient at u with its solved state.
+
+    With R(y, u) the state residual on the interior nodes and K = dR/dy at
+    the state, solves K^T lam = dJ/dy (one dense solve) and forms dJ_reg/du
+    + f'(u) lam, scaled to L2 as _fd_cost_gradient.  F' and f' are
+    pointwise central differences.  Hinze, Pinnau, Ulbrich & Ulbrich,
+    Optimization with PDE Constraints (2009); Giles & Pierce, Flow Turb.
+    Combust. 65 (2000).
+    """
+    mesh = cp.mesh
+    interior = mesh.interior_indices
+    weights = mesh.cell_volume * mesh.node_weights()
+    dJdy = weights * pointwise_derivative(cp.cs.F, state.values)
+    K = _ADJOINT_JACOBIANS[cp.regime](cp.state, state.values)
+    lam = np.linalg.solve(K.T, dJdy[interior])
+    g = _regularizer_gradient(cp, u)
+    g[interior] += pointwise_derivative(cp.cs.f, u)[interior] * lam
+    return g / weights
+
+
 def _fd_cost_gradient(
     cp: ControlProblem,
     u: np.ndarray,
@@ -327,7 +389,8 @@ def optimize_control(
     *,
     base: Optional[tuple] = None,
 ):
-    """Projected-gradient descent on the control cost.
+    """Projected-gradient descent on the control cost, with the gradient of
+    gradient_method(cp), which ``SolveReport.method`` names.
 
     Deterministic given u0 and options.  Accepted iterates have
     non-increasing cost; stops at the gradient tolerance, on line-search
@@ -355,15 +418,16 @@ def optimize_control(
     stopped = "cap"
     iterations = 0
     retries = 0
+    method = gradient_method(cp)
 
     for it in range(1, opts.max_iterations + 1):
         iterations = it
-        g = _fd_cost_gradient(cp, u, cost, state, opts)
+        g = _cost_gradient(cp, u, cost, state, opts)
         gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
         stationarity = float(np.sqrt(gnorm2))
         _log.debug(
-            "optimize_control iteration %d: cost %.12g stationarity %.3e step %.3e",
-            it, cost, stationarity, step,
+            "optimize_control iteration %d: cost %.12g stationarity %.3e step %.3e (%s)",
+            it, cost, stationarity, step, method,
         )
         if stationarity <= opts.gradient_tol:
             stopped = "gradient"
@@ -385,7 +449,7 @@ def optimize_control(
     _log.debug("optimize_control stopped: %s after %d iterations", stopped, iterations)
 
     report = SolveReport(
-        method="fd-projected-gradient",
+        method=method,
         iterations=iterations,
         residual=stationarity,
         converged=stopped == "gradient",
@@ -408,7 +472,8 @@ def central_fd_gradient(
 def forward_fd_gradient(
     cp: ControlProblem, u: ScalarField, opts: Optional[OptimizeOptions] = None
 ) -> np.ndarray:
-    """Forward-difference L2 cost gradient at u (the optimizer's estimate)."""
+    """Forward-difference L2 cost gradient at u: the optimizer's estimate in
+    the variational regime, an independent check in the others."""
     return _fd_gradient_at(cp, u, opts, central=False)
 
 

@@ -238,6 +238,39 @@ def divergence_weak(q: VectorField) -> ScalarField:
     return ScalarField(q.mesh, divergence_weak_values(q.mesh, q.values))
 
 
+def gradient_transpose_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
+    """Flat nodal values of G^T q on every node, G the matrix of
+    gradient_values: -divergence_weak_values on the interior, and the
+    boundary terms that it drops.  Leading axes of q are batch axes."""
+    h = mesh.h
+    lead = q.shape[:-2]
+    n = mesh.cells_per_axis
+    # one ring of zero cells around the mesh gives every node its full stencil
+    if mesh.dimension == 1:
+        p = np.zeros(lead + (n + 2,))
+        p[..., 1:-1] = q[..., 0]
+        return (p[..., :-1] - p[..., 1:]) / h
+    p = np.zeros(lead + (2, n + 2, n + 2))
+    p[..., 1:-1, 1:-1] = np.moveaxis(q, -1, -2).reshape(lead + (2, n, n))
+    px, py = p[..., 0, :, :], p[..., 1, :, :]
+    out = (
+        px[..., :-1, :-1] + px[..., :-1, 1:] - px[..., 1:, :-1] - px[..., 1:, 1:]
+        + py[..., :-1, :-1] + py[..., 1:, :-1] - py[..., :-1, 1:] - py[..., 1:, 1:]
+    ) / (2.0 * h)
+    return out.reshape(lead + (-1,))
+
+
+def interior_matrix(mesh: Mesh, apply) -> np.ndarray:
+    """Dense matrix of a linear map of nodal values on the interior nodes
+    (row i: the image's interior node i; column k: interior node k of the
+    argument), from ``apply`` on the stack of the interior's identity
+    columns, shape (n_interior, n_nodes)."""
+    interior = mesh.interior_indices
+    E = np.zeros((interior.size, mesh.n_nodes))
+    E[np.arange(interior.size), interior] = 1.0
+    return apply(E)[:, interior].T
+
+
 # -- stacked columns -----------------------------------------------------------
 
 

@@ -601,7 +601,8 @@ def certify_gap(
     control.  A violated inequality marks the report FAILED; it is a bug
     trap, not a tolerated outcome.  The report's ``minimizer`` holds the
     relaxed point (mu, nu, y) whose cost is ``relaxed``; on a tie it is the
-    optimizer's.
+    optimizer's.  Its ``classical`` block reports how the classical
+    optimizer run stopped.
 
     No classical state is solved twice: the candidates are solved as one
     stack at ``classical_opts.state_tol`` (the classical run's own
@@ -666,6 +667,11 @@ def certify_gap(
         dirac_residual=float(dirac_residual),
         certificates=certificates,
         failed=not all(c["passed"] for c in certificates),
+        classical={
+            "stopped": opt_report.extras["stopped"],
+            "iterations": opt_report.iterations,
+            "stationarity": opt_report.stationarity,
+        },
         minimizer=(mu, nu, y),
     )
     return report

@@ -43,8 +43,10 @@ class RelaxationReport:
     ``failed`` flags a violated sub-relaxation inequality, which is a bug
     trap rather than a tolerated outcome.  A nonzero gap at fixed mesh width
     mixes a genuine relaxation gap with discretization effects; the split is
-    not resolved here (see ``note``).  ``minimizer`` holds the relaxed
-    point (mu, nu, y) behind ``relaxed``; it is not serialized.
+    not resolved here (see ``note``).  ``classical`` holds the classical
+    optimizer run's ``stopped``, ``iterations`` and ``stationarity``.
+    ``minimizer`` holds the relaxed point (mu, nu, y) behind ``relaxed``; it
+    is not serialized.
     """
 
     best_classical: float
@@ -52,6 +54,7 @@ class RelaxationReport:
     dirac_residual: float
     certificates: list = field(default_factory=list)
     failed: bool = False
+    classical: dict = field(default_factory=dict)
     note: str = (
         "gap measured at fixed mesh width; continuum vs discretization "
         "contributions are not separated"
@@ -70,6 +73,7 @@ class RelaxationReport:
             "dirac_residual": self.dirac_residual,
             "certificates": list(self.certificates),
             "failed": self.failed,
+            "classical": dict(self.classical),
             "note": self.note,
         }
 

@@ -20,6 +20,7 @@ from .coefficients import (
     CoefficientSet,
     HypothesisReport,
     apply_cellwise,
+    cellwise_jacobian,
     check_growth,
     check_monotonicity,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "MonotoneStateProblem",
     "solve_monotone",
     "solve_monotone_columns",
+    "interior_jacobian",
     "verify_limit_identity",
     "theoretical_contraction",
 ]
@@ -143,6 +145,20 @@ def solve_monotone_columns(
            else f"and stalled after {rep.iterations} steps")
         + f" (last residual {rep.residual:.3e})"
     ))
+
+
+def interior_jacobian(p: MonotoneStateProblem, y: np.ndarray) -> np.ndarray:
+    """Dense Jacobian K = -div_w DA(grad y) G of the residual -div_w
+    A(grad y) - f with respect to the interior values of y, at the nodal
+    state y; DA is cellwise_jacobian of A."""
+    mesh = p.mesh
+    DA = cellwise_jacobian(p.cs.A, grid.gradient_values(mesh, y))
+
+    def apply(E):
+        flux = (DA @ grid.gradient_values(mesh, E)[..., None])[..., 0]
+        return -grid.divergence_weak_values(mesh, flux)
+
+    return grid.interior_matrix(mesh, apply)
 
 
 def verify_limit_identity(

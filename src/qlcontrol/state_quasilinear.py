@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import CoefficientSet, HypothesisReport, apply_cellwise
+from .coefficients import CoefficientSet, HypothesisReport, apply_cellwise, cellwise_jacobian
 from .grid import Mesh, ScalarField
 from .reports import SolveReport, _columns_result
 
@@ -25,6 +25,7 @@ __all__ = [
     "uniqueness_threshold",
     "solve_quasilinear",
     "solve_quasilinear_columns",
+    "interior_jacobian",
     "verify_uniqueness",
     "apriori_gradient_bound",
 ]
@@ -126,6 +127,24 @@ def strong_residual(
     res = -grid.divergence_weak_values(mesh, g) + _a_node_values(p, g) + p.b * y - fvals
     res[..., mesh.boundary_mask] = 0.0
     return grid.l2_norm_values(mesh, res)
+
+
+def interior_jacobian(p: QuasilinearStateProblem, y: np.ndarray) -> np.ndarray:
+    """Dense Jacobian K = (-lap_h + b) + C2N diag(a'(grad y)) G of the
+    residual of strong_residual with respect to the interior values of y, at
+    the nodal state y; a' is cellwise_jacobian of a."""
+    mesh = p.mesh
+    da = None if p.cs.a is None else cellwise_jacobian(
+        p.cs.a, grid.gradient_values(mesh, y))
+
+    def apply(E):
+        GE = grid.gradient_values(mesh, E)
+        KE = p.b * E - grid.divergence_weak_values(mesh, GE)
+        if da is not None:
+            KE += grid.cell_to_node_values(mesh, np.sum(da * GE, axis=-1))
+        return KE
+
+    return grid.interior_matrix(mesh, apply)
 
 
 def _h1_norm_values(mesh: Mesh, z: np.ndarray, gz: np.ndarray) -> np.ndarray:

@@ -276,6 +276,18 @@ class TestRuns:
                      "control_measure.csv", "relaxed_state.csv"):
             assert (tmp_path / "out" / name).exists()
 
+    def test_relaxation_block_reports_the_classical_stop(self, tmp_path):
+        # gap-family-1d at n = 32: the classical run's line search finds no
+        # descent from u = 1 after two iterations, and the report says so
+        assert run(write(tmp_path, GAP_INI), out=str(tmp_path / "out")) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        classical = report["results"]["relaxation"]["classical"]
+        assert classical["stopped"] == "linesearch"
+        assert classical["iterations"] == 2
+        assert classical["stationarity"] > 1e-6  # the default gradient_tol
+        summary = (tmp_path / "out" / "summary.txt").read_text()
+        assert '"classical": {"iterations": 2, "stationarity": ' in summary
+
     def test_below_threshold_exit_1_names_threshold(self, tmp_path, capsys):
         cfg = write(tmp_path, GAP_INI)
         code = run(cfg, out=str(tmp_path / "out"), overrides=["instance.b=0.5"])

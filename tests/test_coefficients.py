@@ -156,3 +156,41 @@ class TestBuiltinsRoundTrip:
             step = 1e-6
             fd = (w(y + step) - w(y - step)) / (2 * step)
             assert np.allclose(dw(y), fd, atol=1e-8)
+
+
+class TestDerivatives:
+    """Central-difference derivatives of the coefficients (adjoint gradient)."""
+
+    def test_pointwise_derivative_matches_closed_form(self):
+        u = np.linspace(-3, 3, 13)
+        assert np.allclose(co.pointwise_derivative(np.tanh, u), 1.0 / np.cosh(u) ** 2,
+                           rtol=0, atol=1e-9)
+        F = co.cost_tracking(0.05)["F"]
+        assert np.allclose(co.pointwise_derivative(F, u), 2.0 * (u - 0.05), rtol=0, atol=1e-8)
+
+    def test_kinks_give_a_clarke_element(self):
+        # clamp at +-1 and shortfall at its cap: the average of the one-sided
+        # slopes, inside [0, 1] and [-1, 0]
+        f = co.f_clamp()["f"]
+        assert np.allclose(co.pointwise_derivative(f, np.array([-1.0, 1.0])), 0.5)
+        F = co.cost_shortfall(1.0)["F"]
+        assert np.allclose(co.pointwise_derivative(F, np.array([1.0])), -0.5)
+        a = co.a_clamped_linear(2.0)["a"]
+        assert np.allclose(co.cellwise_jacobian(a, np.array([[1.0], [-1.0]])), 1.0)
+
+    def test_cellwise_jacobian_of_a_and_A(self):
+        Y = np.random.default_rng(0).uniform(-2, 2, (7, 2))
+        da = co.cellwise_jacobian(co.a_sin_gradient(1.5, axis=1)["a"], Y)
+        assert da.shape == (7, 2)
+        assert np.allclose(da, np.column_stack([np.zeros(7), 1.5 * np.cos(Y[:, 1])]),
+                           rtol=0, atol=1e-9)
+        A = lambda Z: np.column_stack([Z[:, 0] ** 2 * Z[:, 1], np.sin(Z[:, 1]) + Z[:, 0]])
+        want = np.empty((7, 2, 2))
+        want[:, 0, 0], want[:, 0, 1] = 2 * Y[:, 0] * Y[:, 1], Y[:, 0] ** 2
+        want[:, 1, 0], want[:, 1, 1] = 1.0, np.cos(Y[:, 1])
+        assert np.allclose(co.cellwise_jacobian(A, Y), want, rtol=0, atol=1e-8)
+        # a 1D flux: one 1x1 block per cell
+        A1 = co.make_perturbed_linear(1.0, co.sin_perturbation(0.5), 0.5).A
+        y = Y[:, :1]
+        assert np.allclose(co.cellwise_jacobian(A1, y)[:, 0, 0], 1.0 + 0.5 * np.cos(y[:, 0]),
+                           rtol=0, atol=1e-9)

@@ -1,4 +1,5 @@
-"""Outer control problem: costs, FD-gradient descent, oscillation demo."""
+"""Outer control problem: costs, adjoint and FD gradients, descent,
+oscillation demo."""
 
 import logging
 
@@ -7,7 +8,7 @@ import pytest
 
 from qlcontrol import coefficients as co
 from qlcontrol import control_opt, grid
-from qlcontrol import instances
+from qlcontrol import instances, young_measure
 from qlcontrol.control_opt import (
     ControlProblem,
     OptimizeOptions,
@@ -278,13 +279,14 @@ PINNED_VARIATIONAL_TRACE = [
 
 
 def sequential_line_search(cp, u0, opts, fail=()):
-    """Reference: the first iteration's Armijo search from u0, one trial
-    solve at a time; trials whose index is in ``fail`` count as state-solver
-    failures.  Returns the trial controls, the accepted control and cost
-    (None when every trial fails) and the retries."""
+    """Reference: the first iteration's Armijo search from u0 along the
+    optimizer's own gradient, one trial solve at a time; trials whose index
+    is in ``fail`` count as state-solver failures.  Returns the trial
+    controls, the accepted control and cost (None when every trial fails)
+    and the retries."""
     mesh = cp.mesh
     cost, state = evaluate_cost(cp, u0, state_tol=opts.state_tol, return_state=True)
-    g = forward_fd_gradient(cp, u0, opts)
+    g = control_opt._cost_gradient(cp, u0.values, cost, state, opts)
     gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
     trials, accepted, retries = [], (None, None), 0
     alpha = opts.initial_step
@@ -398,6 +400,71 @@ class TestGradientSelfConsistency:
         assert rel <= 1e-3
 
 
+class TestAdjointGradient:
+    """The discrete adjoint gradient of the quasilinear and monotone regimes
+    against the independent central-difference stack."""
+
+    @pytest.mark.parametrize("name, dim, n, regularizer", [
+        ("gap-family-1d", 1, 128, "gradient"),
+        ("sin-gradient-1d", 1, 32, "gradient"),
+        ("sin-gradient-2d", 2, 6, "gradient"),
+        ("linear-quasilinear-1d", 1, 32, "gradient"),
+        ("linear-quasilinear-1d", 1, 16, "l2"),
+        ("monotone-perturbed-1d", 1, 32, "gradient"),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_central_differences(self, name, dim, n, regularizer, seed):
+        mesh = grid.build_mesh(dim, n)
+        cp = instances.build_control_problem(name, mesh)
+        cp = ControlProblem(cp.state, regularizer)
+        assert control_opt.gradient_method(cp) == "adjoint-projected-gradient"
+        u = ScalarField(mesh, 0.5 * np.random.default_rng(seed).standard_normal(mesh.n_nodes))
+        opts = OptimizeOptions(state_tol=1e-12)
+        _, state = evaluate_cost(cp, u, state_tol=opts.state_tol, return_state=True)
+        g = control_opt._adjoint_cost_gradient(cp, u.values, state)
+        gc = central_fd_gradient(cp, u, opts)
+        assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc)
+
+    @pytest.mark.parametrize("name, method", [
+        ("linear-quasilinear-1d", "adjoint-projected-gradient"),
+        ("monotone-perturbed-1d", "adjoint-projected-gradient"),
+        ("variational-quartic-1d", "fd-projected-gradient"),
+    ])
+    def test_report_and_debug_line_name_the_gradient(self, caplog, name, method):
+        mesh = grid.build_mesh(1, 8)
+        cp = instances.build_control_problem(name, mesh)
+        u0 = ScalarField(mesh, 0.3 * np.random.default_rng(0).standard_normal(mesh.n_nodes))
+        with caplog.at_level(logging.DEBUG, logger="qlcontrol.control_opt"):
+            _, rep = optimize_control(cp, u0, OptimizeOptions(max_iterations=2))
+        assert rep.method == method
+        lines = [r.getMessage() for r in caplog.records if r.name == "qlcontrol.control_opt"]
+        steps = [m for m in lines if m.startswith("optimize_control iteration")]
+        assert len(steps) == 2
+        assert all(m.endswith(f"({method})") for m in steps)
+
+    @pytest.mark.parametrize("name, fd_stacks", [
+        ("monotone-perturbed-1d", False),
+        ("linear-quasilinear-1d", False),
+        ("variational-quartic-1d", True),
+    ])
+    def test_only_the_variational_regime_stacks_fd_states(self, monkeypatch, name, fd_stacks):
+        mesh = grid.build_mesh(1, 8)
+        cp = instances.build_control_problem(name, mesh)
+        solver = control_opt.state_solvers(cp.regime)[1].__name__
+        sizes = []
+        stacked = getattr(control_opt, solver)
+
+        def record(p, U, **kw):
+            sizes.append(len(U))
+            return stacked(p, U, **kw)
+
+        monkeypatch.setattr(control_opt, solver, record)
+        u0 = ScalarField(mesh, 0.3 * np.random.default_rng(0).standard_normal(mesh.n_nodes))
+        optimize_control(cp, u0, OptimizeOptions(max_iterations=3))
+        # a forward-difference stack solves one column per node
+        assert (mesh.n_nodes in sizes) == fd_stacks
+
+
 class TestExistenceSymptom:
     @pytest.mark.parametrize("name", ["monotone-perturbed-1d", "variational-quartic-1d"])
     def test_random_starts_agree(self, name):
@@ -456,6 +523,30 @@ class TestMinimizingSequenceDemo:
         trace = minimizing_sequence_demo(rp.control, [2, 4, 8, 16, 32])
         assert np.min(trace) >= rep.best_classical - 1e-6
         assert trace[-1] >= rep.relaxed + 5e-3
+
+    def test_designed_state_measure_needs_unbounded_sources(self):
+        # realize the gap family's designed nu as laminates y_j on refined
+        # meshes: the source each needs, (-lap_h + b) y_j + C2N a(grad y_j),
+        # grows like j in L2, while every control's source f(u) = clamp(u)
+        # has L2 norm at most 1; so no classical state sequence generates nu
+        rp, designed = instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, 16))
+        base = young_measure.potential(designed.nu)
+        norms = []
+        for j in (1, 2, 4, 8, 16):
+            y = realize_sequence(designed.nu, j)
+            fine = y.mesh
+            # y_j realizes nu: it matches nu's potential at the base nodes
+            step = fine.cells_per_axis // rp.mesh.cells_per_axis
+            assert np.allclose(y.values[::step], base.values, rtol=0, atol=1e-12)
+            p = rp.control.with_mesh(fine).state
+            g = grid.gradient_values(fine, y.values)
+            src = (-grid.divergence_weak_values(fine, g) + p.b * y.values
+                   + grid.cell_to_node_values(fine, p.cs.a(g)))
+            src[fine.boundary_mask] = 0.0
+            norms.append(grid.l2_norm(ScalarField(fine, src)))
+        ratios = np.array(norms[1:]) / np.array(norms[:-1])
+        assert np.all(ratios >= 1.9)
+        assert norms[0] >= 100.0 and norms[-1] >= 16 * 0.9 * norms[0]
 
     def test_realizations_after_the_first_start_warm(self, monkeypatch):
         solve = control_opt.solve_quasilinear

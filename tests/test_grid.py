@@ -90,6 +90,44 @@ class TestDivergenceWeak:
         assert abs(val + grid.l2_norm(q) ** 2) <= 1e-12
 
 
+class TestGradientTranspose:
+    @pytest.mark.parametrize("dim,n,seed", [(1, 9, 0), (1, 17, 1), (2, 4, 2), (2, 8, 3)])
+    def test_plain_transpose_on_every_node(self, dim, n, seed):
+        # <G^T q, z> = <q, G z> in plain dot products, boundary nodes included
+        rng = np.random.default_rng(seed)
+        mesh = grid.build_mesh(dim, n)
+        q = rng.standard_normal((mesh.n_cells, dim))
+        z = rng.standard_normal(mesh.n_nodes)
+        gt = grid.gradient_transpose_values(mesh, q)
+        lhs, rhs = gt @ z, np.sum(q * grid.gradient_values(mesh, z))
+        assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(rhs))
+        # the dense matrix, column by column
+        G = grid.gradient_values(mesh, np.eye(mesh.n_nodes)).reshape(mesh.n_nodes, -1)
+        assert np.allclose(gt, G @ q.ravel(), rtol=0, atol=1e-12 / mesh.h)
+        # minus divergence_weak on the interior
+        interior = mesh.interior_indices
+        dw = grid.divergence_weak_values(mesh, q)
+        assert np.allclose(gt[interior], -dw[interior], rtol=0, atol=1e-12 / mesh.h)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_batch_rows_equal_single_calls(self, dim):
+        mesh = grid.build_mesh(dim, 6)
+        Q = np.random.default_rng(4).standard_normal((2, 3, mesh.n_cells, dim))
+        out = grid.gradient_transpose_values(mesh, Q)
+        assert out.shape == (2, 3, mesh.n_nodes)
+        assert np.array_equal(out[1, 2], grid.gradient_transpose_values(mesh, Q[1, 2]))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_interior_matrix_of_the_laplacian(self, dim):
+        mesh = grid.build_mesh(dim, 6)
+        K = grid.interior_matrix(mesh, lambda E: -grid.laplacian_values(mesh, E))
+        interior = mesh.interior_indices
+        z = np.zeros(mesh.n_nodes)
+        z[interior] = np.random.default_rng(5).standard_normal(interior.size)
+        assert np.allclose(K @ z[interior], -grid.laplacian_values(mesh, z)[interior])
+        assert np.allclose(K, K.T)
+
+
 class TestHelmholtz:
     def test_zero_rhs(self):
         mesh = grid.build_mesh(2, 6)

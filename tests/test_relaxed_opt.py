@@ -494,7 +494,8 @@ class TestCertifyGap:
         # candidate, recorded from the one-trial-at-a-time line search and
         # re-recorded with the Green's function backbone (rounding level);
         # best_classical re-recorded when the tight embedding solve started
-        # from the candidate's state (-0.06071327435300832 before)
+        # from the candidate's state (-0.06071327435300832 before), and with
+        # the adjoint gradient (3 iterations and -0.060713274353001126 before)
         runs = []
         optimize = relaxed_opt.optimize_control
 
@@ -507,10 +508,11 @@ class TestCertifyGap:
         rp, init = instances.build_relaxed_problem("gap-family-1d")
         rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
         ((u0, opts, kwargs, classical),) = runs
-        assert classical.iterations == 3
+        assert classical.method == "adjoint-projected-gradient"
+        assert classical.iterations == 2
         assert classical.extras == {"stopped": "linesearch", "linesearch_retries": 0}
-        assert classical.cost == -0.060713274353001126
-        assert rep.best_classical == -0.060713274353001126
+        assert classical.cost == -0.06071327435306798
+        assert rep.best_classical == -0.06071327435306798
         assert rep.relaxed == -0.06946644528883991
         # the run starts from the best candidate's own cost and state, as
         # its single solve at the run's tolerance gives them
@@ -519,6 +521,29 @@ class TestCertifyGap:
             rp.control, u0, state_tol=opts.state_tol, return_state=True)
         assert cost == want_cost
         assert np.array_equal(y.values, want_y.values)
+
+    def test_classical_iterations_stack_no_fd_states(self, monkeypatch):
+        # the classical run on gap-family-1d at h = 1/128 takes adjoint
+        # gradients: its stacked Picard solves are the candidates' and the
+        # line-search chunks', never a forward-difference stack of n + 1
+        # columns (the parent solved 129 columns per iteration)
+        sizes = []
+        stacked = control_opt.solve_quasilinear_columns
+
+        def record(p, U, **kw):
+            sizes.append(len(U))
+            return stacked(p, U, **kw)
+
+        def no_fd(*args, **kwargs):
+            raise AssertionError("forward-difference gradient taken")
+
+        monkeypatch.setattr(control_opt, "solve_quasilinear_columns", record)
+        monkeypatch.setattr(control_opt, "_fd_cost_gradient", no_fd)
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
+        assert rep.classical["iterations"] >= 1
+        assert sizes and max(sizes) <= control_opt._LADDER_CHUNK
+        assert rp.mesh.n_nodes not in sizes
 
     def test_work_counts_pinned(self, monkeypatch):
         # gap-family-1d at h = 1/128: the designed init stalls in its first
@@ -547,12 +572,16 @@ class TestCertifyGap:
 
     @pytest.mark.parametrize("name, relaxed, best_classical", [
         # recorded before certify_gap kept its relaxed point; re-recorded
-        # with the Green's function backbone (at most 3.8e-11 relative), and
+        # with the Green's function backbone (at most 3.8e-11 relative),
         # gap-family's best_classical again when the tight embedding solve
-        # started from the candidate's state (-0.06064999128539454 before)
-        ("gap-family-1d", -0.06939192492772764, -0.06064999128538711),
-        ("linear-quasilinear-1d", 0.0019253592776774364, 0.0019256669970192334),
-    ])
+        # started from the candidate's state (-0.06064999128539454 before),
+        # and both best_classical values and linear-quasilinear's relaxed
+        # value with the adjoint gradient (before: -0.06064999128538711;
+        # 0.0019253592776774364 and 0.0019256669970192334, which carried
+        # the forward difference's truncation error)
+        ("gap-family-1d", -0.06939192492772764, -0.06064999128544872),
+        ("linear-quasilinear-1d", 0.001924644078631666, 0.0019249516474855208),
+    ], ids=["gap-family-1d", "linear-quasilinear-1d"])
     def test_minimizer_is_the_certified_point(self, name, relaxed, best_classical):
         rp, init = instances.build_relaxed_problem(name, grid.build_mesh(1, 32))
         rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
@@ -607,7 +636,9 @@ class TestCertifyGap:
         rp, init = small_gap_problem(n=16)
         rep = certify_gap(rp, samples=2, seed=0, designed_init=init)
         d = rep.to_dict()
-        assert set(d) >= {"best_classical", "relaxed", "gap", "certificates", "failed"}
+        assert set(d) >= {"best_classical", "relaxed", "gap", "certificates", "failed",
+                          "classical"}
+        assert set(d["classical"]) == {"stopped", "iterations", "stationarity"}
         assert "trace" not in d
         assert d["gap"] == d["best_classical"] - d["relaxed"]
 

@@ -8,6 +8,7 @@ from qlcontrol import grid
 from qlcontrol.grid import ScalarField
 from qlcontrol.state_monotone import (
     MonotoneStateProblem,
+    interior_jacobian,
     solve_monotone,
     theoretical_contraction,
     verify_limit_identity,
@@ -109,6 +110,31 @@ class TestLimitIdentity:
         u = ScalarField(p.mesh, np.ones(p.mesh.n_nodes))
         y, _ = solve_monotone(p, u, tol=1e-10)
         assert verify_limit_identity(p, y, u).passed
+
+
+class TestInteriorJacobian:
+    @pytest.mark.parametrize("dim,n", [(1, 16), (2, 5)])
+    def test_matches_central_differences_of_the_residual(self, dim, n):
+        p = perturbed_problem(n=n, dim=dim)
+        mesh = p.mesh
+        u = ScalarField(mesh, np.random.default_rng(0).standard_normal(mesh.n_nodes))
+        y, _ = solve_monotone(p, u, tol=1e-11)
+        K = interior_jacobian(p, y.values)
+
+        def residual(z):
+            return -grid.divergence_weak_values(mesh, p.cs.A(grid.gradient_values(mesh, z)))
+
+        interior = mesh.interior_indices
+        want = np.empty_like(K)
+        for k, i in enumerate(interior):
+            e = np.zeros(mesh.n_nodes)
+            e[i] = 1e-6
+            want[:, k] = (residual(y.values + e) - residual(y.values - e))[interior] / 2e-6
+        assert np.max(np.abs(K - want)) <= 1e-7 * np.max(np.abs(want))
+        # strong monotonicity: sym(K) >= c (-lap_h)
+        lap = grid.interior_matrix(mesh, lambda E: -grid.laplacian_values(mesh, E))
+        gap = 0.5 * (K + K.T) - p.cs.c * lap
+        assert np.min(np.linalg.eigvalsh(gap)) >= -1e-9 * np.max(np.abs(lap))
 
 
 class TestValidation:

@@ -10,6 +10,7 @@ from qlcontrol.state_monotone import MonotoneStateProblem, solve_monotone
 from qlcontrol.state_quasilinear import (
     QuasilinearStateProblem,
     apriori_gradient_bound,
+    interior_jacobian,
     solve_quasilinear,
     strong_residual,
     uniqueness_threshold,
@@ -154,6 +155,64 @@ class TestUniqueness:
             QuasilinearStateProblem(
                 grid.build_mesh(1, 8), cs, b=uniqueness_threshold(1.0) / 2
             )
+
+
+def fd_jacobian(residual, y, mesh, step=1e-6):
+    """Central differences of a nodal residual in each interior value of y,
+    restricted to the interior rows."""
+    interior = mesh.interior_indices
+    cols = []
+    for i in interior:
+        e = np.zeros(mesh.n_nodes)
+        e[i] = step
+        cols.append((residual(y + e) - residual(y - e))[interior] / (2 * step))
+    return np.column_stack(cols)
+
+
+class TestInteriorJacobian:
+    """The dense Jacobian behind the adjoint cost gradient."""
+
+    @staticmethod
+    def residual(p):
+        # -lap_h y + C2N a(grad y) + b y, from the grid operators
+        mesh = p.mesh
+
+        def r(y):
+            g = grid.gradient_values(mesh, y)
+            a = p.cs.a(g) if p.cs.a is not None else np.zeros(mesh.n_cells)
+            return (-grid.divergence_weak_values(mesh, g) + p.b * y
+                    + grid.cell_to_node_values(mesh, a))
+
+        return r
+
+    @pytest.mark.parametrize("dim,n,kappa", [(1, 16, 1.0), (2, 6, 1.0), (1, 12, 0.0)])
+    def test_matches_central_differences_of_the_residual(self, dim, n, kappa):
+        cs = co.CoefficientSet(**{**co.a_sin_gradient(kappa), **co.f_tanh()})
+        p = QuasilinearStateProblem(grid.build_mesh(dim, n), cs, b=1.0)
+        u = ScalarField(p.mesh, np.random.default_rng(0).standard_normal(p.mesh.n_nodes))
+        y, _ = solve_quasilinear(p, u, tol=1e-12)
+        K = interior_jacobian(p, y.values)
+        want = fd_jacobian(self.residual(p), y.values, p.mesh)
+        assert np.max(np.abs(K - want)) <= 1e-7 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("dim,n,b", [(1, 32, 2.0), (1, 32, 1.2), (2, 6, 0.3)])
+    def test_coercive_above_the_uniqueness_threshold(self, dim, n, b):
+        # the completed-squares estimate on the discrete operators: for |a'|
+        # <= L, sym(K) >= (1 - L/(2 sqrt b)) (-lap_h + b), at any state
+        L = 2.0 if dim == 1 else 1.0
+        parts = co.a_cosine_wells(0.4, 5.0) if dim == 1 else co.a_sin_gradient(L)
+        cs = co.CoefficientSet(**{**parts, **co.f_tanh()})
+        p = QuasilinearStateProblem(grid.build_mesh(dim, n), cs, b=b)
+        assert b > uniqueness_threshold(L)
+        mesh = p.mesh
+        base = grid.interior_matrix(mesh, lambda E: p.b * E - grid.laplacian_values(mesh, E))
+        rng = np.random.default_rng(1)
+        for _ in range(3):
+            y = 2.0 * rng.standard_normal(mesh.n_nodes)
+            y[mesh.boundary_mask] = 0.0
+            K = interior_jacobian(p, y)
+            gap = 0.5 * (K + K.T) - (1.0 - L / (2.0 * np.sqrt(b))) * base
+            assert np.min(np.linalg.eigvalsh(gap)) >= -1e-9 * np.max(np.abs(base))
 
 
 class TestAprioriBound:
