@@ -307,8 +307,7 @@ def _one_of(names) -> tuple:
 
 
 def _at_least(low) -> tuple:
-    """Every entry of a number or of a tuple of numbers is >= low."""
-    return (lambda v: bool(np.all(np.atleast_1d(v) >= low)), f">= {low}")
+    return (lambda v: v >= low, f">= {low}")
 
 
 # (section, key) -> (ExperimentConfig attribute, parser, accepted values)
@@ -316,14 +315,18 @@ _KEYS = {
     ("experiment", "kind"): ("kind", str, _one_of(_KINDS)),
     ("experiment", "seed"): ("seed", int, _at_least(0)),
     ("experiment", "control"): ("control", str, _one_of(_CONTROLS)),
-    ("experiment", "js"): ("js", _ints, _at_least(1)),
+    ("experiment", "js"): ("js", _ints, (lambda v: len(v) > 0 and min(v) >= 1,
+                                         "a non-empty list of integers >= 1")),
     ("instance", "name"): ("instance", _name, _one_of(instances.instance_names())),
     ("instance", "b"): ("b_override", float, None),
     ("mesh", "dimension"): ("dimension", int, _one_of((1, 2))),
     ("mesh", "cells_per_axis"): ("cells_per_axis", int, _at_least(2)),
-    ("solver", "state_tol"): ("state_tol", float, (lambda v: v > 0, "> 0")),
+    # a tolerance of inf would stop a run at once and report it converged
+    ("solver", "state_tol"): ("state_tol", float,
+                              (lambda v: 0 < v < np.inf, "finite and > 0")),
     ("solver", "max_iterations"): ("max_iterations", int, _at_least(0)),
-    ("solver", "gradient_tol"): ("gradient_tol", float, _at_least(0)),
+    ("solver", "gradient_tol"): ("gradient_tol", float,
+                                 (lambda v: 0 <= v < np.inf, "finite and >= 0")),
     ("solver", "samples"): ("samples", int, _at_least(0)),
     ("coefficients", "flux"): ("coefficients", str, _one_of(_FLUXES)),
     ("coefficients", "a"): ("coefficients", str, _one_of(_TERMS["a"])),

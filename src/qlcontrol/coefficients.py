@@ -1,15 +1,15 @@
 """Problem coefficients with declared constants and sampled hypothesis checks.
 
 A :class:`CoefficientSet` bundles the functions a problem uses (flux A,
-gradient nonlinearity a, control-to-source map f, inner energy W, cost
-integrand F, affine coupling w) together with the structural constants the
+gradient nonlinearity a, control-to-source map f, inner energy W and its
+gradient dW, cost integrand F) together with the structural constants the
 theory needs (Lipschitz constant L of a, monotonicity/growth constants c < C,
 Tychonov weight M).
 
 The structural hypotheses are analytic statements; here they are checked by
 seeded random sampling, which falsifies a wrong declaration but proves
 nothing.  All function evaluations are vectorized over numpy arrays:
-``A: (m,N)->(m,N)``, ``a: (m,N)->(m,)``, ``f,F,w: elementwise``,
+``A: (m,N)->(m,N)``, ``a: (m,N)->(m,)``, ``f,F: elementwise``,
 ``W: (m,N),(m,)->(m,)``, ``dW: (m,N),(m,)->(m,N)``.
 """
 
@@ -37,7 +37,6 @@ __all__ = [
     "f_tanh",
     "f_clamp",
     "w_quadratic",
-    "w_quadratic_bump",
     "w_quartic_clamped",
     "w_u_scaled_quadratic",
     "cost_tracking",
@@ -84,8 +83,6 @@ class CoefficientSet:
     W: Optional[Callable] = None
     dW: Optional[Callable] = None
     F: Optional[Callable] = None
-    w: Optional[Callable] = None
-    dw: Optional[Callable] = None
     L: float = 0.0
     c: Optional[float] = None
     C: Optional[float] = None
@@ -268,18 +265,6 @@ def w_quadratic() -> dict:
     }
 
 
-def w_quadratic_bump(delta: float = 0.2) -> dict:
-    """W(y, u) = |y|^2/2 + delta*(1 - cos u): smooth and nonconvex in u,
-    strictly convex in y; the u-term never moves the state."""
-    return {
-        "W": lambda Y, u: 0.5 * np.sum(Y * Y, axis=1) + delta * (1.0 - np.cos(u)),
-        "dW": lambda Y, u: Y,
-        "w_grad_identity": True,
-        "c": 0.4,
-        "C": 0.5 + 2.0 * abs(delta),
-    }
-
-
 def w_u_scaled_quadratic(eps: float = 0.25) -> dict:
     """W(y, u) = (1 + eps*tanh u) |y|^2 / 2: genuine (y,u) coupling so the
     state responds to the control through the inner energy."""
@@ -331,25 +316,6 @@ def w_quartic_clamped(radius: float = 10.0) -> dict:
         "c": 0.4,
         "C": float(disc_C),
     }
-
-
-def w_coupling(name: str) -> dict:
-    """Affine-coupling weight w(y) for the w(y)*u inner-energy form."""
-    table = {
-        "zero": (
-            lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-            lambda y: np.zeros_like(np.asarray(y, dtype=float)),
-        ),
-        "identity": (
-            lambda y: np.asarray(y, dtype=float),
-            lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        ),
-        "tanh": (np.tanh, lambda y: 1.0 / np.cosh(y) ** 2),
-    }
-    if name not in table:
-        raise ValueError(f"unknown coupling {name!r}")
-    w, dw = table[name]
-    return {"w": w, "dw": dw}
 
 
 def cost_tracking(target: float, cap: float = 1e6) -> dict:

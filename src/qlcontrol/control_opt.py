@@ -51,6 +51,8 @@ _FD_STEP = 1e-5  # relative forward-difference step of the cost gradient
 _FD_BLOCK = 512
 # line-search trials solved per stacked call: chunks of 2, 4, 8, then 16
 _LADDER_CHUNK = 16
+_LINESEARCH_MAX = 30  # Armijo trials per line search
+_INITIAL_STEP = 1.0  # first trial step of the first line search
 
 _log = logging.getLogger(__name__)
 
@@ -229,22 +231,19 @@ class OptimizeOptions:
     """Knobs of the outer descent; defaults follow the desk-scale caps."""
 
     max_iterations: int = 500
-    linesearch_max: int = 30
     gradient_tol: float = 1e-6
-    initial_step: float = 1.0
     state_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iterations < 0 or self.linesearch_max < 1:
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
+        # an infinite tolerance would stop every run as converged at once
+        if not 0.0 <= self.gradient_tol < np.inf:
             raise ValueError(
-                "max_iterations must be non-negative and linesearch_max at least 1"
+                f"gradient_tol must be finite and non-negative, got {self.gradient_tol}"
             )
-        if not self.initial_step > 0.0:
-            raise ValueError(f"initial_step must be positive, got {self.initial_step}")
-        if not self.gradient_tol >= 0.0:
-            raise ValueError(f"gradient_tol must be non-negative, got {self.gradient_tol}")
-        if self.state_tol is not None and not self.state_tol > 0.0:
-            raise ValueError(f"state_tol must be positive, got {self.state_tol}")
+        if self.state_tol is not None and not 0.0 < self.state_tol < np.inf:
+            raise ValueError(f"state_tol must be finite and positive, got {self.state_tol}")
 
 
 # The one place each regime's gradient is chosen: the dense interior Jacobian
@@ -332,7 +331,7 @@ def _fd_cost_gradient(
 
 
 def _trial_ladder(cp, u, g, step, warm, opts):
-    """Armijo trials at the steps step * 2^-j, j < opts.linesearch_max, in
+    """Armijo trials at the steps step * 2^-j, j < _LINESEARCH_MAX, in
     ladder order.
 
     Yields ``(alpha, control, state values, cost)`` per trial, with state
@@ -345,7 +344,7 @@ def _trial_ladder(cp, u, g, step, warm, opts):
     accepted.
     """
     alphas = [step]
-    for _ in range(opts.linesearch_max - 1):
+    for _ in range(_LINESEARCH_MAX - 1):
         alphas.append(alphas[-1] * 0.5)
     lo, size = 0, 2
     while lo < len(alphas):
@@ -413,7 +412,7 @@ def optimize_control(
         )
     cost, state = base
     trace = [cost]
-    step = opts.initial_step
+    step = _INITIAL_STEP
     stationarity = np.inf
     stopped = "cap"
     iterations = 0

@@ -7,13 +7,13 @@ bookkeeping, gradients are cell-centered difference quotients, and
 to the trapezoid (nodes) and midpoint (cells) inner products.  The linear
 backbone of every state solver, ``helmholtz_solve`` of ``-lap + b``, applies
 the closed-form Green's function in 1D and solves in the sine basis (fast
-diagonalization) in 2D; the H1 gradient potential is a cumulative sum in 1D
-and a cosine-basis solve in 2D.
+diagonalization) in 2D; the H1 gradient potential is a cumulative sum and
+exists in 1D only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,12 @@ class Mesh:
 
     Nodes live on a ``(n+1)^d`` lattice (flattened in C order), cells on the
     ``n^d`` lattice of their lower-left corners.  Every node on the boundary of
-    the domain is flagged Dirichlet.
+    the domain is flagged Dirichlet in the derived, read-only
+    ``boundary_mask``.
     """
 
     dimension: int
     cells_per_axis: int
-    boundary_mask: np.ndarray = field(compare=False, repr=False, default=None)
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -64,13 +64,12 @@ class Mesh:
         mask = np.ones((m,) * self.dimension, dtype=bool)
         mask[(slice(1, -1),) * self.dimension] = False
         mask = mask.ravel()
-        mask.setflags(write=False)
-        object.__setattr__(self, "boundary_mask", mask)
         interior = np.flatnonzero(~mask)
         w = np.ones(m)
         w[0] = w[-1] = 0.5
         weights = w if self.dimension == 1 else np.outer(w, w).ravel()
-        for name, arr in (("_interior", interior), ("_node_weights", weights)):
+        for name, arr in (("boundary_mask", mask), ("_interior", interior),
+                          ("_node_weights", weights)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -662,40 +661,9 @@ def laplacian_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
 
 # -- gradient potentials (range-of-gradient tests and projections) ------------
 
-# the cosine bases of the 2D H1 potential, one per mesh, bounded as
-# _FACTOR_CACHE; perfbench counts its entries as factorizations
+# always empty: no potential is cached.  perfbench counts the entries of this
+# cache and of _FACTOR_CACHE as factorizations, so the name stays
 _KKT_CACHE: dict = {}
-
-
-def _cosine_basis_2d(mesh: Mesh):
-    """Cached (B, L, R, inv, Q) of the 2D H1 potential.
-
-    G^T G = (Deg(x)Deg - Adj(x)Adj)/2h^2 for the degree and adjacency
-    matrices of the (n+1)-node path, and B (B^T Deg B = I, B^T Adj B =
-    diag cos(pi k/n)) diagonalizes it.  ``inv`` inverts its eigenvalues but
-    zeroes the kernel modes (0, 0) and (n, n): the constant and the
-    checkerboard, which the orthonormal rows of Q span.  L and R form
-    B^T (G^T v) B.
-    """
-    n = mesh.cells_per_axis
-
-    def build():
-        k = np.arange(n + 1)
-        # jk reduced mod 2n first: cos(pi jk/n) to rounding for every jk
-        B = np.cos(np.pi * (np.outer(k, k) % (2 * n)) / n) / np.sqrt(n)
-        B[:, [0, n]] /= np.sqrt(2.0)
-        DB, SB = B[1:] - B[:-1], B[1:] + B[:-1]
-        L, R = np.hstack([DB.T, SB.T]), np.stack([SB, DB])
-        # 1 - cos(a) cos(b) = sin^2((a - b)/2) + sin^2((a + b)/2), no cancellation
-        t = np.pi / (2 * n)
-        denom = np.sin(t * (k[:, None] - k)) ** 2 + np.sin(t * (k[:, None] + k)) ** 2
-        denom[0, 0] = denom[n, n] = np.inf
-        checker = (-1.0) ** np.indices((n + 1, n + 1)).sum(0).ravel()
-        Q = np.linalg.qr(np.column_stack([np.ones(mesh.n_nodes), checker]))[0].T
-        # inv: 2h^2/(1 - cos cos) times the 1/(2h) of the gradient
-        return B, L, R, mesh.h / denom, Q
-
-    return _cached(_KKT_CACHE, (2, n), build)
 
 
 def gradient_potential_values(mesh: Mesh, v: np.ndarray, space: str = "h10") -> np.ndarray:
@@ -706,31 +674,21 @@ def gradient_potential_values(mesh: Mesh, v: np.ndarray, space: str = "h10") -> 
         return helmholtz_solve_values(mesh, 0.0, -divergence_weak_values(mesh, v))
     if space != "h1":
         raise ValueError(f"unknown potential space {space!r}")
-    # representative convention: zero plain nodal mean; in 2D the kernel of
-    # the gradient is {1, checkerboard}, and both plain sums are zero
-    lead = v.shape[:-2]
-    if mesh.dimension == 1:
-        pot = np.concatenate(
-            [np.zeros(lead + (1,)), mesh.h * np.cumsum(v[..., 0], axis=-1)], axis=-1
-        )
-        return pot - np.mean(pot, axis=-1, keepdims=True)
-    n = mesh.cells_per_axis
-    B, L, R, inv, Q = _cosine_basis_2d(mesh)
-    V = np.swapaxes(v, -1, -2).reshape(lead + (2, n, n))
-    # B^T (G^T v) B: both components in one stacked product, then one more
-    Z = L @ (V @ R).reshape(lead + (2 * n, n + 1))
-    pot = (B @ (Z * inv) @ B.T).reshape(lead + (mesh.n_nodes,))
-    # per-row sums, not a product, so a stacked column equals its single solve
-    s0, s1 = (np.sum(pot * q, axis=-1)[..., None] for q in Q)
-    return pot - s0 * Q[0] - s1 * Q[1]
+    if mesh.dimension != 1:
+        raise ValueError("the H1 potential exists on 1D meshes only")
+    # representative convention: zero plain nodal mean
+    pot = np.concatenate(
+        [np.zeros(v.shape[:-2] + (1,)), mesh.h * np.cumsum(v[..., 0], axis=-1)], axis=-1
+    )
+    return pot - np.mean(pot, axis=-1, keepdims=True)
 
 
 def gradient_potential(v: VectorField, space: str = "h10"):
     """Least-squares potential of a cell vector field.
 
-    Finds the nodal y in H1_0 (``space='h10'``) or H1 (``space='h1'``,
-    zero-mean normalization) minimizing ``l2_norm(gradient(y) - v)``; one
-    direct linear solve per call.
+    Finds the nodal y in H1_0 (``space='h10'``) or, on 1D meshes only, H1
+    (``space='h1'``, zero-mean normalization) minimizing
+    ``l2_norm(gradient(y) - v)``; one direct linear solve per call.
 
     Returns
     -------

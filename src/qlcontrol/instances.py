@@ -182,9 +182,7 @@ def build_relaxed_problem(
         raise ValueError(f"instance {name!r} has no relaxation; try `qlcontrol list`")
     if mesh is not None:  # before the control problem, which may need 1D itself
         _check_mesh(mesh, f"instance {name!r}")
-    cp = build_control_problem(name, mesh, b=b)
-    K = 2 if name == "gap-family-1d" else 4
-    rp = RelaxedProblem(cp, atom_budget_state=K, atom_budget_control=K)
+    rp = RelaxedProblem(build_control_problem(name, mesh, b=b))
     init = gap_designed_init(rp) if name == "gap-family-1d" else None
     return rp, init
 

@@ -73,9 +73,9 @@ class InfeasibleMeasureError(ValueError):
 
 
 def _check_mesh(mesh: Mesh, subject: str = "the control problem") -> None:
-    """Relaxation runs on 1D meshes only: in 2D the gradient's kernel also
-    holds the checkerboard, which potential(mu) drops, so a Dirac embedding
-    loses part of u and fails late on its coupling residual."""
+    """Relaxation runs on 1D meshes only, like the PH1 class of its control
+    measure: in 2D the gradient's kernel also holds the checkerboard, which
+    a PH1 potential would drop."""
     if mesh.dimension != 1:
         raise ValueError(f"{subject} relaxes on 1D meshes only: the 2D gradient's "
                          "kernel holds the checkerboard, which a PH1 potential drops")
@@ -86,16 +86,12 @@ class RelaxedProblem:
     """Relaxation data on top of a quasilinear control problem on a 1D mesh."""
 
     control: ControlProblem
-    atom_budget_state: int = 4
-    atom_budget_control: int = 4
 
     def __post_init__(self):
         if self.control.regime != "quasilinear":
             raise ValueError("relaxation applies to the quasilinear regime")
         _check_mesh(self.mesh)
         # the state problem construction enforces b > L^2/4 already
-        if self.atom_budget_state < 1 or self.atom_budget_control < 1:
-            raise ValueError("atom budgets must be positive")
 
     @property
     def mesh(self) -> Mesh:
@@ -451,16 +447,6 @@ def optimize_relaxed(
     """
     if opts is None:
         opts = RelaxOptions()
-    if init.nu.n_atoms > rp.atom_budget_state:
-        raise ValueError(
-            f"state measure has {init.nu.n_atoms} atoms per cell, budget is "
-            f"{rp.atom_budget_state}"
-        )
-    if init.mu.n_atoms > rp.atom_budget_control:
-        raise ValueError(
-            f"control measure has {init.mu.n_atoms} atoms per cell, budget is "
-            f"{rp.atom_budget_control}"
-        )
     t0 = time.perf_counter()
     mesh = rp.mesh
 

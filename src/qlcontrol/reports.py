@@ -40,13 +40,14 @@ class SolveReport:
 class RelaxationReport:
     """Gap certificate: best sampled classical cost versus the relaxed value.
 
-    ``failed`` flags a violated sub-relaxation inequality, which is a bug
-    trap rather than a tolerated outcome.  A nonzero gap at fixed mesh width
-    mixes a genuine relaxation gap with discretization effects; the split is
-    not resolved here (see ``note``).  ``classical`` holds the classical
-    optimizer run's ``stopped``, ``iterations`` and ``stationarity``.
-    ``minimizer`` holds the relaxed point (mu, nu, y) behind ``relaxed``; it
-    is not serialized.
+    ``relaxed`` is the value of the convexified state inclusion, in which
+    the state-gradient measure nu need not be generated by any sequence of
+    states: a lower bound on the classical cost that classical controls do
+    not reach, so a strict gap is expected (see ``note``).  ``failed`` flags
+    a violated sub-relaxation inequality, which is a bug trap rather than a
+    tolerated outcome.  ``classical`` holds the classical optimizer run's
+    ``stopped``, ``iterations`` and ``stationarity``.  ``minimizer`` holds
+    the relaxed point (mu, nu, y) behind ``relaxed``; it is not serialized.
     """
 
     best_classical: float
@@ -56,8 +57,8 @@ class RelaxationReport:
     failed: bool = False
     classical: dict = field(default_factory=dict)
     note: str = (
-        "gap measured at fixed mesh width; continuum vs discretization "
-        "contributions are not separated"
+        "relaxed is the value of the convexified state inclusion: a lower "
+        "bound that classical controls do not reach; measured at fixed mesh width"
     )
     minimizer: Optional[tuple] = field(default=None, repr=False, compare=False)
 

@@ -1,11 +1,9 @@
 """Variational state problem: y_u minimizes the inner energy over H1_0.
 
-Two inner-energy forms are supported: the general form
-``I(y,u) = int W(grad y, u) + source*y`` and the affine-in-u form
-``I(y,u) = int W(grad y) + w(y)*u + source*y``.  The minimizer is computed by
-Barzilai-Borwein gradient descent with a bisected monotone line-search
-fallback; inner energies with identity gradient short-circuit to a single
-Poisson solve.
+The inner energy is ``I(y,u) = int W(grad y, u) + source*y``.  The minimizer
+is computed by Barzilai-Borwein gradient descent with a bisected monotone
+line-search fallback; inner energies with identity gradient short-circuit to
+a single Poisson solve.
 """
 
 from __future__ import annotations
@@ -42,27 +40,21 @@ _VALIDATION_SAMPLES = 2000
 
 @dataclass(frozen=True)
 class VariationalStateProblem:
-    """State defined through minimization of a strictly convex inner energy.
+    """State defined through minimization of the strictly convex inner
+    energy W(grad y, u) + source*y.
 
-    ``form`` selects the general W(grad y, u) energy or the affine-in-u
-    variant W(grad y) + w(y) u.  The coefficient set must supply the
-    derivatives the solver uses: dW, and dw for the affine-in-u form.  Strict
-    convexity of W in its gradient slot and the two-sided quadratic growth
-    are spot-checked at construction.
+    The coefficient set must supply W and its gradient dW, which the solver
+    uses.  Strict convexity of W in its gradient slot and the two-sided
+    quadratic growth are spot-checked at construction.
     """
 
     mesh: Mesh
     cs: CoefficientSet
     source: ScalarField
-    form: str = "general"
 
     def __post_init__(self):
-        if self.form not in ("general", "affine-in-u"):
-            raise ValueError(f"unknown form {self.form!r}")
         if self.cs.W is None or self.cs.dW is None:
             raise ValueError("variational problem needs the inner energy W and its dW")
-        if self.form == "affine-in-u" and (self.cs.w is None or self.cs.dw is None):
-            raise ValueError("affine-in-u form needs the coupling weight w and its dw")
         _check_source(self.mesh, self.source)
         growth = check_w_growth(self.cs, _VALIDATION_SAMPLES, dim=self.mesh.dimension)
         if not growth.passed:
@@ -77,7 +69,7 @@ class VariationalStateProblem:
 
     def with_source(self, source: ScalarField) -> "VariationalStateProblem":
         """Copy with the source replaced; only the new source is validated,
-        since mesh, coefficients and form are unchanged."""
+        since mesh and coefficients are unchanged."""
         _check_source(self.mesh, source)
         out = copy.copy(self)
         object.__setattr__(out, "source", source)
@@ -95,29 +87,23 @@ def _check_source(mesh: Mesh, source: ScalarField) -> None:
 
 
 def _column_data(mesh: Mesh, u: np.ndarray, source: np.ndarray) -> tuple:
-    """Per-column data of the energy helpers: controls, their cell averages
-    and sources."""
-    return u, grid.node_to_cell_values(mesh, u), source
+    """Per-column data of the energy helpers: the cell averages of the
+    controls, and the sources."""
+    return grid.node_to_cell_values(mesh, u), source
 
 
 def _energies(
     p: VariationalStateProblem,
     y: np.ndarray,
-    u: np.ndarray,
     ucell: np.ndarray,
     source: np.ndarray,
 ):
     """Inner energy of every column and the cell gradients of y it used."""
     mesh = p.mesh
     Gy = grid.gradient_values(mesh, y)
-    if p.form == "general":
-        Wc = apply_cellwise(p.cs.W, Gy, ucell)
-        zero_order = source * y
-    else:
-        Wc = apply_cellwise(p.cs.W, Gy, np.zeros_like(ucell))
-        zero_order = p.cs.w(y) * u + source * y
+    Wc = apply_cellwise(p.cs.W, Gy, ucell)
     cv = mesh.cell_volume
-    val = cv * Wc.sum(axis=-1) + cv * (mesh.node_weights() * zero_order).sum(axis=-1)
+    val = cv * Wc.sum(axis=-1) + cv * (mesh.node_weights() * (source * y)).sum(axis=-1)
     return val, Gy
 
 
@@ -133,19 +119,14 @@ def _energy_gradient(
     p: VariationalStateProblem,
     y: np.ndarray,
     Gy: np.ndarray,
-    u: np.ndarray,
     ucell: np.ndarray,
     source: np.ndarray,
 ) -> np.ndarray:
     """L2-gradient field of the discrete energy at y, whose cell gradients
     are Gy (zero on Dirichlet nodes)."""
     mesh = p.mesh
-    if p.form == "general":
-        flux = apply_cellwise(p.cs.dW, Gy, ucell)
-        g = -grid.divergence_weak_values(mesh, flux) + source
-    else:
-        flux = apply_cellwise(p.cs.dW, Gy, np.zeros_like(ucell))
-        g = -grid.divergence_weak_values(mesh, flux) + p.cs.dw(y) * u + source
+    flux = apply_cellwise(p.cs.dW, Gy, ucell)
+    g = -grid.divergence_weak_values(mesh, flux) + source
     np.copyto(g, 0.0, where=mesh.boundary_mask)
     return g
 
@@ -221,7 +202,7 @@ def solve_state_columns(
     if src.shape != u.shape:
         src = np.broadcast_to(src, u.shape)
     stack = _column_data(mesh, u, src)
-    if p.cs.w_grad_identity and p.form == "general":
+    if p.cs.w_grad_identity:
         y = grid.helmholtz_solve_values(mesh, 0.0, -src)
         res = residual_norm(p, y, *stack)
         energy, _ = _energy_values(p, y, *stack)

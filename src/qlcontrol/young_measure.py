@@ -4,7 +4,8 @@ A field stores, per mesh cell, atom positions in R^N and a probability
 weight vector.  Moments against integrands reproduce weak limits of
 compositions; the PH1_0 / PH1 classes require the barycenter field to be a
 discrete gradient (of an H1_0, respectively H1, potential), which is decided
-exactly through the range-of-gradient test of the discrete operator.
+exactly through the range-of-gradient test of the discrete operator.  The
+PH1 class exists on 1D meshes only.
 Oscillating control sequences are realized as 1D laminates on a refined mesh.
 """
 
@@ -44,9 +45,9 @@ class YoungMeasureField:
     ``atoms`` has shape (n_cells, K, N) and ``weights`` (n_cells, K); each
     weight row is a probability vector to 1e-12.  ``klass`` tags membership:
     PH10 and PH1 fields have barycenters in the range of the discrete
-    gradient (H1_0 / H1 potentials); ``potential_offset`` stores the additive
-    constant of the PH1 barycenter potential, which the gradient alone cannot
-    determine.
+    gradient (H1_0 / H1 potentials), and PH1 fields live on 1D meshes
+    only; ``potential_offset`` stores the additive constant of the PH1
+    barycenter potential, which the gradient alone cannot determine.
     """
 
     mesh: Mesh
@@ -79,6 +80,8 @@ class YoungMeasureField:
             )
         if self.klass not in ("PH10", "PH1", "unconstrained"):
             raise ValueError(f"unknown class {self.klass!r}")
+        if self.klass == "PH1" and self.mesh.dimension != 1:
+            raise ValueError("class PH1 exists on 1D meshes only")
         atoms = atoms.copy()
         weights = np.maximum(weights, 0.0)
         atoms.setflags(write=False)
@@ -114,7 +117,8 @@ def _barycenters(atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 def dirac_field(v: VectorField) -> YoungMeasureField:
     """One unit-weight atom per cell at the field value; the class tag is
-    the first of PH10 and PH1 whose check v passes, else unconstrained."""
+    the first of PH10 and PH1 whose check v passes, else unconstrained (so
+    PH10 or unconstrained on a 2D mesh, where PH1 does not exist)."""
     args = (v.mesh, v.values[:, None, :], np.ones((v.mesh.n_cells, 1)))
     for klass in ("PH10", "PH1"):
         try:

@@ -126,29 +126,6 @@ def helmholtz_1d(n: int, b: float, rhs: np.ndarray) -> np.ndarray:
     return y
 
 
-def h1_potential_2d(n: int, v: np.ndarray) -> np.ndarray:
-    """Least-squares nodal potential of cell vectors v, shape (..., n^2, 2),
-    on the n x n unit square: the dense 2D gradient assembled from its
-    stencil (per axis, the mean of the two opposing face difference
-    quotients), solved by np.linalg.lstsq, with the gradient's kernel
-    {1, checkerboard} projected out so that the plain nodal sum and the
-    checkerboard sum are 0."""
-    h = 1.0 / n
-    m = n + 1
-    G = np.zeros((n, n, 2, m, m))
-    for i, j, di, dj in itertools.product(range(n), range(n), (0, 1), (0, 1)):
-        G[i, j, 0, i + di, j + dj] = (1.0 if di else -1.0) / (2.0 * h)
-        G[i, j, 1, i + di, j + dj] = (1.0 if dj else -1.0) / (2.0 * h)
-    G = G.reshape(2 * n * n, m * m)
-    lead = v.shape[:-2]
-    rhs = v.reshape(-1, 2 * n * n).T
-    y = np.linalg.lstsq(G, rhs, rcond=None)[0]
-    checker = (-1.0) ** np.add.outer(np.arange(m), np.arange(m)).ravel()
-    Q, _ = np.linalg.qr(np.column_stack([np.ones(m * m), checker]))
-    y = y - Q @ (Q.T @ y)
-    return y.T.reshape(lead + (m * m,))
-
-
 def _newton(residual, y0: np.ndarray, tol: float = 1e-10, max_steps: int = 50):
     """Dense Newton with finite-difference Jacobian on the interior dofs."""
     y = y0.copy()

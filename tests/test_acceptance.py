@@ -263,7 +263,8 @@ class TestCriterion7RelaxationGapDemonstration:
             strictly_decreasing and attains_margin and trace_consistent
             and not report.failed and elapsed < 120.0,
             f"trace decreasing {[f'{c:.6f}' for c in trace]}, relaxed "
-            f"{relaxed:.6f} <= classical {report.best_classical:.6f} - "
+            f"{relaxed:.6f} (convexified state inclusion, a lower bound that "
+            f"classical controls do not reach) <= classical {report.best_classical:.6f} - "
             f"delta* {delta:.4f} + 1e-3, |trace-relaxed|="
             f"{abs(trace[-1]-relaxed):.3f} <= 5e-2, {elapsed:.1f}s < 120s",
         )

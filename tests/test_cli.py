@@ -169,10 +169,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             ExperimentConfig.parse("[experiment]\nkind = fly\n")
 
-    @pytest.mark.parametrize("js", ["2, 0", "-4", "4, 16, -1"])
+    @pytest.mark.parametrize("js", ["2, 0", "-4", "4, 16, -1", ""])
     def test_non_positive_js_rejected(self, tmp_path, js):
         text = GAP_INI.replace("js = 2, 4, 8", f"js = {js}")
-        with pytest.raises(ConfigError, match="js"):
+        with pytest.raises(ConfigError, match=r"^\[experiment\] js "):
             ExperimentConfig.parse(text)
         # rejected before any solve and before the output directory exists
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
@@ -182,9 +182,10 @@ class TestConfigParsing:
         "setting, name",
         [("state_tol = 0", "state_tol"), ("state_tol = -1", "state_tol"),
          ("samples = -3", "samples"), ("max_iterations = -1", "max_iterations"),
-         ("gradient_tol = -1", "gradient_tol")],
+         ("gradient_tol = -1", "gradient_tol"), ("state_tol = inf", "state_tol"),
+         ("gradient_tol = inf", "gradient_tol")],
         ids=["state_tol=0", "state_tol=-1", "samples=-3", "max_iterations=-1",
-             "gradient_tol=-1"],
+             "gradient_tol=-1", "state_tol=inf", "gradient_tol=inf"],
     )
     def test_bad_solver_setting_rejected(self, tmp_path, setting, name):
         text = GAP_INI + f"\n[solver]\n{setting}\n"

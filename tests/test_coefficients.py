@@ -121,7 +121,7 @@ class TestWGrowth:
 class TestConvexity:
     def test_builtin_energies_strictly_convex(self):
         for parts in (co.w_quadratic(), co.w_quartic_clamped(),
-                      co.w_u_scaled_quadratic(), co.w_quadratic_bump()):
+                      co.w_u_scaled_quadratic()):
             cs = co.CoefficientSet(**parts)
             assert co.check_w_convexity(cs).passed
 
@@ -147,15 +147,6 @@ class TestBuiltinsRoundTrip:
         assert np.allclose(co.f_tanh()["f"](u), np.tanh(u))
         assert np.allclose(co.f_clamp()["f"](u), np.clip(u, -1, 1))
         assert np.allclose(co.f_zero()["f"](u), 0.0)
-
-    def test_w_coupling_derivatives(self):
-        y = np.linspace(-2, 2, 9)
-        for name in ("zero", "identity", "tanh"):
-            parts = co.w_coupling(name)
-            w, dw = parts["w"], parts["dw"]
-            step = 1e-6
-            fd = (w(y + step) - w(y - step)) / (2 * step)
-            assert np.allclose(dw(y), fd, atol=1e-8)
 
 
 class TestDerivatives:

@@ -247,10 +247,10 @@ class TestOptimizeControl:
         "bad",
         [
             {"max_iterations": -1},
-            {"linesearch_max": 0},
             {"gradient_tol": -1e-6},
-            {"initial_step": float("nan")},
+            {"gradient_tol": float("inf")},
             {"state_tol": 0.0},
+            {"state_tol": float("inf")},
         ],
         ids=lambda d: "{}={}".format(*next(iter(d.items()))),
     )
@@ -280,17 +280,18 @@ PINNED_VARIATIONAL_TRACE = [
 
 def sequential_line_search(cp, u0, opts, fail=()):
     """Reference: the first iteration's Armijo search from u0 along the
-    optimizer's own gradient, one trial solve at a time; trials whose index
-    is in ``fail`` count as state-solver failures.  Returns the trial
-    controls, the accepted control and cost (None when every trial fails)
-    and the retries."""
+    optimizer's own gradient, one trial solve at a time, with control_opt's
+    current _INITIAL_STEP and _LINESEARCH_MAX; trials whose index is in
+    ``fail`` count as state-solver failures.  Returns the trial controls,
+    the accepted control and cost (None when every trial fails) and the
+    retries."""
     mesh = cp.mesh
     cost, state = evaluate_cost(cp, u0, state_tol=opts.state_tol, return_state=True)
     g = control_opt._cost_gradient(cp, u0.values, cost, state, opts)
     gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
     trials, accepted, retries = [], (None, None), 0
-    alpha = opts.initial_step
-    for j in range(opts.linesearch_max):
+    alpha = control_opt._INITIAL_STEP
+    for j in range(control_opt._LINESEARCH_MAX):
         trials.append(u0.values - alpha * g)
         if accepted[0] is None:
             if j in fail:
@@ -341,8 +342,8 @@ class TestLineSearchLadder:
         assert rep.cost == 0.0007275456365215067
         assert rep.extras == {"stopped": "cap", "linesearch_retries": 0}
 
-    # with initial_step 1e3 the search from zero first accepts trial 4, in
-    # the second chunk (trials 2-5); trials 0-3 fail Armijo
+    # with a first step of 1e3 the search from zero first accepts trial 4,
+    # in the second chunk (trials 2-5); trials 0-3 fail Armijo
     @pytest.mark.parametrize(
         "fail, linesearch_max",
         [((), 30), ((0,), 30), ((4,), 30), ((5, 13), 30), ((1, 4, 5, 6), 30),
@@ -353,9 +354,9 @@ class TestLineSearchLadder:
     def test_retries_match_sequential_search(self, monkeypatch, fail, linesearch_max):
         cp, _ = tracking_problem(n=8)
         u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
-        opts = OptimizeOptions(
-            max_iterations=1, initial_step=1e3, linesearch_max=linesearch_max
-        )
+        monkeypatch.setattr(control_opt, "_INITIAL_STEP", 1e3)
+        monkeypatch.setattr(control_opt, "_LINESEARCH_MAX", linesearch_max)
+        opts = OptimizeOptions(max_iterations=1)
         trials, (u_ref, c_ref), retries = sequential_line_search(cp, u0, opts, fail)
         fail_trials(monkeypatch, trials, fail)
         u, rep = optimize_control(cp, u0, opts)
@@ -376,7 +377,8 @@ class TestLineSearchLadder:
         # surfaces only if every trial before it is rejected
         cp, _ = tracking_problem(n=8)
         u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
-        opts = OptimizeOptions(max_iterations=1, initial_step=1e3)
+        monkeypatch.setattr(control_opt, "_INITIAL_STEP", 1e3)
+        opts = OptimizeOptions(max_iterations=1)
         trials, (u_ref, _), _ = sequential_line_search(cp, u0, opts)
         fail_trials(monkeypatch, trials, (at,), error=ValueError)
         if raises:

@@ -661,16 +661,18 @@ class TestValidation:
             certify_gap(RelaxedProblem(cp), samples=1)
         assert calls == []
 
-    def test_atom_budget_enforced(self):
-        rp, _ = small_gap_problem(n=16)  # budget K = 2 for the gap family
+    def test_five_atoms_per_cell_accepted(self):
+        # no atom budget: optimize_relaxed keeps the init's atom counts.  With
+        # a = 0 the split nu has the Dirac embedding's state, so it is feasible
+        rp = a_free_problem(n=16)
         mesh = rp.mesh
-        atoms = np.zeros((mesh.n_cells, 3, 1))
-        atoms[:, 1, 0] = 0.5
-        atoms[:, 2, 0] = -0.5
-        nu3 = YoungMeasureField(mesh, atoms, np.full((mesh.n_cells, 3), 1 / 3), "PH10")
         mu, nu, _ = embed_classical(rp, ScalarField(mesh, np.ones(mesh.n_nodes)))
-        with pytest.raises(ValueError):
-            optimize_relaxed(rp, RelaxedInit(mu, nu3))
+        nu5 = split_atoms(nu, [-0.4, -0.2, 0.0, 0.2, 0.4])
+        mu5 = split_atoms(mu, [-0.4, -0.2, 0.0, 0.2, 0.4])
+        opts = RelaxOptions(max_outer=1, inner_steps=1)
+        mu_opt, nu_opt, _, rep = optimize_relaxed(rp, RelaxedInit(mu5, nu5), opts)
+        assert (mu_opt.n_atoms, nu_opt.n_atoms) == (5, 5)
+        assert np.isfinite(rep.cost)
 
     @pytest.mark.parametrize(
         "bad",

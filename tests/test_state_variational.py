@@ -19,14 +19,11 @@ from qlcontrol.state_variational import (
 from oracles import coordinate_descent_energy_oracle
 
 
-def quadratic_problem(n=32, source=1.0, form="general", w_name=None):
+def quadratic_problem(n=32, source=1.0):
     mesh = grid.build_mesh(1, n)
-    parts = co.w_quadratic()
-    if w_name is not None:
-        parts.update(co.w_coupling(w_name))
-    cs = co.CoefficientSet(**parts)
+    cs = co.CoefficientSet(**co.w_quadratic())
     src = ScalarField(mesh, np.full(mesh.n_nodes, source))
-    return VariationalStateProblem(mesh, cs, src, form)
+    return VariationalStateProblem(mesh, cs, src)
 
 
 class TestInnerEnergy:
@@ -54,16 +51,6 @@ class TestInnerEnergy:
         val = inner_energy(p, y, u)
         assert abs(val - 0.125) <= 1e-4
 
-    def test_affine_form_with_zero_u_matches_general(self):
-        rng = np.random.default_rng(2)
-        pg = quadratic_problem(form="general")
-        pa = quadratic_problem(form="affine-in-u", w_name="tanh")
-        yv = rng.standard_normal(pg.mesh.n_nodes)
-        yv[pg.mesh.boundary_mask] = 0.0
-        y = ScalarField(pg.mesh, yv)
-        u0 = ScalarField(pg.mesh, np.zeros(pg.mesh.n_nodes))
-        assert abs(inner_energy(pg, y, u0) - inner_energy(pa, y, u0)) <= 1e-12
-
 
 class TestSolveState:
     def test_quadratic_matches_helmholtz(self):
@@ -73,24 +60,6 @@ class TestSolveState:
         ref = grid.helmholtz_solve(0.0, ScalarField(p.mesh, -p.source.values))
         assert rep.converged
         assert np.max(np.abs(y.values - ref.values)) <= 1e-8
-
-    def test_zero_source_affine_zero_coupling(self):
-        p = quadratic_problem(source=0.0, form="affine-in-u", w_name="zero")
-        u = ScalarField(p.mesh, np.ones(p.mesh.n_nodes))
-        y, _ = solve_state(p, u)
-        assert np.max(np.abs(y.values)) <= 1e-10
-
-    def test_affine_identity_coupling_closed_form(self):
-        # w(y) = y makes the coupling linear: -lap y + u + f = 0
-        p = quadratic_problem(source=1.0, form="affine-in-u", w_name="identity")
-        x = p.mesh.node_coords()[:, 0]
-        u = ScalarField(p.mesh, 0.5 * np.sin(np.pi * x))
-        y, rep = solve_state(p, u)
-        ref = grid.helmholtz_solve(
-            0.0, ScalarField(p.mesh, -(u.values + p.source.values))
-        )
-        assert rep.converged
-        assert np.max(np.abs(y.values - ref.values)) <= 1e-7
 
     def test_clamped_quartic_vs_coordinate_descent_oracle(self):
         mesh = grid.build_mesh(1, 32)
@@ -262,10 +231,10 @@ class TestLineSearchExhaustion:
         ]
         gradient = state_variational._energy_gradient
 
-        def flipped(p, y, Gy, u, ucell, source):
+        def flipped(p, y, Gy, ucell, source):
             # column 2 steps uphill, so every halving of its first step is
             # rejected and it leaves the stack unconverged
-            g = gradient(p, y, Gy, u, ucell, source)
+            g = gradient(p, y, Gy, ucell, source)
             return np.where(np.all(source == U[2], axis=-1)[:, None], -g, g)
 
         monkeypatch.setattr(state_variational, "_energy_gradient", flipped)
@@ -346,7 +315,7 @@ class TestWithSource:
         src = ScalarField(p.mesh, np.full(p.mesh.n_nodes, 2.0))
         q = p.with_source(src)
         assert q.source is src
-        assert (q.mesh, q.cs, q.form) == (p.mesh, p.cs, p.form)
+        assert (q.mesh, q.cs) == (p.mesh, p.cs)
         assert np.all(p.source.values == 1.0)
 
     def test_rejects_cell_source(self):
@@ -409,16 +378,3 @@ class TestValidation:
         with pytest.raises(ValueError, match="dW"):
             VariationalStateProblem(
                 mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)))
-
-    def test_affine_form_without_dw_rejected(self):
-        mesh = grid.build_mesh(1, 8)
-        parts = {**co.w_quadratic(), "w": np.tanh}
-        with pytest.raises(ValueError, match="dw"):
-            VariationalStateProblem(
-                mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)),
-                "affine-in-u")
-        # with dw the same form builds
-        parts["dw"] = co.w_coupling("tanh")["dw"]
-        VariationalStateProblem(
-            mesh, co.CoefficientSet(**parts), ScalarField(mesh, np.zeros(mesh.n_nodes)),
-            "affine-in-u")

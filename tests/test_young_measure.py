@@ -37,6 +37,14 @@ class TestDiracField:
         d = ym.dirac_field(VectorField(mesh, np.ones((4, 1))))
         assert d.klass == "PH1"
 
+    def test_ph1_rejected_on_2d_before_any_solve(self, monkeypatch):
+        mesh = grid.build_mesh(2, 4)
+        calls = count_potential_solves(monkeypatch)
+        with pytest.raises(ValueError, match="1D meshes only"):
+            ym.YoungMeasureField(mesh, np.ones((mesh.n_cells, 1, 2)), np.ones((mesh.n_cells, 1)),
+                                 "PH1")
+        assert calls == []
+
     def test_curl_field_unconstrained(self):
         mesh = grid.build_mesh(2, 4)
         rng = np.random.default_rng(1)
@@ -84,7 +92,7 @@ class TestPotentialSolves:
 
     @pytest.mark.parametrize(
         "values, klass, solves",
-        [("h10", "PH10", 1), ("ones", "PH1", 2), ("noise", "unconstrained", 2)],
+        [("h10", "PH10", 1), ("ones", "unconstrained", 1), ("noise", "unconstrained", 1)],
     )
     def test_dirac_field_solves_once_per_class_tried(self, monkeypatch, values, klass,
                                                      solves):
@@ -212,13 +220,14 @@ class TestProjectClass:
         mesh = grid.build_mesh(2, 4)
         v = VectorField(mesh, rng.standard_normal((mesh.n_cells, 2)))
         d = ym.dirac_field(v)
-        p = ym.project_class(d, "PH1")
-        # dense oracle: min ||G y - v|| via lstsq on the assembled gradient
-        n_nodes = mesh.n_nodes
-        G = np.zeros((2 * mesh.n_cells, n_nodes))
-        for jcol in range(n_nodes):
-            e = np.zeros(n_nodes)
-            e[jcol] = 1.0
+        p = ym.project_class(d, "PH10")
+        # dense oracle: min ||G y - v|| over H1_0 via lstsq on the assembled
+        # gradient's interior columns
+        interior = mesh.interior_indices
+        G = np.zeros((2 * mesh.n_cells, interior.size))
+        for jcol, node in enumerate(interior):
+            e = np.zeros(mesh.n_nodes)
+            e[node] = 1.0
             G[:, jcol] = grid.gradient_values(mesh, e).T.ravel()
         sol, *_ = np.linalg.lstsq(G, v.values.T.ravel(), rcond=None)
         proj = G @ sol
