@@ -68,7 +68,7 @@ class ExperimentConfig:
     @classmethod
     def parse(cls, text: str, overrides=()) -> "ExperimentConfig":
         """Parse config text after applying ``section.key=value`` overrides."""
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)  # a % is literal
         cp.optionxform = str  # keep key case
         try:
             cp.read_string(text)
@@ -360,13 +360,20 @@ def run(
         results: dict = {}
         timings: dict = {}
         code = execute(cfg, out_dir, results, timings, *problem)
+        _write_report(out_dir, cfg, results, code, timings)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NonConvergenceError as exc:
         print(f"error: solver did not converge: {exc}", file=sys.stderr)
         return 1
+    return code
 
+
+def _write_report(out_dir: Path, cfg: ExperimentConfig, results, code: int, timings) -> None:
     report = {
         "schema": "qlcontrol-report-v1",
         "experiment": {
@@ -391,7 +398,6 @@ def run(
         fh.write(f"instance: {cfg.instance}\nexit: {code}\n")
         for key, val in sorted(results.items()):
             fh.write(f"{key}: {json.dumps(val, sort_keys=True)}\n")
-    return code
 
 
 def list_builtin(pattern: str = "") -> str:

@@ -294,8 +294,8 @@ def select_rows(mask: np.ndarray):
 
 
 def _fixed_point_columns(step, carry, tol, max_iterations, first):
-    """Iteration on a stack of columns, shared by the Zarantonello and Picard
-    solvers and the variational polish.
+    """Iteration on a stack of columns, shared by the Barzilai-Borwein
+    descent, the Zarantonello and Picard solvers and the variational polish.
 
     ``carry`` holds per-column arrays, the iterate first, that follow the
     live columns; ``step(*carry)`` returns ``(candidate, measure, floor,
@@ -306,10 +306,11 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
     iterations are counted from ``first`` (0 when the measure is taken
     before the step, 1 when after it).  A column with no new lowest measure
     in a whole window of _STALL_ITERATIONS has stalled at its floor too and
-    stops at the window's end.  Returns the states, holding the candidate of
-    each column that stopped and the last iterate of each column at the
-    cap, and one ``(iterations, measure, worst ratio, converged)`` per
-    column; ``iterations`` is ``max_iterations`` at the cap, fewer at a floor.
+    stops at the window's end; NaN measures never set a low.  Returns the
+    states, holding the candidate of each column that stopped and the last
+    iterate of each column at the cap, and one ``(iterations, measure,
+    worst ratio, converged)`` per column; ``iterations`` is
+    ``max_iterations`` at the cap, fewer at a floor.
     """
     states = np.empty(carry[0].shape)
     outcome = [None] * len(states)
@@ -318,20 +319,18 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
     # since a zero measure meets any tolerance
     prev = np.full(ids.size, np.inf)
     worst = np.zeros(ids.size)
-    low = np.full(ids.size, np.inf)  # lowest measure before this window
-    window = []  # this window's measures, reduced only at its end
+    low = wlow = np.full(ids.size, np.inf)  # lowest measures before and in this window
     for it in range(first, max_iterations + first):
         candidate, measure, floor, carry = step(*carry)
         worst = np.maximum(worst, measure / prev)
         prev = measure
-        window.append(measure)
+        wlow = np.fmin(wlow, measure)
         done = measure <= tol
         leave = done if floor is None else done | floor
-        if len(window) == _STALL_ITERATIONS:
-            wlow = np.fmin.reduce(window)  # NaN measures never set a low
-            leave = leave | ~(wlow < low)
-            low = np.fmin(low, wlow)
-            window = []
+        if (it - first + 1) % _STALL_ITERATIONS == 0:
+            leave = leave | (wlow >= low)
+            low = np.minimum(low, wlow)
+            wlow = np.full(ids.size, np.inf)
         r = select_rows(leave)
         if r is not None:
             j = ids[r]
@@ -343,8 +342,7 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
             if isinstance(r, slice):
                 break
             keep = ~leave
-            ids, prev, worst, low = (a[keep] for a in (ids, prev, worst, low))
-            window = [m[keep] for m in window]
+            ids, prev, worst, low, wlow = (a[keep] for a in (ids, prev, worst, low, wlow))
             carry = tuple(a[keep] for a in carry)
     else:
         states[ids] = carry[0]

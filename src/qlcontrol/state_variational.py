@@ -187,11 +187,12 @@ def solve_state_columns(
 
     ``u`` has shape (k, n_nodes); ``y0`` and ``source`` broadcast to it.
     ``source`` replaces the problem's source column by column (default: the
-    problem's source for every column).  Each column runs its own
-    Barzilai-Borwein step, bisected line search and polish, and freezes once
-    it has converged, so column i takes the steps :func:`solve_state` takes
-    on it alone.  A column whose accepted step leaves it unchanged has
-    reached its floating-point floor and goes straight to the polish.
+    problem's source for every column).  A Barzilai-Borwein step with its
+    bisected line search is a step on grid._fixed_point_columns, measured by
+    the lifted residual, so column i takes the steps :func:`solve_state`
+    takes on it alone.  A column is at its floating-point floor once its
+    line search runs out (it stays unmoved) or an accepted step leaves it
+    unchanged; floor, stalled and capped columns go on to the polish.
     Returns the states (k, n_nodes) and one report per column; raises
     NonConvergenceError, carrying both, if any column fails.
     """
@@ -218,118 +219,81 @@ def solve_state_columns(
             for r, e in zip(res.tolist(), energy.tolist())
         ], max_iterations, None)
 
-    data = stack  # follows the live columns
     y = grid.start_columns(mesh, u.shape, y0)
-    energy, Gy = _energy_values(p, y, *data)
-    g = _energy_gradient(p, y, Gy, *data)
-    gnorm2 = np.vecdot(g, g)
-    alpha = np.full(k, mesh.h**2 / 8.0)  # safe first step against the Laplacian scale
+    energy, Gy = _energy_values(p, y, *stack)
+    g = _energy_gradient(p, y, Gy, *stack)
     traces = [[e] for e in energy.tolist()]
-    states = np.empty(u.shape)
-    outcome = [None] * k  # per column: iterations, residual, energy
-    plateau = []  # (columns, states, iterations) left for the polish
-    ids = np.arange(k)  # the live columns
 
-    for it in range(1, max_iterations + 1):
+    def step(y, g, gnorm2, energy, alpha, cols, *data):
         # monotone step per column: bisect until the energy decreases
-        step = alpha.copy()
-        ytrial = y - step[:, None] * g
+        size = alpha.copy()
+        ytrial = y - size[:, None] * g
         etrial, Gtrial = _energy_values(p, ytrial, *data)
-        ok = etrial <= energy - 1e-12 * step * gnorm2
+        ok = etrial <= energy - 1e-12 * size * gnorm2
         r = grid.select_rows(~ok)
         halvings = 0
         while r is not None and halvings < _HALVINGS:
-            # the next rungs step * 2**-j of every rejected column in one stack
+            # the next rungs size * 2**-j of every rejected column in one stack
             n = min(_LADDER, _HALVINGS - halvings)
             halvings += n
-            rungs = step[r] * 0.5 ** np.arange(1, n + 1)[:, None]
+            rungs = size[r] * 0.5 ** np.arange(1, n + 1)[:, None]
             ys = y[r] - rungs[..., None] * g[r]
             es, Gs = _energies(
                 p, ys.reshape(-1, ys.shape[-1]), *(np.tile(d[r], (n, 1)) for d in data)
             )
             es = es.reshape(rungs.shape)
             passed = es <= energy[r] - 1e-12 * rungs * gnorm2[r]
-            cols = np.arange(rungs.shape[1])
+            j = np.arange(rungs.shape[1])
             # each column's first passing rung, else its last
             pick = np.where(passed.any(axis=0), np.argmax(passed, axis=0), n - 1)
             # a column stops halving at its first passing rung, so only the
             # rungs up to it are evaluated one halving at a time
             if not np.isfinite(es[np.arange(n)[:, None] <= pick]).all():
                 raise ValueError("inner energy is not finite")
-            step[r], ytrial[r], etrial[r] = rungs[pick, cols], ys[pick, cols], es[pick, cols]
-            Gtrial[r] = Gs.reshape(rungs.shape + Gs.shape[1:])[pick, cols]
-            ok[r] = passed[pick, cols]
+            size[r], ytrial[r], etrial[r] = rungs[pick, j], ys[pick, j], es[pick, j]
+            Gtrial[r] = Gs.reshape(rungs.shape + Gs.shape[1:])[pick, j]
+            ok[r] = passed[pick, j]
             r = grid.select_rows(~ok)
-        if r is not None:
-            # energy at its floating-point floor: polish below
-            plateau.append((ids[r], y[r], it))
-            if isinstance(r, slice):
-                break
-            ids, y, g, gnorm2, energy, step, ytrial, etrial, Gtrial = (
-                a[ok] for a in (ids, y, g, gnorm2, energy, step, ytrial, etrial, Gtrial)
-            )
-            data = tuple(d[ok] for d in data)
-        flat = etrial == energy  # so is every step that leaves y unchanged
-        prev_y, prev_g = y, g
-        y, energy = ytrial, etrial
-        for c, e in zip(ids.tolist(), energy.tolist()):
+        every = r is None  # every line search passed
+        r = slice(None) if every else grid.select_rows(ok)
+        if r is None:  # every line search ran out
+            return y, np.full(ok.size, np.nan), ~ok, (y, g, gnorm2, energy, alpha, cols) + data
+        yr, er = ytrial[r], etrial[r]
+        for c, e in zip(cols[r].tolist(), er.tolist()):
             traces[c].append(e)
-        g = _energy_gradient(p, y, Gtrial, *data)
-        gnorm2 = np.vecdot(g, g)
-        res = _lifted_norm(mesh, g)
-        leave = res <= tol
-        r = grid.select_rows(leave)
-        if r is not None:
-            j = ids[r]
-            states[j] = y[r]
-            for c, d, e in zip(j.tolist(), res[r].tolist(), energy[r].tolist()):
-                outcome[c] = (it, d, e)
-        if np.count_nonzero(flat):
-            # a step that left y unchanged would repeat to the iteration
-            # cap: polish below
-            stuck = flat & ~leave & np.all(y == prev_y, axis=-1)
-            if np.count_nonzero(stuck):
-                plateau.append((ids[stuck], y[stuck], it))
-                leave |= stuck
-                r = grid.select_rows(leave)
-        if isinstance(r, slice):
-            break
+        gr = _energy_gradient(p, yr, Gtrial[r], *(data if every else (d[r] for d in data)))
         # Barzilai-Borwein step for the next iteration
-        s = y - prev_y
-        dg = g - prev_g
-        sdg = np.vecdot(s, dg)
-        alpha = np.divide(np.vecdot(s, s), sdg, out=step * 2.0, where=sdg > 0.0)
-        if r is not None:
-            keep = ~leave
-            ids, y, g, gnorm2, energy, alpha = (
-                a[keep] for a in (ids, y, g, gnorm2, energy, alpha)
-            )
-            data = tuple(d[keep] for d in data)
-    else:
-        plateau.append((ids, y, max_iterations))
+        s = yr - y[r]
+        sdg = np.vecdot(s, gr - g[r])
+        alpha_r = np.divide(np.vecdot(s, s), sdg, out=size[r] * 2.0, where=sdg > 0.0)
+        # an accepted step that leaves y unchanged would repeat to the cap
+        stuck = er == energy[r]
+        if np.count_nonzero(stuck):
+            stuck &= np.all(yr == y[r], axis=-1)
+        measure = _lifted_norm(mesh, gr)
+        carry = (yr, gr, np.vecdot(gr, gr), er, alpha_r)
+        if not every:
+            # a column whose line search ran out stops at its floor, unmoved;
+            # it has no residual, and a NaN measure never meets tol
+            full = [a.copy() for a in (y, g, gnorm2, energy, alpha)]
+            full += [np.full(ok.size, np.nan), ~ok]
+            for a, part in zip(full, carry + (measure, stuck)):
+                a[r] = part
+            *carry, measure, stuck = full
+        return carry[0], measure, stuck, (*carry, cols) + data
 
-    if plateau:
-        flat_ids = np.concatenate([c for c, _, _ in plateau])
-        y, res, energy = _polish(
-            p,
-            np.concatenate([ys for _, ys, _ in plateau]),
-            tuple(d[flat_ids] for d in stack),
-            tol,
-        )
-        states[flat_ids] = y
-        its = [it for c, _, it in plateau for _ in range(c.size)]
-        for c, i, d, e in zip(flat_ids.tolist(), its, res.tolist(), energy.tolist()):
-            outcome[c] = (i, d, e)
+    alpha = np.full(k, mesh.h**2 / 8.0)  # safe first step against the Laplacian scale
+    carry = (y, g, np.vecdot(g, g), energy, alpha, np.arange(k)) + stack
+    states, outcome = grid._fixed_point_columns(step, carry, tol, max_iterations, 1)
+    res = np.array([d for _, d, _, _ in outcome])
+    costs = np.array([t[-1] for t in traces])  # the energy of each state stepped to
+    r = np.flatnonzero([not ok for _, _, _, ok in outcome])
+    if r.size:  # floor and cap columns
+        states[r], res[r], costs[r] = _polish(p, states[r], tuple(d[r] for d in stack), tol)
     reports = [
-        SolveReport(
-            method="barzilai-borwein",
-            iterations=i,
-            residual=d,
-            converged=d <= tol,
-            cost=e,
-            cost_trace=t,
-        )
-        for (i, d, e), t in zip(outcome, traces)
+        SolveReport(method="barzilai-borwein", iterations=i, residual=d,
+                    converged=d <= tol, cost=e, cost_trace=t)
+        for (i, _, _, _), d, e, t in zip(outcome, res.tolist(), costs.tolist(), traces)
     ]
     return _columns_result("variational", states, reports, max_iterations, lambda rep: (
         f"energy descent stalled at residual {rep.residual:.3e} (target {tol})"

@@ -540,6 +540,26 @@ max_iterations = 0
     def test_missing_config_exit_1(self, tmp_path):
         assert run(tmp_path / "missing.ini") == 1
 
+    @pytest.mark.parametrize("where", ["config", "override"])
+    def test_percent_sign_is_literal(self, tmp_path, monkeypatch, where):
+        # values are not interpolated: a % names itself
+        monkeypatch.chdir(tmp_path)
+        if where == "config":
+            text, argv = VERIFY_INI + "\n[output]\ndirectory = out%1\n", []
+        else:
+            text, argv = VERIFY_INI, ["--override", "output.directory=out%1"]
+        assert main(["run", str(write(tmp_path, text)), *argv]) == 0
+        assert (tmp_path / "out%1" / "report.json").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    def test_unwritable_output_exit_1(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if below else blocker
+        assert main(["run", str(write(tmp_path, VERIFY_INI)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot write output")
+
     def test_failed_hypothesis_exit_2(self, tmp_path):
         text = """\
 [experiment]

@@ -174,3 +174,59 @@ class TestFloor:
         )
         assert outcome == [(4, 2.0**96, 0.5, False), (3, 0.125, 0.5, True)]
         assert np.array_equal(states, [[-96.0], [3.0]])
+
+
+class TestStallWindow:
+    """The stall rule on a step that counts iterations and reads each
+    column's measure at iteration it off row it - 1 of a table: a column
+    stops at the end of a 100-iteration window with no measure below the
+    lowest before it.  The stop iterations and measures were recorded from
+    the driver that kept each window's measures in a list."""
+
+    @staticmethod
+    def run(table, floor_at):
+        def step(y, rows, floor_at):
+            nxt = y + 1.0
+            it = nxt[:, 0].astype(int)
+            return nxt, table[rows, it - 1], it == floor_at, (nxt, rows, floor_at)
+
+        k, cap = table.shape
+        return grid._fixed_point_columns(
+            step, (np.zeros((k, 1)), np.arange(k), np.asarray(floor_at)), 1e-3, cap, 1
+        )
+
+    def test_columns_leaving_mid_window_and_nan_measures(self):
+        it = np.arange(1.0, 401.0)
+        table = np.array([
+            np.maximum(1 + 1 / it, 1 + 1 / 150),  # flat from 150: stalls at 300
+            2.0 ** (-it / 7),  # converges at 70, mid-window
+            np.full(it.size, np.nan),  # no measure ever sets a low: stalls at 100
+            np.where(it % 2 == 1, 1 + 1 / it, np.nan),  # floor at 250, mid-window
+            it,  # rising: no new low in the second window
+            np.where((it >= 2) & (it <= 250), np.nan, 1 + 1 / it),  # all-NaN 2nd window
+            1 + 1 / it,  # a new low every iteration: runs to the cap
+        ])
+        states, outcome = self.run(table, [0, 0, 0, 250, 0, 0, 0])
+        assert states[:, 0].tolist() == [300, 70, 100, 250, 200, 200, 400]
+        np.testing.assert_equal(outcome, [
+            (300, 1.0066666666666666, 1.0, False),
+            (70, 0.0009765625, 0.905723664263907, True),
+            (100, np.nan, np.nan, False),
+            (250, np.nan, np.nan, False),
+            (200, 200.0, 2.0, False),
+            (200, np.nan, np.nan, False),
+            (400, 1.0025, 0.99999375, False),
+        ])
+
+    def test_stacked_stops_equal_one_column_runs(self):
+        it = np.arange(1.0, 401.0)
+        table = np.array([
+            np.maximum(1 + 1 / it, 1 + 1 / 150),
+            np.where(it % 3 == 0, np.nan, np.maximum(2 - it / 100, 0.5)),
+            2.0 ** (-it / 7),
+        ])
+        stacked = self.run(table, [0, 0, 0])
+        for c in range(len(table)):
+            states, outcome = self.run(table[c : c + 1], [0])
+            assert np.array_equal(states[0], stacked[0][c])
+            np.testing.assert_equal(outcome[0], stacked[1][c])

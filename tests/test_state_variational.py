@@ -1,5 +1,7 @@
 """Variational state solves: energies, minimizers, minimality checks."""
 
+import hashlib
+import json
 import zlib
 
 import numpy as np
@@ -248,6 +250,52 @@ class TestLineSearchExhaustion:
             y, reports = singles[i]
             assert np.array_equal(err.states[i], y[0])
             assert err.reports[i].to_dict() == reports[0].to_dict()
+
+
+# (dim, n, tol): sha256 of the states and of each report's iterations,
+# residual, converged, cost and cost_trace, recorded from BB's own column
+# loop before it became a step on the shared driver
+PINNED_BB = {
+    (1, 16, 1e-8): ("1b37d9c19395ce9a5c031f7251c18d974b9b4ba22b913bf7575e3cf8a9be1f77",
+                    "acbf236a5d1b763d2b6fd57e978ab32f89097f0a573415274e330ed1ca57cd20"),
+    (1, 16, 1e-11): ("3cc1f5505932155b37802dfd61737a03ebc775487f6bbd62976cba9ea709d0c3",
+                     "30f699918a998727a17788ebccd832204f0a8885a03d7ff53e15114151d85860"),
+    (1, 16, 1e-13): ("1721347025a09ec4b37f43a12e974e05ec9196198208c068a80b1ab8e224b0f5",
+                     "69e847bb086260ea3a219fcd143816d5d0515c83cd8c10cfd8cea00efd185f38"),
+    (1, 32, 1e-8): ("4641fb67c70b8c2900292a5d7d027d93923b69ec647d6a11829f0358960a13aa",
+                    "62c50795cfc4d1cc650a9cdc3bc6cd8eb97b2e2f0ac7b960d7beded6fa48b1ea"),
+    (1, 32, 1e-11): ("8451685d048ab0916391f13281142b3ff66efe181e212012bacdcd4dde82877f",
+                     "8e85c0e3a54db1ce4ca077562621b74e567c8b44bb34a1212f0d13dece4701e8"),
+    (1, 32, 1e-13): ("9097f10519991fd36d42d292c9c54d815bbe5000d529c62fcfefb63ebf7b7aaa",
+                     "f6176b996426a528e92e685e82590669204a73f166e2bcc96320ecdf49a83c09"),
+    (2, 6, 1e-8): ("6cf3608cf77466b24c98a679cb2b9b52a52b10062723240d3a7b7f43a094f88a",
+                   "b525fbb516afc8c73ba1a02e4a0f853e99b3d3211cbe4030da7eeedc11da7b2b"),
+    (2, 6, 1e-11): ("1cb44b7c113494378de1fe8b57d7cc3ba982001e27dea064b8c5ce200db26829",
+                    "bb02a10491893dbb1f44d3a2e424761834f9e442e0f23c588bd1ad0f59139d81"),
+    (2, 6, 1e-13): ("d46501f5dacd17f5a5946bdf606667ca4439acca18f67731e94378e93e12aa7a",
+                    "ba9cb3ec2baa2057cd4bb386692485782a5fb6b183c66312edcd3596f82e520f"),
+}
+
+
+@pytest.mark.parametrize("dim, n, tol", list(PINNED_BB))
+def test_stacked_bb_matches_pinned_digests(monkeypatch, dim, n, tol):
+    # five 0.3 N(0, 1) controls (seed 7) with their f(u) sources; the n = 32
+    # stacks run 247-473 iterations, and the tighter tolerances end in the
+    # polish
+    polished = []
+    polish = state_variational._polish
+    monkeypatch.setattr(state_variational, "_polish",
+                        lambda *args: polished.append(1) or polish(*args))
+    mesh = grid.build_mesh(dim, n)
+    p = instances.build_state_problem("variational-quartic-1d", mesh)
+    U = 0.3 * np.random.default_rng(7).standard_normal((5, mesh.n_nodes))
+    y, reps = state_variational.solve_state_columns(
+        p, U, source=np.asarray(p.cs.f(U), dtype=float), tol=tol
+    )
+    fields = [[r.iterations, r.residual, r.converged, r.cost, r.cost_trace] for r in reps]
+    assert (hashlib.sha256(y.tobytes()).hexdigest(),
+            hashlib.sha256(json.dumps(fields).encode()).hexdigest()) == PINNED_BB[dim, n, tol]
+    assert len(polished) == (tol < 1e-8)
 
 
 def _polish_one(p, y, u, source, tol):
