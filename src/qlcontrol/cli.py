@@ -4,7 +4,9 @@ Experiments are configured by flat INI-style files (sections of key = value
 pairs), run deterministically under a fixed seed, and emit a structured
 ``report.json``, CSV field/measure dumps and a human-readable
 ``summary.txt``.  Exit codes: 0 success, 1 usage/config error, 2 a FAILED
-certificate.
+certificate.  Both report files are strict JSON (RFC 8259): a number that
+is not finite, such as the stationarity of an optimizer that took no step,
+is written as null.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def _control_field(mesh, preset: str) -> ScalarField:
 # [coefficients] names: the flux builds the coefficient set and the a and f
 # terms merge into it, each from the numeric keys
 _FLUXES = {
-    "identity": lambda c: co.identity_flux(),
+    "identity": lambda c: co.make_perturbed_linear(1.0),
     "perturbed-linear": lambda c: co.make_perturbed_linear(
         c["a0"], co.sin_perturbation(c["lipschitz_g"]), c["lipschitz_g"]
     ),
@@ -331,7 +333,8 @@ _KEYS = {
     ("coefficients", "flux"): ("coefficients", str, _one_of(_FLUXES)),
     ("coefficients", "a"): ("coefficients", str, _one_of(_TERMS["a"])),
     ("coefficients", "f"): ("coefficients", str, _one_of(_TERMS["f"])),
-    **{("coefficients", k): ("coefficients", float, None) for k in _COEFFICIENT_NUMBERS},
+    **{("coefficients", k): ("coefficients", float, (np.isfinite, "finite"))
+       for k in _COEFFICIENT_NUMBERS},
     ("output", "directory"): ("output_dir", _name, None),
 }
 
@@ -391,13 +394,21 @@ def _write_report(out_dir: Path, cfg: ExperimentConfig, results, code: int, timi
         "timings": timings,
     }
     (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        _strict_json(report, indent=2) + "\n", encoding="utf-8"
     )
     with open(out_dir / "summary.txt", "w", encoding="utf-8") as fh:
         fh.write(f"kind: {cfg.kind}\nseed: {cfg.seed}\n")
         fh.write(f"instance: {cfg.instance}\nexit: {code}\n")
         for key, val in sorted(results.items()):
-            fh.write(f"{key}: {json.dumps(val, sort_keys=True)}\n")
+            fh.write(f"{key}: {_strict_json(val)}\n")
+
+
+def _strict_json(value, **kw) -> str:
+    """RFC 8259 JSON of value: a number that is not finite, which JSON
+    cannot hold, is written as null.  A finite float survives the round
+    trip exactly."""
+    value = json.loads(json.dumps(value), parse_constant=lambda _: None)
+    return json.dumps(value, sort_keys=True, allow_nan=False, **kw)
 
 
 def list_builtin(pattern: str = "") -> str:

@@ -24,7 +24,6 @@ __all__ = [
     "CoefficientSet",
     "HypothesisReport",
     "make_perturbed_linear",
-    "identity_flux",
     "check_monotonicity",
     "check_growth",
     "check_w_growth",
@@ -87,9 +86,9 @@ class CoefficientSet:
     c: Optional[float] = None
     C: Optional[float] = None
     M: Optional[float] = None
-    w_grad_identity: bool = False  # True iff dW(y,u) == y exactly
 
     def __post_init__(self):
+        # each check is written so that a NaN fails it
         if self.c is not None and self.C is not None:
             if not (0.0 < self.c < self.C):
                 raise ValueError(
@@ -97,12 +96,12 @@ class CoefficientSet:
                 )
         if self.M is not None and not self.M > 0.0:
             raise ValueError(f"M must be positive, got {self.M}")
-        if self.L < 0.0:
+        if not self.L >= 0.0:
             raise ValueError(f"L must be nonnegative, got {self.L}")
         if self.a is not None:
             z = np.zeros((1, 2))
             a0val = float(np.asarray(self.a(z))[0])
-            if abs(a0val) > 1e-14:
+            if not abs(a0val) <= 1e-14:
                 raise ValueError(f"a(0) must vanish, got {a0val}")
 
     def merged(self, **updates) -> "CoefficientSet":
@@ -157,15 +156,6 @@ def cellwise_jacobian(fn: Callable, Y: np.ndarray) -> np.ndarray:
 # -- constructors for the built-in families -----------------------------------
 
 
-def identity_flux() -> CoefficientSet:
-    """A = identity; c = 1 and C clamped to c*(1+eps) to keep 0 < c < C."""
-    return CoefficientSet(
-        A=lambda Y: Y,
-        c=1.0,
-        C=1.0 * (1.0 + _EPS_STRICT),
-    )
-
-
 def make_perturbed_linear(
     a_coeff: float,
     g: Optional[Callable] = None,
@@ -175,7 +165,8 @@ def make_perturbed_linear(
 
     Strict monotonicity constant c = a0 - L_g and growth constant C = a0 + L_g
     are recorded; the construction is rejected when a0 - L_g <= 0 because the
-    strict monotonicity is lost.
+    strict monotonicity is lost.  At L_g = 0, C is clamped to c*(1+eps) to
+    keep 0 < c < C: ``make_perturbed_linear(1.0)`` is the identity flux.
     """
     if not a_coeff > 0.0:
         raise ValueError(f"a0 must be positive, got {a_coeff}")
@@ -189,7 +180,7 @@ def make_perturbed_linear(
     if g is not None:
         z = np.zeros((1, 2))
         gz = np.asarray(g(z))
-        if np.max(np.abs(gz)) > 1e-14:
+        if not np.max(np.abs(gz)) <= 1e-14:
             raise ValueError("g(0) must vanish")
     c = a_coeff - lipschitz_g
     C = a_coeff + lipschitz_g
@@ -259,7 +250,6 @@ def w_quadratic() -> dict:
     return {
         "W": lambda Y, u: 0.5 * np.sum(Y * Y, axis=1),
         "dW": lambda Y, u: Y,
-        "w_grad_identity": True,
         "c": 0.4,
         "C": 0.6,
     }
@@ -318,21 +308,13 @@ def w_quartic_clamped(radius: float = 10.0) -> dict:
     }
 
 
-def cost_tracking(target: float, cap: float = 1e6) -> dict:
-    """F(y) = min((y - target)^2, cap): continuous, bounded, bounded below."""
+def cost_tracking(target, cap: float = 1e6) -> dict:
+    """F(y) = min((y - target)^2, cap): continuous, bounded, bounded below.
+    The target is a scalar or a fixed nodal field."""
+    target = np.asarray(target, dtype=float)
 
     def F(y):
         return np.minimum((np.asarray(y, dtype=float) - target) ** 2, cap)
-
-    return {"F": F}
-
-
-def cost_tracking_field(target_values: np.ndarray, cap: float = 1e6) -> dict:
-    """Tracking cost against a fixed nodal target field."""
-    tv = np.asarray(target_values, dtype=float)
-
-    def F(y):
-        return np.minimum((np.asarray(y, dtype=float) - tv) ** 2, cap)
 
     return {"F": F}
 
@@ -404,7 +386,8 @@ def check_growth(
         slacks.append(cs.C * norms - np.abs(cs.a(Y)))
     if not slacks:
         raise ValueError("check_growth needs A or a")
-    return HypothesisReport("growth", samples, float(min(np.min(s) for s in slacks)))
+    # np.min, unlike the builtin min, keeps a NaN of any part
+    return HypothesisReport("growth", samples, float(np.min(slacks)))
 
 
 def check_w_growth(

@@ -1,4 +1,4 @@
-"""Outer control problem: minimize F(y_u) plus a Tychonov regularizer.
+"""Outer control problem: minimize F(y_u) plus (M/2)|grad u|^2.
 
 Descent is plain projected gradient with Armijo backtracking.  In the
 quasilinear and monotone regimes the cost gradient is the discrete adjoint:
@@ -67,18 +67,18 @@ REGIMES = {
 
 @dataclass(frozen=True)
 class ControlProblem:
-    """Outer problem data: state problem, regularizer and per-instance extras.
+    """Outer problem data: state problem and per-instance extras.
 
     The state problem fixes the mesh, the regime and the coefficient set,
     which carries the cost integrand F, the control-to-source map f and the
-    Tychonov weight M.  In the variational regime f(u) replaces the state
+    weight M of the Tychonov term (M/2) int |grad u|^2, the only
+    regularizer.  In the variational regime f(u) replaces the state
     problem's fixed source (the control then also enters the inner energy
     through W's second slot).  ``rebuild`` maps a mesh to the instance's
     state problem on that mesh.
     """
 
     state: object
-    regularizer: str = "gradient"
     rebuild: Optional[Callable[[Mesh], object]] = field(default=None, compare=False)
     demo_measure: Optional[YoungMeasureField] = field(default=None, compare=False)
     reference_controls: tuple = field(default=(), compare=False)
@@ -86,8 +86,6 @@ class ControlProblem:
     def __post_init__(self):
         if type(self.state) not in REGIMES:
             raise ValueError(f"unknown state problem type {type(self.state).__name__}")
-        if self.regularizer not in ("gradient", "l2"):
-            raise ValueError(f"unknown regularizer {self.regularizer!r}")
         if self.cs.M is None:
             raise ValueError("control problem needs the Tychonov weight M")
         if self.cs.F is None:
@@ -115,7 +113,7 @@ class ControlProblem:
         """The same problem on another mesh, without the per-instance extras."""
         if self.rebuild is None:
             raise ValueError("this problem carries no mesh rebuilder")
-        return ControlProblem(self.rebuild(mesh), self.regularizer, self.rebuild)
+        return ControlProblem(self.rebuild(mesh), rebuild=self.rebuild)
 
 
 def state_solvers(regime: str) -> tuple:
@@ -179,12 +177,8 @@ def _costs(cp: ControlProblem, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """F(y) quadrature plus the Tychonov term, per column of stacked
     controls U and states Y."""
     mesh = cp.mesh
-    if cp.regularizer == "gradient":
-        G = grid.gradient_values(mesh, U)
-        sq = (G * G).reshape(G.shape[:-2] + (-1,))
-    else:
-        sq = mesh.node_weights() * U * U
-    reg = mesh.cell_volume * sq.sum(axis=-1)
+    G = grid.gradient_values(mesh, U)
+    reg = mesh.cell_volume * (G * G).reshape(G.shape[:-2] + (-1,)).sum(axis=-1)
     return _state_costs(cp, Y) + 0.5 * cp.M * reg
 
 
@@ -274,10 +268,8 @@ def _cost_gradient(cp, u, cost, state, opts) -> np.ndarray:
 def _regularizer_gradient(cp: ControlProblem, u: np.ndarray) -> np.ndarray:
     """Gradient of the Tychonov term of _costs with respect to nodal u."""
     mesh = cp.mesh
-    if cp.regularizer == "gradient":
-        gtg = grid.gradient_transpose_values(mesh, grid.gradient_values(mesh, u))
-        return cp.M * mesh.cell_volume * gtg
-    return cp.M * mesh.cell_volume * mesh.node_weights() * u
+    gtg = grid.gradient_transpose_values(mesh, grid.gradient_values(mesh, u))
+    return cp.M * mesh.cell_volume * gtg
 
 
 def _adjoint_cost_gradient(

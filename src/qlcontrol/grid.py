@@ -652,11 +652,6 @@ def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:
     return ScalarField(rhs.mesh, helmholtz_solve_values(rhs.mesh, b, rhs.values))
 
 
-def laplacian_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
-    """lap_h y = divergence_weak(gradient(y)) on interior nodes (flat)."""
-    return divergence_weak_values(mesh, gradient_values(mesh, y))
-
-
 # -- gradient potentials (range-of-gradient tests and projections) ------------
 
 # always empty: no potential is cached.  perfbench counts the entries of this

@@ -113,7 +113,7 @@ def _quadratic_variational_cs(target_values: np.ndarray) -> co.CoefficientSet:
     parts = {}
     parts.update(co.w_quadratic())
     parts.update(co.f_linear())
-    parts.update(co.cost_tracking_field(target_values))
+    parts.update(co.cost_tracking(target_values))
     return co.CoefficientSet(M=1e-3, **parts)
 
 

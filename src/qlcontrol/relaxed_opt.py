@@ -48,7 +48,6 @@ from .young_measure import (
 __all__ = [
     "RelaxedProblem",
     "RelaxedInit",
-    "RelaxOptions",
     "InfeasibleMeasureError",
     "solve_mv_state",
     "evaluate_relaxed_cost",
@@ -57,13 +56,20 @@ __all__ = [
     "embed_classical",
 ]
 
-FEASIBILITY_TOL = 1e-6
+FEASIBILITY_TOL = 1e-6  # coupling residual of a feasible nu
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
 _FD_STEP = 1e-6  # forward-difference step of the phase objectives
 _STEP0 = 1e-2  # first trial step of each phase
 _HALVINGS = 25  # line-search trials step0 * 2**-k, k < _HALVINGS
+# the alternating scheme: outer iterations, descent steps per phase and
+# iteration, the penalty's first value and cap, and the stationarity stop
+_MAX_OUTER = 40
+_INNER_STEPS = 4
+_RHO0 = 1e3
+_RHO_MAX = 1e8
+_STATIONARITY_TOL = 1e-5
 
 _log = logging.getLogger(__name__)
 
@@ -108,27 +114,6 @@ class RelaxedInit:
 
     mu: YoungMeasureField
     nu: YoungMeasureField
-
-
-@dataclass(frozen=True)
-class RelaxOptions:
-    max_outer: int = 40
-    inner_steps: int = 4
-    rho0: float = 1e3
-    rho_max: float = 1e8
-    stationarity_tol: float = 1e-5
-    feasibility_tol: float = FEASIBILITY_TOL
-
-    def __post_init__(self):
-        if self.max_outer < 1 or self.inner_steps < 1:
-            raise ValueError("max_outer and inner_steps must be at least 1")
-        if not self.rho0 > 0.0:
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
-        if not self.rho0 <= self.rho_max:
-            raise ValueError(f"rho0 {self.rho0} exceeds rho_max {self.rho_max}")
-        for name in ("stationarity_tol", "feasibility_tol"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 # -- measure-valued state -------------------------------------------------------
@@ -199,45 +184,40 @@ def _relaxed_cost(rp: RelaxedProblem, mu: YoungMeasureField, y: np.ndarray) -> f
     return float(_state_costs(rp.control, y) + 0.5 * rp.control.M * second_moment(mu))
 
 
-def _relaxed_point(rp: RelaxedProblem, mu, nu, feasibility_tol: float = FEASIBILITY_TOL):
+def _relaxed_point(rp: RelaxedProblem, mu, nu):
     """Relaxed cost and relaxed state of (mu, nu); raises on infeasible nu."""
     if mu.klass != "PH1":
         raise ValueError("control measure must be of class PH1")
     y, cons = solve_mv_state(rp, potential(mu), nu)
-    if cons > feasibility_tol:
+    if cons > FEASIBILITY_TOL:
         raise InfeasibleMeasureError(
-            f"coupling residual {cons:.3e} exceeds {feasibility_tol:.1e}"
+            f"coupling residual {cons:.3e} exceeds {FEASIBILITY_TOL:.1e}"
         )
     return _relaxed_cost(rp, mu, y.values), y
 
 
 def evaluate_relaxed_cost(
-    rp: RelaxedProblem,
-    mu: YoungMeasureField,
-    nu: YoungMeasureField,
-    feasibility_tol: float = FEASIBILITY_TOL,
+    rp: RelaxedProblem, mu: YoungMeasureField, nu: YoungMeasureField
 ) -> float:
     """Relaxed cost F(y) + (M/2) * second_moment(mu); the control is the
     barycenter potential of mu plus its stored constant.  Raises on
     infeasible nu."""
-    return _relaxed_point(rp, mu, nu, feasibility_tol)[0]
+    return _relaxed_point(rp, mu, nu)[0]
 
 
 def embed_classical(
-    rp: RelaxedProblem,
-    u: ScalarField,
-    state_tol: float = _TIGHT_STATE_TOL,
-    warm: Optional[ScalarField] = None,
+    rp: RelaxedProblem, u: ScalarField, warm: Optional[ScalarField] = None
 ):
     """Dirac embedding (delta_{grad u}, delta_{grad y_u}) of a classical pair.
 
     The stored constant is the plain nodal mean of u, matching the zero-mean
     normalization of PH1 potentials; on a 1D mesh the gradient's kernel holds
-    the constants alone, so the embedding is exact.  The state solve starts
-    from ``warm`` (zero when None), as in evaluate_cost.
+    the constants alone, so the embedding is exact.  The state is solved to
+    the tight tolerance 1e-12, from ``warm`` (zero when None), as in
+    evaluate_cost.
     """
     mesh = rp.mesh
-    y = _state_one(rp.control, u, warm, state_tol)
+    y = _state_one(rp.control, u, warm, _TIGHT_STATE_TOL)
     gu = grid.gradient_values(mesh, u.values)
     mu = YoungMeasureField(
         mesh, gu[:, None, :], np.ones((mesh.n_cells, 1)), "PH1", float(np.mean(u.values))
@@ -395,14 +375,14 @@ def _descend(values, params, grads, step0: float, base: float):
     return [t[k] for t in trials], float(steps[k])
 
 
-def _phase_descent(values, params, opts: RelaxOptions, gnorms: list):
-    """Up to opts.inner_steps projected-gradient steps on the stacked phase
+def _phase_descent(values, params, gnorms: list):
+    """Up to _INNER_STEPS projected-gradient steps on the stacked phase
     objective ``values``; appends each gradient's sup norm to gnorms and
     returns the final parameters and the number of steps accepted (0: the
     parameters are returned as given)."""
     step = _STEP0
     accepted = 0
-    for _ in range(opts.inner_steps):
+    for _ in range(_INNER_STEPS):
         base, grads = _fd_gradient(values, params, _FD_STEP)
         gnorms.append(float(np.max([np.max(np.abs(g)) for g in grads])))
         params, used = _descend(values, params, grads, step, base)
@@ -422,31 +402,28 @@ def _restore_feasibility(rp: RelaxedProblem, fvals, atoms, weights):
     return atoms + mismatch[:, None, :]
 
 
-def optimize_relaxed(
-    rp: RelaxedProblem,
-    init: RelaxedInit,
-    opts: Optional[RelaxOptions] = None,
-):
+def optimize_relaxed(rp: RelaxedProblem, init: RelaxedInit):
     """Alternating penalized descent over (nu, mu).
 
     Phases: (i) projected gradient on nu's atoms and weights against cost
     plus rho * consistency^2; (ii) feasibility restoration re-coupling the
     barycenter to the state; (iii) descent on mu's atoms, weights and the
-    additive constant of the control.  Returns the best feasible point seen
-    (the init included, so the value never exceeds a feasible init's cost).
+    additive constant of the control.  Each phase takes up to _INNER_STEPS
+    steps per outer iteration, and rho starts at _RHO0.  Returns the best
+    feasible point seen (the init included, so the value never exceeds a
+    feasible init's cost); feasible means a coupling residual of at most
+    FEASIBILITY_TOL.
 
     ``extras["stopped"]`` names the exit: "stationary" (every gradient of
-    the iteration is below stationarity_tol; the only converged exit),
-    "infeasible" (the penalty reached rho_max with the iterate still
+    the iteration is below _STATIONARITY_TOL; the only converged exit),
+    "infeasible" (the penalty reached _RHO_MAX with the iterate still
     infeasible), "stalled" (an iteration that started from a restored nu
     accepted no step in either phase and ended feasible, so the next
-    iteration would repeat it at the same rho) or "cap" (max_outer
-    reached).  A feasible init starts the loop from the restored nu of its
-    snapshot, so the stall can come at the first iteration; an infeasible
-    init starts from its own nu and stalls from the second on.
+    iteration would repeat it at the same rho) or "cap" (_MAX_OUTER
+    iterations).  A feasible init starts the loop from the restored nu of
+    its snapshot, so the stall can come at the first iteration; an
+    infeasible init starts from its own nu and stalls from the second on.
     """
-    if opts is None:
-        opts = RelaxOptions()
     t0 = time.perf_counter()
     mesh = rp.mesh
 
@@ -470,7 +447,7 @@ def optimize_relaxed(
         state and coupling residual, or None if it stays infeasible."""
         nu_f = current_nu(_restore_feasibility(rp, fvals, atoms, nu_weights))
         y, cons = solve_mv_state(rp, u, nu_f)
-        if cons > opts.feasibility_tol:
+        if cons > FEASIBILITY_TOL:
             return None
         return _relaxed_cost(rp, mu_f, y.values), mu_f, nu_f, y, cons
 
@@ -482,14 +459,14 @@ def optimize_relaxed(
     restored = best is not None
     if restored:
         nu_atoms = np.array(best[2].atoms)
-    rho = opts.rho0
+    rho = _RHO0
     stopped = "cap"
 
-    for outer in range(1, opts.max_outer + 1):
+    for outer in range(1, _MAX_OUTER + 1):
         # (i) descend in nu under the penalty
         gnorms: list = []
         (nu_atoms, nu_weights), nu_steps = _phase_descent(
-            _nu_objective(rp, fvals, rho), [nu_atoms, nu_weights], opts, gnorms
+            _nu_objective(rp, fvals, rho), [nu_atoms, nu_weights], gnorms
         )
 
         # (ii) feasibility restoration
@@ -499,7 +476,6 @@ def optimize_relaxed(
         (mu_atoms, mu_weights, mu_offset), mu_steps = _phase_descent(
             _mu_objective(rp, nu_atoms, nu_weights, rho),
             [mu_atoms, mu_weights, mu_offset],
-            opts,
             gnorms,
         )
         if mu_steps:
@@ -517,17 +493,17 @@ def optimize_relaxed(
             outer, snap[0] if snap is not None else np.nan, stationarity, rho,
             nu_steps, mu_steps,
         )
-        if stationarity <= opts.stationarity_tol:
+        if stationarity <= _STATIONARITY_TOL:
             stopped = "stationary"
             break
 
         # tighten the penalty while the raw iterate stays infeasible
         _, cons = solve_mv_state(rp, u, current_nu(nu_atoms))
-        if cons > opts.feasibility_tol:
-            if rho >= opts.rho_max:
+        if cons > FEASIBILITY_TOL:
+            if rho >= _RHO_MAX:
                 stopped = "infeasible"
                 break
-            rho = min(rho * 10.0, opts.rho_max)
+            rho = min(rho * 10.0, _RHO_MAX)
         elif (outer > 1 or restored) and nu_steps == mu_steps == 0:
             # mu is unchanged and the iteration started from a restored nu,
             # which it moved only by the restoration: the next iteration
@@ -575,7 +551,6 @@ def certify_gap(
     samples: int = 6,
     seed: int = 0,
     classical_opts: Optional[OptimizeOptions] = None,
-    relax_opts: Optional[RelaxOptions] = None,
     designed_init: Optional[RelaxedInit] = None,
 ) -> RelaxationReport:
     """Sub-relaxation certificate m_relaxed <= m_classical + 1e-8.
@@ -628,7 +603,7 @@ def certify_gap(
     dirac_residual = abs(embedded_cost - best_cost_tight)
 
     init = designed_init or RelaxedInit(mu_e, nu_e)
-    mu, nu, y, relax_report = optimize_relaxed(rp, init, relax_opts)
+    mu, nu, y, relax_report = optimize_relaxed(rp, init)
     relaxed_value = relax_report.cost
     if embedded_cost < relaxed_value:
         relaxed_value, mu, nu, y = embedded_cost, mu_e, nu_e, y_mv

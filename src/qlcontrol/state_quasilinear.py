@@ -34,7 +34,7 @@ __all__ = [
 def uniqueness_threshold(L: float) -> float:
     """Zero-order coefficient above which the Lipschitz nonlinearity cannot
     produce two solutions: L^2 / 4."""
-    if L < 0.0:
+    if not L >= 0.0:  # a NaN fails too
         raise ValueError(f"L must be nonnegative, got {L}")
     return L * L / 4.0
 
@@ -90,7 +90,7 @@ class QuasilinearStateProblem:
             aY = np.asarray(self.cs.a(Y), dtype=float)
             norms = np.linalg.norm(Y, axis=1)
             worst = float(np.max(np.abs(aY) - growth_c * norms))
-            if worst > 1e-10:
+            if not worst <= 1e-10:  # a NaN sample fails too
                 raise ValueError(
                     f"|a(y)| <= C|y| fails on samples by {worst} (C = {growth_c})"
                 )

@@ -2,8 +2,7 @@
 
 The inner energy is ``I(y,u) = int W(grad y, u) + source*y``.  The minimizer
 is computed by Barzilai-Borwein gradient descent with a bisected monotone
-line-search fallback; inner energies with identity gradient short-circuit to
-a single Poisson solve.
+line-search fallback, whatever the energy.
 """
 
 from __future__ import annotations
@@ -162,9 +161,8 @@ def solve_state(
 ):
     """Minimize I(., u) over discrete H1_0.
 
-    Quadratic energies with identity gradient reduce to one Poisson solve;
-    otherwise damped Barzilai-Borwein descent with a bisected line search
-    that enforces monotone energy decrease.  Convergence is declared when
+    Damped Barzilai-Borwein descent with a bisected line search that
+    enforces monotone energy decrease.  Convergence is declared when
     the lifted Euler-Lagrange residual drops below ``tol``.  This is the
     one-column case of :func:`solve_state_columns`; ``source`` (nodal
     values) replaces the problem's source, as there.
@@ -203,22 +201,6 @@ def solve_state_columns(
     if src.shape != u.shape:
         src = np.broadcast_to(src, u.shape)
     stack = _column_data(mesh, u, src)
-    if p.cs.w_grad_identity:
-        y = grid.helmholtz_solve_values(mesh, 0.0, -src)
-        res = residual_norm(p, y, *stack)
-        energy, _ = _energy_values(p, y, *stack)
-        # every column converges: no failure message is needed
-        return _columns_result("variational", y, [
-            SolveReport(
-                method="linear-shortcut",
-                iterations=1,
-                residual=r,
-                converged=True,
-                cost=e,
-            )
-            for r, e in zip(res.tolist(), energy.tolist())
-        ], max_iterations, None)
-
     y = grid.start_columns(mesh, u.shape, y0)
     energy, Gy = _energy_values(p, y, *stack)
     g = _energy_gradient(p, y, Gy, *stack)

@@ -70,6 +70,8 @@ class YoungMeasureField:
             raise ValueError("atom dimension must match the mesh dimension")
         if not np.all(np.isfinite(atoms)):
             raise ValueError("atoms must be finite")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
         if np.min(weights) < -WEIGHT_TOL:
             raise ValueError(f"negative weight {np.min(weights)}")
         sums = np.sum(weights, axis=1)
@@ -191,18 +193,16 @@ def uniform_two_atom(
     hi: float,
     theta: float,
     potential_offset: float = 0.0,
-    klass: str = "PH1",
 ) -> YoungMeasureField:
-    """1D field with the same two atoms {lo, hi} and weights (1-theta, theta)
-    in every cell; the constant barycenter makes it PH1 (PH10 only if the
-    barycenter vanishes)."""
+    """1D PH1 field with the same two atoms {lo, hi} and weights (1-theta,
+    theta) in every cell: its barycenter is constant."""
     if mesh.dimension != 1:
         raise ValueError("uniform_two_atom builds 1D fields")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
     atoms = np.tile(np.array([[lo], [hi]], dtype=float), (mesh.n_cells, 1, 1))
     weights = np.tile(np.array([1.0 - theta, theta]), (mesh.n_cells, 1))
-    return YoungMeasureField(mesh, atoms, weights, klass, potential_offset)
+    return YoungMeasureField(mesh, atoms, weights, "PH1", potential_offset)
 
 
 def _two_atom_form(ym: YoungMeasureField):

@@ -59,6 +59,14 @@ def _own_div_weak(dim: int, n: int, q: np.ndarray) -> np.ndarray:
     return out.ravel()
 
 
+def laplacian(dim: int, n: int, y: np.ndarray) -> np.ndarray:
+    """lap_h y = div_weak(grad y) of nodal values y, zero on the boundary
+    nodes; leading axes of y are batch axes."""
+    y = np.asarray(y, dtype=float)
+    rows = [_own_div_weak(dim, n, _own_gradient(dim, n, r)) for r in y.reshape(-1, y.shape[-1])]
+    return np.reshape(rows, y.shape)
+
+
 def _own_cell_to_node(dim: int, n: int, c: np.ndarray) -> np.ndarray:
     if dim == 1:
         out = np.empty(n + 1)

@@ -107,6 +107,16 @@ def config_keys(text):
     return {(section, key) for section in cp.sections() for key in cp[section]}
 
 
+def strict_loads(text):
+    """json.loads that rejects Infinity and NaN, as RFC 8259 parsers do."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
 def readme_ini():
     """The INI block of README.md's CLI example."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -193,6 +203,18 @@ class TestConfigParsing:
             ExperimentConfig.parse(text)
         # rejected before any solve and before the output directory exists
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["a0", "lipschitz_g", "kappa", "omega"])
+    def test_non_finite_coefficient_rejected(self, tmp_path, capsys, key, value):
+        # these numbers were parsed with no check: kappa = nan ran and passed
+        # the growth check, kappa = inf wrote "worst_margin": -Infinity
+        text = VERIFY_INI + f"a = sin\n{key} = {value}\n"
+        with pytest.raises(ConfigError, match=rf"^\[coefficients\] {key} must be finite, "):
+            ExperimentConfig.parse(text)
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert f"[coefficients] {key} must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -537,6 +559,24 @@ max_iterations = 0
         assert control["iterations"] == 0
         assert control["extras"]["stopped"] == "cap"
 
+    @pytest.mark.parametrize("kind", ["control", "relax"])
+    def test_report_is_strict_json_when_no_step_is_taken(self, tmp_path, kind):
+        # the stationarity of an optimizer that takes no step is not finite;
+        # it was written as Infinity, which RFC 8259 parsers reject
+        overrides = ["solver.max_iterations=0"]
+        if kind == "control":
+            overrides.append("experiment.kind=control")
+        out = tmp_path / "out"
+        assert run(SHIPPED / "relax-linear.ini", out=str(out), overrides=overrides) == 0
+        report = strict_loads((out / "report.json").read_text())
+        for line in (out / "summary.txt").read_text().splitlines()[4:]:
+            strict_loads(line.split(": ", 1)[1])
+        if kind == "control":
+            control = report["results"]["control"]
+            assert control["residual"] is None and control["stationarity"] is None
+        else:
+            assert report["results"]["relaxation"]["classical"]["stationarity"] is None
+
     def test_missing_config_exit_1(self, tmp_path):
         assert run(tmp_path / "missing.ini") == 1
 
@@ -636,10 +676,9 @@ class TestListCommand:
 
 class TestShippedConfigs:
     @pytest.mark.parametrize(
-        "name", ["verify-hypotheses.ini", "state-sin-gradient.ini", "relax-linear.ini"]
+        "name", ["verify-hypotheses.ini", "state-sin-gradient.ini", "relax-linear.ini",
+                 "gap-demo.ini"]
     )
     def test_configs_run_clean(self, tmp_path, name):
-        from pathlib import Path
-
-        config = Path(__file__).resolve().parent.parent / "configs" / name
-        assert main(["run", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert main(["run", str(SHIPPED / name), "--out", str(tmp_path / "out")]) == 0
+        strict_loads((tmp_path / "out" / "report.json").read_text())

@@ -8,7 +8,7 @@ from qlcontrol import coefficients as co
 
 class TestConstruction:
     def test_identity_flux_clamps_strictness(self):
-        cs = co.identity_flux()
+        cs = co.make_perturbed_linear(1.0)
         assert cs.c == 1.0
         assert cs.c < cs.C <= 1.0 + 1e-11
 
@@ -37,10 +37,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             co.CoefficientSet(a=lambda Y: Y[:, 0] + 1.0)
 
+    # a NaN constant or a(0) = NaN passed the checks written as `x < 0.0`
+    # and `|a(0)| > 1e-14`, which a NaN never meets
+    def test_nan_lipschitz_constant_rejected(self):
+        with pytest.raises(ValueError, match="^L must be nonnegative, got nan$"):
+            co.CoefficientSet(a=lambda Y: np.sin(Y[:, 0]), L=np.nan, **co.f_tanh())
+
+    def test_nan_a_at_zero_rejected(self):
+        with pytest.raises(ValueError, match="^a\\(0\\) must vanish, got nan$"):
+            co.CoefficientSet(a=lambda Y: np.full(Y.shape[0], np.nan), L=1.0)
+
+    def test_nan_g_at_zero_rejected(self):
+        with pytest.raises(ValueError, match="^g\\(0\\) must vanish$"):
+            co.make_perturbed_linear(1.0, lambda Y: np.full(Y.shape, np.nan), 0.5)
+
 
 class TestMonotonicity:
     def test_identity_equality_case(self):
-        rep = co.check_monotonicity(co.identity_flux())
+        rep = co.check_monotonicity(co.make_perturbed_linear(1.0))
         assert rep.worst_margin >= -1e-12
         assert rep.passed
 
@@ -50,7 +64,7 @@ class TestMonotonicity:
         assert rep.passed
 
     def test_overdeclared_constant_fails(self):
-        cs = co.identity_flux().merged(c=2.0, C=2.5)
+        cs = co.make_perturbed_linear(1.0).merged(c=2.0, C=2.5)
         rep = co.check_monotonicity(cs)
         assert not rep.passed
         assert rep.worst_margin < -1.0  # about -|y1-y2|^2 at sampled pairs
@@ -63,27 +77,35 @@ class TestMonotonicity:
 
 class TestGrowth:
     def test_identity_passes(self):
-        rep = co.check_growth(co.identity_flux())
+        rep = co.check_growth(co.make_perturbed_linear(1.0))
         assert rep.passed
 
     def test_sin_a_passes(self):
-        cs = co.identity_flux().merged(**co.a_sin_gradient(1.0))
+        cs = co.make_perturbed_linear(1.0).merged(**co.a_sin_gradient(1.0))
         assert co.check_growth(cs).passed
 
     def test_quadratic_a_fails(self):
-        cs = co.identity_flux().merged(a=lambda Y: Y[:, 0] ** 2, L=0.0)
+        cs = co.make_perturbed_linear(1.0).merged(a=lambda Y: Y[:, 0] ** 2, L=0.0)
         rep = co.check_growth(cs, radius=10.0)
         assert not rep.passed
 
     def test_cosine_wells_linear_bound(self):
         parts = co.a_cosine_wells(0.4, 5.0)
-        cs = co.identity_flux().merged(C=parts["L"], c=parts["L"] / 2, **parts)
+        cs = co.make_perturbed_linear(1.0).merged(C=parts["L"], c=parts["L"] / 2, **parts)
         assert co.check_growth(cs).passed
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_seed_stability(self, seed):
-        cs = co.identity_flux().merged(**co.a_clamped_linear(1.0))
+        cs = co.make_perturbed_linear(1.0).merged(**co.a_clamped_linear(1.0))
         assert co.check_growth(cs, seed=seed).passed
+
+    def test_nan_part_fails(self):
+        # the builtin min over the parts' minima dropped a NaN minimum that
+        # came after a finite one: here the a part's, after A's two
+        a = lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0)  # noqa: E731
+        rep = co.check_growth(co.make_perturbed_linear(1.0).merged(a=a))
+        assert np.isnan(rep.worst_margin)
+        assert not rep.passed
 
 
 class TestWGrowth:

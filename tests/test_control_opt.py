@@ -40,7 +40,7 @@ def tracking_problem(n=16):
     # F = (y - y*)^2 with y* the b=1 response to the unit source, f(u) = u
     mesh = grid.build_mesh(1, n)
     ystar = grid.helmholtz_solve(1.0, ScalarField(mesh, np.ones(mesh.n_nodes)))
-    parts = {**co.a_zero(), **co.f_linear(), **co.cost_tracking_field(ystar.values)}
+    parts = {**co.a_zero(), **co.f_linear(), **co.cost_tracking(ystar.values)}
     cs = co.CoefficientSet(M=1e-3, **parts)
     state = QuasilinearStateProblem(mesh, cs, b=1.0)
     return ControlProblem(state), ystar
@@ -82,16 +82,6 @@ class TestEvaluateCost:
             grid.gradient(u), grid.gradient(u)
         )
         assert abs(evaluate_cost(cp, u, state_tol=1e-13) - by_hand) <= 1e-10
-
-    def test_l2_regularizer_variant(self):
-        mesh = grid.build_mesh(1, 8)
-        cs = co.CoefficientSet(
-            M=2.0, **{**co.a_zero(), **co.f_zero(), **co.cost_zero()}
-        )
-        state = QuasilinearStateProblem(mesh, cs, b=1.0)
-        cp = ControlProblem(state, regularizer="l2")
-        u = ScalarField(mesh, np.ones(mesh.n_nodes))
-        assert abs(evaluate_cost(cp, u) - 1.0) <= 1e-14
 
 
 class TestControlProblem:
@@ -138,7 +128,7 @@ class TestControlProblem:
         cp_fine = cp.with_mesh(fine)
         assert built == []
         assert cp_fine.demo_measure is None and cp_fine.reference_controls == ()
-        assert cp_fine.mesh == fine and cp_fine.regularizer == cp.regularizer
+        assert cp_fine.mesh == fine
         assert cp_fine.regime == "quasilinear" and cp_fine.state.b == cp.state.b
 
 
@@ -406,19 +396,17 @@ class TestAdjointGradient:
     """The discrete adjoint gradient of the quasilinear and monotone regimes
     against the independent central-difference stack."""
 
-    @pytest.mark.parametrize("name, dim, n, regularizer", [
-        ("gap-family-1d", 1, 128, "gradient"),
-        ("sin-gradient-1d", 1, 32, "gradient"),
-        ("sin-gradient-2d", 2, 6, "gradient"),
-        ("linear-quasilinear-1d", 1, 32, "gradient"),
-        ("linear-quasilinear-1d", 1, 16, "l2"),
-        ("monotone-perturbed-1d", 1, 32, "gradient"),
+    @pytest.mark.parametrize("name, dim, n", [
+        ("gap-family-1d", 1, 128),
+        ("sin-gradient-1d", 1, 32),
+        ("sin-gradient-2d", 2, 6),
+        ("linear-quasilinear-1d", 1, 32),
+        ("monotone-perturbed-1d", 1, 32),
     ])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_matches_central_differences(self, name, dim, n, regularizer, seed):
+    def test_matches_central_differences(self, name, dim, n, seed):
         mesh = grid.build_mesh(dim, n)
         cp = instances.build_control_problem(name, mesh)
-        cp = ControlProblem(cp.state, regularizer)
         assert control_opt.gradient_method(cp) == "adjoint-projected-gradient"
         u = ScalarField(mesh, 0.5 * np.random.default_rng(seed).standard_normal(mesh.n_nodes))
         opts = OptimizeOptions(state_tol=1e-12)

@@ -69,7 +69,7 @@ class TestQuadraticProgramOracle:
             **{
                 **co.w_quadratic(),
                 **co.f_linear(),
-                **co.cost_tracking_field(0.01 * np.sin(np.pi * x)),
+                **co.cost_tracking(0.01 * np.sin(np.pi * x)),
             },
         )
         state = VariationalStateProblem(
@@ -87,7 +87,7 @@ class TestQuadraticProgramOracle:
             **{
                 **co.w_quadratic(),
                 **co.f_linear(),
-                **co.cost_tracking_field(np.zeros(mesh.n_nodes)),
+                **co.cost_tracking(np.zeros(mesh.n_nodes)),
             },
         )
         state = VariationalStateProblem(

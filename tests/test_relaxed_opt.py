@@ -16,7 +16,6 @@ from qlcontrol.grid import ScalarField
 from qlcontrol.relaxed_opt import (
     InfeasibleMeasureError,
     RelaxedInit,
-    RelaxOptions,
     RelaxedProblem,
     certify_gap,
     embed_classical,
@@ -31,6 +30,12 @@ from qlcontrol.young_measure import (
     potential,
     uniform_two_atom,
 )
+
+
+def one_step_runs(monkeypatch):
+    """optimize_relaxed takes one outer iteration of one step per phase."""
+    monkeypatch.setattr(relaxed_opt, "_MAX_OUTER", 1)
+    monkeypatch.setattr(relaxed_opt, "_INNER_STEPS", 1)
 
 
 def small_gap_problem(n=32):
@@ -211,20 +216,23 @@ class TestStopRule:
             "f3eb185b8a9f8d2ced7f098f836678cd0b4c96259a65ad7efcaf80234abc739b"
         )
 
-    def test_stationary_is_the_only_converged_exit(self):
+    def test_stationary_is_the_only_converged_exit(self, monkeypatch):
+        monkeypatch.setattr(relaxed_opt, "_STATIONARITY_TOL", 1.0)
         rp, init = small_gap_problem(n=16)
-        _, _, _, rep = optimize_relaxed(rp, init, RelaxOptions(stationarity_tol=1.0))
+        _, _, _, rep = optimize_relaxed(rp, init)
         assert rep.iterations == 1
         assert rep.extras["stopped"] == "stationary" and rep.converged is True
         assert 0.0 < rep.stationarity <= 1.0
 
-    def test_penalty_cap_stops_infeasible(self):
+    def test_penalty_cap_stops_infeasible(self, monkeypatch):
         # every mu step decouples nu from the new state by far more than
         # 1e-14, while the restored snapshots stay feasible; the penalty is
         # raised to rho_max and the run stops there
         rp, init = zero_control_embedding("linear-quasilinear-1d", 16)
-        opts = RelaxOptions(rho0=1e3, rho_max=1e4, feasibility_tol=1e-14)
-        _, _, _, rep = optimize_relaxed(rp, init, opts)
+        monkeypatch.setattr(relaxed_opt, "_RHO0", 1e3)
+        monkeypatch.setattr(relaxed_opt, "_RHO_MAX", 1e4)
+        monkeypatch.setattr(relaxed_opt, "FEASIBILITY_TOL", 1e-14)
+        _, _, _, rep = optimize_relaxed(rp, init)
         assert rep.iterations == 2
         assert rep.extras == {"rho": 1e4, "stopped": "infeasible"}
         assert rep.converged is False
@@ -603,10 +611,10 @@ class TestCertifyGap:
             return out
 
         monkeypatch.setattr(relaxed_opt, "optimize_relaxed", record)
+        one_step_runs(monkeypatch)
         rp, _ = small_gap_problem(n=16)
         mu0, nu0, _ = embed_classical(rp, ScalarField(rp.mesh, np.zeros(rp.mesh.n_nodes)))
-        rep = certify_gap(rp, samples=2, seed=0, designed_init=RelaxedInit(mu0, nu0),
-                          relax_opts=RelaxOptions(max_outer=1, inner_steps=1))
+        rep = certify_gap(rp, samples=2, seed=0, designed_init=RelaxedInit(mu0, nu0))
         (optimized,) = runs
         assert rep.relaxed < optimized
         mu, nu, y = rep.minimizer
@@ -625,9 +633,9 @@ class TestCertifyGap:
             return realize(ym, j)
 
         monkeypatch.setattr(control_opt, "realize_sequence", count)
+        one_step_runs(monkeypatch)
         rp, init = zero_control_embedding("gap-family-1d", 16)
-        rep = certify_gap(rp, samples=2, seed=0, designed_init=init,
-                          relax_opts=RelaxOptions(max_outer=1, inner_steps=1))
+        rep = certify_gap(rp, samples=2, seed=0, designed_init=init)
         assert not rep.failed
         assert rep.relaxed <= rep.best_classical + 1e-8
         assert realized == []
@@ -661,7 +669,7 @@ class TestValidation:
             certify_gap(RelaxedProblem(cp), samples=1)
         assert calls == []
 
-    def test_five_atoms_per_cell_accepted(self):
+    def test_five_atoms_per_cell_accepted(self, monkeypatch):
         # no atom budget: optimize_relaxed keeps the init's atom counts.  With
         # a = 0 the split nu has the Dirac embedding's state, so it is feasible
         rp = a_free_problem(n=16)
@@ -669,23 +677,7 @@ class TestValidation:
         mu, nu, _ = embed_classical(rp, ScalarField(mesh, np.ones(mesh.n_nodes)))
         nu5 = split_atoms(nu, [-0.4, -0.2, 0.0, 0.2, 0.4])
         mu5 = split_atoms(mu, [-0.4, -0.2, 0.0, 0.2, 0.4])
-        opts = RelaxOptions(max_outer=1, inner_steps=1)
-        mu_opt, nu_opt, _, rep = optimize_relaxed(rp, RelaxedInit(mu5, nu5), opts)
+        one_step_runs(monkeypatch)
+        mu_opt, nu_opt, _, rep = optimize_relaxed(rp, RelaxedInit(mu5, nu5))
         assert (mu_opt.n_atoms, nu_opt.n_atoms) == (5, 5)
         assert np.isfinite(rep.cost)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            {"max_outer": 0},
-            {"inner_steps": 0},
-            {"rho0": 0.0},
-            {"rho0": 1e9},
-            {"stationarity_tol": -1e-5},
-            {"feasibility_tol": float("nan")},
-        ],
-        ids=lambda d: "{}={}".format(*next(iter(d.items()))),
-    )
-    def test_out_of_range_options_rejected(self, bad):
-        with pytest.raises(ValueError):
-            RelaxOptions(**bad)

@@ -15,11 +15,11 @@ from qlcontrol.state_monotone import (
 )
 from qlcontrol.state_quasilinear import poincare_constant
 
-from oracles import newton_state_oracle
+from oracles import laplacian, newton_state_oracle
 
 
 def identity_problem(n=32, dim=1):
-    cs = co.identity_flux().merged(
+    cs = co.make_perturbed_linear(1.0).merged(
         f=lambda u: np.ones_like(np.asarray(u, dtype=float))
     )
     return MonotoneStateProblem(grid.build_mesh(dim, n), cs)
@@ -132,17 +132,17 @@ class TestInteriorJacobian:
             want[:, k] = (residual(y.values + e) - residual(y.values - e))[interior] / 2e-6
         assert np.max(np.abs(K - want)) <= 1e-7 * np.max(np.abs(want))
         # strong monotonicity: sym(K) >= c (-lap_h)
-        lap = grid.interior_matrix(mesh, lambda E: -grid.laplacian_values(mesh, E))
+        lap = grid.interior_matrix(mesh, lambda E: -laplacian(dim, n, E))
         gap = 0.5 * (K + K.T) - p.cs.c * lap
         assert np.min(np.linalg.eigvalsh(gap)) >= -1e-9 * np.max(np.abs(lap))
 
 
 class TestValidation:
     def test_bad_constants_rejected_at_construction(self):
-        cs = co.identity_flux().merged(c=2.0, C=2.5, **co.f_linear())
+        cs = co.make_perturbed_linear(1.0).merged(c=2.0, C=2.5, **co.f_linear())
         with pytest.raises(ValueError):
             MonotoneStateProblem(grid.build_mesh(1, 8), cs)
 
     def test_missing_source_rejected(self):
         with pytest.raises(ValueError):
-            MonotoneStateProblem(grid.build_mesh(1, 8), co.identity_flux())
+            MonotoneStateProblem(grid.build_mesh(1, 8), co.make_perturbed_linear(1.0))

@@ -17,7 +17,7 @@ from qlcontrol.state_quasilinear import (
     verify_uniqueness,
 )
 
-from oracles import newton_state_oracle
+from oracles import laplacian, newton_state_oracle
 
 
 def sin_problem(n=64, b=1.0, dim=1):
@@ -39,6 +39,20 @@ class TestThreshold:
         cs = co.CoefficientSet(**{**co.a_sin_gradient(1.0), **co.f_tanh()})
         with pytest.raises(ValueError):
             QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=uniqueness_threshold(1.0) / 2)
+
+    # a NaN reached the run: both checks were written as comparisons that a
+    # NaN never meets (`L > 0.0 and not b > L^2/4`, `worst > 1e-10`)
+    def test_nan_lipschitz_constant_rejected(self):
+        cs = co.CoefficientSet(**{**co.a_sin_gradient(1.0), **co.f_tanh()})
+        object.__setattr__(cs, "L", np.nan)  # past CoefficientSet's own check
+        with pytest.raises(ValueError, match="^L must be nonnegative, got nan$"):
+            QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
+
+    def test_nan_sample_of_a_fails_the_growth_check(self):
+        a = lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0)  # noqa: E731
+        cs = co.CoefficientSet(a=a, L=1.0, **co.f_tanh())
+        with pytest.raises(ValueError, match=r"^\|a\(y\)\| <= C\|y\| fails on samples by nan"):
+            QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
 
     def test_margin_warning_close_to_threshold(self):
         cs = co.CoefficientSet(**{**co.a_sin_gradient(1.0), **co.f_tanh()})
@@ -90,7 +104,7 @@ class TestSolveQuasilinear:
         fvals = rng.standard_normal((3, p.mesh.n_nodes))
         a_nodes = grid.cell_to_node_values(
             p.mesh, co.apply_cellwise(p.cs.a, grid.gradient_values(p.mesh, y)))
-        want = -grid.laplacian_values(p.mesh, y) + a_nodes + p.b * y - fvals
+        want = -laplacian(dim, n, y) + a_nodes + p.b * y - fvals
         want[..., p.mesh.boundary_mask] = 0.0
         calls = []
         gradient = grid.gradient_values
@@ -120,7 +134,7 @@ class TestSolveQuasilinear:
         mesh = grid.build_mesh(1, 32)
         csq = co.CoefficientSet(**{**co.a_zero(), **co.f_tanh()})
         pq = QuasilinearStateProblem(mesh, csq, b=0.0)
-        csm = co.identity_flux().merged(**co.f_tanh())
+        csm = co.make_perturbed_linear(1.0).merged(**co.f_tanh())
         pm = MonotoneStateProblem(mesh, csm)
         u = ScalarField(mesh, np.ones(mesh.n_nodes))
         yq, _ = solve_quasilinear(pq, u)
@@ -205,7 +219,7 @@ class TestInteriorJacobian:
         p = QuasilinearStateProblem(grid.build_mesh(dim, n), cs, b=b)
         assert b > uniqueness_threshold(L)
         mesh = p.mesh
-        base = grid.interior_matrix(mesh, lambda E: p.b * E - grid.laplacian_values(mesh, E))
+        base = grid.interior_matrix(mesh, lambda E: p.b * E - laplacian(dim, n, E))
         rng = np.random.default_rng(1)
         for _ in range(3):
             y = 2.0 * rng.standard_normal(mesh.n_nodes)

@@ -191,6 +191,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             ym.YoungMeasureField(mesh, atoms, w)
 
+    def test_nan_weights_rejected(self):
+        # a NaN weight passed both the sign and the row-sum check
+        mesh = grid.build_mesh(1, 4)
+        w = np.full((4, 2), 0.5)
+        w[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            ym.YoungMeasureField(mesh, np.zeros((4, 2, 1)), w)
+
     def test_class_tag_checked(self):
         mesh = grid.build_mesh(1, 4)
         atoms = np.ones((4, 1, 1))  # constant barycenter: PH1, not PH10
