@@ -3,8 +3,8 @@
 A :class:`CoefficientSet` bundles the functions a problem uses (flux A,
 gradient nonlinearity a, control-to-source map f, inner energy W and its
 gradient dW, cost integrand F) together with the structural constants the
-theory needs (Lipschitz constant L of a, monotonicity/growth constants c < C,
-Tychonov weight M).
+theory needs (Lipschitz constant L of a and its band [inf a, sup a],
+monotonicity/growth constants c < C, Tychonov weight M).
 
 The structural hypotheses are analytic statements; here they are checked by
 seeded random sampling, which falsifies a wrong declaration but proves
@@ -28,6 +28,7 @@ __all__ = [
     "check_growth",
     "check_w_growth",
     "check_w_convexity",
+    "check_band",
     "a_zero",
     "a_sin_gradient",
     "a_clamped_linear",
@@ -72,7 +73,8 @@ class CoefficientSet:
     """The problem's functions plus their declared constants.
 
     Every function is optional; a problem declares which it uses.  Constants:
-    L (Lipschitz constant of a), 0 < c < C (monotonicity / growth), M > 0
+    L (Lipschitz constant of a), band (inf a, sup a, the range of the
+    relaxed moment of a), 0 < c < C (monotonicity / growth), M > 0
     (Tychonov weight).
     """
 
@@ -83,6 +85,7 @@ class CoefficientSet:
     dW: Optional[Callable] = None
     F: Optional[Callable] = None
     L: float = 0.0
+    band: Optional[tuple] = None
     c: Optional[float] = None
     C: Optional[float] = None
     M: Optional[float] = None
@@ -98,6 +101,11 @@ class CoefficientSet:
             raise ValueError(f"M must be positive, got {self.M}")
         if not self.L >= 0.0:
             raise ValueError(f"L must be nonnegative, got {self.L}")
+        if self.band is not None:
+            lo, hi = self.band
+            # a(0) = 0 lies in the band
+            if not (-np.inf < lo <= 0.0 <= hi < np.inf):
+                raise ValueError(f"band must be finite with lo <= 0 <= hi, got {self.band}")
         if self.a is not None:
             z = np.zeros((1, 2))
             a0val = float(np.asarray(self.a(z))[0])
@@ -200,7 +208,7 @@ def sin_perturbation(amplitude: float) -> Callable:
 
 
 def a_zero() -> dict:
-    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0}
+    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0, "band": (0.0, 0.0)}
 
 
 def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
@@ -208,6 +216,7 @@ def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * np.sin(Y[:, axis]),
         "L": abs(kappa),
+        "band": (-abs(kappa), abs(kappa)),
     }
 
 
@@ -216,6 +225,7 @@ def a_clamped_linear(kappa: float = 1.0, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * np.clip(Y[:, axis], -1.0, 1.0),
         "L": abs(kappa),
+        "band": (-abs(kappa), abs(kappa)),
     }
 
 
@@ -226,6 +236,7 @@ def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
     return {
         "a": lambda Y: kappa * (1.0 - np.cos(omega * Y[:, axis])),
         "L": abs(kappa * omega),
+        "band": (min(0.0, 2.0 * kappa), max(0.0, 2.0 * kappa)),
     }
 
 
@@ -429,3 +440,25 @@ def check_w_convexity(
     mid = 0.5 * (Y1 + Y2)
     slack = 0.5 * (cs.W(Y1, u) + cs.W(Y2, u)) - cs.W(mid, u)
     return HypothesisReport("w-midpoint-convexity", samples, float(np.min(slack)))
+
+
+def check_band(
+    cs: CoefficientSet,
+    samples: int = DEFAULT_SAMPLES,
+    radius: float = DEFAULT_RADIUS,
+) -> HypothesisReport:
+    """Sampled check of the declared band (lo, hi) = (inf a, sup a) of a
+    scalar-gradient a, on a uniform grid of [-radius, radius] with spacing
+    d: every sample lies in the band, and each end is within L d of a
+    sample (a lies within L d / 2 of its extrema there when they are
+    attained on the grid's range).  A band too narrow fails the first test,
+    one too wide the second."""
+    if cs.a is None or cs.band is None:
+        raise ValueError("check_band needs a and its band")
+    lo, hi = cs.band
+    t = np.linspace(-radius, radius, samples)
+    at = np.asarray(cs.a(t[:, None]), dtype=float)
+    reach = cs.L * (t[1] - t[0])
+    slack = [np.min(at) - lo, hi - np.max(at), lo + reach - np.min(at), np.max(at) - (hi - reach)]
+    # np.min keeps a NaN sample
+    return HypothesisReport("band", samples, float(np.min(slack)))

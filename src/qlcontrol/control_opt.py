@@ -9,12 +9,14 @@ perturbations, whose perturbed states are solved as one stack of columns,
 each warm-started from the unperturbed state: its recorded reference cost
 (perfbench) is set by that estimate's noise, and an exact gradient moves it
 by about 2%.  The backtracking trials are solved as stacks too, a few chunks
-of them at a time.
+of them at a time.  The loop itself, _descend, also runs relaxed_opt's
+projected descent on the control and its slack.
 """
 
 from __future__ import annotations
 
 import logging
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -222,15 +224,21 @@ def evaluate_costs(
 
 @dataclass(frozen=True)
 class OptimizeOptions:
-    """Knobs of the outer descent; defaults follow the desk-scale caps."""
+    """Knobs of the outer descent (optimize_control, and optimize_relaxed,
+    which solves no state iteratively and so ignores ``state_tol``);
+    defaults follow the desk-scale caps."""
 
     max_iterations: int = 500
     gradient_tol: float = 1e-6
     state_tol: Optional[float] = None
 
     def __post_init__(self):
-        if self.max_iterations < 0:
-            raise ValueError(f"max_iterations must be non-negative, got {self.max_iterations}")
+        if isinstance(self.max_iterations, bool) or not isinstance(
+            self.max_iterations, numbers.Integral
+        ) or self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must be a non-negative integer, got {self.max_iterations!r}"
+            )
         # an infinite tolerance would stop every run as converged at once
         if not 0.0 <= self.gradient_tol < np.inf:
             raise ValueError(
@@ -322,18 +330,19 @@ def _fd_cost_gradient(
     return g / (mesh.cell_volume * mesh.node_weights())
 
 
-def _trial_ladder(cp, u, g, step, warm, opts):
+def _trial_ladder(score, x, g, step, clip):
     """Armijo trials at the steps step * 2^-j, j < _LINESEARCH_MAX, in
     ladder order.
 
-    Yields ``(alpha, control, state values, cost)`` per trial, with state
-    and cost None where the state solve did not converge.  The ladder is
-    scored in chunks of 2, 4, 8 and then 16 trials, each chunk one stacked
-    state solve warm-started from ``warm``, so every yielded trial is the
-    one a one-by-one search would score (bit for bit in 1D).  A chunk that
-    fails as a whole is scored again one trial at a time, so an error
-    surfaces at the trial that raises it, and only if no earlier trial is
-    accepted.
+    Yields ``(alpha, trial, state, cost)`` per trial, with state and cost
+    None where ``score`` could not solve the trial's state.  ``clip`` maps a
+    stack of points x - alpha g into the feasible set (None: every point is
+    feasible).  The ladder is scored in chunks of 2, 4, 8 and then 16
+    trials, each chunk one call of ``score`` (one stacked state solve), so
+    every yielded trial is the one a one-by-one search would score (bit for
+    bit in 1D).  A chunk that fails as a whole is scored again one trial at
+    a time, so an error surfaces at the trial that raises it, and only if no
+    earlier trial is accepted.
     """
     alphas = [step]
     for _ in range(_LINESEARCH_MAX - 1):
@@ -342,18 +351,20 @@ def _trial_ladder(cp, u, g, step, warm, opts):
     while lo < len(alphas):
         chunk = alphas[lo : lo + size]
         lo, size = lo + size, min(2 * size, _LADDER_CHUNK)
-        U = u - np.array(chunk)[:, None] * g
+        X = x - np.array(chunk)[:, None] * g
+        if clip is not None:
+            X = clip(X)
         try:
-            scored = _score_trials(cp, U, warm, opts.state_tol)
+            scored = score(X)
         except Exception:
             # whatever the stack raised, scoring its trials one by one
             # raises it again at the trial that causes it
             if len(chunk) == 1:
                 raise
-            for alpha, v in zip(chunk, U):
-                yield (alpha, v) + _score_trials(cp, v[None], warm, opts.state_tol)[0]
+            for alpha, v in zip(chunk, X):
+                yield (alpha, v) + score(v[None])[0]
             continue
-        for alpha, v, trial in zip(chunk, U, scored):
+        for alpha, v, trial in zip(chunk, X, scored):
             yield (alpha, v) + trial
 
 
@@ -371,6 +382,72 @@ def _score_trials(cp, U, warm, state_tol) -> list:
         # failed columns are not costed: their states may be far from finite
         costs[ok] = _costs(cp, U[ok], Y[ok])
     return [(y, float(c)) if k else (None, None) for y, c, k in zip(Y, costs, ok)]
+
+
+def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
+             label="optimize_control"):
+    """The projected-gradient loop of optimize_control and
+    relaxed_opt.optimize_relaxed: gradient stop test, Armijo ladder and step
+    doubling.
+
+    ``x`` is the flat iterate and ``base`` its ``(cost, state)``;
+    ``gradient(x, cost, state)`` is the (projected) L2 gradient,
+    ``norm2(g)`` its squared L2 norm and ``score(X, state)`` the
+    ``(state, cost)`` of each row of a stack of trials, warm-started from
+    ``state``; ``clip`` goes to _trial_ladder.  Accepted iterates have
+    non-increasing cost.  Returns the last iterate, its state and the
+    SolveReport (wall time from ``t0``), whose ``extras["stopped"]`` is
+    "gradient" (the only converged exit), "linesearch" or "cap".
+    """
+    cost, state = base
+    trace = [cost]
+    step = _INITIAL_STEP
+    stationarity = np.inf
+    stopped = "cap"
+    iterations = 0
+    retries = 0
+
+    for it in range(1, opts.max_iterations + 1):
+        iterations = it
+        g = gradient(x, cost, state)
+        gnorm2 = norm2(g)
+        stationarity = float(np.sqrt(gnorm2))
+        _log.debug(
+            "%s iteration %d: cost %.12g stationarity %.3e step %.3e (%s)",
+            label, it, cost, stationarity, step, method,
+        )
+        if stationarity <= opts.gradient_tol:
+            stopped = "gradient"
+            break
+
+        # Armijo backtracking; a trial whose state solve fails is retried
+        # at the next, halved step
+        trials = _trial_ladder(lambda X: score(X, state), x, g, step, clip)
+        for alpha, xtrial, strial, ctrial in trials:
+            if strial is None:
+                retries += 1
+            elif ctrial <= cost - 1e-4 * alpha * gnorm2:
+                x, cost, state = xtrial, ctrial, strial
+                trace.append(cost)
+                break
+        else:
+            stopped = "linesearch"
+            break
+        step = min(alpha * 2.0, 1e3)
+    _log.debug("%s stopped: %s after %d iterations", label, stopped, iterations)
+
+    report = SolveReport(
+        method=method,
+        iterations=iterations,
+        residual=stationarity,
+        converged=stopped == "gradient",
+        cost=cost,
+        stationarity=stationarity,
+        cost_trace=trace,
+        wall_time=time.perf_counter() - t0,
+        extras={"stopped": stopped, "linesearch_retries": retries},
+    )
+    return x, state, report
 
 
 def optimize_control(
@@ -402,53 +479,18 @@ def optimize_control(
         base = evaluate_cost(
             cp, ScalarField(mesh, u), state_tol=opts.state_tol, return_state=True
         )
-    cost, state = base
-    trace = [cost]
-    step = _INITIAL_STEP
-    stationarity = np.inf
-    stopped = "cap"
-    iterations = 0
-    retries = 0
-    method = gradient_method(cp)
 
-    for it in range(1, opts.max_iterations + 1):
-        iterations = it
-        g = _cost_gradient(cp, u, cost, state, opts)
-        gnorm2 = float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
-        stationarity = float(np.sqrt(gnorm2))
-        _log.debug(
-            "optimize_control iteration %d: cost %.12g stationarity %.3e step %.3e (%s)",
-            it, cost, stationarity, step, method,
-        )
-        if stationarity <= opts.gradient_tol:
-            stopped = "gradient"
-            break
+    def gradient(u, cost, y):
+        return _cost_gradient(cp, u, cost, ScalarField(mesh, y), opts)
 
-        # Armijo backtracking; a trial whose state solve fails is retried
-        # at the next, halved step
-        for alpha, utrial, strial, ctrial in _trial_ladder(cp, u, g, step, state, opts):
-            if strial is None:
-                retries += 1
-            elif ctrial <= cost - 1e-4 * alpha * gnorm2:
-                u, cost, state = utrial, ctrial, ScalarField(mesh, strial)
-                trace.append(cost)
-                break
-        else:
-            stopped = "linesearch"
-            break
-        step = min(alpha * 2.0, 1e3)
-    _log.debug("optimize_control stopped: %s after %d iterations", stopped, iterations)
+    def norm2(g):
+        return float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
 
-    report = SolveReport(
-        method=method,
-        iterations=iterations,
-        residual=stationarity,
-        converged=stopped == "gradient",
-        cost=cost,
-        stationarity=stationarity,
-        cost_trace=trace,
-        wall_time=time.perf_counter() - t0,
-        extras={"stopped": stopped, "linesearch_retries": retries},
+    def score(U, y):
+        return _score_trials(cp, U, ScalarField(mesh, y), opts.state_tol)
+
+    u, _, report = _descend(
+        u, (base[0], base[1].values), gradient, score, norm2, opts, gradient_method(cp), t0
     )
     return ScalarField(mesh, u), report
 

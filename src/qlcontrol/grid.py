@@ -138,6 +138,8 @@ class ScalarField:
                 f"field has {vals.shape} values, mesh expects ({expected},) "
                 f"on {self.location}"
             )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -312,6 +314,11 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
     worst ratio, converged)`` per column; ``iterations`` is
     ``max_iterations`` at the cap, fewer at a floor.
     """
+    # each check is written so that a NaN fails it
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if not max_iterations >= 0:
+        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
     states = np.empty(carry[0].shape)
     outcome = [None] * len(states)
     ids = np.arange(len(states))
@@ -354,6 +361,8 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
 def _one_column(solve_columns, p, u: ScalarField, y0, **kw):
     """Row 0 of ``solve_columns`` on the single control u: the one-column
     case behind each regime's single solve."""
+    if u.location != "nodes" or u.mesh != p.mesh:
+        raise ValueError("control must be a nodal field on the problem mesh")
     y, reports = solve_columns(p, u.values[None], y0=None if y0 is None else y0.values, **kw)
     return ScalarField(p.mesh, y[0]), reports[0]
 
@@ -457,8 +466,7 @@ def cell_to_node(c: ScalarField) -> ScalarField:
 
 # -- the Helmholtz backbone ----------------------------------------------------
 
-# cached 1D Green's functions and 2D sine bases, and the relaxed state's
-# response to a unit cell moment (relaxed_opt); beyond _CACHE_ENTRIES the
+# cached 1D Green's functions and 2D sine bases; beyond _CACHE_ENTRIES the
 # oldest entry goes first.  perfbench counts its entries as factorizations.
 _FACTOR_CACHE: dict = {}
 _CACHE_ENTRIES = 32

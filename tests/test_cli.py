@@ -418,10 +418,12 @@ name = {instance}
         # recorded from the run that optimized the relaxed problem twice; the
         # measure CSVs since gained their potential_offset column, and the
         # state CSVs moved by at most 7e-16 when the 1D backbone became a
-        # closed-form Green's function
+        # closed-form Green's function; state_measure.csv again when nu
+        # became the level measure of the slack (atoms at the wells next to
+        # each cell's gradient, not at +-2 pi/5; 5fae3288... before)
         digests = {
             "state_measure.csv":
-                "5fae32882c1f8e7d4a7232b4fb6cf185ce313a824f50eddfe5ebd46912d2dd06",
+                "895024a4b09dd668a4588ec4eea622ef14f1bc3bd0c9c80a00794a99f0220c0e",
             "control_measure.csv":
                 "0f5ebf2e517ec3bb557c473745513b52d4a2863a0e99cb8faef1ed684296ca24",
             "relaxed_state.csv":
@@ -509,6 +511,28 @@ name = {instance}
         assert np.max(np.abs(y.values - written)) <= 1e-14
         relaxed = report["results"]["relaxation"]["relaxed"]
         assert abs(relaxed_opt.evaluate_relaxed_cost(rp, mu, nu) - relaxed) <= 1e-12
+
+    def test_relax_on_sin_gradient(self, tmp_path):
+        # no shipped config relaxes this instance: its nu has two atoms in
+        # the cells where the slack leaves a(grad y)
+        out = tmp_path / "out"
+        text = RELAX_INI.replace("linear-quasilinear-1d", "sin-gradient-1d").replace(
+            "cells_per_axis = 16", "cells_per_axis = 32")
+        assert run(write(tmp_path, text), out=str(out)) == 0
+        relaxed = json.loads((out / "report.json").read_text())["results"][
+            "relaxation"]["relaxed"]
+        rp, _ = instances.build_relaxed_problem("sin-gradient-1d", grid.build_mesh(1, 32))
+        rows = {name: np.loadtxt(out / name, delimiter=",", skiprows=1, ndmin=2)
+                for name in ("control_measure.csv", "state_measure.csv")}
+        measures = []
+        for name, klass in (("control_measure.csv", "PH1"), ("state_measure.csv", "PH10")):
+            r = rows[name]
+            K = int(r[:, 1].max()) + 1
+            assert K <= 2
+            measures.append(young_measure.YoungMeasureField(
+                rp.mesh, r[:, 2].reshape(-1, K, 1), r[:, 3].reshape(-1, K), klass, r[0, 4]))
+        assert rows["state_measure.csv"][:, 1].max() == 1
+        assert abs(relaxed_opt.evaluate_relaxed_cost(rp, *measures) - relaxed) <= 1e-12
 
     def test_relax_writes_the_certified_point(self, tmp_path):
         root = Path(__file__).resolve().parents[1]

@@ -155,6 +155,42 @@ class TestConvexity:
         assert not co.check_w_convexity(cs).passed
 
 
+A_FACTORIES = {
+    "zero": co.a_zero(),
+    "sin": co.a_sin_gradient(1.0),
+    "sin-negative": co.a_sin_gradient(-0.5),
+    "clamped-linear": co.a_clamped_linear(2.0),
+    "cosine-wells": co.a_cosine_wells(0.4, 5.0),
+    "cosine-wells-negative": co.a_cosine_wells(-0.3, 2.0),
+}
+
+
+class TestBand:
+    """Each a-factory declares its band (inf a, sup a); a sampled check
+    falsifies a wrong declaration, as the state problem's check does for L."""
+
+    @pytest.mark.parametrize("name", list(A_FACTORIES))
+    def test_declared_band_passes(self, name):
+        report = co.check_band(co.CoefficientSet(**A_FACTORIES[name]))
+        assert report.passed and report.hypothesis == "band"
+
+    @pytest.mark.parametrize("band", [(0.0, 0.5), (0.0, 1.0), (-0.1, 0.8)],
+                             ids=["narrow", "wide", "low"])
+    def test_wrong_band_fails(self, band):
+        # the cosine wells with kappa = 0.4 range over [0, 0.8]
+        cs = co.CoefficientSet(**{**co.a_cosine_wells(0.4, 5.0), "band": band})
+        assert not co.check_band(cs).passed
+
+    @pytest.mark.parametrize("band", [(float("nan"), 1.0), (-1.0, float("inf")), (0.5, 1.0)])
+    def test_bad_band_rejected(self, band):
+        with pytest.raises(ValueError, match="band"):
+            co.CoefficientSet(**{**co.a_sin_gradient(1.0), "band": band})
+
+    def test_nan_sample_fails(self):
+        cs = co.CoefficientSet(a=lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0), band=(0.0, 0.0))
+        assert not co.check_band(cs).passed
+
+
 class TestBuiltinsRoundTrip:
     def test_make_perturbed_linear_passes_own_checks(self):
         for lg in (0.0, 0.25, 0.5, 0.9):

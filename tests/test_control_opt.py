@@ -84,6 +84,29 @@ class TestEvaluateCost:
         assert abs(evaluate_cost(cp, u, state_tol=1e-13) - by_hand) <= 1e-10
 
 
+class TestControlField:
+    """A control that is not finite, or not a nodal field on the problem's
+    mesh, is rejected before any state solve: evaluate_cost returned NaN
+    for u = inf, and a field of another mesh failed inside numpy."""
+
+    def test_non_finite_control_rejected(self):
+        mesh = grid.build_mesh(1, 16)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="^field values must be finite"):
+                ScalarField(mesh, np.full(mesh.n_nodes, bad))
+
+    @pytest.mark.parametrize("name", ["variational-quartic-1d", "monotone-perturbed-1d",
+                                      "linear-quasilinear-1d"])
+    def test_control_of_another_mesh_or_location_rejected(self, name):
+        cp = instances.build_control_problem(name, grid.build_mesh(1, 16))
+        other = grid.build_mesh(1, 8)
+        for u in (ScalarField(other, np.zeros(other.n_nodes)),
+                  ScalarField(cp.mesh, np.zeros(cp.mesh.n_cells), "cells")):
+            with pytest.raises(ValueError, match="^control must be a nodal field on the "
+                               "problem mesh"):
+                evaluate_cost(cp, u)
+
+
 class TestControlProblem:
     @pytest.mark.parametrize(
         "name, regime",
@@ -237,6 +260,8 @@ class TestOptimizeControl:
         "bad",
         [
             {"max_iterations": -1},
+            {"max_iterations": 1.5},
+            {"max_iterations": True},
             {"gradient_tol": -1e-6},
             {"gradient_tol": float("inf")},
             {"state_tol": 0.0},

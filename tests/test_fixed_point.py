@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 
 from qlcontrol import grid, instances
+from qlcontrol.control_opt import _source_kw, state_solvers
 from qlcontrol.grid import ScalarField
 from qlcontrol.reports import NonConvergenceError
 from qlcontrol.state_monotone import solve_monotone, solve_monotone_columns
@@ -230,3 +231,20 @@ class TestStallWindow:
             states, outcome = self.run(table[c : c + 1], [0])
             assert np.array_equal(states[0], stacked[0][c])
             np.testing.assert_equal(outcome[0], stacked[1][c])
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"tol": float("nan")}, "^tol must be a non-negative number, got nan"),
+    ({"tol": -1.0}, "^tol must be a non-negative number, got -1.0"),
+    ({"max_iterations": -1}, "^max_iterations must be non-negative, got -1"),
+], ids=["tol-nan", "tol-negative", "cap-negative"])
+@pytest.mark.parametrize("name", ["variational-quartic-1d", "monotone-perturbed-1d",
+                                  "sin-gradient-1d"])
+def test_driver_rejects_bad_tolerance_and_cap(name, bad, message):
+    # a NaN or negative tol ran into the stall window (or the cap) and
+    # reported it as a solver failure; a negative cap read "within -1 steps"
+    cp = instances.build_control_problem(name, grid.build_mesh(1, 8))
+    u = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+    solve = state_solvers(cp.regime)[0]
+    with pytest.raises(ValueError, match=message):
+        solve(cp.state, u, **bad, **_source_kw(cp.state, u.values))
