@@ -4,7 +4,7 @@ A :class:`CoefficientSet` bundles the functions a problem uses (flux A,
 gradient nonlinearity a, control-to-source map f, inner energy W and its
 gradient dW, cost integrand F) together with the structural constants the
 theory needs (Lipschitz constant L of a and its band [inf a, sup a],
-monotonicity/growth constants c < C, Tychonov weight M).
+the kinks of f, monotonicity/growth constants c < C, Tychonov weight M).
 
 The structural hypotheses are analytic statements; here they are checked by
 seeded random sampling, which falsifies a wrong declaration but proves
@@ -74,7 +74,8 @@ class CoefficientSet:
 
     Every function is optional; a problem declares which it uses.  Constants:
     L (Lipschitz constant of a), band (inf a, sup a, the range of the
-    relaxed moment of a), 0 < c < C (monotonicity / growth), M > 0
+    relaxed moment of a), f_kinks (the points where f is not differentiable,
+    each f-factory declares them), 0 < c < C (monotonicity / growth), M > 0
     (Tychonov weight).
     """
 
@@ -86,6 +87,7 @@ class CoefficientSet:
     F: Optional[Callable] = None
     L: float = 0.0
     band: Optional[tuple] = None
+    f_kinks: tuple = ()
     c: Optional[float] = None
     C: Optional[float] = None
     M: Optional[float] = None
@@ -140,10 +142,23 @@ def pointwise_derivative(fn: Callable, x: np.ndarray) -> np.ndarray:
     """Central-difference derivative of an elementwise map (f or F) at every
     entry of x.  At a kink of a piecewise-linear map the chord's slope is a
     convex combination of the one-sided slopes: an element of Clarke's
-    generalized derivative."""
+    generalized derivative, which need not give a descent direction.  The
+    adjoint gradients therefore take one_sided_derivatives at the declared
+    kinks of f (control_opt._source_gradient)."""
     step = _DERIVATIVE_STEP * (1.0 + np.abs(x))
     return (np.asarray(fn(x + step), dtype=float)
             - np.asarray(fn(x - step), dtype=float)) / (2.0 * step)
+
+
+def one_sided_derivatives(fn: Callable, x: np.ndarray) -> tuple:
+    """(left, right) slopes of an elementwise map at every entry of x: the
+    backward and forward differences at pointwise_derivative's step.  At a
+    kink of a piecewise-linear map they are its one-sided slopes (up to
+    rounding)."""
+    step = _DERIVATIVE_STEP * (1.0 + np.abs(x))
+    fx = np.asarray(fn(x), dtype=float)
+    return ((fx - np.asarray(fn(x - step), dtype=float)) / step,
+            (np.asarray(fn(x + step), dtype=float) - fx) / step)
 
 
 def cellwise_jacobian(fn: Callable, Y: np.ndarray) -> np.ndarray:
@@ -240,20 +255,26 @@ def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
     }
 
 
+# Each f-factory declares the kinks of its f, as each a-factory declares
+# its band, so merging one f over another replaces both.
 def f_linear() -> dict:
-    return {"f": lambda u: np.asarray(u, dtype=float)}
+    return {"f": lambda u: np.asarray(u, dtype=float), "f_kinks": ()}
 
 
 def f_zero() -> dict:
-    return {"f": lambda u: np.zeros_like(np.asarray(u, dtype=float))}
+    return {"f": lambda u: np.zeros_like(np.asarray(u, dtype=float)), "f_kinks": ()}
 
 
 def f_tanh() -> dict:
-    return {"f": np.tanh}
+    return {"f": np.tanh, "f_kinks": ()}
 
 
 def f_clamp() -> dict:
-    return {"f": lambda u: np.clip(u, -1.0, 1.0)}
+    """f(u) = clamp(u, -1, 1), with kinks at -1 and 1.  At a control value on
+    a kink the adjoint gradients use its one-sided slopes (1 and 0 at u = 1),
+    so a point such as u = 1 with a negative adjoint, where neither side
+    descends, is B-stationary and stops the descent on "gradient"."""
+    return {"f": lambda u: np.clip(u, -1.0, 1.0), "f_kinks": (-1.0, 1.0)}
 
 
 def w_quadratic() -> dict:

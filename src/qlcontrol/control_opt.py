@@ -3,7 +3,11 @@
 Descent is plain projected gradient with Armijo backtracking.  In the
 quasilinear and monotone regimes the cost gradient is the discrete adjoint:
 one dense solve with the transposed Jacobian of the state residual at the
-solved state (the regime's ``interior_jacobian``).  The variational regime
+solved state (the regime's ``interior_jacobian``).  At a node where u sits
+on a declared kink of f, the adjoint gradient's entry is the steepest-descent
+slope of the one-sided directional derivatives instead, so its norm, the
+stationarity the descent stops on, is a B-stationarity measure: zero exactly
+where no direction descends to first order.  The variational regime
 still estimates it by forward finite differences over nodal control
 perturbations, whose perturbed states are solved as one stack of columns,
 each warm-started from the unperturbed state: its recorded reference cost
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import grid
 from . import state_monotone, state_quasilinear
-from .coefficients import CoefficientSet, pointwise_derivative
+from .coefficients import CoefficientSet, one_sided_derivatives, pointwise_derivative
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
 from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
@@ -280,6 +284,40 @@ def _regularizer_gradient(cp: ControlProblem, u: np.ndarray) -> np.ndarray:
     return cp.M * mesh.cell_volume * gtg
 
 
+def _source_gradient(cs: CoefficientSet, r: np.ndarray, u: np.ndarray,
+                     lam: np.ndarray) -> np.ndarray:
+    """r + f'(u) lam, the gradient of a cost whose state sees the source
+    f(u) through the adjoint lam, with r the gradient of the rest; f' is the
+    central difference, and off the declared kinks of f the arithmetic is
+    that of the plain sum.
+
+    At a node on a kink, with the one-sided values a- = r + lam f'(u; -) and
+    a+ = r + lam f'(u; +), the entry g_i is that of the steepest-descent
+    vector -g of the separable directional derivative d -> sum_i a+_i
+    max(d_i, 0) + a-_i min(d_i, 0): a+ where raising u_i descends fastest
+    (a+ < 0), a- where lowering it does (a- > 0), else 0; at a concave kink
+    both may, and the faster side wins, lowering on a tie.  -g/|g|
+    minimizes the directional derivative over the unit ball, where it is
+    -|g|, so g = 0 exactly at a B-stationary point (Clarke, Optimization
+    and Nonsmooth Analysis, 1983; Christof, Clason, Meyer & Walther, Math.
+    Control Relat. Fields 8, 2018).
+    """
+    g = r + pointwise_derivative(cs.f, u) * lam
+    on = np.isin(u, cs.f_kinks)
+    if on.any():
+        left, right = one_sided_derivatives(cs.f, u[on])
+        a_right = r[on] + lam[on] * right
+        down = np.maximum(r[on] + lam[on] * left, 0.0)
+        g[on] = np.where(a_right < -down, a_right, down)
+    return g
+
+
+def _kink_nodes(cp: ControlProblem, u: np.ndarray) -> int:
+    """Number of interior nodes (where f(u) enters the state) at which u
+    sits on a declared kink of f."""
+    return int(np.count_nonzero(np.isin(u[cp.mesh.interior_indices], cp.cs.f_kinks)))
+
+
 def _adjoint_cost_gradient(
     cp: ControlProblem, u: np.ndarray, state: ScalarField
 ) -> np.ndarray:
@@ -287,7 +325,8 @@ def _adjoint_cost_gradient(
 
     With R(y, u) the state residual on the interior nodes and K = dR/dy at
     the state, solves K^T lam = dJ/dy (one dense solve) and forms dJ_reg/du
-    + f'(u) lam, scaled to L2 as _fd_cost_gradient.  F' and f' are
+    + f'(u) lam (_source_gradient, which takes the steepest-descent slope
+    at the kinks of f), scaled to L2 as _fd_cost_gradient.  F' and f' are
     pointwise central differences.  Hinze, Pinnau, Ulbrich & Ulbrich,
     Optimization with PDE Constraints (2009); Giles & Pierce, Flow Turb.
     Combust. 65 (2000).
@@ -299,7 +338,7 @@ def _adjoint_cost_gradient(
     K = _ADJOINT_JACOBIANS[cp.regime](cp.state, state.values)
     lam = np.linalg.solve(K.T, dJdy[interior])
     g = _regularizer_gradient(cp, u)
-    g[interior] += pointwise_derivative(cp.cs.f, u)[interior] * lam
+    g[interior] = _source_gradient(cp.cs, g[interior], u[interior], lam)
     return g / weights
 
 
@@ -463,7 +502,8 @@ def optimize_control(
     Deterministic given u0 and options.  Accepted iterates have
     non-increasing cost; stops at the gradient tolerance, on line-search
     exhaustion, or at the iteration cap (returning the best iterate with the
-    converged flag cleared).
+    converged flag cleared).  ``extras["kink_nodes"]`` counts the interior
+    nodes of the last iterate on a declared kink of f.
 
     ``base`` is u0's ``(cost, state)`` when the caller has solved it already,
     at ``opts.state_tol``; the run then skips its first state solve.  A 1D
@@ -492,6 +532,7 @@ def optimize_control(
     u, _, report = _descend(
         u, (base[0], base[1].values), gradient, score, norm2, opts, gradient_method(cp), t0
     )
+    report.extras["kink_nodes"] = _kink_nodes(cp, u)
     return ScalarField(mesh, u), report
 
 

@@ -34,9 +34,9 @@ import numpy as np
 
 from . import grid
 from .coefficients import check_band, pointwise_derivative
-from .control_opt import (ControlProblem, OptimizeOptions, _costs, _descend,
-                          _regularizer_gradient, _state_columns, _state_costs, _state_one,
-                          optimize_control)
+from .control_opt import (ControlProblem, OptimizeOptions, _costs, _descend, _kink_nodes,
+                          _regularizer_gradient, _source_gradient, _state_columns,
+                          _state_costs, _state_one, optimize_control)
 from .grid import Mesh, ScalarField, VectorField
 from .reports import RelaxationReport
 from .young_measure import YoungMeasureField, barycenter, dirac_field, potential, second_moment
@@ -261,13 +261,15 @@ def _score_points(rp: RelaxedProblem, X: np.ndarray) -> list:
 def _relaxed_gradient(rp: RelaxedProblem, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """L2 gradient of the relaxed cost at x = (u, s) with state values y.
     One adjoint Helmholtz solve lam = (-lap + b)^-1 dJ/dy gives both parts,
-    dJ/du = dJ_reg/du + f'(u) lam (as control_opt's adjoint) and
-    dJ/ds = -C2N^T lam, scaled by the node and cell weights."""
+    dJ/du = dJ_reg/du + f'(u) lam (control_opt._source_gradient, as the
+    classical adjoint: the steepest-descent slope at the kinks of f; lam is
+    0 on the Dirichlet nodes, where both one-sided values are dJ_reg/du)
+    and dJ/ds = -C2N^T lam, scaled by the node and cell weights."""
     mesh, cp = rp.mesh, rp.control
     n = mesh.n_nodes
     weights = mesh.cell_volume * mesh.node_weights()
     lam = grid.helmholtz_solve_values(mesh, rp.b, weights * pointwise_derivative(cp.cs.F, y))
-    gu = _regularizer_gradient(cp, x[:n]) + pointwise_derivative(cp.cs.f, x[:n]) * lam
+    gu = _source_gradient(cp.cs, _regularizer_gradient(cp, x[:n]), x[:n], lam)
     gs = -grid.node_to_cell_values(mesh, lam)
     return np.concatenate([gu / weights, gs / mesh.cell_volume])
 
@@ -285,7 +287,8 @@ def optimize_relaxed(
     gradient stop test, Armijo ladder and step doubling under ``opts``
     (``state_tol`` is unused: the state is exact), with each trial's s
     clipped to the band.  ``extras["stopped"]`` is "gradient" (the only
-    converged exit), "linesearch" or "cap"; ``cost`` is the last value.
+    converged exit), "linesearch" or "cap", and ``extras["kink_nodes"]``
+    counts u's interior nodes on a kink of f; ``cost`` is the last value.
 
     Returns (mu, nu, y, report): mu is the Dirac at grad u, nu the
     _level_measure of s, and y their relaxed state.
@@ -318,6 +321,7 @@ def optimize_relaxed(
         x, (cost, y), gradient, lambda X, _: _score_points(rp, X), norm2, opts,
         "adjoint-projected-gradient", t0, clip=clip, label="optimize_relaxed",
     )
+    report.extras["kink_nodes"] = _kink_nodes(rp.control, x[:n])
     mu = _dirac_control(mesh, x[:n])
     nu = _level_measure(rp, x[n:], grid.gradient_values(mesh, y)[:, 0])
     y, _ = solve_mv_state(rp, potential(mu), nu)
@@ -352,7 +356,8 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
     best candidate u, with s = a(grad y_u)), and takes the better of its
     value and the Dirac embedding of the best classical control; a tie goes
     to the optimizer.  ``minimizer`` holds the relaxed point (mu, nu, y)
-    behind ``relaxed``, and ``classical`` how the classical run stopped.  A
+    behind ``relaxed``, and ``classical`` and ``relaxed_run`` how the two
+    runs stopped (_run_summary).  A
     violated inequality marks the report FAILED: a bug trap, not a
     tolerated outcome.
 
@@ -413,7 +418,14 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
         dirac_residual=float(dirac_residual),
         certificates=certificates,
         failed=not all(c["passed"] for c in certificates),
-        classical={"stopped": opt_report.extras["stopped"], "iterations": opt_report.iterations,
-                   "stationarity": opt_report.stationarity},
+        classical=_run_summary(opt_report),
+        relaxed_run=_run_summary(relax_report),
         minimizer=(mu, nu, y),
     )
+
+
+def _run_summary(report) -> dict:
+    """How an optimizer run stopped: its stop reason, iterations,
+    stationarity and kink nodes."""
+    return {"stopped": report.extras["stopped"], "iterations": report.iterations,
+            "stationarity": report.stationarity, "kink_nodes": report.extras["kink_nodes"]}

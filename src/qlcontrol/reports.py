@@ -45,9 +45,11 @@ class RelaxationReport:
     states: a lower bound on the classical cost that classical controls do
     not reach, so a strict gap is expected (see ``note``).  ``failed`` flags
     a violated sub-relaxation inequality, which is a bug trap rather than a
-    tolerated outcome.  ``classical`` holds the classical optimizer run's
-    ``stopped``, ``iterations`` and ``stationarity``.  ``minimizer`` holds
-    the relaxed point (mu, nu, y) behind ``relaxed``; it is not serialized.
+    tolerated outcome.  ``classical`` and ``relaxed_run`` hold the classical
+    and the relaxed optimizer run's ``stopped``, ``iterations``,
+    ``stationarity`` and ``kink_nodes`` (interior nodes of the last control
+    on a kink of f).  ``minimizer`` holds the relaxed point (mu, nu, y)
+    behind ``relaxed``; it is not serialized.
     """
 
     best_classical: float
@@ -56,6 +58,7 @@ class RelaxationReport:
     certificates: list = field(default_factory=list)
     failed: bool = False
     classical: dict = field(default_factory=dict)
+    relaxed_run: dict = field(default_factory=dict)
     note: str = (
         "relaxed is the value of the convexified state inclusion: a lower "
         "bound that classical controls do not reach; measured at fixed mesh width"
@@ -75,6 +78,7 @@ class RelaxationReport:
             "certificates": list(self.certificates),
             "failed": self.failed,
             "classical": dict(self.classical),
+            "relaxed_run": dict(self.relaxed_run),
             "note": self.note,
         }
 

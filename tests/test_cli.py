@@ -300,16 +300,21 @@ class TestRuns:
             assert (tmp_path / "out" / name).exists()
 
     def test_relaxation_block_reports_the_classical_stop(self, tmp_path):
-        # gap-family-1d at n = 32: the classical run's line search finds no
-        # descent from u = 1 after two iterations, and the report says so
+        # gap-family-1d at n = 32: both runs start at u = 1 on f's kink, where
+        # no direction descends; each stops B-stationary at its first
+        # iteration and the report says so, with the 31 interior nodes on
+        # the kink (the classical run stopped on "linesearch" after two
+        # iterations at stationarity 0.0294 before)
         assert run(write(tmp_path, GAP_INI), out=str(tmp_path / "out")) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        classical = report["results"]["relaxation"]["classical"]
-        assert classical["stopped"] == "linesearch"
-        assert classical["iterations"] == 2
-        assert classical["stationarity"] > 1e-6  # the default gradient_tol
+        relaxation = report["results"]["relaxation"]
+        for run_name in ("classical", "relaxed_run"):
+            assert relaxation[run_name] == {"stopped": "gradient", "iterations": 1,
+                                            "stationarity": 0.0, "kink_nodes": 31}
         summary = (tmp_path / "out" / "summary.txt").read_text()
-        assert '"classical": {"iterations": 2, "stationarity": ' in summary
+        stop = '{"iterations": 1, "kink_nodes": 31, "stationarity": 0.0, "stopped": "gradient"}'
+        assert f'"classical": {stop}' in summary
+        assert f'"relaxed_run": {stop}' in summary
 
     def test_below_threshold_exit_1_names_threshold(self, tmp_path, capsys):
         cfg = write(tmp_path, GAP_INI)

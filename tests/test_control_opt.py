@@ -8,7 +8,7 @@ import pytest
 
 from qlcontrol import coefficients as co
 from qlcontrol import control_opt, grid
-from qlcontrol import instances, young_measure
+from qlcontrol import instances, relaxed_opt, young_measure
 from qlcontrol.control_opt import (
     ControlProblem,
     OptimizeOptions,
@@ -355,7 +355,7 @@ class TestLineSearchLadder:
         assert u.values.tolist() == [float.fromhex(x) for x in PINNED_VARIATIONAL_U]
         assert rep.cost_trace == [float.fromhex(x) for x in PINNED_VARIATIONAL_TRACE]
         assert rep.cost == 0.0007275456365215067
-        assert rep.extras == {"stopped": "cap", "linesearch_retries": 0}
+        assert rep.extras == {"stopped": "cap", "linesearch_retries": 0, "kink_nodes": 0}
 
     # with a first step of 1e3 the search from zero first accepts trial 4,
     # in the second chunk (trials 2-5); trials 0-3 fail Armijo
@@ -478,6 +478,97 @@ class TestAdjointGradient:
         optimize_control(cp, u0, OptimizeOptions(max_iterations=3))
         # a forward-difference stack solves one column per node
         assert (mesh.n_nodes in sizes) == fd_stacks
+
+
+def kinked_f(u):
+    """clamp(u, -1, 1) + |u| / 2: kinks at -1, 0 and 1, convex at 0 and
+    concave at 1 (slopes 3/2 then 1/2)."""
+    return np.clip(u, -1.0, 1.0) + 0.5 * np.abs(u)
+
+
+class TestKinkDescent:
+    """At the declared kinks of f the adjoint gradients take the
+    steepest-descent vector of the one-sided directional derivatives;
+    elsewhere they keep the central-slope formula bit for bit."""
+
+    # one node per row: (u, r, lam, what the node shows); kinks at -1, 0, 1
+    NODES = [
+        (1.0, 0.8, -1.0, "B-stationary, neither side descends"),
+        (0.0, -1.0, 1.0, "B-stationary at a convex kink"),
+        (1.0, -1.2, 1.0, "concave: both sides descend, raising faster"),
+        (1.0, -0.8, 1.0, "concave: both sides descend, lowering faster"),
+        (0.0, -1.0, 0.5, "only raising descends"),
+        (0.0, 1.0, -0.5, "only lowering descends"),
+        (-1.0, 0.8, -1.0, "only lowering descends at the lower kink"),
+        (0.3, 0.1, 2.0, "smooth"),
+        (2.0, -0.4, 0.6, "smooth, beyond the clamp"),
+    ]
+
+    def test_matches_brute_force_directional_derivatives(self):
+        u, r, lam = (np.array(col, dtype=float) for col in list(zip(*self.NODES))[:3])
+        cs = co.CoefficientSet(f=kinked_f, f_kinks=(-1.0, 0.0, 1.0))
+        g = control_opt._source_gradient(cs, r, u, lam)
+
+        # per node, the cost's change along +e_i and -e_i: r t + lam (f(u + t) - f(u))
+        def change(t):
+            return r * t + lam * (kinked_f(u + t) - kinked_f(u))
+
+        h = 1e-7
+        up, down = change(h) / h, change(-h) / h  # directional derivatives
+        want = np.where(np.minimum(up, down) >= 0.0, 0.0,
+                        np.where(up < down, up, -down))
+        assert np.allclose(g, want, rtol=0, atol=1e-7)
+        assert [bool(x == 0.0) for x in g] == [True, True] + [False] * 7
+        assert g[2] < 0.0 < g[3]  # the concave kink goes its faster way
+
+        # -g/|g| attains the least directional derivative -|g| over the unit
+        # sphere, sampled here, and so it is a descent direction
+        def derivative(d):
+            return float(np.sum(r * h * d + lam * (kinked_f(u + h * d) - kinked_f(u)))) / h
+
+        gnorm = np.linalg.norm(g)
+        assert abs(derivative(-g / gnorm) + gnorm) <= 1e-6
+        for d in np.random.default_rng(0).standard_normal((2000, len(u))):
+            assert derivative(d / np.linalg.norm(d)) >= -gnorm - 1e-6
+
+    @pytest.mark.parametrize("name", [
+        "linear-quasilinear-1d", "sin-gradient-1d", "monotone-perturbed-1d", "gap-family-1d"])
+    def test_off_the_kinks_both_gradients_are_the_central_slope_formula(
+        self, monkeypatch, name
+    ):
+        # smooth f (and the gap family's clamp at random controls, which sit
+        # on no kink) never reach the one-sided slopes
+        def no_kink_path(*args):
+            raise AssertionError("one-sided slopes taken")
+
+        monkeypatch.setattr(control_opt, "one_sided_derivatives", no_kink_path)
+        mesh = grid.build_mesh(1, 32)
+        cp = instances.build_control_problem(name, mesh)
+        cs, interior = cp.cs, mesh.interior_indices
+        weights = mesh.cell_volume * mesh.node_weights()
+        rng = np.random.default_rng(3)
+        u = 0.5 * rng.standard_normal(mesh.n_nodes)
+        assert control_opt._kink_nodes(cp, u) == 0
+
+        _, state = evaluate_cost(cp, ScalarField(mesh, u), return_state=True)
+        dJdy = weights * co.pointwise_derivative(cs.F, state.values)
+        K = control_opt._ADJOINT_JACOBIANS[cp.regime](cp.state, state.values)
+        lam = np.linalg.solve(K.T, dJdy[interior])
+        g = control_opt._regularizer_gradient(cp, u)
+        g[interior] += co.pointwise_derivative(cs.f, u)[interior] * lam
+        assert np.array_equal(control_opt._adjoint_cost_gradient(cp, u, state), g / weights)
+
+        if name not in instances.relaxable_names():
+            return
+        rp, _ = instances.build_relaxed_problem(name, mesh)
+        lo, hi = rp.band
+        x = np.concatenate([u, rng.uniform(lo, hi, mesh.n_cells)])
+        y = relaxed_opt._score_points(rp, x[None])[0][0]
+        lam = grid.helmholtz_solve_values(mesh, rp.b, weights * co.pointwise_derivative(cs.F, y))
+        gu = control_opt._regularizer_gradient(cp, u) + co.pointwise_derivative(cs.f, u) * lam
+        gs = -grid.node_to_cell_values(mesh, lam)
+        want = np.concatenate([gu / weights, gs / mesh.cell_volume])
+        assert np.array_equal(relaxed_opt._relaxed_gradient(rp, x, y), want)
 
 
 class TestExistenceSymptom:

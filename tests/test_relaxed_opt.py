@@ -182,8 +182,11 @@ def zero_control_embedding(name, n):
 
 
 class TestStopRule:
-    # from the designed init no step is accepted (f's kink holds u at 1, and
-    # s sits at the lower end of the band, where its gradient points out):
+    # the designed init is B-stationary: u = 1 sits on f's kink with a
+    # negative adjoint on every interior node, so neither side of the kink
+    # descends, and s sits at the lower end of the band, where its gradient
+    # points out.  The run stops on "gradient" at stationarity 0.0 (it
+    # stopped on "linesearch" with the central slope f'(1) = 1/2 before);
     # the cost is the one the alternating scheme recorded from this init;
     # the output digests were re-recorded when nu became the level measure
     @pytest.mark.parametrize(
@@ -199,12 +202,35 @@ class TestStopRule:
         rp, init = small_gap_problem(n=n)
         mu, nu, y, rep = optimize_relaxed(rp, init)
         assert rep.iterations == 1
-        assert rep.extras == {"stopped": "linesearch", "linesearch_retries": 0}
-        assert rep.converged is False
+        assert rep.extras == {"stopped": "gradient", "linesearch_retries": 0,
+                              "kink_nodes": n - 1}
+        assert rep.converged is True and rep.stationarity == 0.0
         assert rep.cost == cost and rep.cost_trace == [cost]
         # the coupling residual of the outputs (the report's is the stationarity)
         assert solve_mv_state(rp, potential(mu), nu)[1] == residual
         assert outputs_sha256(mu, nu, y) == sha
+
+    @pytest.mark.parametrize("n", [16, 32, 128])
+    def test_gap_family_runs_stop_b_stationary(self, n):
+        # both runs of certify_gap start at u = 1, on the kink of f =
+        # clamp(u, -1, 1), under its classical options; no direction descends
+        # there, so each stops converged at its first gradient, with every
+        # interior node on the kink
+        rp, init = small_gap_problem(n=n)
+        opts = OptimizeOptions(max_iterations=12)
+        ones = ScalarField(rp.mesh, np.ones(rp.mesh.n_nodes))
+        _, classical = control_opt.optimize_control(rp.control, ones, opts)
+        relaxed = optimize_relaxed(rp, init, opts)[3]
+        for rep in (classical, relaxed):
+            assert rep.extras["stopped"] == "gradient" and rep.converged is True
+            assert rep.iterations == 1 and rep.stationarity == 0.0
+            assert rep.extras["kink_nodes"] == n - 1
+        # neither side of the kink descends: moving every node either way
+        # raises the cost or leaves it (f is flat above 1)
+        cost = evaluate_cost(rp.control, ones, state_tol=1e-12)
+        for shift in (-1e-3, 1e-3):
+            moved = ScalarField(rp.mesh, ones.values + shift)
+            assert evaluate_cost(rp.control, moved, state_tol=1e-12) >= cost - 1e-12
 
     def test_descending_run_goes_to_the_cap(self):
         # recorded from the (u, s) descent under OptimizeOptions(max_iterations
@@ -213,7 +239,7 @@ class TestStopRule:
         rp, init = zero_control_embedding("linear-quasilinear-1d", 32)
         mu, nu, y, rep = optimize_relaxed(rp, init, OptimizeOptions(max_iterations=40))
         assert rep.iterations == 40
-        assert rep.extras == {"stopped": "cap", "linesearch_retries": 0}
+        assert rep.extras == {"stopped": "cap", "linesearch_retries": 0, "kink_nodes": 0}
         assert rep.converged is False
         assert rep.cost == 0.001444037685205934
         assert outputs_sha256(mu, nu, y) == (
@@ -221,7 +247,9 @@ class TestStopRule:
         )
 
     def test_stationary_is_the_only_converged_exit(self):
-        rp, init = small_gap_problem(n=16)
+        # from a start whose stationarity is positive (the gap family's
+        # designed init is exactly B-stationary now, at 0.0)
+        rp, init = zero_control_embedding("linear-quasilinear-1d", 32)
         _, _, _, rep = optimize_relaxed(rp, init, OptimizeOptions(gradient_tol=1.0))
         assert rep.iterations == 1
         assert rep.extras["stopped"] == "gradient" and rep.converged is True
@@ -233,11 +261,12 @@ class TestStopRule:
         with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
             logged = optimize_relaxed(rp, init)
         messages = [r.getMessage() for r in caplog.records]
-        # the designed init takes no step, so its first iteration ends the run
+        # the designed init is B-stationary, so its first iteration ends the run
         assert len(messages) == 2
         assert messages[0].startswith("optimize_relaxed iteration 1: cost -0.06915362909")
+        assert "stationarity 0.000e+00" in messages[0]
         assert messages[0].endswith("(adjoint-projected-gradient)")
-        assert messages[1] == "optimize_relaxed stopped: linesearch after 1 iterations"
+        assert messages[1] == "optimize_relaxed stopped: gradient after 1 iterations"
         assert logged[3].to_dict() == quiet[3].to_dict()
         assert outputs_sha256(*logged[:3]) == outputs_sha256(*quiet[:3])
 
@@ -326,7 +355,11 @@ class TestCertifyGap:
         # re-recorded with the Green's function backbone (rounding level);
         # best_classical re-recorded when the tight embedding solve started
         # from the candidate's state (-0.06071327435300832 before), and with
-        # the adjoint gradient (3 iterations and -0.060713274353001126 before)
+        # the adjoint gradient (3 iterations and -0.060713274353001126 before);
+        # the run stops B-stationary at its start u = 1 since the kinks of f
+        # take one-sided slopes (2 iterations to "linesearch" before, whose
+        # accepted step "descended" by 7e-14 of state-solve noise to cost
+        # -0.06071327435306798), and best_classical did not move
         runs = []
         optimize = relaxed_opt.optimize_control
 
@@ -340,9 +373,12 @@ class TestCertifyGap:
         rep = certify_gap(rp, samples=3, seed=0, designed_init=init)
         ((u0, opts, kwargs, classical),) = runs
         assert classical.method == "adjoint-projected-gradient"
-        assert classical.iterations == 2
-        assert classical.extras == {"stopped": "linesearch", "linesearch_retries": 0}
-        assert classical.cost == -0.06071327435306798
+        assert classical.iterations == 1
+        assert classical.extras == {"stopped": "gradient", "linesearch_retries": 0,
+                                    "kink_nodes": 127}
+        assert classical.converged is True and classical.stationarity == 0.0
+        assert classical.cost == -0.060713274352995485
+        assert classical.cost_trace == [classical.cost]
         assert rep.best_classical == -0.06071327435306798
         assert rep.relaxed == -0.06946644528883991
         # the run starts from the best candidate's own cost and state, as
@@ -377,13 +413,17 @@ class TestCertifyGap:
         assert rp.mesh.n_nodes not in sizes
 
     def test_work_counts_pinned(self, monkeypatch):
-        # gap-family-1d at h = 1/128: the designed init takes no step in its
-        # first iteration, and no state is solved twice (101 Helmholtz solves
-        # from an empty cache before the candidate states were reused, 38
-        # with the alternating scheme's first outer iteration)
-        solves, outer = [], []
+        # gap-family-1d at h = 1/128: both runs start B-stationary, so each
+        # stops at its first gradient and scores no Armijo trial (82 trials
+        # and 32 Helmholtz solves while the central slope at f's kink sent
+        # both into ladders that could not succeed), and no state is solved
+        # twice (101 Helmholtz solves from an empty cache before the
+        # candidate states were reused, 38 with the alternating scheme's
+        # first outer iteration)
+        solves, outer, trials = [], [], []
         helmholtz = grid.helmholtz_solve_values
         optimize = relaxed_opt.optimize_relaxed
+        ladder = control_opt._trial_ladder
 
         def count(*args, **kwargs):
             solves.append(1)
@@ -394,13 +434,20 @@ class TestCertifyGap:
             outer.append(out[3].iterations)
             return out
 
+        def count_trials(*args):
+            for trial in ladder(*args):
+                trials.append(trial[0])
+                yield trial
+
         rp, init = instances.build_relaxed_problem("gap-family-1d")
         monkeypatch.setattr(grid, "_FACTOR_CACHE", {})
         monkeypatch.setattr(grid, "helmholtz_solve_values", count)
         monkeypatch.setattr(relaxed_opt, "optimize_relaxed", record)
+        monkeypatch.setattr(control_opt, "_trial_ladder", count_trials)
         certify_gap(rp, samples=3, seed=0, designed_init=init)
         assert outer == [1]
-        assert len(solves) == 32
+        assert len(trials) == 0
+        assert len(solves) == 20
 
     @pytest.mark.parametrize("name, relaxed, best_classical", [
         # recorded before certify_gap kept its relaxed point; re-recorded
@@ -471,8 +518,9 @@ class TestCertifyGap:
         rep = certify_gap(rp, samples=2, seed=0, designed_init=init)
         d = rep.to_dict()
         assert set(d) >= {"best_classical", "relaxed", "gap", "certificates", "failed",
-                          "classical"}
-        assert set(d["classical"]) == {"stopped", "iterations", "stationarity"}
+                          "classical", "relaxed_run"}
+        for run_name in ("classical", "relaxed_run"):
+            assert set(d[run_name]) == {"stopped", "iterations", "stationarity", "kink_nodes"}
         assert "trace" not in d
         assert d["gap"] == d["best_classical"] - d["relaxed"]
 
