@@ -13,6 +13,7 @@ exists in 1D only.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,15 +262,58 @@ def gradient_transpose_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     return out.reshape(lead + (-1,))
 
 
+# interior_matrix's probe patterns, per (dimension, cells_per_axis); not
+# factorizations, so apart from _FACTOR_CACHE
+_PROBE_CACHE: dict = {}
+
+
+def _probe_pattern(mesh: Mesh):
+    """(probes, dest, src) of interior_matrix on mesh: the 3^d comb vectors
+    (probe c is 1 on the interior nodes of color c = (i mod 3, j mod 3)),
+    and for every pair of interior nodes within one step per axis, the
+    flat index of the pair's matrix entry and of the image value that holds
+    it (the row node's value under the column node's probe)."""
+
+    def build():
+        d, m = mesh.dimension, mesh.nodes_per_axis
+        interior = mesh.interior_indices
+        lattice = np.array(np.unravel_index(interior, (m,) * d))
+        # a mesh with at most 3^d interior nodes probes with identity columns
+        color = (np.arange(interior.size) if interior.size <= 3**d
+                 else np.ravel_multi_index(lattice % 3, (3,) * d))
+        probes = np.zeros((color.max() + 1, mesh.n_nodes))
+        probes[color, interior] = 1.0
+        probes.setflags(write=False)
+        position = np.full(mesh.n_nodes, -1)
+        position[interior] = np.arange(interior.size)
+        dest, src = [], []
+        for offset in itertools.product((-1, 0, 1), repeat=d):
+            node = np.ravel_multi_index(lattice + np.array(offset)[:, None], (m,) * d)
+            col = np.flatnonzero(position[node] >= 0)
+            dest.append(position[node[col]] * interior.size + col)
+            src.append(color[col] * mesh.n_nodes + node[col])
+        return probes, np.concatenate(dest), np.concatenate(src)
+
+    return _cached(_PROBE_CACHE, (mesh.dimension, mesh.cells_per_axis), build)
+
+
 def interior_matrix(mesh: Mesh, apply) -> np.ndarray:
     """Dense matrix of a linear map of nodal values on the interior nodes
     (row i: the image's interior node i; column k: interior node k of the
-    argument), from ``apply`` on the stack of the interior's identity
-    columns, shape (n_interior, n_nodes)."""
-    interior = mesh.interior_indices
-    E = np.zeros((interior.size, mesh.n_nodes))
-    E[np.arange(interior.size), interior] = 1.0
-    return apply(E)[:, interior].T
+    argument).  The map must couple only nodes within one step per axis,
+    as every linearized residual of the package does: ``apply`` then runs
+    once, on the stack of _probe_pattern's 3^d comb vectors (shape (3^d,
+    n_nodes); the identity columns on a mesh of fewer interior nodes), and
+    each column's stencil is read off the image of its node's probe
+    (Curtis, Powell & Reid, IMA J. Appl. Math. 13, 1974).  The entries
+    equal those from the identity columns bit for bit: within one step per
+    axis of any node a probe is 1 at one node at most, so its image there
+    is that node's identity column's image."""
+    probes, dest, src = _probe_pattern(mesh)
+    size = mesh.interior_indices.size
+    K = np.zeros(size * size)
+    K[dest] = apply(probes).reshape(-1)[src]
+    return K.reshape(size, size)
 
 
 # -- stacked columns -----------------------------------------------------------

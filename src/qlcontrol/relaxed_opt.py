@@ -51,7 +51,7 @@ SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
 # level points of the rebuilt nu: samples per side of a cell's state
-# gradient, golden-section steps, and the largest |a(t) - s| accepted
+# gradient, the cap on refinement steps, and the largest |a(t) - s| accepted
 _LEVEL_SAMPLES = 64
 _GOLDEN_STEPS = 80
 _LEVEL_TOL = 1e-12
@@ -111,6 +111,14 @@ class RelaxedInit:
 
     mu: YoungMeasureField
     nu: YoungMeasureField
+
+
+def _check_init(rp: RelaxedProblem, init: RelaxedInit) -> None:
+    """Both measures of a start must live on the problem's mesh."""
+    for name, field in (("mu", init.mu), ("nu", init.nu)):
+        if field.mesh != rp.mesh:
+            raise ValueError(f"RelaxedInit.{name} lives on {field.mesh}, "
+                             f"but the relaxed problem on {rp.mesh}")
 
 
 # -- measure-valued state -------------------------------------------------------
@@ -199,6 +207,92 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, warm: Optional[ScalarFie
 # -- the relaxed descent --------------------------------------------------------
 
 
+def _level_points(V, A, VA, X, VX, B, VB, crossed):
+    """Points t with |V(t)| <= _LEVEL_TOL, one per entry, refined from the
+    march's brackets; returns them with their |V|.
+
+    A crossed entry has V(A) > 0 >= V(X) and runs Illinois regula falsi on
+    that sign change.  A touching entry has 0 < V(X) <= V(A), V(B) and runs
+    Brent's safeguarded parabolic steps on V, with a golden-section step
+    where the parabola's vertex leaves the bracket or does not halve the
+    step before last; a step to V < 0 turns it into a crossed entry
+    (Brent, Algorithms for Minimization without Derivatives, 1973).  Each
+    step calls V once on every entry, until every entry's best point passes
+    or _GOLDEN_STEPS steps are done; an entry's best point stays put once
+    it passes.
+    """
+    golden = 0.5 * (3.0 - np.sqrt(5.0))
+    best_t, best_v = X, np.abs(VX)
+    for t, f in ((A, VA), (B, VB)):
+        closer = np.abs(f) < best_v
+        best_t, best_v = np.where(closer, t, best_t), np.where(closer, np.abs(f), best_v)
+    # regula falsi: V(ra) > 0 >= V(rb), last = +1 where rb moved last
+    ra, fa, rb, fb, last = A, VA, X, VX, np.zeros(X.shape)
+    # parabolic search: bracket [left, right] around the lowest point x,
+    # then w and v
+    left, right, x, fx = np.minimum(A, B), np.maximum(A, B), X, VX
+    a_lower = VA <= VB
+    w, fw = np.where(a_lower, A, B), np.where(a_lower, VA, VB)
+    v, fv = np.where(a_lower, B, A), np.where(a_lower, VB, VA)
+    d = e = right - left
+    for _ in range(_GOLDEN_STEPS):
+        live = best_v > _LEVEL_TOL
+        if not live.any():
+            break
+        touching = ~crossed
+        u = x
+        if crossed.any():
+            u = rb - np.divide(fb * (rb - ra), fb - fa, out=np.zeros(X.shape), where=fb < fa)
+        if touching.any():
+            # the parabola through x, w and v has its vertex at x + num/den
+            r1 = (x - w) * (fx - fv)
+            r2 = (x - v) * (fx - fw)
+            num = (x - v) * r2 - (x - w) * r1
+            den = 2.0 * (r2 - r1)
+            num = np.where(den > 0.0, -num, num)
+            den = np.abs(den)
+            parab = ((np.abs(num) < np.abs(0.5 * den * e))
+                     & (num > den * (left - x)) & (num < den * (right - x)))
+            e_gold = np.where(x >= 0.5 * (left + right), left - x, right - x)
+            e_new = np.where(parab, d, e_gold)
+            d_new = np.where(parab, np.divide(num, den, out=np.zeros(X.shape), where=parab),
+                             golden * e_gold)
+            u = np.where(crossed, u, x + d_new)
+        fu = V(u)
+        closer = live & (np.abs(fu) < best_v)
+        best_t, best_v = np.where(closer, u, best_t), np.where(closer, np.abs(fu), best_v)
+        if crossed.any():
+            # Illinois: halve the value of an end kept a second time
+            to_b = crossed & (fu <= 0.0)
+            to_a = crossed & (fu > 0.0)
+            fa = np.where(to_b & (last > 0.0), 0.5 * fa, fa)
+            fb = np.where(to_a & (last < 0.0), 0.5 * fb, fb)
+            ra, fa = np.where(to_a, u, ra), np.where(to_a, fu, fa)
+            rb, fb = np.where(to_b, u, rb), np.where(to_b, fu, fb)
+            last = np.where(to_b, 1.0, np.where(to_a, -1.0, last))
+        if touching.any():
+            # the first point below the level opens a sign change with x
+            turn = touching & (fu < 0.0)
+            ra, fa = np.where(turn, x, ra), np.where(turn, fx, fa)
+            rb, fb = np.where(turn, u, rb), np.where(turn, fu, fb)
+            crossed = crossed | turn
+            lower = touching & (fu <= fx)
+            higher = touching & (fu > fx)
+            past = u >= x
+            left = np.where(lower & past, x, np.where(higher & ~past, u, left))
+            right = np.where(lower & ~past, x, np.where(higher & past, u, right))
+            to_w = higher & ((fu <= fw) | (w == x))
+            to_v = higher & ~to_w & ((fu <= fv) | (v == x) | (v == w))
+            shift = lower | to_w
+            v, fv = (np.where(shift, w, np.where(to_v, u, v)),
+                     np.where(shift, fw, np.where(to_v, fu, fv)))
+            w, fw = (np.where(lower, x, np.where(to_w, u, w)),
+                     np.where(lower, fx, np.where(to_w, fu, fw)))
+            x, fx = np.where(lower, u, x), np.where(lower, fu, fx)
+            d, e = np.where(touching, d_new, d), np.where(touching, e_new, e)
+    return best_t, best_v
+
+
 def _level_measure(rp: RelaxedProblem, s: np.ndarray, t0: np.ndarray) -> YoungMeasureField:
     """PH1_0 measure with barycenter t0 and moment s of a per cell: the
     Dirac at t0_c where a(t0_c) = s_c, else one atom on the level set
@@ -208,8 +302,10 @@ def _level_measure(rp: RelaxedProblem, s: np.ndarray, t0: np.ndarray) -> YoungMe
     sinusoid's period in 25) to the first step across the level, else to the
     first local minimum of |a - s_c| within one Lipschitz step of the
     sampled minimum (a level the graph touches, as at a band end), then
-    refines by golden-section search on |a - s_c|.  Raises ValueError where
-    no point with |a - s_c| <= _LEVEL_TOL turns up, as for a monotone a.
+    refines (_level_points: regula falsi across the level, parabolic steps
+    where it touches) until every side's best point has |a - s_c| <=
+    _LEVEL_TOL.  Raises ValueError where a side's point still misses after
+    _GOLDEN_STEPS steps, as for a monotone a.
     """
     mesh, cs = rp.mesh, rp.control.cs
     lo, hi = rp.band
@@ -217,28 +313,26 @@ def _level_measure(rp: RelaxedProblem, s: np.ndarray, t0: np.ndarray) -> YoungMe
     def at(t):
         return _a_values(cs.a, t[..., None])
 
-    dirac = at(t0) == s
+    a0 = at(t0)
+    dirac = a0 == s
     if dirac.all():
         return YoungMeasureField(mesh, t0[:, None, None], np.ones((mesh.n_cells, 1)), "PH10")
+    sign = np.sign(a0 - s)  # 0 on the Dirac cells, whose V vanishes
     step = (hi - lo) / (8.0 * cs.L)
     sides = np.array([-1.0, 1.0])[:, None, None]
     T = t0[:, None] + sides * step * np.arange(_LEVEL_SAMPLES + 1)  # (side, cell, sample)
-    V = np.sign(at(t0) - s)[:, None] * (at(T) - s[:, None])  # > 0 before the level
+    V = sign[:, None] * (at(T) - s[:, None])  # > 0 before the level
     W = np.concatenate([V, np.full(V.shape[:-1] + (1,), np.inf)], axis=-1)
     cross = V[..., 1:] <= 0.0
     touch = ((V[..., 1:] <= V[..., :-1]) & (V[..., 1:] <= W[..., 2:])
              & (V[..., 1:] <= np.min(V[..., 1:], axis=-1, keepdims=True) + cs.L * step))
     crossed = cross.any(axis=-1)
     j = np.where(crossed, np.argmax(cross, axis=-1), np.argmax(touch, axis=-1)) + 1
-    A = np.take_along_axis(T, (j - 1)[..., None], axis=-1)[..., 0]
-    B = np.take_along_axis(T, np.minimum(j + ~crossed, _LEVEL_SAMPLES)[..., None], axis=-1)[..., 0]
-    r = 0.5 * (np.sqrt(5.0) - 1.0)  # golden section
-    for _ in range(_GOLDEN_STEPS):
-        c, d = B - r * (B - A), A + r * (B - A)
-        left = np.abs(at(c) - s) < np.abs(at(d) - s)
-        A, B = np.where(left, A, c), np.where(left, d, B)
-    t = 0.5 * (A + B)
-    missed = ~dirac & np.any(np.abs(at(t) - s) > _LEVEL_TOL, axis=0)
+    ends = (j - 1, j, np.minimum(j + ~crossed, _LEVEL_SAMPLES))
+    (A, X, B), (VA, VX, VB) = ([np.take_along_axis(M, k[..., None], axis=-1)[..., 0]
+                                for k in ends] for M in (T, V))
+    t, miss = _level_points(lambda t: sign * (at(t) - s), A, VA, X, VX, B, VB, crossed)
+    missed = np.any(miss > _LEVEL_TOL, axis=0)
     if missed.any():
         c = int(np.argmax(missed))
         raise ValueError(f"a takes the value {s[c]!r} on no side of {t0[c]!r} (cell {c}) "
@@ -291,8 +385,10 @@ def optimize_relaxed(
     counts u's interior nodes on a kink of f; ``cost`` is the last value.
 
     Returns (mu, nu, y, report): mu is the Dirac at grad u, nu the
-    _level_measure of s, and y their relaxed state.
+    _level_measure of s, and y their relaxed state.  Raises ValueError when
+    ``init.mu`` or ``init.nu`` lives on another mesh than the problem.
     """
+    _check_init(rp, init)
     if opts is None:
         opts = OptimizeOptions()
     t0 = time.perf_counter()
@@ -364,10 +460,13 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
     No classical state is solved twice: the candidates are solved as one
     stack at ``classical_opts.state_tol`` (the classical run's own
     tolerance), the best candidate's cost and state are the classical run's
-    ``base``, and the tight embedding solve starts from that state.
+    ``base``, and the tight embedding solve starts from that state.  A
+    ``designed_init`` on another mesh is rejected before any of this.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
         raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
+    if designed_init is not None:
+        _check_init(rp, designed_init)
     cp = rp.control
     mesh = rp.mesh
     candidates: list = []

@@ -390,3 +390,18 @@ def laminate_oracle(atoms, weights, pot, j: int, q: int) -> np.ndarray:
     u = np.array(u)
     u[::r] = pot
     return u
+
+
+# -- level sets of the cosine wells a(t) = kappa (1 - cos(omega t)) -------------
+
+
+def cosine_level_points(kappa: float, omega: float, s: float, lo: float, hi: float) -> np.ndarray:
+    """Sorted points t in [lo, hi] with kappa (1 - cos(omega t)) = s, for
+    kappa, omega > 0 and 0 <= s <= 2 kappa, from the closed form
+    t = (2 pi k +- arccos(1 - s/kappa)) / omega; a level the graph only
+    touches (s = 0 or 2 kappa) lists each point once."""
+    phase = float(np.arccos(min(1.0, max(-1.0, 1.0 - s / kappa))))
+    k = np.arange(np.floor((omega * lo - phase) / (2.0 * np.pi)) - 1.0,
+                  np.ceil((omega * hi + phase) / (2.0 * np.pi)) + 2.0)
+    t = np.concatenate([(2.0 * np.pi * k - phase) / omega, (2.0 * np.pi * k + phase) / omega])
+    return np.unique(t[(t >= lo) & (t <= hi)])

@@ -425,14 +425,18 @@ name = {instance}
         # state CSVs moved by at most 7e-16 when the 1D backbone became a
         # closed-form Green's function; state_measure.csv again when nu
         # became the level measure of the slack (atoms at the wells next to
-        # each cell's gradient, not at +-2 pi/5; 5fae3288... before)
+        # each cell's gradient, not at +-2 pi/5; 5fae3288... before); both
+        # state_measure.csv and relaxed_state.csv again when the level search
+        # stopped at |a - s| <= 1e-12 instead of after 80 golden-section steps
+        # (atoms moved by at most 1.5e-8 at the wells, the state by 4e-17;
+        # 895024a4... and 182c7b5c... before)
         digests = {
             "state_measure.csv":
-                "895024a4b09dd668a4588ec4eea622ef14f1bc3bd0c9c80a00794a99f0220c0e",
+                "2cb9b9d8fbe2d45559452f6b18648f569ee177ffcb5a80f97accdcac09fbcf2f",
             "control_measure.csv":
                 "0f5ebf2e517ec3bb557c473745513b52d4a2863a0e99cb8faef1ed684296ca24",
             "relaxed_state.csv":
-                "182c7b5c36339d73d27765d5140e8267a5cadfeb6280be1d9841d515e4c4fe72",
+                "e6cb1b0e47555c4e76cb2ed14f95aee320e1d45d8f70aaf9ac145b3c264789f5",
         }
         for name, digest in digests.items():
             data = (tmp_path / "out" / name).read_bytes()

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qlcontrol import grid
+from qlcontrol import grid, instances, state_monotone, state_quasilinear
 from qlcontrol.grid import ScalarField, VectorField
 
 from oracles import helmholtz_1d, helmholtz_matrix_2d, laplacian
@@ -129,6 +129,63 @@ class TestGradientTranspose:
         z[interior] = np.random.default_rng(5).standard_normal(interior.size)
         assert np.allclose(K @ z[interior], -laplacian(dim, 6, z)[interior])
         assert np.allclose(K, K.T)
+
+
+def identity_column_matrix(mesh, apply):
+    """The interior matrix of a linear map from its image of every interior
+    identity column."""
+    interior = mesh.interior_indices
+    E = np.zeros((interior.size, mesh.n_nodes))
+    E[np.arange(interior.size), interior] = 1.0
+    return apply(E)[:, interior].T
+
+
+class TestInteriorMatrix:
+    @pytest.mark.parametrize("name, dim, n", [
+        ("sin-gradient-1d", 1, 16),
+        ("gap-family-1d", 1, 128),
+        ("sin-gradient-2d", 2, 16),
+        ("sin-gradient-2d", 2, 32),
+        ("monotone-perturbed-1d", 1, 32),
+    ])
+    def test_colored_jacobian_equals_identity_columns(self, monkeypatch, name, dim, n):
+        # the linearized residuals couple nodes within one step per axis, so
+        # one apply on the 3^d comb vectors holds every column's stencil
+        p = instances.build_state_problem(name, grid.build_mesh(dim, n))
+        module = state_monotone if name == "monotone-perturbed-1d" else state_quasilinear
+        mesh = p.mesh
+        y = np.random.default_rng(n).standard_normal(mesh.n_nodes)
+        y[mesh.boundary_mask] = 0.0
+        colored = grid.interior_matrix
+        shapes, applies = [], []
+
+        def spy(mesh_, apply):
+            applies.append(apply)
+
+            def counted(E):
+                shapes.append(E.shape)
+                return apply(E)
+
+            return colored(mesh_, counted)
+
+        monkeypatch.setattr(grid, "interior_matrix", spy)
+        K = module.interior_jacobian(p, y)
+        assert shapes == [(3**dim, mesh.n_nodes)]
+        assert np.array_equal(K, identity_column_matrix(mesh, applies[0]))
+
+    @pytest.mark.parametrize("dim, n", [(1, 2), (1, 4), (2, 2), (2, 4)])
+    def test_meshes_of_few_nodes_probe_identity_columns(self, dim, n):
+        mesh = grid.build_mesh(dim, n)
+        shapes = []
+
+        def apply(E):
+            shapes.append(E.shape)
+            return -laplacian(dim, n, E)
+
+        K = grid.interior_matrix(mesh, apply)
+        # at most 3^d interior nodes: one identity column each
+        assert shapes == [(mesh.interior_indices.size, mesh.n_nodes)]
+        assert np.array_equal(K, identity_column_matrix(mesh, lambda E: -laplacian(dim, n, E)))
 
 
 class TestHelmholtz:

@@ -32,6 +32,8 @@ from qlcontrol.young_measure import (
     uniform_two_atom,
 )
 
+from oracles import cosine_level_points
+
 
 def small_gap_problem(n=32):
     rp, init = instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, n))
@@ -188,14 +190,18 @@ class TestStopRule:
     # points out.  The run stops on "gradient" at stationarity 0.0 (it
     # stopped on "linesearch" with the central slope f'(1) = 1/2 before);
     # the cost is the one the alternating scheme recorded from this init;
-    # the output digests were re-recorded when nu became the level measure
+    # the output digests were re-recorded when nu became the level measure,
+    # and with the residuals when its level search went from 80 golden-section
+    # steps to parabolic steps that stop at |a - s| <= _LEVEL_TOL (before:
+    # 7.169257659676792e-17, c1623487... at 16; 7.531202627761144e-17,
+    # e0d9cfdb... at 64)
     @pytest.mark.parametrize(
         "n, cost, residual, sha",
         [
-            (16, -0.06915362909010629, 7.169257659676792e-17,
-             "c16234872e97c43efc7916b0e1484da2c0428b804124580944dc5ef5040bfd77"),
-            (64, -0.06945153919892398, 7.531202627761144e-17,
-             "e0d9cfdbdbe3f7a18236ea19293891e86fc4755398c6093f82c1cab370caafb8"),
+            (16, -0.06915362909010629, 1.356562631450705e-15,
+             "5b008d460f05588cc187cba7997db75b311ba70995639060118f249003cf178f"),
+            (64, -0.06945153919892398, 3.93718088727148e-15,
+             "62682cf0c62f03303a3480df28f304227326bbfc50c866b7f6df1f50d8064c7c"),
         ],
     )
     def test_designed_gap_init_stalls_with_unchanged_outputs(self, n, cost, residual, sha):
@@ -449,6 +455,45 @@ class TestCertifyGap:
         assert len(trials) == 0
         assert len(solves) == 20
 
+    def test_level_search_and_jacobian_work_pinned(self, monkeypatch):
+        # gap-family-1d at h = 1/128: every cell's slack sits at the band's
+        # lower end, a level the graph of a touches at its wells; the level
+        # search calls a once for a(t0), once for the march and once per
+        # parabolic step (164 calls with 80 golden-section steps of two
+        # each), and the classical run's adjoint Jacobian applies its
+        # linearization to 3 comb vectors (127 identity columns before)
+        a_calls, probes, inside = [], [], []
+        a_values = relaxed_opt._a_values
+        level_measure = relaxed_opt._level_measure
+        interior_matrix = grid.interior_matrix
+
+        def count_a(*args):
+            if inside:
+                a_calls.append(1)
+            return a_values(*args)
+
+        def flagged(*args):
+            inside.append(1)
+            try:
+                return level_measure(*args)
+            finally:
+                inside.pop()
+
+        def count_probes(mesh, apply):
+            def counted(E):
+                probes.append(E.shape[0])
+                return apply(E)
+
+            return interior_matrix(mesh, counted)
+
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        monkeypatch.setattr(relaxed_opt, "_a_values", count_a)
+        monkeypatch.setattr(relaxed_opt, "_level_measure", flagged)
+        monkeypatch.setattr(grid, "interior_matrix", count_probes)
+        certify_gap(rp, samples=3, seed=0, designed_init=init)
+        assert len(a_calls) == 5
+        assert probes == [3]
+
     @pytest.mark.parametrize("name, relaxed, best_classical", [
         # recorded before certify_gap kept its relaxed point; re-recorded
         # with the Green's function backbone (at most 3.8e-11 relative),
@@ -543,6 +588,26 @@ class TestValidation:
             certify_gap(RelaxedProblem(cp), samples=1)
         assert calls == []
 
+    def test_init_on_another_mesh_rejected(self, monkeypatch):
+        # a 64-cell gap-family init on the 128-cell problem used to die inside
+        # numpy ("could not broadcast input array from shape (1,0) into shape
+        # (1,127)"); both entry points now name both meshes, and certify_gap
+        # says so before its classical run
+        calls = []
+        monkeypatch.setattr(relaxed_opt, "optimize_control", lambda *a, **k: calls.append(1))
+        rp, init = instances.build_relaxed_problem("gap-family-1d")
+        _, coarse = small_gap_problem(n=64)
+        message = (r"^RelaxedInit\.mu lives on Mesh\(dimension=1, cells_per_axis=64\), "
+                   r"but the relaxed problem on Mesh\(dimension=1, cells_per_axis=128\)$")
+        with pytest.raises(ValueError, match=message):
+            optimize_relaxed(rp, coarse)
+        with pytest.raises(ValueError, match=message):
+            certify_gap(rp, samples=1, designed_init=coarse)
+        assert calls == []
+        with pytest.raises(ValueError, match=r"^RelaxedInit\.nu lives on Mesh\(dimension=1, "
+                           r"cells_per_axis=64\), but the relaxed problem on Mesh"):
+            optimize_relaxed(rp, RelaxedInit(init.mu, coarse.nu))
+
     def test_five_atoms_per_cell_accepted(self):
         # no atom budget, and by Jensen only mu's barycenter and nu's moment
         # of a enter the run: a five-atom mu runs as its one-atom barycenter,
@@ -586,6 +651,24 @@ def relaxable_case(name, n=32):
     return instances.build_relaxed_problem(name, mesh)
 
 
+def level_case(name):
+    """(rp, s, t0) on 32 cells: random state gradients t0 of an H1_0
+    function and random slacks s in the band, but 4 cells at each band end,
+    4 Dirac cells (s = a(t0)) and 4 cells 1e-9 inside the upper end, where
+    the march sees the graph touch a level that it crosses."""
+    rp, _ = instances.build_relaxed_problem(name, grid.build_mesh(1, 32))
+    lo, hi = rp.band
+    rng = np.random.default_rng(3)
+    t0 = rng.uniform(-3.0, 3.0, rp.mesh.n_cells)
+    t0 -= np.mean(t0)  # the gradient of an H1_0 function
+    s = rng.uniform(lo, hi, rp.mesh.n_cells)
+    s[:4] = lo
+    s[4:8] = hi
+    s[8:12] = rp.control.cs.a(t0[8:12, None])
+    s[12:16] = hi - 1e-9
+    return rp, s, t0
+
+
 class TestRelaxedSide:
     """The (u, s) descent: its gradient, its level measures and its values."""
 
@@ -612,16 +695,8 @@ class TestRelaxedSide:
 
     @pytest.mark.parametrize("name", ["gap-family-1d", "sin-gradient-1d"])
     def test_level_measure_has_the_slack_as_moment(self, name):
-        rp, _ = instances.build_relaxed_problem(name, grid.build_mesh(1, 32))
-        lo, hi = rp.band
+        rp, s, t0 = level_case(name)
         a = rp.control.cs.a
-        rng = np.random.default_rng(3)
-        t0 = rng.uniform(-3.0, 3.0, rp.mesh.n_cells)
-        t0 -= np.mean(t0)  # the gradient of an H1_0 function
-        s = rng.uniform(lo, hi, rp.mesh.n_cells)
-        s[:4] = lo
-        s[4:8] = hi
-        s[8:12] = a(t0[8:12, None])  # Dirac cells
         nu = relaxed_opt._level_measure(rp, s, t0)
         assert nu.n_atoms == 2 and nu.klass == "PH10"
         assert np.max(np.abs(barycenter(nu).values[:, 0] - t0)) <= 1e-14
@@ -630,6 +705,25 @@ class TestRelaxedSide:
         assert np.all(nu.atoms[:, 0, 0] <= t0) and np.all(t0 <= nu.atoms[:, 1, 0])
         assert np.array_equal(nu.weights[8:12], [[1.0, 0.0]] * 4)
         assert np.array_equal(nu.atoms[8:12, :, 0], np.column_stack([t0[8:12]] * 2))
+
+    def test_level_points_match_the_closed_form(self):
+        # the atoms against t = (2 pi k +- arccos(1 - s/kappa))/omega: to 1e-9
+        # where the level crosses the graph; to 1e-6 where s sits at or just
+        # inside a band end, since there |a - s| <= _LEVEL_TOL only bounds
+        # (t - t*)^2 or |t - t*| times a slope of 1e-4
+        rp, s, t0 = level_case("gap-family-1d")
+        a = rp.control.cs.a
+        nu = relaxed_opt._level_measure(rp, s, t0)
+        assert np.max(np.abs(barycenter(nu).values[:, 0] - t0)) <= 1e-14
+        values = a(nu.atoms.reshape(-1, 1)).reshape(nu.weights.shape)
+        assert np.max(np.abs(values - s[:, None])) <= relaxed_opt._LEVEL_TOL
+        assert np.all(nu.atoms[:, 0, 0] <= t0) and np.all(t0 <= nu.atoms[:, 1, 0])
+        for c in [*range(8), *range(12, rp.mesh.n_cells)]:
+            roots = cosine_level_points(instances.GAP_KAPPA, instances.GAP_OMEGA, s[c],
+                                        t0[c] - 10.0, t0[c] + 10.0)
+            tol = 1e-9 if c >= 16 else 1e-6
+            for t in nu.atoms[c, :, 0]:
+                assert np.min(np.abs(roots - t)) <= tol, (c, t)
 
     def test_monotone_a_has_no_level_point(self):
         mesh = grid.build_mesh(1, 16)
