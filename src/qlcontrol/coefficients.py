@@ -3,8 +3,9 @@
 A :class:`CoefficientSet` bundles the functions a problem uses (flux A,
 gradient nonlinearity a, control-to-source map f, inner energy W and its
 gradient dW, cost integrand F) together with the structural constants the
-theory needs (Lipschitz constant L of a and its band [inf a, sup a],
-the kinks of f, monotonicity/growth constants c < C, Tychonov weight M).
+theory needs (Lipschitz constant L of a, its band [inf a, sup a] and its
+level map, the kinks of f, monotonicity/growth constants c < C, Tychonov
+weight M).
 
 The structural hypotheses are analytic statements; here they are checked by
 seeded random sampling, which falsifies a wrong declaration but proves
@@ -29,6 +30,7 @@ __all__ = [
     "check_w_growth",
     "check_w_convexity",
     "check_band",
+    "check_levels",
     "a_zero",
     "a_sin_gradient",
     "a_clamped_linear",
@@ -74,9 +76,12 @@ class CoefficientSet:
 
     Every function is optional; a problem declares which it uses.  Constants:
     L (Lipschitz constant of a), band (inf a, sup a, the range of the
-    relaxed moment of a), f_kinks (the points where f is not differentiable,
-    each f-factory declares them), 0 < c < C (monotonicity / growth), M > 0
-    (Tychonov weight).
+    relaxed moment of a), levels (the level map of a, levels(s, t0) ->
+    (t_lo, t_hi): per entry the nearest t at or below t0 and at or above it
+    with a(t e) = s, NaN on a side without one), f_kinks (the points where f
+    is not differentiable), 0 < c < C (monotonicity / growth), M > 0
+    (Tychonov weight).  Each a-factory declares L, band and levels, and
+    each f-factory f_kinks, so merging a factory replaces them all.
     """
 
     A: Optional[Callable] = None
@@ -87,6 +92,7 @@ class CoefficientSet:
     F: Optional[Callable] = None
     L: float = 0.0
     band: Optional[tuple] = None
+    levels: Optional[Callable] = None
     f_kinks: tuple = ()
     c: Optional[float] = None
     C: Optional[float] = None
@@ -222,36 +228,92 @@ def sin_perturbation(amplitude: float) -> Callable:
     return lambda Y: amplitude * np.sin(Y)
 
 
+def _nearest_levels(t0: np.ndarray, branches, period: Optional[float] = None) -> tuple:
+    """(t_lo, t_hi) per entry of t0: the nearest point at or below t0 and at
+    or above it among the points b + k * period (any integer k; b alone when
+    period is None) of the branches b, NaN on a side without one (a branch
+    is NaN where it has no point).  Clamped so that t_lo <= t0 <= t_hi holds
+    exactly despite rounding."""
+    t_lo, t_hi = np.full(t0.shape, -np.inf), np.full(t0.shape, np.inf)
+    for b in branches:
+        if period is None:
+            below, above = np.where(b <= t0, b, -np.inf), np.where(b >= t0, b, np.inf)
+        else:
+            below = b + np.floor((t0 - b) / period) * period
+            above = b + np.ceil((t0 - b) / period) * period
+        # fmax and fmin skip a branch's NaN
+        t_lo, t_hi = np.fmax(t_lo, below), np.fmin(t_hi, above)
+    return (np.where(t_lo == -np.inf, np.nan, np.minimum(t_lo, t0)),
+            np.where(t_hi == np.inf, np.nan, np.maximum(t_hi, t0)))
+
+
+def _inverse(fn: Callable, q: np.ndarray) -> np.ndarray:
+    """fn (np.arcsin or np.arccos) of q, NaN where |q| > 1."""
+    return np.where(np.abs(q) <= 1.0, fn(np.clip(q, -1.0, 1.0)), np.nan)
+
+
+def _zero_levels(s, t0):
+    """Level map of a = 0: every t is a level point of s = 0, none of s != 0."""
+    t = np.where(s == 0.0, t0, np.nan)
+    return t, t
+
+
 def a_zero() -> dict:
-    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0, "band": (0.0, 0.0)}
+    return {"a": lambda Y: np.zeros(Y.shape[0]), "L": 0.0, "band": (0.0, 0.0),
+            "levels": _zero_levels}
 
 
 def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
-    """a(y) = kappa * sin(e . y) for the unit vector e of the given axis."""
+    """a(y) = kappa * sin(e . y) for the unit vector e of the given axis.
+    Level map: the branches arcsin(s/kappa) and pi - arcsin(s/kappa), period
+    2 pi."""
+
+    def levels(s, t0):
+        phase = _inverse(np.arcsin, s / kappa)
+        return _nearest_levels(t0, (phase, np.pi - phase), 2.0 * np.pi)
+
     return {
         "a": lambda Y: kappa * np.sin(Y[:, axis]),
         "L": abs(kappa),
         "band": (-abs(kappa), abs(kappa)),
+        "levels": levels if kappa else _zero_levels,
     }
 
 
 def a_clamped_linear(kappa: float = 1.0, axis: int = 0) -> dict:
-    """a(y) = kappa * clamp(e . y, -1, 1)."""
+    """a(y) = kappa * clamp(e . y, -1, 1).  Level map: the single point
+    s/kappa inside the band, and at a band end the half-line beyond +-1,
+    whose nearest point to t0 is t0 clamped onto it."""
+
+    def levels(s, t0):
+        q = s / kappa
+        ends = np.clip(t0, np.where(q > -1.0, q, -np.inf), np.where(q < 1.0, q, np.inf))
+        return _nearest_levels(t0, (np.where(np.abs(q) <= 1.0, ends, np.nan),))
+
     return {
         "a": lambda Y: kappa * np.clip(Y[:, axis], -1.0, 1.0),
         "L": abs(kappa),
         "band": (-abs(kappa), abs(kappa)),
+        "levels": levels if kappa else _zero_levels,
     }
 
 
 def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
     """a(y) = kappa * (1 - cos(omega * e . y)): nonnegative with equally deep
     wells at multiples of 2*pi/omega; globally Lipschitz with L = kappa*omega,
-    and |a(y)| <= L |y| since 1 - cos(s) <= |s|."""
+    and |a(y)| <= L |y| since 1 - cos(s) <= |s|.  Level map: the branches
+    +-arccos(1 - s/kappa)/omega, period 2 pi/omega."""
+    w = abs(omega)
+
+    def levels(s, t0):
+        phase = _inverse(np.arccos, 1.0 - s / kappa) / w
+        return _nearest_levels(t0, (-phase, phase), 2.0 * np.pi / w)
+
     return {
         "a": lambda Y: kappa * (1.0 - np.cos(omega * Y[:, axis])),
         "L": abs(kappa * omega),
         "band": (min(0.0, 2.0 * kappa), max(0.0, 2.0 * kappa)),
+        "levels": levels if kappa * omega else _zero_levels,
     }
 
 
@@ -483,3 +545,43 @@ def check_band(
     slack = [np.min(at) - lo, hi - np.max(at), lo + reach - np.min(at), np.max(at) - (hi - reach)]
     # np.min keeps a NaN sample
     return HypothesisReport("band", samples, float(np.min(slack)))
+
+
+LEVEL_TOL = 1e-12  # largest |a(t) - s| at a declared level point
+_LEVEL_PROBE = 1e-3  # a probe's share of the way from a level point to t0
+_LEVEL_CHECKS = 256  # levels s sampled by check_levels
+_LEVEL_SEED = 0  # seed of check_levels' t0
+
+
+def check_levels(cs: CoefficientSet) -> HypothesisReport:
+    """Sampled check of the declared level map of a scalar-gradient a, at
+    _LEVEL_CHECKS levels s across the band (both ends included) and seeded t0
+    in [-R, R], R = DEFAULT_RADIUS: (t_lo, t_hi) = levels(s, t0) has
+    t_lo <= t0 <= t_hi, |a - s| <= LEVEL_TOL at each point, a point on each
+    side where a - s changes sign between t0 and t0 -+ R, and the same pair
+    again at a probe just inside (t_lo, t_hi) from either end.  A wrong
+    phase or period fails on |a - s|; a map that skips a level point gives
+    the skipped one at a probe."""
+    if cs.a is None or cs.band is None or cs.levels is None:
+        raise ValueError("check_levels needs a, its band and its declared level map (levels)")
+    samples, radius = _LEVEL_CHECKS, DEFAULT_RADIUS
+    s = np.linspace(*cs.band, samples)
+    t0 = radius * (2.0 * np.random.default_rng(_LEVEL_SEED).random(samples) - 1.0)
+    pair = np.array(cs.levels(s, t0))  # rows t_lo, t_hi
+    found = ~np.isnan(pair)
+    # a - s at the points found (t0 elsewhere), at t0 and at t0 -+ radius, in one call
+    t = np.concatenate([np.where(found, pair, t0), [t0, t0 - radius, t0 + radius]])
+    gap = np.asarray(cs.a(t.reshape(-1, 1)), dtype=float).reshape(t.shape) - s
+    probe = t[:2] + _LEVEL_PROBE * (t0 - t[:2])
+    # again[k, j] = levels(s, probe j)[k]
+    again = np.array(cs.levels(np.tile(s, 2), probe.reshape(-1))).reshape(2, 2, samples)
+    slack = [
+        np.where((pair[0] > t0) | (pair[1] < t0), -np.inf, 0.0),
+        np.where(found, -np.abs(gap[:2]), 0.0),
+        np.where(~found & (gap[2] * gap[3:] < 0.0), -np.inf, 0.0),
+        # NaN where exactly one of the two is NaN
+        np.where(np.isnan(again) & ~found[:, None], 0.0, -np.abs(again - pair[:, None])),
+    ]
+    # np.min keeps a NaN sample
+    return HypothesisReport("levels", samples,
+                            float(np.min(np.concatenate([x.reshape(-1) for x in slack]))), LEVEL_TOL)

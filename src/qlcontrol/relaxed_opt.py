@@ -17,7 +17,8 @@ Relaxation in Optimization Theory and Variational Calculus, 1997):
   convex hull of the graph of a, and two atoms on a level set of a realize
   each pair (Fenchel-Eggleston; Eggleston, Convexity, 1958).  nu's atoms
   are unbounded and uncharged, so avg(a) is one slack s per cell, free in
-  the band [inf a, sup a] that the a-factory declares.
+  the band [inf a, sup a] that the a-factory declares, and the a-factory's
+  level map gives the two atoms in closed form.
 
 optimize_relaxed runs optimize_control's projected-gradient loop on (u, s);
 certify_gap compares its value against the best sampled classical cost.
@@ -33,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import check_band, pointwise_derivative
+from .coefficients import check_band, check_levels, pointwise_derivative
 from .control_opt import (ControlProblem, OptimizeOptions, _costs, _descend, _kink_nodes,
                           _regularizer_gradient, _source_gradient, _state_columns,
                           _state_costs, _state_one, optimize_control)
@@ -50,11 +51,6 @@ FEASIBILITY_TOL = 1e-6  # coupling residual of a feasible nu
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
-# level points of the rebuilt nu: samples per side of a cell's state
-# gradient, the cap on refinement steps, and the largest |a(t) - s| accepted
-_LEVEL_SAMPLES = 64
-_GOLDEN_STEPS = 80
-_LEVEL_TOL = 1e-12
 
 
 class InfeasibleMeasureError(ValueError):
@@ -73,8 +69,9 @@ def _check_mesh(mesh: Mesh, subject: str = "the control problem") -> None:
 @dataclass(frozen=True)
 class RelaxedProblem:
     """Relaxation data on top of a quasilinear control problem on a 1D mesh;
-    the band [inf a, sup a] that the coefficient set declares is checked by
-    sampling (coefficients.check_band), as the state problem checks L."""
+    the band [inf a, sup a] and the level map that the coefficient set
+    declares are checked by sampling (coefficients.check_band and
+    check_levels), as the state problem checks L."""
 
     control: ControlProblem
 
@@ -84,10 +81,13 @@ class RelaxedProblem:
         _check_mesh(self.mesh)
         # the state problem construction enforces b > L^2/4 already
         cs = self.control.cs
-        check = None if cs.a is None else check_band(cs)  # raises on a missing band
-        if check is not None and not check.passed:
-            raise ValueError(f"the declared band {cs.band} of a fails sampling by "
-                             f"{check.worst_margin}")
+        if cs.a is None:
+            return
+        for what, check in ((f"band {cs.band}", check_band), ("level map", check_levels)):
+            report = check(cs)  # raises on a missing declaration
+            if not report.passed:
+                raise ValueError(f"the declared {what} of a fails sampling by "
+                                 f"{report.worst_margin}")
 
     @property
     def mesh(self) -> Mesh:
@@ -207,137 +207,24 @@ def embed_classical(rp: RelaxedProblem, u: ScalarField, warm: Optional[ScalarFie
 # -- the relaxed descent --------------------------------------------------------
 
 
-def _level_points(V, A, VA, X, VX, B, VB, crossed):
-    """Points t with |V(t)| <= _LEVEL_TOL, one per entry, refined from the
-    march's brackets; returns them with their |V|.
-
-    A crossed entry has V(A) > 0 >= V(X) and runs Illinois regula falsi on
-    that sign change.  A touching entry has 0 < V(X) <= V(A), V(B) and runs
-    Brent's safeguarded parabolic steps on V, with a golden-section step
-    where the parabola's vertex leaves the bracket or does not halve the
-    step before last; a step to V < 0 turns it into a crossed entry
-    (Brent, Algorithms for Minimization without Derivatives, 1973).  Each
-    step calls V once on every entry, until every entry's best point passes
-    or _GOLDEN_STEPS steps are done; an entry's best point stays put once
-    it passes.
-    """
-    golden = 0.5 * (3.0 - np.sqrt(5.0))
-    best_t, best_v = X, np.abs(VX)
-    for t, f in ((A, VA), (B, VB)):
-        closer = np.abs(f) < best_v
-        best_t, best_v = np.where(closer, t, best_t), np.where(closer, np.abs(f), best_v)
-    # regula falsi: V(ra) > 0 >= V(rb), last = +1 where rb moved last
-    ra, fa, rb, fb, last = A, VA, X, VX, np.zeros(X.shape)
-    # parabolic search: bracket [left, right] around the lowest point x,
-    # then w and v
-    left, right, x, fx = np.minimum(A, B), np.maximum(A, B), X, VX
-    a_lower = VA <= VB
-    w, fw = np.where(a_lower, A, B), np.where(a_lower, VA, VB)
-    v, fv = np.where(a_lower, B, A), np.where(a_lower, VB, VA)
-    d = e = right - left
-    for _ in range(_GOLDEN_STEPS):
-        live = best_v > _LEVEL_TOL
-        if not live.any():
-            break
-        touching = ~crossed
-        u = x
-        if crossed.any():
-            u = rb - np.divide(fb * (rb - ra), fb - fa, out=np.zeros(X.shape), where=fb < fa)
-        if touching.any():
-            # the parabola through x, w and v has its vertex at x + num/den
-            r1 = (x - w) * (fx - fv)
-            r2 = (x - v) * (fx - fw)
-            num = (x - v) * r2 - (x - w) * r1
-            den = 2.0 * (r2 - r1)
-            num = np.where(den > 0.0, -num, num)
-            den = np.abs(den)
-            parab = ((np.abs(num) < np.abs(0.5 * den * e))
-                     & (num > den * (left - x)) & (num < den * (right - x)))
-            e_gold = np.where(x >= 0.5 * (left + right), left - x, right - x)
-            e_new = np.where(parab, d, e_gold)
-            d_new = np.where(parab, np.divide(num, den, out=np.zeros(X.shape), where=parab),
-                             golden * e_gold)
-            u = np.where(crossed, u, x + d_new)
-        fu = V(u)
-        closer = live & (np.abs(fu) < best_v)
-        best_t, best_v = np.where(closer, u, best_t), np.where(closer, np.abs(fu), best_v)
-        if crossed.any():
-            # Illinois: halve the value of an end kept a second time
-            to_b = crossed & (fu <= 0.0)
-            to_a = crossed & (fu > 0.0)
-            fa = np.where(to_b & (last > 0.0), 0.5 * fa, fa)
-            fb = np.where(to_a & (last < 0.0), 0.5 * fb, fb)
-            ra, fa = np.where(to_a, u, ra), np.where(to_a, fu, fa)
-            rb, fb = np.where(to_b, u, rb), np.where(to_b, fu, fb)
-            last = np.where(to_b, 1.0, np.where(to_a, -1.0, last))
-        if touching.any():
-            # the first point below the level opens a sign change with x
-            turn = touching & (fu < 0.0)
-            ra, fa = np.where(turn, x, ra), np.where(turn, fx, fa)
-            rb, fb = np.where(turn, u, rb), np.where(turn, fu, fb)
-            crossed = crossed | turn
-            lower = touching & (fu <= fx)
-            higher = touching & (fu > fx)
-            past = u >= x
-            left = np.where(lower & past, x, np.where(higher & ~past, u, left))
-            right = np.where(lower & ~past, x, np.where(higher & past, u, right))
-            to_w = higher & ((fu <= fw) | (w == x))
-            to_v = higher & ~to_w & ((fu <= fv) | (v == x) | (v == w))
-            shift = lower | to_w
-            v, fv = (np.where(shift, w, np.where(to_v, u, v)),
-                     np.where(shift, fw, np.where(to_v, fu, fv)))
-            w, fw = (np.where(lower, x, np.where(to_w, u, w)),
-                     np.where(lower, fx, np.where(to_w, fu, fw)))
-            x, fx = np.where(lower, u, x), np.where(lower, fu, fx)
-            d, e = np.where(touching, d_new, d), np.where(touching, e_new, e)
-    return best_t, best_v
-
-
 def _level_measure(rp: RelaxedProblem, s: np.ndarray, t0: np.ndarray) -> YoungMeasureField:
     """PH1_0 measure with barycenter t0 and moment s of a per cell: the
-    Dirac at t0_c where a(t0_c) = s_c, else one atom on the level set
-    {a = s_c} on each side of t0_c, weighted to the barycenter.
-
-    Each side marches out in _LEVEL_SAMPLES steps of (hi - lo)/(8 L) (a
-    sinusoid's period in 25) to the first step across the level, else to the
-    first local minimum of |a - s_c| within one Lipschitz step of the
-    sampled minimum (a level the graph touches, as at a band end), then
-    refines (_level_points: regula falsi across the level, parabolic steps
-    where it touches) until every side's best point has |a - s_c| <=
-    _LEVEL_TOL.  Raises ValueError where a side's point still misses after
-    _GOLDEN_STEPS steps, as for a monotone a.
+    Dirac at t0_c where a(t0_c) = s_c, else the points of the level set
+    {a = s_c} nearest to t0_c below and above it, from the level map the
+    a-factory declares in closed form, weighted to the barycenter.  Raises
+    ValueError where a side has no point, as for a monotone a.
     """
     mesh, cs = rp.mesh, rp.control.cs
-    lo, hi = rp.band
-
-    def at(t):
-        return _a_values(cs.a, t[..., None])
-
-    a0 = at(t0)
-    dirac = a0 == s
+    dirac = _a_values(cs.a, t0[:, None]) == s
     if dirac.all():
         return YoungMeasureField(mesh, t0[:, None, None], np.ones((mesh.n_cells, 1)), "PH10")
-    sign = np.sign(a0 - s)  # 0 on the Dirac cells, whose V vanishes
-    step = (hi - lo) / (8.0 * cs.L)
-    sides = np.array([-1.0, 1.0])[:, None, None]
-    T = t0[:, None] + sides * step * np.arange(_LEVEL_SAMPLES + 1)  # (side, cell, sample)
-    V = sign[:, None] * (at(T) - s[:, None])  # > 0 before the level
-    W = np.concatenate([V, np.full(V.shape[:-1] + (1,), np.inf)], axis=-1)
-    cross = V[..., 1:] <= 0.0
-    touch = ((V[..., 1:] <= V[..., :-1]) & (V[..., 1:] <= W[..., 2:])
-             & (V[..., 1:] <= np.min(V[..., 1:], axis=-1, keepdims=True) + cs.L * step))
-    crossed = cross.any(axis=-1)
-    j = np.where(crossed, np.argmax(cross, axis=-1), np.argmax(touch, axis=-1)) + 1
-    ends = (j - 1, j, np.minimum(j + ~crossed, _LEVEL_SAMPLES))
-    (A, X, B), (VA, VX, VB) = ([np.take_along_axis(M, k[..., None], axis=-1)[..., 0]
-                                for k in ends] for M in (T, V))
-    t, miss = _level_points(lambda t: sign * (at(t) - s), A, VA, X, VX, B, VB, crossed)
-    missed = np.any(miss > _LEVEL_TOL, axis=0)
+    t_lo, t_hi = cs.levels(s, t0)
+    missed = ~dirac & np.isnan(t_lo + t_hi)
     if missed.any():
         c = int(np.argmax(missed))
-        raise ValueError(f"a takes the value {s[c]!r} on no side of {t0[c]!r} (cell {c}) "
-                         "within the level search")
-    t_lo, t_hi = (np.where(dirac, t0, side) for side in t)
+        raise ValueError(f"a takes the value {s[c]!r} on no side of {t0[c]!r} (cell {c}): "
+                         "its level map has a side without a point")
+    t_lo, t_hi = np.where(dirac, t0, t_lo), np.where(dirac, t0, t_hi)
     theta = np.divide(t0 - t_lo, t_hi - t_lo, out=np.zeros_like(t0), where=t_hi > t_lo)
     atoms = np.stack([t_lo, t_hi], axis=1)[..., None]
     return YoungMeasureField(mesh, atoms, np.column_stack([1.0 - theta, theta]), "PH10")
@@ -385,7 +272,9 @@ def optimize_relaxed(
     counts u's interior nodes on a kink of f; ``cost`` is the last value.
 
     Returns (mu, nu, y, report): mu is the Dirac at grad u, nu the
-    _level_measure of s, and y their relaxed state.  Raises ValueError when
+    _level_measure of s (the nearest points of each level set {a = s_c} on
+    either side of grad y_c, from the declared level map of a), and y their
+    relaxed state.  Raises ValueError when
     ``init.mu`` or ``init.nu`` lives on another mesh than the problem.
     """
     _check_init(rp, init)

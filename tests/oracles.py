@@ -405,3 +405,19 @@ def cosine_level_points(kappa: float, omega: float, s: float, lo: float, hi: flo
                   np.ceil((omega * hi + phase) / (2.0 * np.pi)) + 2.0)
     t = np.concatenate([(2.0 * np.pi * k - phase) / omega, (2.0 * np.pi * k + phase) / omega])
     return np.unique(t[(t >= lo) & (t <= hi)])
+
+
+# -- level sets of the sine a(t) = kappa sin(t) ------------------------------------
+
+
+def sine_level_points(kappa: float, s: float, lo: float, hi: float) -> np.ndarray:
+    """Sorted points t in [lo, hi] with kappa sin(t) = s, for kappa != 0 and
+    |s| <= |kappa|, from the closed form t = 2 pi k + arcsin(s/kappa) or
+    t = 2 pi k + pi - arcsin(s/kappa); a level the graph only touches
+    (s = +-kappa) lists each point once."""
+    phase = float(np.arcsin(min(1.0, max(-1.0, s / kappa))))
+    k = np.arange(np.floor(lo / (2.0 * np.pi)) - 1.0, np.ceil(hi / (2.0 * np.pi)) + 2.0)
+    t = np.sort(np.concatenate([2.0 * np.pi * k + phase, 2.0 * np.pi * k + np.pi - phase]))
+    # the two branches meet where the graph touches the level
+    t = t[np.concatenate([[True], np.diff(t) > 1e-12])]
+    return t[(t >= lo) & (t <= hi)]

@@ -429,14 +429,18 @@ name = {instance}
         # state_measure.csv and relaxed_state.csv again when the level search
         # stopped at |a - s| <= 1e-12 instead of after 80 golden-section steps
         # (atoms moved by at most 1.5e-8 at the wells, the state by 4e-17;
-        # 895024a4... and 182c7b5c... before)
+        # 895024a4... and 182c7b5c... before); both again when the atoms came
+        # from the level map of a: cells 15 and 16 each moved one atom from
+        # the well at -+2 pi/5 to the nearer one at 0 (weights by 0.495), the
+        # state by 4e-17 back to 182c7b5c... (2cb9b9d8... and e6cb1b0e...
+        # before)
         digests = {
             "state_measure.csv":
-                "2cb9b9d8fbe2d45559452f6b18648f569ee177ffcb5a80f97accdcac09fbcf2f",
+                "573252ff59e75a70c365e47a7b79553b080a1dcde350f03e72109a891db8d68a",
             "control_measure.csv":
                 "0f5ebf2e517ec3bb557c473745513b52d4a2863a0e99cb8faef1ed684296ca24",
             "relaxed_state.csv":
-                "e6cb1b0e47555c4e76cb2ed14f95aee320e1d45d8f70aaf9ac145b3c264789f5",
+                "182c7b5c36339d73d27765d5140e8267a5cadfeb6280be1d9841d515e4c4fe72",
         }
         for name, digest in digests.items():
             data = (tmp_path / "out" / name).read_bytes()

@@ -160,6 +160,8 @@ A_FACTORIES = {
     "sin": co.a_sin_gradient(1.0),
     "sin-negative": co.a_sin_gradient(-0.5),
     "clamped-linear": co.a_clamped_linear(2.0),
+    "clamped-linear-unit": co.a_clamped_linear(),
+    "sin-flat": co.a_sin_gradient(0.0),
     "cosine-wells": co.a_cosine_wells(0.4, 5.0),
     "cosine-wells-negative": co.a_cosine_wells(-0.3, 2.0),
 }
@@ -189,6 +191,75 @@ class TestBand:
     def test_nan_sample_fails(self):
         cs = co.CoefficientSet(a=lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0), band=(0.0, 0.0))
         assert not co.check_band(cs).passed
+
+
+def shifted(levels, d):
+    """The level map of t -> a(t - d), from the level map of a."""
+    return lambda s, t0: tuple(t + d for t in levels(s, t0 - d))
+
+
+def next_but_one(levels):
+    """A map that skips the nearest level point on each side of t0."""
+    def skip(s, t0):
+        t_lo, t_hi = levels(s, t0)
+        return levels(s, t_lo - 1e-6)[0], levels(s, t_hi + 1e-6)[1]
+
+    return skip
+
+
+def no_points(s, t0):
+    return np.full(t0.shape, np.nan), np.full(t0.shape, np.nan)
+
+
+SIN, WELLS = co.a_sin_gradient(1.0), co.a_cosine_wells(0.4, 5.0)
+WRONG_LEVELS = {
+    "phase": {**SIN, "levels": shifted(SIN["levels"], 0.3)},
+    "period": {**WELLS, "levels": co.a_cosine_wells(0.4, 4.0)["levels"]},
+    "sine-for-wells": {**WELLS, "band": (-0.4, 0.4), "levels": co.a_sin_gradient(0.4)["levels"]},
+    "next-but-one-sin": {**SIN, "levels": next_but_one(SIN["levels"])},
+    "next-but-one-wells": {**WELLS, "levels": next_but_one(WELLS["levels"])},
+    "no-points": {**SIN, "levels": no_points},
+}
+
+
+class TestLevels:
+    """Each a-factory declares its level map in closed form; a sampled check
+    falsifies a wrong one, as check_band does a wrong band."""
+
+    @pytest.mark.parametrize("name", list(A_FACTORIES))
+    def test_declared_levels_pass(self, name):
+        report = co.check_levels(co.CoefficientSet(**A_FACTORIES[name]))
+        assert report.passed and report.hypothesis == "levels"
+        assert report.worst_margin >= -co.LEVEL_TOL
+
+    @pytest.mark.parametrize("name", list(WRONG_LEVELS))
+    def test_wrong_level_map_fails(self, name):
+        assert not co.check_levels(co.CoefficientSet(**WRONG_LEVELS[name])).passed
+
+    def test_points_are_nearest_and_ordered(self):
+        # the cosine wells of the gap family at a well's own level: the
+        # wells at 0 and 2 pi/5 from just above 0, with t_lo <= t0 <= t_hi
+        levels = WELLS["levels"]
+        t0 = np.array([1e-3, -1e-3, 0.0, 2.0 * np.pi / 5.0])
+        t_lo, t_hi = levels(np.zeros(4), t0)
+        assert np.array_equal(t_lo[:3], [0.0, -2.0 * np.pi / 5.0, 0.0])
+        assert np.array_equal(t_hi[:3], [2.0 * np.pi / 5.0, 0.0, 0.0])
+        assert np.all(t_lo <= t0) and np.all(t0 <= t_hi)
+
+    def test_clamped_linear_half_lines(self):
+        # kappa clamp(t, -1, 1) = kappa on [1, inf): t0 itself at or past 1,
+        # else nothing below and 1 above, and = -kappa on (-inf, -1]; a
+        # level s inside the band has the one point s/kappa, one outside none
+        levels = co.a_clamped_linear(2.0)["levels"]
+        t_lo, t_hi = levels(np.array([2.0, 2.0, -2.0, 1.0, 3.0]),
+                            np.array([0.5, 1.5, 0.0, 0.0, 0.0]))
+        assert np.array_equal(t_lo, [np.nan, 1.5, -1.0, np.nan, np.nan], equal_nan=True)
+        assert np.array_equal(t_hi, [1.0, 1.5, np.nan, 0.5, np.nan], equal_nan=True)
+
+    def test_missing_map_is_named(self):
+        cs = co.CoefficientSet(**{**SIN, "levels": None})
+        with pytest.raises(ValueError, match=r"declared level map \(levels\)"):
+            co.check_levels(cs)
 
 
 class TestBuiltinsRoundTrip:

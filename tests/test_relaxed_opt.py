@@ -32,7 +32,7 @@ from qlcontrol.young_measure import (
     uniform_two_atom,
 )
 
-from oracles import cosine_level_points
+from oracles import cosine_level_points, sine_level_points
 
 
 def small_gap_problem(n=32):
@@ -191,18 +191,21 @@ class TestStopRule:
     # stopped on "linesearch" with the central slope f'(1) = 1/2 before);
     # the cost is the one the alternating scheme recorded from this init;
     # the output digests were re-recorded when nu became the level measure,
-    # and with the residuals when its level search went from 80 golden-section
-    # steps to parabolic steps that stop at |a - s| <= _LEVEL_TOL (before:
+    # with the residuals when its level search went from 80 golden-section
+    # steps to parabolic steps that stop at |a - s| <= 1e-12 (before:
     # 7.169257659676792e-17, c1623487... at 16; 7.531202627761144e-17,
-    # e0d9cfdb... at 64)
+    # e0d9cfdb... at 64), and again when the search gave way to the level
+    # map of a (before: 1.356562631450705e-15, 5b008d46... at 16;
+    # 3.93718088727148e-15, 62682cf0... at 64)
     @pytest.mark.parametrize(
         "n, cost, residual, sha",
         [
-            (16, -0.06915362909010629, 1.356562631450705e-15,
-             "5b008d460f05588cc187cba7997db75b311ba70995639060118f249003cf178f"),
-            (64, -0.06945153919892398, 3.93718088727148e-15,
-             "62682cf0c62f03303a3480df28f304227326bbfc50c866b7f6df1f50d8064c7c"),
+            (16, -0.06915362909010629, 3.024593730708204e-17,
+             "06c648643b9bc5a24d351d320107e722d1d1c3541146a6ec826e8294efa496c6"),
+            (64, -0.06945153919892398, 3.244283652405067e-17,
+             "2e26c376bc0149eea4e6dfefedb1e401450993fc8102d2f16710bd8f35ed21a7"),
         ],
+        ids=["n16", "n64"],
     )
     def test_designed_gap_init_stalls_with_unchanged_outputs(self, n, cost, residual, sha):
         rp, init = small_gap_problem(n=n)
@@ -458,9 +461,10 @@ class TestCertifyGap:
     def test_level_search_and_jacobian_work_pinned(self, monkeypatch):
         # gap-family-1d at h = 1/128: every cell's slack sits at the band's
         # lower end, a level the graph of a touches at its wells; the level
-        # search calls a once for a(t0), once for the march and once per
-        # parabolic step (164 calls with 80 golden-section steps of two
-        # each), and the classical run's adjoint Jacobian applies its
+        # measure calls a once, for the Dirac test a(t0) = s, and takes its
+        # atoms from the declared level map (5 calls while it searched: a(t0),
+        # a march and 3 parabolic steps; 164 with 80 golden-section steps of
+        # two each), and the classical run's adjoint Jacobian applies its
         # linearization to 3 comb vectors (127 identity columns before)
         a_calls, probes, inside = [], [], []
         a_values = relaxed_opt._a_values
@@ -491,7 +495,7 @@ class TestCertifyGap:
         monkeypatch.setattr(relaxed_opt, "_level_measure", flagged)
         monkeypatch.setattr(grid, "interior_matrix", count_probes)
         certify_gap(rp, samples=3, seed=0, designed_init=init)
-        assert len(a_calls) == 5
+        assert len(a_calls) == 1
         assert probes == [3]
 
     @pytest.mark.parametrize("name, relaxed, best_classical", [
@@ -645,6 +649,23 @@ class TestValidation:
             with pytest.raises(ValueError, match="fails sampling"):
                 relaxed(band=band)
 
+    def test_level_map_is_required_and_checked(self):
+        mesh = grid.build_mesh(1, 16)
+        parts = {**co.a_cosine_wells(0.4, 5.0), **co.f_clamp(), **co.cost_shortfall(1.0)}
+        wells = co.CoefficientSet(M=1e-4, c=1.0, C=2.0, **parts)
+
+        def relaxed(cs):
+            return RelaxedProblem(ControlProblem(QuasilinearStateProblem(mesh, cs, b=2.0)))
+
+        # merging a whole a-factory replaces its level map with the rest
+        relaxed(wells.merged(**co.a_cosine_wells(0.4, 4.0)))
+        # merging a alone keeps the map of omega = 5 under wells of omega =
+        # 4, inside the same band
+        with pytest.raises(ValueError, match="^the declared level map of a fails sampling"):
+            relaxed(wells.merged(a=co.a_cosine_wells(0.4, 4.0)["a"]))
+        with pytest.raises(ValueError, match=r"declared level map \(levels\)"):
+            relaxed(wells.merged(levels=None))
+
 
 def relaxable_case(name, n=32):
     mesh = None if name == "gap-family-1d" else grid.build_mesh(1, n)
@@ -654,18 +675,24 @@ def relaxable_case(name, n=32):
 def level_case(name):
     """(rp, s, t0) on 32 cells: random state gradients t0 of an H1_0
     function and random slacks s in the band, but 4 cells at each band end,
-    4 Dirac cells (s = a(t0)) and 4 cells 1e-9 inside the upper end, where
-    the march sees the graph touch a level that it crosses."""
+    4 Dirac cells (s = a(t0)), 4 cells 1e-9 inside the upper end, where the
+    graph nearly touches a level that it crosses, and 4 cells at the lower
+    end with |t0| < 0.025, where the gap family's nearest points are the
+    well at 0 and the next one (a search that marched out in steps of 0.05
+    missed the well at 0)."""
     rp, _ = instances.build_relaxed_problem(name, grid.build_mesh(1, 32))
     lo, hi = rp.band
     rng = np.random.default_rng(3)
     t0 = rng.uniform(-3.0, 3.0, rp.mesh.n_cells)
     t0 -= np.mean(t0)  # the gradient of an H1_0 function
+    t0[16:20] = (-0.02, -1e-3, 1e-3, 0.02)
+    t0[20:] -= np.sum(t0) / 12.0
     s = rng.uniform(lo, hi, rp.mesh.n_cells)
     s[:4] = lo
     s[4:8] = hi
     s[8:12] = rp.control.cs.a(t0[8:12, None])
     s[12:16] = hi - 1e-9
+    s[16:20] = lo
     return rp, s, t0
 
 
@@ -701,29 +728,38 @@ class TestRelaxedSide:
         assert nu.n_atoms == 2 and nu.klass == "PH10"
         assert np.max(np.abs(barycenter(nu).values[:, 0] - t0)) <= 1e-14
         values = a(nu.atoms.reshape(-1, 1)).reshape(nu.weights.shape)
-        assert np.max(np.abs(values - s[:, None])) <= relaxed_opt._LEVEL_TOL
+        assert np.max(np.abs(values - s[:, None])) <= 1e-12
         assert np.all(nu.atoms[:, 0, 0] <= t0) and np.all(t0 <= nu.atoms[:, 1, 0])
         assert np.array_equal(nu.weights[8:12], [[1.0, 0.0]] * 4)
         assert np.array_equal(nu.atoms[8:12, :, 0], np.column_stack([t0[8:12]] * 2))
 
     def test_level_points_match_the_closed_form(self):
-        # the atoms against t = (2 pi k +- arccos(1 - s/kappa))/omega: to 1e-9
-        # where the level crosses the graph; to 1e-6 where s sits at or just
-        # inside a band end, since there |a - s| <= _LEVEL_TOL only bounds
-        # (t - t*)^2 or |t - t*| times a slope of 1e-4
-        rp, s, t0 = level_case("gap-family-1d")
-        a = rp.control.cs.a
-        nu = relaxed_opt._level_measure(rp, s, t0)
-        assert np.max(np.abs(barycenter(nu).values[:, 0] - t0)) <= 1e-14
-        values = a(nu.atoms.reshape(-1, 1)).reshape(nu.weights.shape)
-        assert np.max(np.abs(values - s[:, None])) <= relaxed_opt._LEVEL_TOL
-        assert np.all(nu.atoms[:, 0, 0] <= t0) and np.all(t0 <= nu.atoms[:, 1, 0])
-        for c in [*range(8), *range(12, rp.mesh.n_cells)]:
-            roots = cosine_level_points(instances.GAP_KAPPA, instances.GAP_OMEGA, s[c],
-                                        t0[c] - 10.0, t0[c] + 10.0)
-            tol = 1e-9 if c >= 16 else 1e-6
-            for t in nu.atoms[c, :, 0]:
-                assert np.min(np.abs(roots - t)) <= tol, (c, t)
+        # every atom of a cell off the Dirac test is the nearest root on its
+        # side of t0 of the closed forms in tests/oracles.py: within 1e-12 of
+        # a root, with no root strictly between it and t0
+        oracles = {
+            "gap-family-1d": lambda s, lo, hi: cosine_level_points(
+                instances.GAP_KAPPA, instances.GAP_OMEGA, s, lo, hi),
+            "sin-gradient-1d": lambda s, lo, hi: sine_level_points(1.0, s, lo, hi),
+        }
+        for name, oracle in oracles.items():
+            rp, s, t0 = level_case(name)
+            a = rp.control.cs.a
+            nu = relaxed_opt._level_measure(rp, s, t0)
+            assert np.max(np.abs(barycenter(nu).values[:, 0] - t0)) <= 1e-14
+            values = a(nu.atoms.reshape(-1, 1)).reshape(nu.weights.shape)
+            assert np.max(np.abs(values - s[:, None])) <= 1e-12
+            t_lo, t_hi = nu.atoms[:, 0, 0], nu.atoms[:, 1, 0]
+            assert np.all(t_lo <= t0) and np.all(t0 <= t_hi)
+            off = np.flatnonzero(a(t0[:, None]) != s)
+            assert len(off) == rp.mesh.n_cells - 4
+            for c in off:
+                roots = oracle(s[c], t0[c] - 10.0, t0[c] + 10.0)
+                for t in (t_lo[c], t_hi[c]):
+                    assert np.min(np.abs(roots - t)) <= 1e-12, (name, c, t)
+                    side = np.sign(t - t0[c])
+                    inner = (side * (roots - t0[c]) > 0.0) & (side * (t - roots) > 1e-12)
+                    assert not inner.any(), (name, c, t, roots[inner])
 
     def test_monotone_a_has_no_level_point(self):
         mesh = grid.build_mesh(1, 16)
