@@ -34,7 +34,7 @@ from .control_opt import (
     state_solvers,
 )
 from .grid import ScalarField, field_to_csv
-from .relaxed_opt import certify_gap
+from .relaxed_opt import CLASSICAL_MAX_ITERATIONS, certify_gap
 from .reports import NonConvergenceError
 from .young_measure import young_measure_to_csv
 
@@ -192,13 +192,12 @@ def _build_control(cfg: ExperimentConfig):
 
 
 def _optimize_options(cfg: ExperimentConfig, max_iterations: int) -> OptimizeOptions:
-    """The [solver] keys of an optimizer run; max_iterations is the kind's
-    own cap, used when the config sets none."""
-    return OptimizeOptions(
-        max_iterations=max_iterations if cfg.max_iterations is None else cfg.max_iterations,
-        gradient_tol=1e-6 if cfg.gradient_tol is None else cfg.gradient_tol,
-        state_tol=cfg.state_tol,
-    )
+    """OptimizeOptions from the [solver] keys the config sets, over the
+    kind's own cap max_iterations and OptimizeOptions' other defaults."""
+    keys = {"max_iterations": cfg.max_iterations, "gradient_tol": cfg.gradient_tol,
+            "state_tol": cfg.state_tol}
+    return OptimizeOptions(**{"max_iterations": max_iterations,
+                              **{k: v for k, v in keys.items() if v is not None}})
 
 
 def _run_control(cfg: ExperimentConfig, out_dir: Path, results, timings, cp, u0):
@@ -226,7 +225,7 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, rp, desig
         samples=cfg.samples,
         seed=cfg.seed,
         designed_init=designed,
-        classical_opts=_optimize_options(cfg, 12),
+        classical_opts=_optimize_options(cfg, CLASSICAL_MAX_ITERATIONS),
     )
     timings["certify_gap"] = time.perf_counter() - t0
     relaxation = results["relaxation"] = report.to_dict()

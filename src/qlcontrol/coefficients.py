@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 DEFAULT_SAMPLES = 10_000
+CONSTRUCTION_SAMPLES = 2000  # samples of each check a problem runs when built
 DEFAULT_RADIUS = 10.0
 CHECK_TOLERANCE = 1e-10
 _EPS_STRICT = 1e-12  # clamp so that 0 < c < C stays strict for linear fluxes
@@ -69,12 +70,19 @@ class HypothesisReport:
     def passed(self) -> bool:
         return self.worst_margin >= -self.tolerance
 
+    def require(self, subject: str) -> None:
+        """Raise ValueError "<subject> fails sampling by <worst_margin>"
+        unless the check passed."""
+        if not self.passed:
+            raise ValueError(f"{subject} fails sampling by {self.worst_margin}")
+
 
 @dataclass(frozen=True)
 class CoefficientSet:
     """The problem's functions plus their declared constants.
 
-    Every function is optional; a problem declares which it uses.  Constants:
+    A problem requires the functions it uses; the rest stay None.  A
+    quasilinear problem requires a, a_zero() when it has none.  Constants:
     L (Lipschitz constant of a), band (inf a, sup a, the range of the
     relaxed moment of a), levels (the level map of a, levels(s, t0) ->
     (t_lo, t_hi): per entry the nearest t at or below t0 and at or above it

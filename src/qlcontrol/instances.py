@@ -17,15 +17,16 @@ import numpy as np
 
 from . import coefficients as co
 from . import grid
-from .control_opt import REGIMES, ControlProblem
+from .control_opt import REGIMES, ControlProblem, evaluate_cost
 from .grid import Mesh, ScalarField
 from .relaxed_opt import (
+    _TIGHT_STATE_TOL,
     RelaxedInit,
     RelaxedProblem,
     _check_mesh,
+    _dirac_control,
     evaluate_relaxed_cost,
 )
-from .control_opt import evaluate_cost
 from .state_monotone import MonotoneStateProblem
 from .state_quasilinear import QuasilinearStateProblem, uniqueness_threshold
 from .state_variational import VariationalStateProblem
@@ -196,8 +197,8 @@ def gap_designed_init(rp: RelaxedProblem) -> RelaxedInit:
     the linear state's gradient."""
     mesh = rp.mesh
     lo, hi = -2.0 * np.pi / GAP_OMEGA, 2.0 * np.pi / GAP_OMEGA
-    ones = ScalarField(mesh, np.ones(mesh.n_nodes))
-    fvals = np.asarray(rp.control.cs.f(ones.values), dtype=float)
+    ones = np.ones(mesh.n_nodes)
+    fvals = np.asarray(rp.control.cs.f(ones), dtype=float)
     y_lin = grid.helmholtz_solve_values(mesh, rp.b, fvals)
     g = grid.gradient_values(mesh, y_lin)[:, 0]
     theta = (g - lo) / (hi - lo)
@@ -208,14 +209,7 @@ def gap_designed_init(rp: RelaxedProblem) -> RelaxedInit:
     atoms[:, 1, 0] = hi
     weights = np.column_stack([1.0 - theta, theta])
     nu = YoungMeasureField(mesh, atoms, weights, "PH10")
-    mu = YoungMeasureField(
-        mesh,
-        np.zeros((mesh.n_cells, 1, 1)),
-        np.ones((mesh.n_cells, 1)),
-        "PH1",
-        potential_offset=1.0,
-    )
-    return RelaxedInit(mu, nu)
+    return RelaxedInit(_dirac_control(mesh, ones), nu)
 
 
 def designed_margin(rp: RelaxedProblem, init: RelaxedInit) -> float:
@@ -225,7 +219,7 @@ def designed_margin(rp: RelaxedProblem, init: RelaxedInit) -> float:
     candidate's relaxed value, scaled by a safety factor covering whatever
     ground the classical optimizer can still gain over that control.
     """
-    classical_ref = evaluate_cost(rp.control, potential(init.mu), state_tol=1e-12)
+    classical_ref = evaluate_cost(rp.control, potential(init.mu), state_tol=_TIGHT_STATE_TOL)
     raw = classical_ref - evaluate_relaxed_cost(rp, init.mu, init.nu)
     if raw <= 0.0:
         raise RuntimeError("the designed init lost its margin")

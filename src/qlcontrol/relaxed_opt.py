@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import check_band, check_levels, pointwise_derivative
+from .coefficients import apply_cellwise, check_band, check_levels, pointwise_derivative
 from .control_opt import (ControlProblem, OptimizeOptions, _costs, _descend, _kink_nodes,
                           _regularizer_gradient, _source_gradient, _state_columns,
                           _state_costs, _state_one, optimize_control)
@@ -51,6 +51,7 @@ FEASIBILITY_TOL = 1e-6  # coupling residual of a feasible nu
 SUBRELAXATION_SLACK = 1e-8
 DIRAC_RESIDUAL_TOL = 1e-10
 _TIGHT_STATE_TOL = 1e-12
+CLASSICAL_MAX_ITERATIONS = 12  # certify_gap's default cap on the classical run
 
 
 class InfeasibleMeasureError(ValueError):
@@ -81,13 +82,9 @@ class RelaxedProblem:
         _check_mesh(self.mesh)
         # the state problem construction enforces b > L^2/4 already
         cs = self.control.cs
-        if cs.a is None:
-            return
-        for what, check in ((f"band {cs.band}", check_band), ("level map", check_levels)):
-            report = check(cs)  # raises on a missing declaration
-            if not report.passed:
-                raise ValueError(f"the declared {what} of a fails sampling by "
-                                 f"{report.worst_margin}")
+        # each check raises on a missing declaration
+        check_band(cs).require(f"the declared band {cs.band} of a")
+        check_levels(cs).require("the declared level map of a")
 
     @property
     def mesh(self) -> Mesh:
@@ -100,8 +97,7 @@ class RelaxedProblem:
     @property
     def band(self) -> tuple:
         """(inf a, sup a): the range of the relaxed moment of a."""
-        cs = self.control.cs
-        return (0.0, 0.0) if cs.a is None else cs.band
+        return self.control.cs.band
 
 
 @dataclass(frozen=True)
@@ -127,18 +123,9 @@ def _check_init(rp: RelaxedProblem, init: RelaxedInit) -> None:
 # nodal or cell values are batch axes in the helpers below.
 
 
-def _a_values(a, atoms: np.ndarray) -> np.ndarray:
-    """The coefficient a at every atom, shape atoms.shape[:-1] (zeros when
-    a is None)."""
-    if a is None:
-        return np.zeros(atoms.shape[:-1])
-    flat = np.asarray(a(atoms.reshape(-1, atoms.shape[-1])), dtype=float)
-    return flat.reshape(atoms.shape[:-1])
-
-
 def _abar_cells(a, atoms: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Per-cell moment of the coefficient a against the atoms."""
-    return np.sum(weights * _a_values(a, atoms), axis=-1)
+    return np.sum(weights * apply_cellwise(a, atoms), axis=-1)
 
 
 def _relaxed_states(rp: RelaxedProblem, fvals, abar):
@@ -215,7 +202,7 @@ def _level_measure(rp: RelaxedProblem, s: np.ndarray, t0: np.ndarray) -> YoungMe
     ValueError where a side has no point, as for a monotone a.
     """
     mesh, cs = rp.mesh, rp.control.cs
-    dirac = _a_values(cs.a, t0[:, None]) == s
+    dirac = apply_cellwise(cs.a, t0[:, None]) == s
     if dirac.all():
         return YoungMeasureField(mesh, t0[:, None, None], np.ones((mesh.n_cells, 1)), "PH10")
     t_lo, t_hi = cs.levels(s, t0)
@@ -365,7 +352,7 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
     candidates.extend(_smooth_random_controls(mesh, samples, seed))
 
     if classical_opts is None:
-        classical_opts = OptimizeOptions(max_iterations=12)
+        classical_opts = OptimizeOptions(max_iterations=CLASSICAL_MAX_ITERATIONS)
     # the candidates' states, at the classical run's tolerance, in one stack
     U = np.array([u.values for u in candidates])
     Y = _state_columns(cp, U, None, classical_opts.state_tol)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import grid
 from .coefficients import (
+    CONSTRUCTION_SAMPLES,
     CoefficientSet,
     HypothesisReport,
     apply_cellwise,
@@ -36,8 +37,6 @@ __all__ = [
     "theoretical_contraction",
 ]
 
-_VALIDATION_SAMPLES = 2000
-
 
 @dataclass(frozen=True)
 class MonotoneStateProblem:
@@ -52,16 +51,10 @@ class MonotoneStateProblem:
             raise ValueError("monotone problem needs A with constants c, C")
         if self.cs.f is None:
             raise ValueError("monotone problem needs the source map f")
-        mono = check_monotonicity(self.cs, _VALIDATION_SAMPLES, dim=self.mesh.dimension)
-        if not mono.passed:
-            raise ValueError(
-                f"declared monotonicity constant fails sampling: {mono.worst_margin}"
-            )
-        grow = check_growth(self.cs, _VALIDATION_SAMPLES, dim=self.mesh.dimension)
-        if not grow.passed:
-            raise ValueError(
-                f"declared growth constants fail sampling: {grow.worst_margin}"
-            )
+        check_monotonicity(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(
+            "the declared monotonicity constant c")
+        check_growth(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(
+            "the declared growth (c, C)")
 
     def default_step(self) -> float:
         return self.cs.c / self.cs.C**2
@@ -113,6 +106,8 @@ def solve_monotone_columns(
     mesh = p.mesh
     if tau is None:
         tau = p.default_step()
+    elif not 0.0 < tau < np.inf:  # a NaN fails too
+        raise ValueError(f"tau must be finite and positive, got {tau}")
     fvals = np.asarray(p.cs.f(u), dtype=float)
     f_int = np.where(mesh.boundary_mask, 0.0, fvals)
 

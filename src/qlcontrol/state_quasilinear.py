@@ -16,7 +16,8 @@ from typing import Optional
 import numpy as np
 
 from . import grid
-from .coefficients import CoefficientSet, HypothesisReport, apply_cellwise, cellwise_jacobian
+from .coefficients import (CONSTRUCTION_SAMPLES, CoefficientSet, HypothesisReport,
+                           apply_cellwise, cellwise_jacobian)
 from .grid import Mesh, ScalarField
 from .reports import SolveReport, _columns_result
 
@@ -49,6 +50,7 @@ def poincare_constant(mesh: Mesh) -> float:
 class QuasilinearStateProblem:
     """Quasilinear problem -lap y + a(grad y) + b y = f(u), zero Dirichlet.
 
+    The coefficient set supplies a (``a_zero()`` for none) and f.
     Construction guarantees a unique state: b must exceed L^2/4 strictly,
     for the declared Lipschitz constant L of a (linear problems, L = 0,
     accept every b >= 0).  Omitting b picks ``max(1, 2 L^2/4)``, a
@@ -60,6 +62,9 @@ class QuasilinearStateProblem:
     b: Optional[float] = None
 
     def __post_init__(self):
+        if not callable(self.cs.a):
+            raise ValueError("quasilinear problem needs the gradient nonlinearity a "
+                             "(merge a_zero() for none)")
         if self.cs.f is None:
             raise ValueError("quasilinear problem needs the source map f")
         if self.b is None:
@@ -82,20 +87,18 @@ class QuasilinearStateProblem:
                 stacklevel=2,
             )
 
-        if self.cs.a is not None:
-            # |a(y)| <= C|y| on samples (C defaults to the Lipschitz constant)
-            growth_c = self.cs.C if self.cs.C is not None else max(L, 1e-12)
-            rng = np.random.default_rng(2024)
-            Y = rng.uniform(-10.0, 10.0, size=(2000, self.mesh.dimension))
-            aY = np.asarray(self.cs.a(Y), dtype=float)
-            norms = np.linalg.norm(Y, axis=1)
-            worst = float(np.max(np.abs(aY) - growth_c * norms))
-            if not worst <= 1e-10:  # a NaN sample fails too
-                raise ValueError(
-                    f"|a(y)| <= C|y| fails on samples by {worst} (C = {growth_c})"
-                )
+        # |a(y)| <= C|y| on samples
+        growth_c = self.growth_constant
+        rng = np.random.default_rng(2024)
+        Y = rng.uniform(-10.0, 10.0, size=(CONSTRUCTION_SAMPLES, self.mesh.dimension))
+        aY = np.asarray(self.cs.a(Y), dtype=float)
+        norms = np.linalg.norm(Y, axis=1)
+        worst = float(np.max(np.abs(aY) - growth_c * norms))
+        if not worst <= 1e-10:  # a NaN sample fails too
+            raise ValueError(f"|a(y)| <= C|y| fails on samples by {worst} "
+                             f"(C = {growth_c})")
         rng = np.random.default_rng(2025)
-        us = rng.uniform(-1e3, 1e3, size=2000)
+        us = rng.uniform(-1e3, 1e3, size=CONSTRUCTION_SAMPLES)
         fs = np.asarray(self.cs.f(us), dtype=float)
         if not np.all(np.isfinite(fs)):
             raise ValueError("f is not finite on the sampled control range")
@@ -103,16 +106,12 @@ class QuasilinearStateProblem:
     @property
     def growth_constant(self) -> float:
         """Constant C with |a(y)| <= C|y| (defaults to the Lipschitz L)."""
-        if self.cs.a is None:
-            return 0.0
         return self.cs.C if self.cs.C is not None else self.cs.L
 
 
 def _a_node_values(p: QuasilinearStateProblem, g: np.ndarray) -> np.ndarray:
     """Nodal average of a(g) for cell gradients g of shape (..., n_cells,
     dim); leading axes are batch axes."""
-    if p.cs.a is None:
-        return np.zeros(g.shape[:-2] + (p.mesh.n_nodes,))
     return grid.cell_to_node_values(p.mesh, apply_cellwise(p.cs.a, g))
 
 
@@ -134,15 +133,12 @@ def interior_jacobian(p: QuasilinearStateProblem, y: np.ndarray) -> np.ndarray:
     residual of strong_residual with respect to the interior values of y, at
     the nodal state y; a' is cellwise_jacobian of a."""
     mesh = p.mesh
-    da = None if p.cs.a is None else cellwise_jacobian(
-        p.cs.a, grid.gradient_values(mesh, y))
+    da = cellwise_jacobian(p.cs.a, grid.gradient_values(mesh, y))
 
     def apply(E):
         GE = grid.gradient_values(mesh, E)
-        KE = p.b * E - grid.divergence_weak_values(mesh, GE)
-        if da is not None:
-            KE += grid.cell_to_node_values(mesh, np.sum(da * GE, axis=-1))
-        return KE
+        return (p.b * E - grid.divergence_weak_values(mesh, GE)
+                + grid.cell_to_node_values(mesh, np.sum(da * GE, axis=-1)))
 
     return grid.interior_matrix(mesh, apply)
 

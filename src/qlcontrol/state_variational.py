@@ -15,6 +15,7 @@ import numpy as np
 
 from . import grid
 from .coefficients import (
+    CONSTRUCTION_SAMPLES,
     CoefficientSet,
     HypothesisReport,
     apply_cellwise,
@@ -34,7 +35,6 @@ __all__ = [
 
 _HALVINGS = 59  # a rejected step is halved at most this often
 _LADDER = 8  # halvings scored per stacked energy evaluation
-_VALIDATION_SAMPLES = 2000
 
 
 @dataclass(frozen=True)
@@ -55,16 +55,10 @@ class VariationalStateProblem:
         if self.cs.W is None or self.cs.dW is None:
             raise ValueError("variational problem needs the inner energy W and its dW")
         _check_source(self.mesh, self.source)
-        growth = check_w_growth(self.cs, _VALIDATION_SAMPLES, dim=self.mesh.dimension)
-        if not growth.passed:
-            raise ValueError(
-                f"W growth constants fail sampling: {growth.worst_margin}"
-            )
-        conv = check_w_convexity(self.cs, dim=self.mesh.dimension)
-        if not conv.passed:
-            raise ValueError(
-                f"W fails the midpoint convexity spot check: {conv.worst_margin}"
-            )
+        check_w_growth(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(
+            "the declared growth (c, C) of W")
+        check_w_convexity(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(
+            "the midpoint convexity of W")
 
     def with_source(self, source: ScalarField) -> "VariationalStateProblem":
         """Copy with the source replaced; only the new source is validated,

@@ -11,6 +11,7 @@ Oscillating control sequences are realized as 1D laminates on a refined mesh.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -243,8 +244,8 @@ def realize_sequence(
     endpoint match, so cellwise means of psi(u') reproduce moments with error
     O(1/j) (exactly, whenever theta * subcells_per_period * j is integral).
     """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
+    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 1:
+        raise ValueError(f"j must be a positive integer, got {j!r}")
     lo, hi, theta = _two_atom_form(ym)
     pot = potential(ym)
     if np.all(np.abs(hi - lo) * np.minimum(theta, 1.0 - theta) < 1e-15):

@@ -712,10 +712,23 @@ class TestListCommand:
 
 
 class TestShippedConfigs:
-    @pytest.mark.parametrize(
-        "name", ["verify-hypotheses.ini", "state-sin-gradient.ini", "relax-linear.ini",
-                 "gap-demo.ini"]
-    )
+    # sha256 of report.json outside "timings" (json.dumps, sorted keys) and
+    # of each CSV's name and bytes in name order: the byte contract of a
+    # shipped config's output, as perfbench's cli-configs digest
+    DIGESTS = {
+        "verify-hypotheses.ini": "3807f700981603b160f1f736e3c2f9457e8dbc4fa097d7f0339c0f2912351fc1",
+        "state-sin-gradient.ini": "8672e86e6dfd7db65e182b9757cd011472b8dad10c603d80c4f734a22f830b67",
+        "relax-linear.ini": "0d7096c0b4a8a3393f609eea0bd6a1e15f453ec4b3b00ed8811a799804165fb5",
+        "gap-demo.ini": "4a665e2bf5e5ece03bdf05831fefb9af174f866ec6668904dff65fc78c7a9769",
+    }
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
     def test_configs_run_clean(self, tmp_path, name):
-        assert main(["run", str(SHIPPED / name), "--out", str(tmp_path / "out")]) == 0
-        strict_loads((tmp_path / "out" / "report.json").read_text())
+        out = tmp_path / "out"
+        assert main(["run", str(SHIPPED / name), "--out", str(out)]) == 0
+        report = strict_loads((out / "report.json").read_text())
+        report.pop("timings")
+        got = hashlib.sha256(json.dumps(report, sort_keys=True).encode())
+        for p in sorted(out.glob("*.csv")):
+            got.update(p.name.encode() + p.read_bytes())
+        assert got.hexdigest() == self.DIGESTS[name]

@@ -1,9 +1,18 @@
 """Coefficient families, declared constants and sampled hypothesis checks."""
 
+import re
+
 import numpy as np
 import pytest
 
 from qlcontrol import coefficients as co
+from qlcontrol import grid
+from qlcontrol.control_opt import ControlProblem
+from qlcontrol.grid import ScalarField
+from qlcontrol.relaxed_opt import RelaxedProblem
+from qlcontrol.state_monotone import MonotoneStateProblem
+from qlcontrol.state_quasilinear import QuasilinearStateProblem
+from qlcontrol.state_variational import VariationalStateProblem
 
 
 class TestConstruction:
@@ -260,6 +269,56 @@ class TestLevels:
         cs = co.CoefficientSet(**{**SIN, "levels": None})
         with pytest.raises(ValueError, match=r"declared level map \(levels\)"):
             co.check_levels(cs)
+
+
+def _variational(**parts):
+    mesh = grid.build_mesh(1, 8)
+    cs = co.CoefficientSet(**parts)
+    return VariationalStateProblem(mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes)))
+
+
+def _bumpy_w():
+    # W = |y|^2/2 + 2(1 - cos y_0): inside the growth bounds, not convex
+    def W(Y, u):
+        return 0.5 * np.sum(Y * Y, axis=1) + 2.0 * (1.0 - np.cos(Y[:, 0]))
+
+    return {"W": W, "dW": lambda Y, u: Y, "c": 0.1, "C": 5.0}
+
+
+def _relaxed(b=1.0, **parts):
+    cs = co.CoefficientSet(**{"M": 1e-3, "c": 0.5, "C": 1.0, **co.f_tanh(),
+                              **co.cost_tracking(0.05), **parts})
+    state = QuasilinearStateProblem(grid.build_mesh(1, 16), cs, b=b)
+    return RelaxedProblem(ControlProblem(state))
+
+
+class TestRequire:
+    def test_passed_report_raises_nothing(self):
+        co.HypothesisReport("growth", 10, -1e-11).require("anything")
+
+    @pytest.mark.parametrize("margin", [-1.0, np.nan])
+    def test_failed_report_raises_naming_its_subject(self, margin):
+        with pytest.raises(ValueError, match=f"^the subject fails sampling by {margin}$"):
+            co.HypothesisReport("growth", 10, margin).require("the subject")
+
+    # every construction-time gate, each on a falsified declaration
+    @pytest.mark.parametrize("build, subject", [
+        (lambda: _variational(**{**co.w_quadratic(), "C": 0.45}),
+         "the declared growth (c, C) of W"),
+        (lambda: _variational(**_bumpy_w()), "the midpoint convexity of W"),
+        (lambda: MonotoneStateProblem(grid.build_mesh(1, 8), co.make_perturbed_linear(1.0).merged(
+            c=2.0, C=2.5, **co.f_linear())), "the declared monotonicity constant c"),
+        (lambda: MonotoneStateProblem(grid.build_mesh(1, 8), co.make_perturbed_linear(1.0).merged(
+            c=0.5, C=0.6, **co.f_linear())), "the declared growth (c, C)"),
+        (lambda: _relaxed(**{**co.a_sin_gradient(1.0), "band": (-0.5, 0.5)}),
+         "the declared band (-0.5, 0.5) of a"),
+        (lambda: _relaxed(b=2.0, **{**co.a_cosine_wells(0.4, 5.0), "C": 2.0,
+                                    "a": co.a_cosine_wells(0.4, 4.0)["a"]}),
+         "the declared level map of a"),
+    ], ids=["w-growth", "w-convexity", "monotonicity", "growth", "band", "levels"])
+    def test_falsified_declaration_raises_naming_its_subject(self, build, subject):
+        with pytest.raises(ValueError, match="^" + re.escape(subject) + " fails sampling by "):
+            build()
 
 
 class TestBuiltinsRoundTrip:

@@ -467,14 +467,14 @@ class TestCertifyGap:
         # two each), and the classical run's adjoint Jacobian applies its
         # linearization to 3 comb vectors (127 identity columns before)
         a_calls, probes, inside = [], [], []
-        a_values = relaxed_opt._a_values
+        apply_cellwise = relaxed_opt.apply_cellwise
         level_measure = relaxed_opt._level_measure
         interior_matrix = grid.interior_matrix
 
         def count_a(*args):
             if inside:
                 a_calls.append(1)
-            return a_values(*args)
+            return apply_cellwise(*args)
 
         def flagged(*args):
             inside.append(1)
@@ -491,7 +491,7 @@ class TestCertifyGap:
             return interior_matrix(mesh, counted)
 
         rp, init = instances.build_relaxed_problem("gap-family-1d")
-        monkeypatch.setattr(relaxed_opt, "_a_values", count_a)
+        monkeypatch.setattr(relaxed_opt, "apply_cellwise", count_a)
         monkeypatch.setattr(relaxed_opt, "_level_measure", flagged)
         monkeypatch.setattr(grid, "interior_matrix", count_probes)
         certify_gap(rp, samples=3, seed=0, designed_init=init)

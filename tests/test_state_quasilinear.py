@@ -48,6 +48,11 @@ class TestThreshold:
         with pytest.raises(ValueError, match="^L must be nonnegative, got nan$"):
             QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
 
+    def test_missing_a_rejected_naming_a_zero(self):
+        cs = co.CoefficientSet(**co.f_tanh())
+        with pytest.raises(ValueError, match=r"needs the gradient nonlinearity a .*a_zero\(\)"):
+            QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
+
     def test_nan_sample_of_a_fails_the_growth_check(self):
         a = lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0)  # noqa: E731
         cs = co.CoefficientSet(a=a, L=1.0, **co.f_tanh())

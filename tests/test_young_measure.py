@@ -332,6 +332,17 @@ class TestRealizeSequence:
         want = laminate_oracle(atoms, weights, ym.potential(field).values, j, q)
         assert np.array_equal(u.values, want)
 
+    @pytest.mark.parametrize("j", [True, 2.5, 2.0, 0, -1])
+    def test_rejects_j_other_than_a_positive_integer(self, j):
+        two = ym.uniform_two_atom(grid.build_mesh(1, 4), -1.0, 1.0, 0.5)
+        with pytest.raises(ValueError, match=f"^j must be a positive integer, got {j!r}$"):
+            ym.realize_sequence(two, j)
+
+    def test_accepts_a_numpy_integer_j(self):
+        two = ym.uniform_two_atom(grid.build_mesh(1, 4), -1.0, 1.0, 0.5)
+        assert np.array_equal(ym.realize_sequence(two, np.int64(4)).values,
+                              ym.realize_sequence(two, 4).values)
+
     def test_rejects_2d(self):
         mesh = grid.build_mesh(2, 3)
         d = ym.dirac_field(VectorField(mesh, np.zeros((mesh.n_cells, 2))))
