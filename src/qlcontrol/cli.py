@@ -240,7 +240,7 @@ def _run_relax(cfg: ExperimentConfig, out_dir: Path, results, timings, rp, desig
         costs = minimizing_sequence_demo(rp.control, cfg.js)
         timings["minimizing_sequence_demo"] = time.perf_counter() - t0
         results["demo_trace"] = {
-            "j": [int(j) for j in cfg.js],
+            "j": list(cfg.js),
             "costs": [float(c) for c in costs],
         }
     mu, nu, y = report.minimizer

@@ -20,7 +20,6 @@ projected descent on the control and its slack.
 from __future__ import annotations
 
 import logging
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -237,12 +236,7 @@ class OptimizeOptions:
     state_tol: Optional[float] = None
 
     def __post_init__(self):
-        if isinstance(self.max_iterations, bool) or not isinstance(
-            self.max_iterations, numbers.Integral
-        ) or self.max_iterations < 0:
-            raise ValueError(
-                f"max_iterations must be a non-negative integer, got {self.max_iterations!r}"
-            )
+        grid.check_count("max_iterations", self.max_iterations, 0)
         # an infinite tolerance would stop every run as converged at once
         if not 0.0 <= self.gradient_tol < np.inf:
             raise ValueError(
@@ -579,7 +573,7 @@ def minimizing_sequence_demo(
         raise ValueError("no oscillation measure prescribed for this problem")
     costs, y = [], None
     for j in j_list:
-        u_j = realize_sequence(ymf, int(j))
+        u_j = realize_sequence(ymf, j)
         cp_j = cp if u_j.mesh == cp.mesh else cp.with_mesh(u_j.mesh)
         if y is not None:
             x = u_j.mesh.node_coords()[:, 0]

@@ -14,6 +14,7 @@ exists in 1D only.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,19 +102,16 @@ class Mesh:
 
     def node_coords(self) -> np.ndarray:
         """Coordinates of every node, shape ``(n_nodes, dimension)``."""
-        ax = np.linspace(0.0, 1.0, self.nodes_per_axis)
-        if self.dimension == 1:
-            return ax[:, None]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return self._tensor_grid(np.linspace(0.0, 1.0, self.nodes_per_axis))
 
     def cell_centers(self) -> np.ndarray:
         """Coordinates of every cell midpoint, shape ``(n_cells, dimension)``."""
-        ax = (np.arange(self.cells_per_axis) + 0.5) * self.h
-        if self.dimension == 1:
-            return ax[:, None]
-        X, Y = np.meshgrid(ax, ax, indexing="ij")
-        return np.column_stack([X.ravel(), Y.ravel()])
+        return self._tensor_grid((np.arange(self.cells_per_axis) + 0.5) * self.h)
+
+    def _tensor_grid(self, ax: np.ndarray) -> np.ndarray:
+        """Points of the tensor grid of axis coordinates ax, in C order."""
+        d = self.dimension
+        return np.stack(np.meshgrid(*(ax,) * d, indexing="ij"), axis=-1).reshape(-1, d)
 
     def node_weights(self) -> np.ndarray:
         """Trapezoid quadrature weights per node (without the h^d factor)."""
@@ -178,6 +176,13 @@ class VectorField:
 def build_mesh(dimension: int, cells_per_axis: int) -> Mesh:
     """Uniform mesh of the unit interval (d=1) or unit square (d=2)."""
     return Mesh(dimension, cells_per_axis)
+
+
+def check_count(name: str, value, low: int) -> None:
+    """Raise ValueError unless the count ``value`` is an integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        kind = "positive" if low else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 # -- discrete differential operators -----------------------------------------
@@ -361,8 +366,7 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
     # each check is written so that a NaN fails it
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol}")
-    if not max_iterations >= 0:
-        raise ValueError(f"max_iterations must be non-negative, got {max_iterations}")
+    check_count("max_iterations", max_iterations, 0)
     states = np.empty(carry[0].shape)
     outcome = [None] * len(states)
     ids = np.arange(len(states))
@@ -579,12 +583,15 @@ def _sweep_weights_1d(n: int, b: float):
     m = n - 1
     L = m if theta * (m - 1) <= _CHUNK_EXPONENT else max(1, int(_CHUNK_EXPONENT / theta))
     t = np.arange(m) % L
-    up, down, enter = (np.exp(c * theta) for c in (-(L - 1 - t), L - 1 - t, -(t + 1.0)))
+    up, down = (np.exp(c * theta) for c in (-(L - 1 - t), L - 1 - t))
     # the lower sweep feeds node i from j <= i; the upper one runs over the
     # reversed row, position t feeding node m - 1 - t from j > m - 1 - t
     lower, upper = p[m:0:-1], np.exp(-theta) * r[m - 1::-1]
-    return (L, np.exp(-theta * L), r[1:n] * up, lower * down, lower * enter,
-            p[1:n] * up, upper * down, upper * enter)
+    v1 = v2 = None
+    if L < m:  # a sweep of one chunk carries nothing
+        v1, v2 = np.exp(-(t + 1.0) * theta) * np.stack([lower, upper])
+    return (L, np.exp(-theta * L), r[1:n] * up, lower * down, v1,
+            p[1:n] * up, upper * down, v2)
 
 
 def _sweep(g: np.ndarray, L: int, decay: float, w: np.ndarray, v: np.ndarray):
@@ -680,6 +687,13 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     F = rhs.reshape(square)[..., 1:-1, 1:-1]
     out.reshape(square)[..., 1:-1, 1:-1] = S @ ((S @ F @ S) / (lam0 + b)) @ S
     return out
+
+
+def lift_values(mesh: Mesh, r: np.ndarray):
+    """(lift, norm): the zero-Dirichlet Poisson lift of stacked nodal residuals
+    r, and the l2 norm of its cell gradient, the discrete H^-1 norm of r."""
+    lift = helmholtz_solve_values(mesh, 0.0, r)
+    return lift, l2_norm_values(mesh, gradient_values(mesh, lift), "cells")
 
 
 def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:

@@ -26,7 +26,6 @@ certify_gap compares its value against the best sampled classical cost.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -339,8 +338,8 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
     ``base``, and the tight embedding solve starts from that state.  A
     ``designed_init`` on another mesh is rejected before any of this.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral) or samples < 0:
-        raise ValueError(f"samples must be a non-negative integer, got {samples!r}")
+    grid.check_count("samples", samples, 0)
+    grid.check_count("seed", seed, 0)
     if designed_init is not None:
         _check_init(rp, designed_init)
     cp = rp.control

@@ -231,6 +231,7 @@ def verify_uniqueness(
     tol: float = 1e-6,
 ) -> HypothesisReport:
     """Solve from random initial iterates and compare all results pairwise."""
+    grid.check_count("trials", trials, 0)
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal((trials, p.mesh.n_nodes))
     worst = 0.0

@@ -132,17 +132,11 @@ def inner_energy(p: VariationalStateProblem, y: ScalarField, u: ScalarField) -> 
     return float(_energy_values(p, y.values[None], *data)[0][0])
 
 
-def _lifted_norm(mesh: Mesh, g: np.ndarray) -> np.ndarray:
-    """Discrete H^-1 norm of energy gradients g (lift through (-lap)^{-1})."""
-    lift = grid.helmholtz_solve_values(mesh, 0.0, g)
-    return grid.l2_norm_values(mesh, grid.gradient_values(mesh, lift), "cells")
-
-
 def residual_norm(p: VariationalStateProblem, y: np.ndarray, *data) -> np.ndarray:
     """Lifted Euler-Lagrange residual of every column; ``data`` as
     _column_data returns it."""
     Gy = grid.gradient_values(p.mesh, y)
-    return _lifted_norm(p.mesh, _energy_gradient(p, y, Gy, *data))
+    return grid.lift_values(p.mesh, _energy_gradient(p, y, Gy, *data))[1]
 
 
 def solve_state(
@@ -246,7 +240,7 @@ def solve_state_columns(
         stuck = er == energy[r]
         if np.count_nonzero(stuck):
             stuck &= np.all(yr == y[r], axis=-1)
-        measure = _lifted_norm(mesh, gr)
+        measure = grid.lift_values(mesh, gr)[1]
         carry = (yr, gr, np.vecdot(gr, gr), er, alpha_r)
         if not every:
             # a column whose line search ran out stops at its floor, unmoved;
@@ -314,6 +308,7 @@ def verify_minimality(
     Perturbation scales cycle through {1e-2, 1e-1, 1}; the check passes when
     no competitor undercuts the solved energy by more than 1e-10.
     """
+    grid.check_count("trials", trials, 0)
     rng = np.random.default_rng(seed)
     base = inner_energy(p, y_u, u)
     rho = np.resize((1e-2, 1e-1, 1.0), trials)

@@ -11,7 +11,6 @@ Oscillating control sequences are realized as 1D laminates on a refined mesh.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -244,8 +243,8 @@ def realize_sequence(
     endpoint match, so cellwise means of psi(u') reproduce moments with error
     O(1/j) (exactly, whenever theta * subcells_per_period * j is integral).
     """
-    if isinstance(j, bool) or not isinstance(j, numbers.Integral) or j < 1:
-        raise ValueError(f"j must be a positive integer, got {j!r}")
+    grid.check_count("j", j, 1)
+    grid.check_count("subcells_per_period", subcells_per_period, 1)
     lo, hi, theta = _two_atom_form(ym)
     pot = potential(ym)
     if np.all(np.abs(hi - lo) * np.minimum(theta, 1.0 - theta) < 1e-15):
@@ -253,7 +252,7 @@ def realize_sequence(
 
     mesh = ym.mesh
     n = mesh.cells_per_axis
-    q = int(subcells_per_period)
+    q = subcells_per_period
     r = j * q
     fine = grid.build_mesh(1, n * r)
     hf = fine.h

@@ -236,7 +236,7 @@ class TestStallWindow:
 @pytest.mark.parametrize("bad, message", [
     ({"tol": float("nan")}, "^tol must be a non-negative number, got nan"),
     ({"tol": -1.0}, "^tol must be a non-negative number, got -1.0"),
-    ({"max_iterations": -1}, "^max_iterations must be non-negative, got -1"),
+    ({"max_iterations": -1}, "^max_iterations must be a non-negative integer, got -1$"),
 ], ids=["tol-nan", "tol-negative", "cap-negative"])
 @pytest.mark.parametrize("name", ["variational-quartic-1d", "monotone-perturbed-1d",
                                   "sin-gradient-1d"])

@@ -1,12 +1,17 @@
 """Mesh, discrete operators, Helmholtz backbone and quadrature."""
 
+import re
 import sys
 
 import numpy as np
 import pytest
 
-from qlcontrol import grid, instances, state_monotone, state_quasilinear
+from qlcontrol import grid, instances, state_monotone, state_quasilinear, young_measure
+from qlcontrol.control_opt import (OptimizeOptions, _source_kw, minimizing_sequence_demo,
+                                   state_solvers)
 from qlcontrol.grid import ScalarField, VectorField
+from qlcontrol.relaxed_opt import certify_gap
+from qlcontrol.state_variational import verify_minimality
 
 from oracles import helmholtz_1d, helmholtz_matrix_2d, laplacian
 
@@ -35,6 +40,68 @@ class TestBuildMesh:
     def test_bad_dimension_rejected(self):
         with pytest.raises(ValueError):
             grid.build_mesh(3, 4)
+
+
+def _problem(name):
+    cp = instances.build_control_problem(name, grid.build_mesh(1, 8))
+    return cp, ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
+
+
+def _solve_capped(name, cap):
+    cp, u = _problem(name)
+    state_solvers(cp.regime)[0](cp.state, u, max_iterations=cap, **_source_kw(cp.state, u.values))
+
+
+def _uniqueness(trials):
+    cp, u = _problem("sin-gradient-1d")
+    state_quasilinear.verify_uniqueness(cp.state, u, trials=trials)
+
+
+def _minimality(trials):
+    cp, u = _problem("variational-quartic-1d")
+    verify_minimality(cp.state, u, u, trials=trials)
+
+
+def _two_atom():
+    return young_measure.uniform_two_atom(grid.build_mesh(1, 4), -1.0, 1.0, 0.5)
+
+
+def _gap_problem():
+    return instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, 8))[0]
+
+
+# (name, low, call) of every count argument that grid.check_count guards
+_COUNTS = {
+    "realize_sequence-j": ("j", 1, lambda v: young_measure.realize_sequence(_two_atom(), v)),
+    "realize_sequence-subcells": ("subcells_per_period", 1, lambda v: (
+        young_measure.realize_sequence(_two_atom(), 4, subcells_per_period=v))),
+    "minimizing_sequence_demo-js": ("j", 1, lambda v: minimizing_sequence_demo(
+        _problem("gap-family-1d")[0], [v])),
+    "certify_gap-samples": ("samples", 0, lambda v: certify_gap(_gap_problem(), samples=v)),
+    "certify_gap-seed": ("seed", 0, lambda v: certify_gap(_gap_problem(), seed=v)),
+    "OptimizeOptions-max_iterations": ("max_iterations", 0,
+                                       lambda v: OptimizeOptions(max_iterations=v)),
+    "verify_uniqueness-trials": ("trials", 0, _uniqueness),
+    "verify_minimality-trials": ("trials", 0, _minimality),
+    **{f"{solver}-max_iterations": ("max_iterations", 0,
+                                    lambda v, name=name: _solve_capped(name, v))
+       for solver, name in (("solve_state", "variational-quartic-1d"),
+                            ("solve_monotone", "monotone-perturbed-1d"),
+                            ("solve_quasilinear", "sin-gradient-1d"))},
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNTS))
+@pytest.mark.parametrize("value", [True, 2.5, "below"])
+def test_count_arguments_take_one_rule(case, value):
+    # a bool or 2.5 was truncated, run as its integer, or failed inside numpy
+    name, low, call = _COUNTS[case]
+    if value == "below":
+        value = low - 1
+    kind = "positive" if low else "non-negative"
+    message = f"^{name} must be a {kind} integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        call(value)
 
 
 class TestGradient:
@@ -538,6 +605,21 @@ class TestBatchAxes:
         for i in range(3):
             assert nodal[i] == grid.l2_norm(ScalarField(mesh, y[i]))
             assert cells[i] == grid.l2_norm(grid.VectorField(mesh, q[i]))
+
+    @pytest.mark.parametrize("dim,n", [(1, 16), (1, 128), (2, 8)],
+                             ids=["dense-1d", "sweep-1d", "2d"])
+    def test_lift_values_is_the_poisson_lift_and_its_norm(self, dim, n):
+        rng = np.random.default_rng(37)
+        mesh = grid.build_mesh(dim, n)
+        r = rng.standard_normal((3, mesh.n_nodes))
+        lift, norm = grid.lift_values(mesh, r)
+        want = grid.helmholtz_solve_values(mesh, 0.0, r)
+        assert np.array_equal(lift, want)
+        assert np.array_equal(
+            norm, grid.l2_norm_values(mesh, grid.gradient_values(mesh, want), "cells"))
+        for i in range(3):
+            single, single_norm = grid.lift_values(mesh, r[i])
+            assert np.array_equal(single, lift[i]) and single_norm == norm[i]
 
     def test_start_columns_and_select_rows(self):
         mesh = grid.build_mesh(1, 4)
