@@ -21,6 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import grid
+
 __all__ = [
     "CoefficientSet",
     "HypothesisReport",
@@ -47,7 +49,7 @@ __all__ = [
 
 DEFAULT_SAMPLES = 10_000
 CONSTRUCTION_SAMPLES = 2000  # samples of each check a problem runs when built
-DEFAULT_RADIUS = 10.0
+DEFAULT_RADIUS = 10.0  # radius of the region every sampled check draws from
 CHECK_TOLERANCE = 1e-10
 _EPS_STRICT = 1e-12  # clamp so that 0 < c < C stays strict for linear fluxes
 
@@ -271,9 +273,9 @@ def a_zero() -> dict:
             "levels": _zero_levels}
 
 
-def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
-    """a(y) = kappa * sin(e . y) for the unit vector e of the given axis.
-    Level map: the branches arcsin(s/kappa) and pi - arcsin(s/kappa), period
+def a_sin_gradient(kappa: float = 1.0) -> dict:
+    """a(y) = kappa * sin(y_1), y_1 the first gradient component.  Level
+    map: the branches arcsin(s/kappa) and pi - arcsin(s/kappa), period
     2 pi."""
 
     def levels(s, t0):
@@ -281,15 +283,15 @@ def a_sin_gradient(kappa: float = 1.0, axis: int = 0) -> dict:
         return _nearest_levels(t0, (phase, np.pi - phase), 2.0 * np.pi)
 
     return {
-        "a": lambda Y: kappa * np.sin(Y[:, axis]),
+        "a": lambda Y: kappa * np.sin(Y[:, 0]),
         "L": abs(kappa),
         "band": (-abs(kappa), abs(kappa)),
         "levels": levels if kappa else _zero_levels,
     }
 
 
-def a_clamped_linear(kappa: float = 1.0, axis: int = 0) -> dict:
-    """a(y) = kappa * clamp(e . y, -1, 1).  Level map: the single point
+def a_clamped_linear(kappa: float = 1.0) -> dict:
+    """a(y) = kappa * clamp(y_1, -1, 1).  Level map: the single point
     s/kappa inside the band, and at a band end the half-line beyond +-1,
     whose nearest point to t0 is t0 clamped onto it."""
 
@@ -299,15 +301,15 @@ def a_clamped_linear(kappa: float = 1.0, axis: int = 0) -> dict:
         return _nearest_levels(t0, (np.where(np.abs(q) <= 1.0, ends, np.nan),))
 
     return {
-        "a": lambda Y: kappa * np.clip(Y[:, axis], -1.0, 1.0),
+        "a": lambda Y: kappa * np.clip(Y[:, 0], -1.0, 1.0),
         "L": abs(kappa),
         "band": (-abs(kappa), abs(kappa)),
         "levels": levels if kappa else _zero_levels,
     }
 
 
-def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
-    """a(y) = kappa * (1 - cos(omega * e . y)): nonnegative with equally deep
+def a_cosine_wells(kappa: float, omega: float) -> dict:
+    """a(y) = kappa * (1 - cos(omega * y_1)): nonnegative with equally deep
     wells at multiples of 2*pi/omega; globally Lipschitz with L = kappa*omega,
     and |a(y)| <= L |y| since 1 - cos(s) <= |s|.  Level map: the branches
     +-arccos(1 - s/kappa)/omega, period 2 pi/omega."""
@@ -318,7 +320,7 @@ def a_cosine_wells(kappa: float, omega: float, axis: int = 0) -> dict:
         return _nearest_levels(t0, (-phase, phase), 2.0 * np.pi / w)
 
     return {
-        "a": lambda Y: kappa * (1.0 - np.cos(omega * Y[:, axis])),
+        "a": lambda Y: kappa * (1.0 - np.cos(omega * Y[:, 0])),
         "L": abs(kappa * omega),
         "band": (min(0.0, 2.0 * kappa), max(0.0, 2.0 * kappa)),
         "levels": levels if kappa * omega else _zero_levels,
@@ -377,11 +379,11 @@ def w_u_scaled_quadratic(eps: float = 0.25) -> dict:
     }
 
 
-def w_quartic_clamped(radius: float = 10.0) -> dict:
-    """W(y) = |y|^2/2 + q(|y|) with q quartic inside the radius and extended
-    by its tangent line outside, keeping the quadratic growth bound while
-    staying strictly convex and C^1."""
-    R = float(radius)
+def w_quartic_clamped() -> dict:
+    """W(y) = |y|^2/2 + q(|y|) with q quartic inside the radius R = 10 and
+    extended by its tangent line outside, keeping the quadratic growth bound
+    while staying strictly convex and C^1."""
+    R = 10.0
 
     def _q(t):
         return np.where(t <= R, 0.25 * t**4, 0.25 * R**4 + R**3 * (t - R))
@@ -410,13 +412,13 @@ def w_quartic_clamped(radius: float = 10.0) -> dict:
     }
 
 
-def cost_tracking(target, cap: float = 1e6) -> dict:
-    """F(y) = min((y - target)^2, cap): continuous, bounded, bounded below.
+def cost_tracking(target) -> dict:
+    """F(y) = min((y - target)^2, 1e6): continuous, bounded, bounded below.
     The target is a scalar or a fixed nodal field."""
     target = np.asarray(target, dtype=float)
 
     def F(y):
-        return np.minimum((np.asarray(y, dtype=float) - target) ** 2, cap)
+        return np.minimum((np.asarray(y, dtype=float) - target) ** 2, 1e6)
 
     return {"F": F}
 
@@ -439,27 +441,34 @@ def cost_shortfall(cap: float = 1.0) -> dict:
 # -- sampled hypothesis checks --------------------------------------------------
 
 
-def _ball_samples(rng, n: int, dim: int, radius: float) -> np.ndarray:
-    """Uniform samples in the dim-ball of the given radius."""
+def _sampling_rng(samples, seed) -> np.random.Generator:
+    """Generator of a sampled check, once its sample count and seed pass
+    grid.check_count."""
+    grid.check_count("samples", samples, 1)
+    grid.check_count("seed", seed, 0)
+    return np.random.default_rng(seed)
+
+
+def _ball_samples(rng, n: int, dim: int) -> np.ndarray:
+    """Uniform samples in the dim-ball of radius DEFAULT_RADIUS."""
     d = rng.standard_normal((n, dim))
     d /= np.maximum(np.linalg.norm(d, axis=1, keepdims=True), 1e-300)
-    r = radius * rng.random(n) ** (1.0 / dim)
+    r = DEFAULT_RADIUS * rng.random(n) ** (1.0 / dim)
     return d * r[:, None]
 
 
 def check_monotonicity(
     cs: CoefficientSet,
     samples: int = DEFAULT_SAMPLES,
-    radius: float = DEFAULT_RADIUS,
     seed: int = 0,
     dim: int = 2,
 ) -> HypothesisReport:
     """Sampled check of (A(y1)-A(y2)).(y1-y2) >= c |y1-y2|^2."""
     if cs.A is None or cs.c is None:
         raise ValueError("check_monotonicity needs A and c")
-    rng = np.random.default_rng(seed)
-    Y1 = _ball_samples(rng, samples, dim, radius)
-    Y2 = _ball_samples(rng, samples, dim, radius)
+    rng = _sampling_rng(samples, seed)
+    Y1 = _ball_samples(rng, samples, dim)
+    Y2 = _ball_samples(rng, samples, dim)
     d = Y1 - Y2
     slack = np.sum((cs.A(Y1) - cs.A(Y2)) * d, axis=1) - cs.c * np.sum(d * d, axis=1)
     return HypothesisReport("monotonicity", samples, float(np.min(slack)))
@@ -468,7 +477,6 @@ def check_monotonicity(
 def check_growth(
     cs: CoefficientSet,
     samples: int = DEFAULT_SAMPLES,
-    radius: float = DEFAULT_RADIUS,
     seed: int = 0,
     dim: int = 2,
 ) -> HypothesisReport:
@@ -476,8 +484,8 @@ def check_growth(
     is present, |a(y)| <= C |y|."""
     if cs.C is None or cs.c is None:
         raise ValueError("check_growth needs c and C")
-    rng = np.random.default_rng(seed)
-    Y = _ball_samples(rng, samples, dim, radius)
+    rng = _sampling_rng(samples, seed)
+    Y = _ball_samples(rng, samples, dim)
     norms = np.linalg.norm(Y, axis=1)
     slacks = []
     if cs.A is not None:
@@ -495,16 +503,15 @@ def check_growth(
 def check_w_growth(
     cs: CoefficientSet,
     samples: int = DEFAULT_SAMPLES,
-    radius: float = DEFAULT_RADIUS,
     seed: int = 0,
     dim: int = 2,
 ) -> HypothesisReport:
     """Sampled check of c(|y|^2 - 1) <= W(y, u) <= C(|y|^2 + 1)."""
     if cs.W is None or cs.c is None or cs.C is None:
         raise ValueError("check_w_growth needs W, c and C")
-    rng = np.random.default_rng(seed)
-    Y = _ball_samples(rng, samples, dim, radius)
-    u = radius * (2.0 * rng.random(samples) - 1.0)
+    rng = _sampling_rng(samples, seed)
+    Y = _ball_samples(rng, samples, dim)
+    u = DEFAULT_RADIUS * (2.0 * rng.random(samples) - 1.0)
     Wv = cs.W(Y, u)
     n2 = np.sum(Y * Y, axis=1)
     lower = Wv - cs.c * (n2 - 1.0)
@@ -517,36 +524,32 @@ def check_w_growth(
 def check_w_convexity(
     cs: CoefficientSet,
     samples: int = 2000,
-    radius: float = DEFAULT_RADIUS,
     seed: int = 0,
     dim: int = 2,
 ) -> HypothesisReport:
     """Midpoint-convexity spot check of W in its gradient argument."""
     if cs.W is None:
         raise ValueError("check_w_convexity needs W")
-    rng = np.random.default_rng(seed)
-    Y1 = _ball_samples(rng, samples, dim, radius)
-    Y2 = _ball_samples(rng, samples, dim, radius)
-    u = radius * (2.0 * rng.random(samples) - 1.0)
+    rng = _sampling_rng(samples, seed)
+    Y1 = _ball_samples(rng, samples, dim)
+    Y2 = _ball_samples(rng, samples, dim)
+    u = DEFAULT_RADIUS * (2.0 * rng.random(samples) - 1.0)
     mid = 0.5 * (Y1 + Y2)
     slack = 0.5 * (cs.W(Y1, u) + cs.W(Y2, u)) - cs.W(mid, u)
     return HypothesisReport("w-midpoint-convexity", samples, float(np.min(slack)))
 
 
-def check_band(
-    cs: CoefficientSet,
-    samples: int = DEFAULT_SAMPLES,
-    radius: float = DEFAULT_RADIUS,
-) -> HypothesisReport:
+def check_band(cs: CoefficientSet) -> HypothesisReport:
     """Sampled check of the declared band (lo, hi) = (inf a, sup a) of a
-    scalar-gradient a, on a uniform grid of [-radius, radius] with spacing
-    d: every sample lies in the band, and each end is within L d of a
-    sample (a lies within L d / 2 of its extrema there when they are
-    attained on the grid's range).  A band too narrow fails the first test,
-    one too wide the second."""
+    scalar-gradient a, on a uniform grid of DEFAULT_SAMPLES points of
+    [-R, R], R = DEFAULT_RADIUS, with spacing d: every sample lies in the
+    band, and each end is within L d of a sample (a lies within L d / 2 of
+    its extrema there when they are attained on the grid's range).  A band
+    too narrow fails the first test, one too wide the second."""
     if cs.a is None or cs.band is None:
         raise ValueError("check_band needs a and its band")
     lo, hi = cs.band
+    samples, radius = DEFAULT_SAMPLES, DEFAULT_RADIUS
     t = np.linspace(-radius, radius, samples)
     at = np.asarray(cs.a(t[:, None]), dtype=float)
     reach = cs.L * (t[1] - t[0])

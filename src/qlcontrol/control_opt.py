@@ -367,14 +367,14 @@ def _trial_ladder(score, x, g, step, clip):
     """Armijo trials at the steps step * 2^-j, j < _LINESEARCH_MAX, in
     ladder order.
 
-    Yields ``(alpha, trial, state, cost)`` per trial, with state and cost
-    None where ``score`` could not solve the trial's state.  ``clip`` maps a
+    Yields ``(alpha, trial, state, cost)`` per trial.  ``clip`` maps a
     stack of points x - alpha g into the feasible set (None: every point is
     feasible).  The ladder is scored in chunks of 2, 4, 8 and then 16
     trials, each chunk one call of ``score`` (one stacked state solve), so
     every yielded trial is the one a one-by-one search would score (bit for
-    bit in 1D).  A chunk that fails as a whole is scored again one trial at
-    a time, so an error surfaces at the trial that raises it, and only if no
+    bit in 1D).  A chunk that raises is scored again one trial at a time:
+    a trial whose state solve does not converge yields state and cost None,
+    and any other error surfaces at the trial that raises it, only if no
     earlier trial is accepted.
     """
     alphas = [step]
@@ -392,29 +392,22 @@ def _trial_ladder(score, x, g, step, clip):
         except Exception:
             # whatever the stack raised, scoring its trials one by one
             # raises it again at the trial that causes it
-            if len(chunk) == 1:
-                raise
             for alpha, v in zip(chunk, X):
-                yield (alpha, v) + score(v[None])[0]
+                try:
+                    trial = score(v[None])[0]
+                except NonConvergenceError:
+                    trial = (None, None)
+                yield (alpha, v) + trial
             continue
         for alpha, v, trial in zip(chunk, X, scored):
             yield (alpha, v) + trial
 
 
 def _score_trials(cp, U, warm, state_tol) -> list:
-    """(state values, cost) per control of the stack U, both None for a
-    column whose state solve did not converge."""
-    try:
-        Y = _state_columns(cp, U, warm, state_tol)
-        ok = np.ones(len(U), dtype=bool)
-    except NonConvergenceError as err:
-        Y = err.states
-        ok = np.array([rep.converged for rep in err.reports])
-    costs = np.empty(len(U))
-    if ok.any():
-        # failed columns are not costed: their states may be far from finite
-        costs[ok] = _costs(cp, U[ok], Y[ok])
-    return [(y, float(c)) if k else (None, None) for y, c, k in zip(Y, costs, ok)]
+    """(state values, cost) per control of the stack U; raises
+    NonConvergenceError if any state solve fails."""
+    Y = _state_columns(cp, U, warm, state_tol)
+    return list(zip(Y, _costs(cp, U, Y).tolist()))
 
 
 def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
@@ -555,25 +548,21 @@ def _fd_gradient_at(
     return _fd_cost_gradient(cp, u.values, cost, state, opts, central)
 
 
-def minimizing_sequence_demo(
-    cp: ControlProblem,
-    j_list,
-    measure: Optional[YoungMeasureField] = None,
-) -> np.ndarray:
+def minimizing_sequence_demo(cp: ControlProblem, j_list) -> np.ndarray:
     """Costs of the realized oscillating controls u_j for each j.
 
-    Realizes the prescribed two-atom control-gradient measure at each
-    oscillation count and evaluates the classical cost on the realization
-    mesh (rebuilding the problem there); the trace is non-increasing in j up
-    to O(1/j) wiggle.  Each state solve after the first starts from the
-    previous realization's state, interpolated to the new mesh.
+    Realizes the problem's two-atom control-gradient measure
+    ``cp.demo_measure`` at each oscillation count and evaluates the
+    classical cost on the realization mesh (rebuilding the problem there);
+    the trace is non-increasing in j up to O(1/j) wiggle.  Each state solve
+    after the first starts from the previous realization's state,
+    interpolated to the new mesh.
     """
-    ymf = measure if measure is not None else cp.demo_measure
-    if ymf is None:
+    if cp.demo_measure is None:
         raise ValueError("no oscillation measure prescribed for this problem")
     costs, y = [], None
     for j in j_list:
-        u_j = realize_sequence(ymf, j)
+        u_j = realize_sequence(cp.demo_measure, j)
         cp_j = cp if u_j.mesh == cp.mesh else cp.with_mesh(u_j.mesh)
         if y is not None:
             x = u_j.mesh.node_coords()[:, 0]

@@ -55,6 +55,8 @@ class Mesh:
     cells_per_axis: int
 
     def __post_init__(self):
+        check_count("dimension", self.dimension, 1)
+        check_count("cells_per_axis", self.cells_per_axis, 1)
         if self.dimension not in (1, 2):
             raise ValueError(f"dimension must be 1 or 2, got {self.dimension}")
         if self.cells_per_axis < 2:

@@ -302,15 +302,16 @@ def optimize_relaxed(
 # -- certification ----------------------------------------------------------------
 
 
-def _smooth_random_controls(mesh: Mesh, samples: int, seed: int, scale: float = 1.0):
-    """Seeded smooth random nodal controls (low-frequency sine series)."""
+def _smooth_random_controls(mesh: Mesh, samples: int, seed: int):
+    """Seeded smooth random nodal controls (low-frequency sine series whose
+    k-th mode has standard deviation 1/k)."""
     rng = np.random.default_rng(seed)
     x = mesh.node_coords()
     out = []
     for _ in range(samples):
-        vals = np.full(mesh.n_nodes, rng.normal(0.0, scale))
+        vals = np.full(mesh.n_nodes, rng.normal(0.0, 1.0))
         for k in range(1, 4):
-            vals += rng.normal(0.0, scale / k) * np.sin(np.pi * k * x[:, 0])
+            vals += rng.normal(0.0, 1.0 / k) * np.sin(np.pi * k * x[:, 0])
         out.append(ScalarField(mesh, vals))
     return out
 

@@ -84,24 +84,12 @@ class RelaxationReport:
 
 
 class NonConvergenceError(RuntimeError):
-    """Raised when an iterative solve exhausts its cap; carries the report.
+    """Raised when an iterative solve exhausts its cap or stalls; carries
+    the report (of the first failed column, for a stacked solve)."""
 
-    A stacked solve also attaches every column's state (``states``, shape
-    (k, n_nodes)) and report (``reports``), so a caller can use the columns
-    that did converge; ``report`` is then the first failed column's.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        report: Optional[SolveReport] = None,
-        states=None,
-        reports: Optional[list] = None,
-    ):
+    def __init__(self, message: str, report: Optional[SolveReport] = None):
         super().__init__(message)
         self.report = report
-        self.states = states
-        self.reports = reports
 
 
 def _columns_result(regime: str, states, reports: list, max_iterations: int, message):
@@ -119,5 +107,5 @@ def _columns_result(regime: str, states, reports: list, max_iterations: int, mes
                        regime, i, stop, rep.iterations, rep.residual)
     failed = [rep for rep in reports if not rep.converged]
     if failed:
-        raise NonConvergenceError(message(failed[0]), failed[0], states, reports)
+        raise NonConvergenceError(message(failed[0]), failed[0])
     return states, reports

@@ -4,7 +4,7 @@ iteration preconditioned with the inverse Laplacian.
 For a flux that is strongly monotone with constant c and Lipschitz with
 constant C, the map ``y -> y - tau * (-lap)^{-1}(-div A(grad y) - f)``
 contracts in the H1_0 seminorm with factor ``sqrt(1 - 2 tau c + tau^2 C^2)``
-for any ``tau in (0, 2c/C^2)``; the default step ``tau = c/C^2`` makes the
+for any ``tau in (0, 2c/C^2)``; the solver's step ``tau = c/C^2`` makes the
 declared constants the convergence certificate.
 """
 
@@ -37,6 +37,8 @@ __all__ = [
     "theoretical_contraction",
 ]
 
+_MAX_ITERATIONS = 100_000  # Zarantonello steps per column
+
 
 @dataclass(frozen=True)
 class MonotoneStateProblem:
@@ -68,12 +70,11 @@ def theoretical_contraction(c: float, C: float, tau: float) -> float:
 def solve_monotone(
     p: MonotoneStateProblem,
     u: ScalarField,
-    tau: Optional[float] = None,
     tol: float = 1e-8,
-    max_iterations: int = 100_000,
     y0: Optional[ScalarField] = None,
 ):
-    """Zarantonello iteration; each step is one Poisson solve.
+    """Zarantonello iteration with the step ``p.default_step()``; each step
+    is one Poisson solve.
 
     Terminates when the preconditioned residual ``(-lap)^{-1}(-div A(grad y)
     - f(u))`` has H1_0 seminorm at most ``tol``.  Returns the state and a
@@ -81,17 +82,13 @@ def solve_monotone(
     measured update-contraction ratio.  This is the one-column case of
     :func:`solve_monotone_columns`.
     """
-    return grid._one_column(
-        solve_monotone_columns, p, u, y0, tau=tau, tol=tol, max_iterations=max_iterations
-    )
+    return grid._one_column(solve_monotone_columns, p, u, y0, tol=tol)
 
 
 def solve_monotone_columns(
     p: MonotoneStateProblem,
     u: np.ndarray,
-    tau: Optional[float] = None,
     tol: float = 1e-8,
-    max_iterations: int = 100_000,
     y0: Optional[np.ndarray] = None,
 ):
     """Zarantonello iteration on every column of a stack of controls.
@@ -100,14 +97,11 @@ def solve_monotone_columns(
     columns step together through one multi-right-hand-side Poisson solve;
     a column freezes once converged, so column i takes the steps
     :func:`solve_monotone` takes on it alone.  Returns the states and one
-    report per column; raises NonConvergenceError, carrying both, if any
-    column fails.
+    report per column; raises NonConvergenceError with the first failed
+    column's report if any column fails.
     """
     mesh = p.mesh
-    if tau is None:
-        tau = p.default_step()
-    elif not 0.0 < tau < np.inf:  # a NaN fails too
-        raise ValueError(f"tau must be finite and positive, got {tau}")
+    tau = p.default_step()
     fvals = np.asarray(p.cs.f(u), dtype=float)
     f_int = np.where(mesh.boundary_mask, 0.0, fvals)
 
@@ -118,7 +112,7 @@ def solve_monotone_columns(
 
     # the residual of y is measured before y steps, so counting starts at 0
     states, outcome = grid._fixed_point_columns(
-        step, (grid.start_columns(mesh, u.shape, y0), f_int), tol, max_iterations, 0
+        step, (grid.start_columns(mesh, u.shape, y0), f_int), tol, _MAX_ITERATIONS, 0
     )
 
     reports = [
@@ -132,9 +126,9 @@ def solve_monotone_columns(
         )
         for i, d, w, c in outcome
     ]
-    return _columns_result("monotone", states, reports, max_iterations, lambda rep: (
+    return _columns_result("monotone", states, reports, _MAX_ITERATIONS, lambda rep: (
         f"Zarantonello iteration did not reach {tol} "
-        + (f"in {max_iterations} steps" if rep.iterations == max_iterations
+        + (f"in {_MAX_ITERATIONS} steps" if rep.iterations == _MAX_ITERATIONS
            else f"and stalled after {rep.iterations} steps")
         + f" (last residual {rep.residual:.3e})"
     ))

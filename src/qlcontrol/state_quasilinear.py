@@ -31,6 +31,9 @@ __all__ = [
     "apriori_gradient_bound",
 ]
 
+_MAX_ITERATIONS = 10_000  # Picard steps per column
+_UNIQUENESS_TOL = 1e-6  # largest spread of verify_uniqueness's solutions
+
 
 def uniqueness_threshold(L: float) -> float:
     """Zero-order coefficient above which the Lipschitz nonlinearity cannot
@@ -84,7 +87,7 @@ class QuasilinearStateProblem:
             warnings.warn(
                 f"b={self.b} is within 10% of the uniqueness threshold {thr}; "
                 "Picard contraction may be slow",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the dataclass's __init__
             )
 
         # |a(y)| <= C|y| on samples
@@ -155,7 +158,6 @@ def solve_quasilinear(
     p: QuasilinearStateProblem,
     u: ScalarField,
     tol: float = 1e-9,
-    max_iterations: int = 10_000,
     y0: Optional[ScalarField] = None,
 ):
     """Picard iteration y_{k+1} = (-lap + b)^{-1}(f(u) - a(grad y_k)).
@@ -165,16 +167,13 @@ def solve_quasilinear(
     the measured contraction ratio.  This is the one-column case of
     :func:`solve_quasilinear_columns`.
     """
-    return grid._one_column(
-        solve_quasilinear_columns, p, u, y0, tol=tol, max_iterations=max_iterations
-    )
+    return grid._one_column(solve_quasilinear_columns, p, u, y0, tol=tol)
 
 
 def solve_quasilinear_columns(
     p: QuasilinearStateProblem,
     u: np.ndarray,
     tol: float = 1e-9,
-    max_iterations: int = 10_000,
     y0: Optional[np.ndarray] = None,
 ):
     """Picard iteration on every column of a stack of controls.
@@ -183,8 +182,8 @@ def solve_quasilinear_columns(
     columns step together through one multi-right-hand-side Helmholtz
     solve; a column freezes once converged, so column i takes the steps
     :func:`solve_quasilinear` takes on it alone.  Returns the states and
-    one report per column; raises NonConvergenceError, carrying both, if any
-    column fails.
+    one report per column; raises NonConvergenceError with the first failed
+    column's report if any column fails.
     """
     mesh = p.mesh
     fvals = np.asarray(p.cs.f(u), dtype=float)
@@ -199,7 +198,7 @@ def solve_quasilinear_columns(
     y = grid.start_columns(mesh, u.shape, y0)
     # the increment is measured after the step, so counting starts at 1
     states, outcome = grid._fixed_point_columns(
-        step, (y, grid.gradient_values(mesh, y), fvals), tol, max_iterations, 1
+        step, (y, grid.gradient_values(mesh, y), fvals), tol, _MAX_ITERATIONS, 1
     )
 
     residual = strong_residual(p, states, fvals).tolist()
@@ -214,9 +213,9 @@ def solve_quasilinear_columns(
         )
         for (i, d, w, c), r in zip(outcome, residual)
     ]
-    return _columns_result("quasilinear", states, reports, max_iterations, lambda rep: (
+    return _columns_result("quasilinear", states, reports, _MAX_ITERATIONS, lambda rep: (
         f"Picard iteration did not contract to {tol} "
-        + (f"within {max_iterations} steps" if rep.iterations == max_iterations
+        + (f"within {_MAX_ITERATIONS} steps" if rep.iterations == _MAX_ITERATIONS
            else f"and stalled after {rep.iterations} steps")
         + f" (measured ratio {rep.contraction_ratio:.4f}); b may barely exceed "
         "the uniqueness threshold"
@@ -227,12 +226,12 @@ def verify_uniqueness(
     p: QuasilinearStateProblem,
     u: ScalarField,
     trials: int = 5,
-    seed: int = 0,
-    tol: float = 1e-6,
 ) -> HypothesisReport:
-    """Solve from random initial iterates and compare all results pairwise."""
+    """Solve from seeded random initial iterates and compare all results
+    pairwise; the check passes when no two differ by more than
+    _UNIQUENESS_TOL at any node."""
     grid.check_count("trials", trials, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     y0 = rng.standard_normal((trials, p.mesh.n_nodes))
     worst = 0.0
     if trials:
@@ -243,7 +242,7 @@ def verify_uniqueness(
     return HypothesisReport(
         hypothesis="uniqueness",
         samples=trials,
-        worst_margin=tol - worst,
+        worst_margin=_UNIQUENESS_TOL - worst,
         tolerance=0.0,
     )
 

@@ -33,6 +33,7 @@ __all__ = [
     "verify_minimality",
 ]
 
+_MAX_ITERATIONS = 10_000  # BB steps per column before the polish
 _HALVINGS = 59  # a rejected step is halved at most this often
 _LADDER = 8  # halvings scored per stacked energy evaluation
 
@@ -143,7 +144,6 @@ def solve_state(
     p: VariationalStateProblem,
     u: ScalarField,
     tol: float = 1e-8,
-    max_iterations: int = 10_000,
     y0: Optional[ScalarField] = None,
     source: Optional[np.ndarray] = None,
 ):
@@ -156,9 +156,7 @@ def solve_state(
     values) replaces the problem's source, as there.
     """
     src = p.source.values if source is None else source
-    return grid._one_column(
-        solve_state_columns, p, u, y0, source=src[None], tol=tol, max_iterations=max_iterations
-    )
+    return grid._one_column(solve_state_columns, p, u, y0, source=src[None], tol=tol)
 
 
 def solve_state_columns(
@@ -167,7 +165,6 @@ def solve_state_columns(
     y0: Optional[np.ndarray] = None,
     source: Optional[np.ndarray] = None,
     tol: float = 1e-8,
-    max_iterations: int = 10_000,
 ):
     """Minimize I(., u_i) for every column of a stack of controls.
 
@@ -180,7 +177,8 @@ def solve_state_columns(
     line search runs out (it stays unmoved) or an accepted step leaves it
     unchanged; floor, stalled and capped columns go on to the polish.
     Returns the states (k, n_nodes) and one report per column; raises
-    NonConvergenceError, carrying both, if any column fails.
+    NonConvergenceError with the first failed column's report if any column
+    fails.
     """
     mesh = p.mesh
     u = np.asarray(u, dtype=float)
@@ -254,7 +252,7 @@ def solve_state_columns(
 
     alpha = np.full(k, mesh.h**2 / 8.0)  # safe first step against the Laplacian scale
     carry = (y, g, np.vecdot(g, g), energy, alpha, np.arange(k)) + stack
-    states, outcome = grid._fixed_point_columns(step, carry, tol, max_iterations, 1)
+    states, outcome = grid._fixed_point_columns(step, carry, tol, _MAX_ITERATIONS, 1)
     res = np.array([d for _, d, _, _ in outcome])
     costs = np.array([t[-1] for t in traces])  # the energy of each state stepped to
     r = np.flatnonzero([not ok for _, _, _, ok in outcome])
@@ -265,7 +263,7 @@ def solve_state_columns(
                     converged=d <= tol, cost=e, cost_trace=t)
         for (i, _, _, _), d, e, t in zip(outcome, res.tolist(), costs.tolist(), traces)
     ]
-    return _columns_result("variational", states, reports, max_iterations, lambda rep: (
+    return _columns_result("variational", states, reports, _MAX_ITERATIONS, lambda rep: (
         f"energy descent stalled at residual {rep.residual:.3e} (target {tol})"
     ))
 
@@ -301,7 +299,6 @@ def verify_minimality(
     y_u: ScalarField,
     u: ScalarField,
     trials: int = 100,
-    seed: int = 0,
 ) -> HypothesisReport:
     """Compare I(y_u, u) against random H1_0 competitors y_u + rho * noise.
 
@@ -309,7 +306,7 @@ def verify_minimality(
     no competitor undercuts the solved energy by more than 1e-10.
     """
     grid.check_count("trials", trials, 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     base = inner_energy(p, y_u, u)
     rho = np.resize((1e-2, 1e-1, 1.0), trials)
     eta = rng.standard_normal((trials, p.mesh.n_nodes))

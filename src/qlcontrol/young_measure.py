@@ -224,27 +224,22 @@ def _two_atom_form(ym: YoungMeasureField):
     return a_sorted[:, 0], a_sorted[:, 1], w_sorted[:, 1]
 
 
-def realize_sequence(
-    ym: YoungMeasureField,
-    j: int,
-    subcells_per_period: int = SUBCELLS_PER_PERIOD,
-) -> ScalarField:
+def realize_sequence(ym: YoungMeasureField, j: int) -> ScalarField:
     """j-th laminate of a 1D two-atom field.
 
     Within each cell the derivative oscillates over j periods, taking the
     lower atom first on the (1-theta) share of each period and the upper atom
     on the rest; integration gives a continuous control matching the
     barycenter potential at every cell endpoint.  The result lives on a mesh
-    refined by ``j * subcells_per_period``; measures that are Dirac in every
+    refined by ``j * SUBCELLS_PER_PERIOD``; measures that are Dirac in every
     cell return the potential on the base mesh unchanged.
 
     Per-period atom counts follow cumulative rounding, and both atom levels
     are shifted by the common per-cell constant that restores the exact
     endpoint match, so cellwise means of psi(u') reproduce moments with error
-    O(1/j) (exactly, whenever theta * subcells_per_period * j is integral).
+    O(1/j) (exactly, whenever theta * SUBCELLS_PER_PERIOD * j is integral).
     """
     grid.check_count("j", j, 1)
-    grid.check_count("subcells_per_period", subcells_per_period, 1)
     lo, hi, theta = _two_atom_form(ym)
     pot = potential(ym)
     if np.all(np.abs(hi - lo) * np.minimum(theta, 1.0 - theta) < 1e-15):
@@ -252,7 +247,7 @@ def realize_sequence(
 
     mesh = ym.mesh
     n = mesh.cells_per_axis
-    q = subcells_per_period
+    q = SUBCELLS_PER_PERIOD
     r = j * q
     fine = grid.build_mesh(1, n * r)
     hf = fine.h

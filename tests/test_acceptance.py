@@ -63,9 +63,7 @@ class TestCriterion1UniquenessThresholdActivity:
             ratios.append(rep.contraction_ratio)
         monotone_in_b = ratios[0] >= ratios[1] >= ratios[2]
         all_contracting = all(r < 1.0 for r in ratios)
-        uniq = verify_uniqueness(
-            QuasilinearStateProblem(mesh, cs, b=1.0), u, trials=5, tol=1e-6
-        )
+        uniq = verify_uniqueness(QuasilinearStateProblem(mesh, cs, b=1.0), u, trials=5)
         elapsed = time.perf_counter() - t0
         _report(
             1,
@@ -86,7 +84,7 @@ class TestCriterion2MonotoneSolverCertificate:
         tau = p.default_step()
         assert abs(tau - cs.c / cs.C**2) <= 1e-15
         u = ScalarField(mesh, np.ones(mesh.n_nodes))
-        y, rep = solve_monotone(p, u, tau=tau)
+        y, rep = solve_monotone(p, u)
         bound = theoretical_contraction(cs.c, cs.C, tau)
         oracle = newton_state_oracle(p, u, warm_start=y)
         agreement = float(np.max(np.abs(y.values - oracle)))

@@ -95,7 +95,7 @@ class TestGrowth:
 
     def test_quadratic_a_fails(self):
         cs = co.make_perturbed_linear(1.0).merged(a=lambda Y: Y[:, 0] ** 2, L=0.0)
-        rep = co.check_growth(cs, radius=10.0)
+        rep = co.check_growth(cs)
         assert not rep.passed
 
     def test_cosine_wells_linear_bound(self):
@@ -137,12 +137,13 @@ class TestWGrowth:
             return np.sum(Y * Y, axis=1) ** 2
 
         cs = co.CoefficientSet(W=W, c=0.4, C=10.0)
-        assert not co.check_w_growth(cs, radius=10.0).passed
+        assert not co.check_w_growth(cs).passed
 
-    def test_quartic_clamped_passes_globally(self):
+    def test_quartic_clamped_passes_globally(self, monkeypatch):
         cs = co.CoefficientSet(**co.w_quartic_clamped())
-        assert co.check_w_growth(cs, radius=10.0).passed
-        assert co.check_w_growth(cs, radius=30.0).passed  # tangent extension
+        assert co.check_w_growth(cs).passed
+        monkeypatch.setattr(co, "DEFAULT_RADIUS", 30.0)
+        assert co.check_w_growth(cs).passed  # tangent extension
 
     def test_u_scaled_passes(self):
         cs = co.CoefficientSet(**co.w_u_scaled_quadratic())
@@ -359,7 +360,7 @@ class TestDerivatives:
 
     def test_cellwise_jacobian_of_a_and_A(self):
         Y = np.random.default_rng(0).uniform(-2, 2, (7, 2))
-        da = co.cellwise_jacobian(co.a_sin_gradient(1.5, axis=1)["a"], Y)
+        da = co.cellwise_jacobian(lambda Z: 1.5 * np.sin(Z[:, 1]), Y)
         assert da.shape == (7, 2)
         assert np.allclose(da, np.column_stack([np.zeros(7), 1.5 * np.cos(Y[:, 1])]),
                            rtol=0, atol=1e-9)

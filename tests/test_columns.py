@@ -85,17 +85,17 @@ def test_stacked_columns_equal_single_solves(name, dim, n):
 
 
 @pytest.mark.parametrize("name, dim, n", CASES)
-def test_one_failing_column_raises(name, dim, n):
+def test_one_failing_column_raises(monkeypatch, name, dim, n):
     mesh, p, U, Y0 = _stack(name, dim, n)
     # zero control from a zero start: an exact solution, residual 0 from the
     # first step, so only this column meets an unreachable tolerance
     U[0] = 0.0
     Y0[0] = 0.0
     solve = _column_solver(p, name)
-    kw = dict(tol=1e-30, max_iterations=5)
-    assert solve(U[:1], y0=Y0[:1], **kw)[1][0].converged
+    _cap(monkeypatch, name, 5)
+    assert solve(U[:1], y0=Y0[:1], tol=1e-30)[1][0].converged
     with pytest.raises(NonConvergenceError) as err:
-        solve(U, y0=Y0, **kw)
+        solve(U, y0=Y0, tol=1e-30)
     assert not err.value.report.converged
 
 
@@ -104,8 +104,13 @@ def _regime(name):
         name.split("-")[0], "quasilinear")
 
 
+def _cap(monkeypatch, name, cap):
+    """Set the iteration cap of the instance's state solver."""
+    monkeypatch.setattr(f"qlcontrol.state_{_regime(name)}._MAX_ITERATIONS", cap)
+
+
 @pytest.mark.parametrize("name, dim, n", CASES)
-def test_debug_log_records_each_column(name, dim, n, caplog):
+def test_debug_log_records_each_column(monkeypatch, name, dim, n, caplog):
     mesh, p, U, Y0 = _stack(name, dim, n)
     solve = _column_solver(p, name)
     Y, reports = solve(U, y0=Y0)
@@ -120,10 +125,11 @@ def test_debug_log_records_each_column(name, dim, n, caplog):
     assert [r.to_dict() for r in logged] == [r.to_dict() for r in reports]
     # the failure path logs every column before it raises
     U[0] = Y0[0] = 0.0
+    _cap(monkeypatch, name, 5)
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="qlcontrol"):
         with pytest.raises(NonConvergenceError):
-            solve(U, y0=Y0, tol=1e-30, max_iterations=5)
+            solve(U, y0=Y0, tol=1e-30)
     stops = [r.getMessage().split(": ")[1].split(" after")[0] for r in caplog.records]
     assert stops == ["converged", "cap", "cap", "cap"]
 

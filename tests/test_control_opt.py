@@ -1,6 +1,7 @@
 """Outer control problem: costs, adjoint and FD gradients, descent,
 oscillation demo."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -200,8 +201,9 @@ class TestOptimizeControl:
         assert np.all(np.diff(rep.cost_trace) <= 0.0)
 
     def test_linesearch_retries_counted(self, monkeypatch):
-        # the first line-search trial's state solve fails once; the step is
-        # halved, retried, and the retry is reported
+        # the first line-search trial's state solve fails, in its chunk and
+        # alone, as a real solver's would; the step is halved, retried, and
+        # the retry is reported
         cp, _ = tracking_problem(n=8)
         u0 = ScalarField(cp.mesh, np.zeros(cp.mesh.n_nodes))
         opts = OptimizeOptions(max_iterations=3)
@@ -211,14 +213,11 @@ class TestOptimizeControl:
         failures = []
 
         def fail_first_trial(cp_, U, warm, state_tol):
-            Y = solve(cp_, U, warm, state_tol)
             if len(U) == 2 and not failures:  # the first chunk of trials
-                failures.append(U[0])
-                reports = [SolveReport("forced", 1, 1.0, False)] + [
-                    SolveReport("forced", 1, 0.0, True)
-                ]
-                raise NonConvergenceError("forced failure", reports[0], Y, reports)
-            return Y
+                failures.append(U[0].copy())
+            if any(np.array_equal(v, failures[0]) for v in U):
+                raise NonConvergenceError("forced failure", SolveReport("forced", 1, 1.0, False))
+            return solve(cp_, U, warm, state_tol)
 
         monkeypatch.setattr(control_opt, "_state_columns", fail_first_trial)
         _, rep = optimize_control(cp, u0, opts)
@@ -322,22 +321,17 @@ def sequential_line_search(cp, u0, opts, fail=()):
 
 
 def fail_trials(monkeypatch, trials, fail, error=None):
-    """Make the stacked state solver fail the line-search trials whose index
-    is in ``fail``: as non-converged columns, or by raising ``error`` for
-    the whole stack."""
+    """Make the stacked state solver fail every stack that holds a
+    line-search trial whose index is in ``fail``: as a solve that did not
+    converge, or by raising ``error``."""
     solve = control_opt._state_columns
 
     def wrapped(cp, U, warm, state_tol):
-        hit = [any(np.array_equal(v, trials[j]) for j in fail) for v in U]
-        if error is not None and any(hit):
-            raise error("forced failure")
-        Y = solve(cp, U, warm, state_tol)
-        if any(hit):
-            reports = [SolveReport("forced", 1, float(h), not h) for h in hit]
-            raise NonConvergenceError(
-                "forced failure", reports[hit.index(True)], Y, reports
-            )
-        return Y
+        if any(any(np.array_equal(v, trials[j]) for j in fail) for v in U):
+            if error is not None:
+                raise error("forced failure")
+            raise NonConvergenceError("forced failure", SolveReport("forced", 1, 1.0, False))
+        return solve(cp, U, warm, state_tol)
 
     monkeypatch.setattr(control_opt, "_state_columns", wrapped)
 
@@ -598,7 +592,7 @@ class TestMinimizingSequenceDemo:
             "PH1",
             potential_offset=1.0,
         )
-        trace = minimizing_sequence_demo(cp, [2, 8, 32], measure=single)
+        trace = minimizing_sequence_demo(dataclasses.replace(cp, demo_measure=single), [2, 8, 32])
         assert np.max(trace) - np.min(trace) <= 1e-12
 
     def test_gap_family_strictly_decreasing(self):

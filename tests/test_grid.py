@@ -1,12 +1,14 @@
 """Mesh, discrete operators, Helmholtz backbone and quadrature."""
 
+import inspect
 import re
 import sys
 
 import numpy as np
 import pytest
 
-from qlcontrol import grid, instances, state_monotone, state_quasilinear, young_measure
+from qlcontrol import (coefficients, control_opt, grid, instances, relaxed_opt, reports,
+                       state_monotone, state_quasilinear, state_variational, young_measure)
 from qlcontrol.control_opt import (OptimizeOptions, _source_kw, minimizing_sequence_demo,
                                    state_solvers)
 from qlcontrol.grid import ScalarField, VectorField
@@ -48,8 +50,12 @@ def _problem(name):
 
 
 def _solve_capped(name, cap):
+    # a solver's cap is its module's constant, checked by the driver
     cp, u = _problem(name)
-    state_solvers(cp.regime)[0](cp.state, u, max_iterations=cap, **_source_kw(cp.state, u.values))
+    solve = state_solvers(cp.regime)[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(f"{solve.__module__}._MAX_ITERATIONS", cap)
+        solve(cp.state, u, **_source_kw(cp.state, u.values))
 
 
 def _uniqueness(trials):
@@ -70,11 +76,16 @@ def _gap_problem():
     return instances.build_relaxed_problem("gap-family-1d", grid.build_mesh(1, 8))[0]
 
 
+def _sampled_check(check, **count):
+    # the W checks need an inner energy, the others a flux
+    cs = (coefficients.CoefficientSet(**coefficients.w_quadratic()) if "_w_" in check
+          else coefficients.make_perturbed_linear(1.0))
+    return getattr(coefficients, check)(cs, **count)
+
+
 # (name, low, call) of every count argument that grid.check_count guards
 _COUNTS = {
     "realize_sequence-j": ("j", 1, lambda v: young_measure.realize_sequence(_two_atom(), v)),
-    "realize_sequence-subcells": ("subcells_per_period", 1, lambda v: (
-        young_measure.realize_sequence(_two_atom(), 4, subcells_per_period=v))),
     "minimizing_sequence_demo-js": ("j", 1, lambda v: minimizing_sequence_demo(
         _problem("gap-family-1d")[0], [v])),
     "certify_gap-samples": ("samples", 0, lambda v: certify_gap(_gap_problem(), samples=v)),
@@ -88,6 +99,13 @@ _COUNTS = {
        for solver, name in (("solve_state", "variational-quartic-1d"),
                             ("solve_monotone", "monotone-perturbed-1d"),
                             ("solve_quasilinear", "sin-gradient-1d"))},
+    "build_mesh-dimension": ("dimension", 1, lambda v: grid.build_mesh(v, 4)),
+    "build_mesh-cells_per_axis": ("cells_per_axis", 1, lambda v: grid.build_mesh(1, v)),
+    **{f"{check}-{arg}": (arg, low, lambda v, check=check, arg=arg: _sampled_check(
+        check, **{arg: v}))
+       for check in ("check_monotonicity", "check_growth", "check_w_growth",
+                     "check_w_convexity")
+       for arg, low in (("samples", 1), ("seed", 0))},
 }
 
 
@@ -102,6 +120,40 @@ def test_count_arguments_take_one_rule(case, value):
     message = f"^{name} must be a {kind} integer, got {re.escape(repr(value))}$"
     with pytest.raises(ValueError, match=message):
         call(value)
+
+
+# the parameters of every function with a fixed setting (a cap, step, seed,
+# radius or measure that no caller changes, kept as a constant), so that a
+# setting that becomes a parameter again shows up here
+_PARAMETERS = {
+    state_variational.solve_state: "p u tol y0 source",
+    state_variational.solve_state_columns: "p u y0 source tol",
+    state_variational.verify_minimality: "p y_u u trials",
+    state_monotone.solve_monotone: "p u tol y0",
+    state_monotone.solve_monotone_columns: "p u tol y0",
+    state_quasilinear.solve_quasilinear: "p u tol y0",
+    state_quasilinear.solve_quasilinear_columns: "p u tol y0",
+    state_quasilinear.verify_uniqueness: "p u trials",
+    young_measure.realize_sequence: "ym j",
+    coefficients.check_monotonicity: "cs samples seed dim",
+    coefficients.check_growth: "cs samples seed dim",
+    coefficients.check_w_growth: "cs samples seed dim",
+    coefficients.check_w_convexity: "cs samples seed dim",
+    coefficients.check_band: "cs",
+    coefficients.a_sin_gradient: "kappa",
+    coefficients.a_clamped_linear: "kappa",
+    coefficients.a_cosine_wells: "kappa omega",
+    coefficients.cost_tracking: "target",
+    coefficients.w_quartic_clamped: "",
+    control_opt.minimizing_sequence_demo: "cp j_list",
+    relaxed_opt._smooth_random_controls: "mesh samples seed",
+    reports.NonConvergenceError.__init__: "self message report",
+}
+
+
+def test_fixed_settings_are_not_parameters():
+    assert {f.__qualname__: " ".join(inspect.signature(f).parameters) for f in _PARAMETERS} == {
+        f.__qualname__: names for f, names in _PARAMETERS.items()}
 
 
 class TestGradient:

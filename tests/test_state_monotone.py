@@ -10,7 +10,6 @@ from qlcontrol.state_monotone import (
     MonotoneStateProblem,
     interior_jacobian,
     solve_monotone,
-    solve_monotone_columns,
     theoretical_contraction,
     verify_limit_identity,
 )
@@ -143,19 +142,6 @@ class TestValidation:
         cs = co.make_perturbed_linear(1.0).merged(c=2.0, C=2.5, **co.f_linear())
         with pytest.raises(ValueError):
             MonotoneStateProblem(grid.build_mesh(1, 8), cs)
-
-    @pytest.mark.parametrize("tau", [0.0, -0.1, np.nan, np.inf])
-    def test_bad_step_rejected_before_any_solve(self, monkeypatch, tau):
-        p = perturbed_problem()
-        u = ScalarField(p.mesh, np.ones(p.mesh.n_nodes))
-
-        def no_solve(*args):
-            raise AssertionError("solved with a bad tau")
-
-        monkeypatch.setattr(grid, "helmholtz_solve_values", no_solve)
-        for solve, control in ((solve_monotone, u), (solve_monotone_columns, u.values[None])):
-            with pytest.raises(ValueError, match=f"^tau must be finite and positive, got {tau}$"):
-                solve(p, control, tau=tau)
 
     def test_missing_source_rejected(self):
         with pytest.raises(ValueError):

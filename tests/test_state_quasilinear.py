@@ -64,6 +64,13 @@ class TestThreshold:
         with pytest.warns(UserWarning):
             QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=0.26)
 
+    def test_margin_warning_names_the_caller(self):
+        # it named the __init__ that dataclass generates, "<string>"
+        cs = co.CoefficientSet(**{**co.a_sin_gradient(1.0), **co.f_tanh()})
+        with pytest.warns(UserWarning) as record:
+            QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=0.26)
+        assert record[0].filename == __file__
+
 
 class TestSolveQuasilinear:
     def test_linear_case_exact(self):

@@ -316,7 +316,7 @@ class TestRealizeSequence:
 
     @pytest.mark.parametrize("q", [1, 3, 8])
     @pytest.mark.parametrize("j", [1, 2, 3, 5, 16, 32])
-    def test_matches_loop_laminate_bit_for_bit(self, j, q):
+    def test_matches_loop_laminate_bit_for_bit(self, monkeypatch, j, q):
         rng = np.random.default_rng(1000 * j + q)
         n = 7
         mesh = grid.build_mesh(1, n)
@@ -327,7 +327,8 @@ class TestRealizeSequence:
         theta[5] = 1.0  # zero weights on either atom
         weights = np.column_stack([1.0 - theta, theta])
         field = ym.YoungMeasureField(mesh, atoms, weights, "PH1", 0.3)
-        u = ym.realize_sequence(field, j, subcells_per_period=q)
+        monkeypatch.setattr(ym, "SUBCELLS_PER_PERIOD", q)
+        u = ym.realize_sequence(field, j)
         assert u.mesh.cells_per_axis == n * j * q
         want = laminate_oracle(atoms, weights, ym.potential(field).values, j, q)
         assert np.array_equal(u.values, want)
