@@ -90,8 +90,9 @@ class CoefficientSet:
     (t_lo, t_hi): per entry the nearest t at or below t0 and at or above it
     with a(t e) = s, NaN on a side without one), f_kinks (the points where f
     is not differentiable), 0 < c < C (monotonicity / growth), M > 0
-    (Tychonov weight).  Each a-factory declares L, band and levels, and
-    each f-factory f_kinks, so merging a factory replaces them all.
+    (Tychonov weight); c, C, L and M are finite.  Each a-factory declares
+    L, band and levels, and each f-factory f_kinks, so merging a factory
+    replaces them all.
     """
 
     A: Optional[Callable] = None
@@ -119,6 +120,10 @@ class CoefficientSet:
             raise ValueError(f"M must be positive, got {self.M}")
         if not self.L >= 0.0:
             raise ValueError(f"L must be nonnegative, got {self.L}")
+        for name in ("c", "C", "L", "M"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.band is not None:
             lo, hi = self.band
             # a(0) = 0 lies in the band

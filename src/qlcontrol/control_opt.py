@@ -557,6 +557,12 @@ def minimizing_sequence_demo(cp: ControlProblem, j_list) -> np.ndarray:
     the trace is non-increasing in j up to O(1/j) wiggle.  Each state solve
     after the first starts from the previous realization's state,
     interpolated to the new mesh.
+
+    The trace tends to J(u_bar) + (M/2) int Var(mu_x) dx, with u_bar the
+    measure's barycenter potential: u_j -> u_bar uniformly while (M/2) int
+    |u_j'|^2 tends to the second moment.  With J taken on each realization
+    mesh the excess halves as j doubles.  On gap-family-1d u_bar = 1 and the
+    offset is M/2; the limit is not the relaxed value.
     """
     if cp.demo_measure is None:
         raise ValueError("no oscillation measure prescribed for this problem")

@@ -195,7 +195,9 @@ def gradient_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     leading axes of y are batch axes.
 
     1D: forward difference quotient per cell.  2D: per axis, average of the
-    two opposing face difference quotients.  Exact for affine y.
+    two opposing face difference quotients, g_x = (d[:, :-1] + d[:, 1:])/(2h)
+    with d = y[1:, :] - y[:-1, :] (g_y alike).  Exact for affine y; a stacked
+    row equals its single call bit for bit.
     """
     h = mesh.h
     if mesh.dimension == 1:
@@ -204,10 +206,11 @@ def gradient_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     lead = y.shape[:-1]
     y2 = y.reshape(lead + (n + 1, n + 1))
     g = np.empty(lead + (n, n, 2))
-    np.divide(y2[..., 1:, :-1] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., :-1, 1:],
-              2.0 * h, out=g[..., 0])
-    np.divide(y2[..., :-1, 1:] - y2[..., :-1, :-1] + y2[..., 1:, 1:] - y2[..., 1:, :-1],
-              2.0 * h, out=g[..., 1])
+    d = y2[..., 1:, :] - y2[..., :-1, :]
+    np.add(d[..., :-1], d[..., 1:], out=g[..., 0])
+    d = y2[..., 1:] - y2[..., :-1]
+    np.add(d[..., :-1, :], d[..., 1:, :], out=g[..., 1])
+    g /= 2.0 * h
     return g.reshape(lead + (n * n, 2))
 
 
@@ -223,7 +226,9 @@ def divergence_weak_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
 
     Defined so that inner(divergence_weak(q), z) == -inner(q, gradient(z))
     for every nodal z vanishing on the Dirichlet nodes; zero on the boundary.
-    Leading axes of q (shape (..., n_cells, dim)) are batch axes.
+    Leading axes of q (shape (..., n_cells, dim)) are batch axes; a stacked
+    row equals its single call bit for bit.  2D: (dx + dy)/(2h), dx the
+    axis-0 difference of q_x pair-summed along axis 1, dy alike transposed.
     """
     h = mesh.h
     lead = q.shape[:-2]
@@ -235,11 +240,12 @@ def divergence_weak_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     qx = q[..., 0].reshape(lead + (n, n))
     qy = q[..., 1].reshape(lead + (n, n))
     out2 = np.zeros(lead + (n + 1, n + 1))
-    # interior nodes (k,l), k,l in 1..n-1; cell slices shifted accordingly
-    out2[..., 1:-1, 1:-1] = (
-        qx[..., 1:, :-1] + qx[..., 1:, 1:] - qx[..., :-1, :-1] - qx[..., :-1, 1:]
-        + qy[..., :-1, 1:] + qy[..., 1:, 1:] - qy[..., :-1, :-1] - qy[..., 1:, :-1]
-    ) / (2.0 * h)
+    sx = qx[..., :-1] + qx[..., 1:]
+    sy = qy[..., :-1, :] + qy[..., 1:, :]
+    d = sx[..., 1:, :] - sx[..., :-1, :]
+    d += sy[..., 1:] - sy[..., :-1]
+    d /= 2.0 * h
+    out2[..., 1:-1, 1:-1] = d
     return out2.reshape(lead + (-1,))
 
 
@@ -250,7 +256,8 @@ def divergence_weak(q: VectorField) -> ScalarField:
 def gradient_transpose_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
     """Flat nodal values of G^T q on every node, G the matrix of
     gradient_values: -divergence_weak_values on the interior, and the
-    boundary terms that it drops.  Leading axes of q are batch axes."""
+    boundary terms it drops (2D: its passes on zero-padded cells, negated).
+    Leading axes of q are batch axes, each row bit for bit its single call."""
     h = mesh.h
     lead = q.shape[:-2]
     n = mesh.cells_per_axis
@@ -261,11 +268,11 @@ def gradient_transpose_values(mesh: Mesh, q: np.ndarray) -> np.ndarray:
         return (p[..., :-1] - p[..., 1:]) / h
     p = np.zeros(lead + (2, n + 2, n + 2))
     p[..., 1:-1, 1:-1] = np.moveaxis(q, -1, -2).reshape(lead + (2, n, n))
-    px, py = p[..., 0, :, :], p[..., 1, :, :]
-    out = (
-        px[..., :-1, :-1] + px[..., :-1, 1:] - px[..., 1:, :-1] - px[..., 1:, 1:]
-        + py[..., :-1, :-1] + py[..., 1:, :-1] - py[..., :-1, 1:] - py[..., 1:, 1:]
-    ) / (2.0 * h)
+    sx = p[..., 0, :, :-1] + p[..., 0, :, 1:]
+    sy = p[..., 1, :-1, :] + p[..., 1, 1:, :]
+    out = sx[..., :-1, :] - sx[..., 1:, :]
+    out += sy[..., :-1] - sy[..., 1:]
+    out /= 2.0 * h
     return out.reshape(lead + (-1,))
 
 
@@ -454,7 +461,7 @@ def l2_norm_values(mesh: Mesh, v: np.ndarray, location: str = "nodes") -> np.nda
         sq = mesh.node_weights() * v * v
     else:
         sq = (v * v).reshape(v.shape[:-2] + (-1,))
-    return np.sqrt(np.maximum(mesh.cell_volume * sq.sum(axis=-1), 0.0))
+    return np.sqrt(mesh.cell_volume * sq.sum(axis=-1))
 
 
 def integrate_nodal(mesh: Mesh, values: np.ndarray) -> float:
@@ -471,15 +478,16 @@ def integrate_cells(mesh: Mesh, values: np.ndarray) -> float:
 
 
 def node_to_cell_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
-    """Average nodal values to cells (mean of the 2^d corner values).  Leading
-    axes of y are batch axes."""
+    """Average nodal values to cells (mean of the 2^d corner values; 2D
+    pair-sums along axis 0, then along axis 1).  Leading axes of y are batch
+    axes, each row bit for bit its single call."""
     if mesh.dimension == 1:
         return 0.5 * (y[..., :-1] + y[..., 1:])
     m = mesh.nodes_per_axis
     lead = y.shape[:-1]
     y2 = y.reshape(lead + (m, m))
-    corners = y2[..., :-1, :-1] + y2[..., 1:, :-1] + y2[..., :-1, 1:] + y2[..., 1:, 1:]
-    return (0.25 * corners).reshape(lead + (-1,))
+    s = y2[..., :-1, :] + y2[..., 1:, :]
+    return (0.25 * (s[..., :-1] + s[..., 1:])).reshape(lead + (-1,))
 
 
 def node_to_cell(y: ScalarField) -> ScalarField:
@@ -489,8 +497,9 @@ def node_to_cell(y: ScalarField) -> ScalarField:
 def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
     """Average per-cell values to nodes (adjoint of node_to_cell with respect
     to the discrete inner products at interior nodes; one-sided means on the
-    boundary, where the value never enters a Dirichlet solve).  Leading axes
-    of c are batch axes."""
+    boundary, where the value never enters a Dirichlet solve; 2D pair-sums
+    the zero-padded cells along axis 0, then along axis 1).  Leading axes of
+    c are batch axes, each row bit for bit its single call."""
     lead = c.shape[:-1]
     if mesh.dimension == 1:
         out = np.empty(lead + (mesh.n_nodes,))
@@ -499,13 +508,13 @@ def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
         out[..., -1] = c[..., -1]
         return out
     n = mesh.cells_per_axis
-    c2 = c.reshape(lead + (n, n))
-    acc = np.zeros(lead + (n + 1, n + 1))
-    for di in (0, 1):
-        for dj in (0, 1):
-            acc[..., di : n + di, dj : n + dj] += c2
+    p = np.zeros(lead + (n + 2, n + 2))
+    p[..., 1:-1, 1:-1] = c.reshape(lead + (n, n))
+    s = p[..., :-1, :] + p[..., 1:, :]
+    acc = (s[..., :-1] + s[..., 1:]).reshape(lead + (-1,))
     # each node's cell count (1, 2 or 4) is 4 times its trapezoid weight
-    return acc.reshape(lead + (-1,)) / (4.0 * mesh.node_weights())
+    acc /= 4.0 * mesh.node_weights()
+    return acc
 
 
 def cell_to_node(c: ScalarField) -> ScalarField:
@@ -674,7 +683,7 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
             f"right-hand side has shape {rhs.shape}, mesh expects "
             f"(..., {mesh.n_nodes}) nodal values"
         )
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise ValueError("non-finite right-hand side")
     out = np.zeros(rhs.shape)
     n = mesh.cells_per_axis
@@ -686,8 +695,9 @@ def helmholtz_solve_values(mesh: Mesh, b: float, rhs: np.ndarray) -> np.ndarray:
     # the interior is the block [1:-1, 1:-1] of the (n+1)^2 node grid
     square = rhs.shape[:-1] + (n + 1, n + 1)
     S, lam0 = _sine_basis_2d(mesh)
-    F = rhs.reshape(square)[..., 1:-1, 1:-1]
-    out.reshape(square)[..., 1:-1, 1:-1] = S @ ((S @ F @ S) / (lam0 + b)) @ S
+    Z = S @ rhs.reshape(square)[..., 1:-1, 1:-1] @ S
+    Z /= lam0 + b
+    np.matmul(S @ Z, S, out=out.reshape(square)[..., 1:-1, 1:-1])
     return out
 
 

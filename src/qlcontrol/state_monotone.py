@@ -53,6 +53,13 @@ class MonotoneStateProblem:
             raise ValueError("monotone problem needs A with constants c, C")
         if self.cs.f is None:
             raise ValueError("monotone problem needs the source map f")
+        try:  # a float C**2 beyond the float range raises instead of giving inf
+            step = self.default_step()
+        except (OverflowError, ZeroDivisionError):
+            step = 0.0
+        if not 0.0 < step < np.inf:
+            raise ValueError("the step c/C^2 must be positive and finite, got "
+                             f"c={self.cs.c}, C={self.cs.C}")
         check_monotonicity(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(
             "the declared monotonicity constant c")
         check_growth(self.cs, CONSTRUCTION_SAMPLES, dim=self.mesh.dimension).require(

@@ -12,6 +12,7 @@ check optimizers against.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,11 @@ def _own_gradient(dim: int, n: int, y: np.ndarray) -> np.ndarray:
         return ((y[1:] - y[:-1]) / h)[:, None]
     m = n + 1
     y2 = y.reshape(m, m)
-    gx = (y2[1:, :-1] - y2[:-1, :-1] + y2[1:, 1:] - y2[:-1, 1:]) / (2 * h)
-    gy = (y2[:-1, 1:] - y2[:-1, :-1] + y2[1:, 1:] - y2[1:, :-1]) / (2 * h)
+    # difference across the faces, then the mean of the two opposing faces
+    dx = y2[1:, :] - y2[:-1, :]
+    dy = y2[:, 1:] - y2[:, :-1]
+    gx = (dx[:, :-1] + dx[:, 1:]) / (2 * h)
+    gy = (dy[:-1, :] + dy[1:, :]) / (2 * h)
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
@@ -51,11 +55,12 @@ def _own_div_weak(dim: int, n: int, q: np.ndarray) -> np.ndarray:
         return out
     qx = q[:, 0].reshape(n, n)
     qy = q[:, 1].reshape(n, n)
+    # the transpose of _own_gradient: sum the two cells beside each face,
+    # then difference across it
+    sx = qx[:, :-1] + qx[:, 1:]
+    sy = qy[:-1, :] + qy[1:, :]
     out = np.zeros((n + 1, n + 1))
-    out[1:-1, 1:-1] = (
-        qx[1:, :-1] + qx[1:, 1:] - qx[:-1, :-1] - qx[:-1, 1:]
-        + qy[:-1, 1:] + qy[1:, 1:] - qy[:-1, :-1] - qy[1:, :-1]
-    ) / (2 * h)
+    out[1:-1, 1:-1] = ((sx[1:, :] - sx[:-1, :]) + (sy[:, 1:] - sy[:, :-1])) / (2 * h)
     return out.ravel()
 
 
@@ -65,6 +70,16 @@ def laplacian(dim: int, n: int, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     rows = [_own_div_weak(dim, n, _own_gradient(dim, n, r)) for r in y.reshape(-1, y.shape[-1])]
     return np.reshape(rows, y.shape)
+
+
+def observed_order(v_n: float, v_2n: float, v_4n: float):
+    """(order, limit) of a quantity that converges like C h^p, from its
+    values at n, 2n and 4n cells per axis: p = log2 of the ratio of the
+    successive differences (NaN when they change sign), and the Richardson
+    limit v_4n - (v_2n - v_4n)/(2^p - 1)."""
+    ratio = (v_n - v_2n) / (v_2n - v_4n)
+    order = math.log2(ratio) if ratio > 0.0 else math.nan
+    return order, v_4n - (v_2n - v_4n) / (ratio - 1.0)
 
 
 def _own_cell_to_node(dim: int, n: int, c: np.ndarray) -> np.ndarray:

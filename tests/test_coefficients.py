@@ -56,6 +56,19 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^a\\(0\\) must vanish, got nan$"):
             co.CoefficientSet(a=lambda Y: np.full(Y.shape[0], np.nan), L=1.0)
 
+    # an infinite constant meets every range check; C = inf would make the
+    # Zarantonello step c/C^2 = 0.0, on which a monotone solve stalls
+    @pytest.mark.parametrize("constants, name", [
+        ({"M": np.inf}, "M"), ({"L": np.inf}, "L"), ({"c": 0.5, "C": np.inf}, "C"),
+    ], ids=["M", "L", "C"])
+    def test_infinite_constant_rejected(self, constants, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            co.CoefficientSet(**constants)
+
+    def test_infinite_growth_constant_rejected_on_merge(self):
+        with pytest.raises(ValueError, match="^C must be finite, got inf$"):
+            co.make_perturbed_linear(1.0).merged(C=np.inf, **co.f_linear())
+
     def test_nan_g_at_zero_rejected(self):
         with pytest.raises(ValueError, match="^g\\(0\\) must vanish$"):
             co.make_perturbed_linear(1.0, lambda Y: np.full(Y.shape, np.nan), 0.5)

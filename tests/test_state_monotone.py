@@ -143,6 +143,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             MonotoneStateProblem(grid.build_mesh(1, 8), cs)
 
+    def test_step_that_overflows_rejected_at_construction(self):
+        # C = 1e200 is finite, but C**2 overflows the float range, so the
+        # step c/C^2 has no value and the build must fail, not the first solve
+        cs = co.make_perturbed_linear(1.0).merged(C=1e200, **co.f_linear())
+        with pytest.raises(ValueError, match="^the step c/C\\^2 must be positive and "
+                           "finite, got c=1.0, C=1e\\+200$"):
+            MonotoneStateProblem(grid.build_mesh(1, 8), cs)
+
     def test_missing_source_rejected(self):
         with pytest.raises(ValueError):
             MonotoneStateProblem(grid.build_mesh(1, 8), co.make_perturbed_linear(1.0))

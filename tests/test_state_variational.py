@@ -258,7 +258,11 @@ class TestLineSearchExhaustion:
 
 # (dim, n, tol): sha256 of the states and of each report's iterations,
 # residual, converged, cost and cost_trace, recorded from BB's own column
-# loop before it became a step on the shared driver
+# loop before it became a step on the shared driver.  The 2D entries were
+# re-recorded when the 2D stencils took one neighbour pass per axis: at
+# 1e-8 only rounding moved; at 1e-11 and 1e-13 the runs end in the polish,
+# whose kept and rejected steps follow the last bits of the residual, so
+# the iteration counts moved too (every column still converges)
 PINNED_BB = {
     (1, 16, 1e-8): ("1b37d9c19395ce9a5c031f7251c18d974b9b4ba22b913bf7575e3cf8a9be1f77",
                     "acbf236a5d1b763d2b6fd57e978ab32f89097f0a573415274e330ed1ca57cd20"),
@@ -272,12 +276,12 @@ PINNED_BB = {
                      "8e85c0e3a54db1ce4ca077562621b74e567c8b44bb34a1212f0d13dece4701e8"),
     (1, 32, 1e-13): ("9097f10519991fd36d42d292c9c54d815bbe5000d529c62fcfefb63ebf7b7aaa",
                      "f6176b996426a528e92e685e82590669204a73f166e2bcc96320ecdf49a83c09"),
-    (2, 6, 1e-8): ("6cf3608cf77466b24c98a679cb2b9b52a52b10062723240d3a7b7f43a094f88a",
-                   "b525fbb516afc8c73ba1a02e4a0f853e99b3d3211cbe4030da7eeedc11da7b2b"),
-    (2, 6, 1e-11): ("1cb44b7c113494378de1fe8b57d7cc3ba982001e27dea064b8c5ce200db26829",
-                    "bb02a10491893dbb1f44d3a2e424761834f9e442e0f23c588bd1ad0f59139d81"),
-    (2, 6, 1e-13): ("d46501f5dacd17f5a5946bdf606667ca4439acca18f67731e94378e93e12aa7a",
-                    "ba9cb3ec2baa2057cd4bb386692485782a5fb6b183c66312edcd3596f82e520f"),
+    (2, 6, 1e-8): ("2d910ce3fa3c1f00ac02cc8c2f328c3070ad3658a610f1d58823de65e2ad3552",
+                   "49f5c164bc9f4abf9e4e5afade3268b102a8b66a0842647935d823be69cc33e6"),
+    (2, 6, 1e-11): ("a336a8927e99936e85dfb4732d1b75fb7627fc3b700a47fed826e131cb629242",
+                    "afbf6d7f1d4c05ae0870ac07f8264e7bc3798103370a0b3a1e94a1158bf23b68"),
+    (2, 6, 1e-13): ("4d85ddacccf70b9d820a7a943177ef6a34d2f65f3c531b645fe2c4bdfaf9b917",
+                    "11fec242981c74e81d8f96348d846d9fc669a779b91442fbd95c459b79e5c14e"),
 }
 
 
