@@ -6,6 +6,11 @@ minimizing-sequence demonstration and a designed two-atom relaxed candidate
 whose value is computable by one linear solve (the nonlinearity vanishes at
 the wells), giving a certified margin between the classical and relaxed
 optima.
+
+The private table ``_INSTANCES`` holds each instance's mesh, the default b
+of a quasilinear one and its constant reference control, and
+``_coefficients`` merges each instance's factory dicts into its coefficient
+set; the builders, the name lists and the catalog read those two alone.
 """
 
 from __future__ import annotations
@@ -58,69 +63,49 @@ GAP_M = 1e-4
 GAP_CAP = 1.0
 GAP_MARGIN_SAFETY = 0.5
 
-_DEFAULT_CELLS = {
-    "gap-family-1d": (1, 128),
-    "sin-gradient-1d": (1, 32),
-    "sin-gradient-2d": (2, 16),
-    "linear-quasilinear-1d": (1, 32),
-    "variational-quartic-1d": (1, 16),
-    "quadratic-variational-1d": (1, 16),
-    "monotone-perturbed-1d": (1, 32),
+# name: (dimension, cells per axis, default b of a quasilinear instance or
+# None, value of the constant reference control or None)
+_INSTANCES = {
+    "gap-family-1d": (1, 128, GAP_B, 1.0),
+    "sin-gradient-1d": (1, 32, 1.0, 0.0),
+    "sin-gradient-2d": (2, 16, 1.0, 0.0),
+    "linear-quasilinear-1d": (1, 32, 1.0, 0.0),
+    "variational-quartic-1d": (1, 16, None, None),
+    "quadratic-variational-1d": (1, 16, None, None),
+    "monotone-perturbed-1d": (1, 32, None, None),
 }
 
 
+def _row(name: str) -> tuple:
+    if name not in _INSTANCES:
+        raise KeyError(f"unknown instance {name!r}")
+    return _INSTANCES[name]
+
+
 def default_mesh(name: str) -> Mesh:
-    dim, cells = _DEFAULT_CELLS[name]
-    return grid.build_mesh(dim, cells)
+    return grid.build_mesh(*_row(name)[:2])
 
 
-# -- coefficient sets ------------------------------------------------------------
-
-
-def _gap_cs() -> co.CoefficientSet:
-    parts = {}
-    parts.update(co.a_cosine_wells(GAP_KAPPA, GAP_OMEGA))
-    parts.update(co.f_clamp())
-    parts.update(co.cost_shortfall(GAP_CAP))
-    L = parts["L"]
-    return co.CoefficientSet(M=GAP_M, C=L, c=L / 2.0, **parts)
-
-
-def _sin_gradient_cs() -> co.CoefficientSet:
-    parts = {}
-    parts.update(co.a_sin_gradient(1.0))
-    parts.update(co.f_tanh())
-    parts.update(co.cost_tracking(0.05))
-    return co.CoefficientSet(M=1e-3, c=0.5, C=1.0, **parts)
-
-
-def _linear_quasilinear_cs() -> co.CoefficientSet:
-    parts = {}
-    parts.update(co.a_zero())
-    parts.update(co.f_tanh())
-    parts.update(co.cost_tracking(0.05))
-    return co.CoefficientSet(M=1e-3, **parts)
-
-
-def _variational_quartic_cs() -> co.CoefficientSet:
-    parts = {}
-    parts.update(co.w_quartic_clamped())
-    parts.update(co.f_linear())
-    parts.update(co.cost_tracking(0.04))
-    return co.CoefficientSet(M=1e-3, **parts)
-
-
-def _quadratic_variational_cs(target_values: np.ndarray) -> co.CoefficientSet:
-    parts = {}
-    parts.update(co.w_quadratic())
-    parts.update(co.f_linear())
-    parts.update(co.cost_tracking(target_values))
-    return co.CoefficientSet(M=1e-3, **parts)
-
-
-def _monotone_cs() -> co.CoefficientSet:
-    base = co.make_perturbed_linear(1.0, co.sin_perturbation(0.5), 0.5)
-    return base.merged(M=1e-3, **co.f_linear()).merged(**co.cost_tracking(0.05))
+def _coefficients(name: str, mesh: Mesh) -> co.CoefficientSet:
+    """Coefficient set of the named instance: its factory dicts merged."""
+    if name == "gap-family-1d":
+        a = co.a_cosine_wells(GAP_KAPPA, GAP_OMEGA)
+        return co.CoefficientSet(M=GAP_M, C=a["L"], c=a["L"] / 2.0, **a,
+                                 **co.f_clamp(), **co.cost_shortfall(GAP_CAP))
+    target = 0.05
+    if name in ("sin-gradient-1d", "sin-gradient-2d"):
+        parts = {**co.a_sin_gradient(1.0), **co.f_tanh(), "c": 0.5, "C": 1.0}
+    elif name == "linear-quasilinear-1d":
+        parts = {**co.a_zero(), **co.f_tanh()}
+    elif name == "variational-quartic-1d":
+        parts, target = {**co.w_quartic_clamped(), **co.f_linear()}, 0.04
+    elif name == "quadratic-variational-1d":
+        parts = {**co.w_quadratic(), **co.f_linear()}
+        target = 0.01 * np.sin(np.pi * mesh.node_coords()[:, 0])
+    else:  # monotone-perturbed-1d
+        flux = co.make_perturbed_linear(1.0, co.sin_perturbation(0.5), 0.5)
+        parts = {"A": flux.A, "c": flux.c, "C": flux.C, **co.f_linear()}
+    return co.CoefficientSet(M=1e-3, **parts, **co.cost_tracking(target))
 
 
 # -- builders ---------------------------------------------------------------------
@@ -129,34 +114,17 @@ def _monotone_cs() -> co.CoefficientSet:
 def build_state_problem(name: str, mesh: Optional[Mesh] = None, b: Optional[float] = None):
     """State-level problem for the named instance; b overrides the b of a
     quasilinear instance and is an error on any other."""
-    if mesh is None:
-        mesh = default_mesh(name)
-    if name == "gap-family-1d":
-        return QuasilinearStateProblem(mesh, _gap_cs(), b=GAP_B if b is None else b)
-    if name in ("sin-gradient-1d", "sin-gradient-2d"):
-        return QuasilinearStateProblem(
-            mesh, _sin_gradient_cs(), b=1.0 if b is None else b
-        )
-    if name == "linear-quasilinear-1d":
-        return QuasilinearStateProblem(
-            mesh, _linear_quasilinear_cs(), b=1.0 if b is None else b
-        )
-    if b is not None and name in _DEFAULT_CELLS:
+    dim, cells, default_b, _ = _row(name)
+    if b is not None and default_b is None:
         raise ValueError(f"instance {name!r} has no b; only quasilinear instances do")
-    if name == "variational-quartic-1d":
-        cs = _variational_quartic_cs()
-        return VariationalStateProblem(
-            mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes))
-        )
-    if name == "quadratic-variational-1d":
-        x = mesh.node_coords()[:, 0]
-        cs = _quadratic_variational_cs(0.01 * np.sin(np.pi * x))
-        return VariationalStateProblem(
-            mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes))
-        )
-    if name == "monotone-perturbed-1d":
-        return MonotoneStateProblem(mesh, _monotone_cs())
-    raise KeyError(f"unknown instance {name!r}")
+    if mesh is None:
+        mesh = grid.build_mesh(dim, cells)
+    cs = _coefficients(name, mesh)
+    if default_b is not None:
+        return QuasilinearStateProblem(mesh, cs, b=default_b if b is None else b)
+    if cs.A is not None:
+        return MonotoneStateProblem(mesh, cs)
+    return VariationalStateProblem(mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes)))
 
 
 def build_control_problem(
@@ -169,9 +137,9 @@ def build_control_problem(
     extras: dict = {}
     if name == "gap-family-1d":
         extras["demo_measure"] = uniform_two_atom(mesh, -1.0, 1.0, 0.5, potential_offset=1.0)
-        extras["reference_controls"] = (np.ones(mesh.n_nodes),)
-    elif name in ("sin-gradient-1d", "sin-gradient-2d", "linear-quasilinear-1d"):
-        extras["reference_controls"] = (np.zeros(mesh.n_nodes),)
+    reference = _INSTANCES[name][3]
+    if reference is not None:
+        extras["reference_controls"] = (np.full(mesh.n_nodes, reference),)
     return ControlProblem(state, rebuild=rebuild, **extras)
 
 
@@ -235,18 +203,18 @@ def gap_margin(mesh: Optional[Mesh] = None) -> float:
 
 
 def instance_names() -> list:
-    return list(_DEFAULT_CELLS)
+    return list(_INSTANCES)
 
 
 def relaxable_names() -> list:
-    return ["gap-family-1d", "sin-gradient-1d", "linear-quasilinear-1d"]
+    """The 1D quasilinear instances."""
+    return [name for name, (dim, _, b, _) in _INSTANCES.items() if dim == 1 and b is not None]
 
 
 def catalog() -> list:
     """Instance table: name, kind, constants (thresholds included)."""
     rows = []
-    for name in instance_names():
-        dim, cells = _DEFAULT_CELLS[name]
+    for name, (dim, cells, _, _) in _INSTANCES.items():
         state = build_state_problem(name)
         cs = state.cs
         constants = {"dimension": dim, "cells_per_axis": cells}

@@ -70,17 +70,10 @@ class RelaxationReport:
         return self.best_classical - self.relaxed
 
     def to_dict(self) -> dict:
-        return {
-            "best_classical": self.best_classical,
-            "relaxed": self.relaxed,
-            "gap": self.gap,
-            "dirac_residual": self.dirac_residual,
-            "certificates": list(self.certificates),
-            "failed": self.failed,
-            "classical": dict(self.classical),
-            "relaxed_run": dict(self.relaxed_run),
-            "note": self.note,
-        }
+        """Every field but the minimizer, lists and dicts copied, plus gap."""
+        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)
+             if f.name != "minimizer"}
+        return {**d, "gap": self.gap}
 
 
 class NonConvergenceError(RuntimeError):

@@ -676,6 +676,11 @@ class TestListCommand:
         assert "gap-family-1d" in table
         assert "delta_star" in table
 
+    def test_table_digest(self):
+        # every instance's constants and the gap family's delta*, byte for byte
+        digest = hashlib.sha256(list_builtin().encode()).hexdigest()
+        assert digest == "71cd064dab9fa7db14525dbd24fc62dd4af1b90ccebeff926ad5a869c497ddb5"
+
     def test_filter_and_empty(self):
         assert "gap-family-1d" in list_builtin("gap")
         filtered = list_builtin("no-such-instance")

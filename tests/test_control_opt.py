@@ -125,6 +125,16 @@ class TestControlProblem:
         assert cp.M == cp.state.cs.M
         assert cp.regime == regime
 
+    @pytest.mark.parametrize("build", [
+        instances.build_state_problem,
+        instances.build_control_problem,
+        instances.default_mesh,
+        lambda name: instances.build_state_problem(name, grid.build_mesh(1, 8)),
+    ], ids=["state", "control", "mesh", "state-on-mesh"])
+    def test_unknown_instance_named_by_every_builder(self, build):
+        with pytest.raises(KeyError, match="unknown instance 'nope'"):
+            build("nope")
+
     def test_unknown_state_type_rejected(self):
         cp, _ = tracking_problem(n=8)
         with pytest.raises(ValueError, match="state problem type"):

@@ -7,6 +7,8 @@ family's certificate and the oscillation demo are checked the same way:
 by their observed order as h -> 0 and as j -> infinity.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from qlcontrol.grid import ScalarField
 from qlcontrol.relaxed_opt import certify_gap
 from qlcontrol.state_monotone import MonotoneStateProblem, solve_monotone
 from qlcontrol.state_quasilinear import QuasilinearStateProblem, solve_quasilinear
-from qlcontrol.young_measure import potential, realize_sequence
+from qlcontrol.young_measure import potential, realize_sequence, uniform_two_atom
 
 from oracles import observed_order
 
@@ -135,8 +137,16 @@ class TestOscillationDemoLimit:
     # first-order error in 1/j; J is taken on each realization mesh, so that
     # the base mesh's discretization error does not enter
     def test_first_order_in_one_over_j(self):
-        rp, _ = instances.build_relaxed_problem("gap-family-1d")
-        cp = rp.control
+        self._check_rate(instances.build_relaxed_problem("gap-family-1d")[0].control)
+
+    def test_first_order_for_unequal_weights_and_atoms(self):
+        # Var = 1.6875, so the offset is not the trivial M/2
+        cp = instances.build_relaxed_problem("gap-family-1d")[0].control
+        mu = uniform_two_atom(cp.mesh, -0.5, 2.5, 0.25)
+        self._check_rate(dataclasses.replace(cp, demo_measure=mu))
+
+    @staticmethod
+    def _check_rate(cp):
         mu = cp.demo_measure
         atoms, weights = mu.atoms[..., 0], mu.weights
         var = np.sum(weights * atoms**2, axis=1) - np.sum(weights * atoms, axis=1) ** 2
