@@ -93,7 +93,11 @@ class ExperimentConfig:
                 if (section, key) not in _KEYS:
                     raise ConfigError(f"unknown key {key!r} in [{section}]")
                 attr, read, accepted = _KEYS[section, key]
-                value = read(raw)
+                try:
+                    value = read(raw)
+                except ValueError as exc:
+                    raise ConfigError(
+                        f"[{section}] {key} must be {_READS[read]}, got {raw!r}") from exc
                 if value is not None and accepted is not None and not accepted[0](value):
                     raise ConfigError(f"[{section}] {key} must be {accepted[1]}, got {raw!r}")
                 if attr == "coefficients":
@@ -126,23 +130,19 @@ def _control_field(mesh, preset: str) -> ScalarField:
     return ScalarField(mesh, _CONTROLS[preset](mesh.node_coords()))
 
 
-# [coefficients] names: the flux builds the coefficient set and the a and f
-# terms merge into it, each from the numeric keys
+# [coefficients] names: the flux builds the coefficient set and the a term
+# merges into it, each from the numeric keys
 _FLUXES = {
     "identity": lambda c: co.make_perturbed_linear(1.0),
     "perturbed-linear": lambda c: co.make_perturbed_linear(
         c["a0"], co.sin_perturbation(c["lipschitz_g"]), c["lipschitz_g"]
     ),
 }
-_TERMS = {
-    "a": {
-        "sin": lambda c: co.a_sin_gradient(c["kappa"]),
-        "clamped-linear": lambda c: co.a_clamped_linear(c["kappa"]),
-        "cosine-wells": lambda c: co.a_cosine_wells(c["kappa"], c["omega"]),
-        "zero": lambda c: co.a_zero(),
-    },
-    "f": {"linear": lambda c: co.f_linear(), "tanh": lambda c: co.f_tanh(),
-          "clamp": lambda c: co.f_clamp(), "zero": lambda c: co.f_zero()},
+_A_TERMS = {
+    "sin": lambda c: co.a_sin_gradient(c["kappa"]),
+    "clamped-linear": lambda c: co.a_clamped_linear(c["kappa"]),
+    "cosine-wells": lambda c: co.a_cosine_wells(c["kappa"], c["omega"]),
+    "zero": lambda c: co.a_zero(),
 }
 # the numeric [coefficients] keys and their defaults
 _COEFFICIENT_NUMBERS = {"a0": 1.0, "lipschitz_g": 0.5, "kappa": 1.0, "omega": 5.0}
@@ -151,9 +151,8 @@ _COEFFICIENT_NUMBERS = {"a0": 1.0, "lipschitz_g": 0.5, "kappa": 1.0, "omega": 5.
 def _coefficients_from_config(conf: dict) -> co.CoefficientSet:
     c = {**_COEFFICIENT_NUMBERS, **conf}
     cs = _FLUXES[c.get("flux", "identity")](c)
-    for term, names in _TERMS.items():
-        if term in c:
-            cs = cs.merged(**names[c[term]](c))
+    if "a" in c:
+        cs = cs.merged(**_A_TERMS[c["a"]](c))
     return cs
 
 
@@ -311,6 +310,8 @@ def _at_least(low) -> tuple:
     return (lambda v: v >= low, f">= {low}")
 
 
+# what each parser that can fail reads, for its error message
+_READS = {int: "an integer", float: "a number", _ints: "a list of integers"}
 # (section, key) -> (ExperimentConfig attribute, parser, accepted values)
 _KEYS = {
     ("experiment", "kind"): ("kind", str, _one_of(_KINDS)),
@@ -330,8 +331,7 @@ _KEYS = {
                                  (lambda v: 0 <= v < np.inf, "finite and >= 0")),
     ("solver", "samples"): ("samples", int, _at_least(0)),
     ("coefficients", "flux"): ("coefficients", str, _one_of(_FLUXES)),
-    ("coefficients", "a"): ("coefficients", str, _one_of(_TERMS["a"])),
-    ("coefficients", "f"): ("coefficients", str, _one_of(_TERMS["f"])),
+    ("coefficients", "a"): ("coefficients", str, _one_of(_A_TERMS)),
     **{("coefficients", k): ("coefficients", float, (np.isfinite, "finite"))
        for k in _COEFFICIENT_NUMBERS},
     ("output", "directory"): ("output_dir", _name, None),

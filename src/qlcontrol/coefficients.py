@@ -433,12 +433,12 @@ def cost_zero() -> dict:
     return {"F": lambda y: np.zeros_like(np.asarray(y, dtype=float))}
 
 
-def cost_shortfall(cap: float = 1.0) -> dict:
-    """F(y) = -min(y, cap): rewards large states up to the cap; bounded below
-    by -cap."""
+def cost_shortfall() -> dict:
+    """F(y) = -min(y, 1): rewards large states up to the cap 1; bounded below
+    by -1."""
 
     def F(y):
-        return -np.minimum(np.asarray(y, dtype=float), cap)
+        return -np.minimum(np.asarray(y, dtype=float), 1.0)
 
     return {"F": F}
 
@@ -528,7 +528,7 @@ def check_w_growth(
 
 def check_w_convexity(
     cs: CoefficientSet,
-    samples: int = 2000,
+    samples: int = CONSTRUCTION_SAMPLES,
     seed: int = 0,
     dim: int = 2,
 ) -> HypothesisReport:

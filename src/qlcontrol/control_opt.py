@@ -44,7 +44,6 @@ __all__ = [
     "ControlProblem",
     "OptimizeOptions",
     "evaluate_cost",
-    "evaluate_costs",
     "optimize_control",
     "minimizing_sequence_demo",
 ]
@@ -172,8 +171,7 @@ def _state_columns(
 
 
 def _state_costs(cp: ControlProblem, Y: np.ndarray) -> np.ndarray:
-    """Trapezoid integral of F(y) per column of stacked states, as
-    grid.integrate_nodal."""
+    """Trapezoid integral of F(y) per column of stacked states."""
     Fy = np.asarray(cp.cs.F(Y), dtype=float)
     return cp.mesh.cell_volume * np.sum(cp.mesh.node_weights() * Fy, axis=-1)
 
@@ -201,28 +199,6 @@ def evaluate_cost(
     if return_state:
         return cost, y
     return cost
-
-
-def evaluate_costs(
-    cp: ControlProblem,
-    U: np.ndarray,
-    warm: Optional[ScalarField] = None,
-    state_tol: Optional[float] = None,
-) -> np.ndarray:
-    """evaluate_cost of every control in a stack U of shape (k, n_nodes).
-
-    Every state starts from ``warm``; the states are solved in blocks of
-    _FD_BLOCK columns, each block one stacked solve.  Entry i equals
-    evaluate_cost on control i (bit for bit in 1D); raises
-    NonConvergenceError if any state solve fails.
-    """
-    costs = np.empty(U.shape[0])
-    for lo in range(0, U.shape[0], _FD_BLOCK):
-        block = U[lo : lo + _FD_BLOCK]
-        costs[lo : lo + len(block)] = _costs(
-            cp, block, _state_columns(cp, block, warm, state_tol)
-        )
-    return costs
 
 
 @dataclass(frozen=True)
@@ -345,8 +321,8 @@ def _fd_cost_gradient(
     central: bool = False,
 ) -> np.ndarray:
     """Forward-difference (or central-difference) L2 cost gradient over nodal
-    perturbations; the n (or 2n) perturbed controls are costed as one stack,
-    warm-started from base_state."""
+    perturbations; the n (or 2n) perturbed controls are costed in stacked
+    solves of _FD_BLOCK columns, warm-started from base_state."""
     mesh = cp.mesh
     delta = _FD_STEP * (1.0 + float(np.max(np.abs(u))))
     n = mesh.n_nodes
@@ -355,7 +331,9 @@ def _fd_cost_gradient(
     U[diag, diag] += delta
     if central:
         U[n + diag, diag] -= delta
-    costs = evaluate_costs(cp, U, warm=base_state, state_tol=opts.state_tol)
+    blocks = np.split(U, range(_FD_BLOCK, len(U), _FD_BLOCK))
+    costs = np.concatenate(
+        [_costs(cp, B, _state_columns(cp, B, base_state, opts.state_tol)) for B in blocks])
     if central:
         g = (costs[:n] - costs[n:]) / (2.0 * delta)
     else:
@@ -401,13 +379,6 @@ def _trial_ladder(score, x, g, step, clip):
             continue
         for alpha, v, trial in zip(chunk, X, scored):
             yield (alpha, v) + trial
-
-
-def _score_trials(cp, U, warm, state_tol) -> list:
-    """(state values, cost) per control of the stack U; raises
-    NonConvergenceError if any state solve fails."""
-    Y = _state_columns(cp, U, warm, state_tol)
-    return list(zip(Y, _costs(cp, U, Y).tolist()))
 
 
 def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
@@ -514,7 +485,8 @@ def optimize_control(
         return float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
 
     def score(U, y):
-        return _score_trials(cp, U, ScalarField(mesh, y), opts.state_tol)
+        Y = _state_columns(cp, U, ScalarField(mesh, y), opts.state_tol)
+        return list(zip(Y, _costs(cp, U, Y).tolist()))
 
     u, _, report = _descend(
         u, (base[0], base[1].values), gradient, score, norm2, opts, gradient_method(cp), t0

@@ -30,8 +30,6 @@ __all__ = [
     "l2_norm",
     "h1_seminorm",
     "inner",
-    "node_to_cell",
-    "cell_to_node",
     "gradient_potential",
     "field_to_csv",
 ]
@@ -144,12 +142,11 @@ class ScalarField:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def is_dirichlet_zero(self, tol: float = 0.0) -> bool:
+    def is_dirichlet_zero(self) -> bool:
         """True for nodal fields vanishing on every Dirichlet node."""
         if self.location != "nodes":
             return False
-        bvals = self.values[self.mesh.boundary_mask]
-        return bool(np.all(np.abs(bvals) <= tol))
+        return bool(np.all(self.values[self.mesh.boundary_mask] == 0.0))
 
 
 @dataclass(frozen=True)
@@ -464,11 +461,6 @@ def l2_norm_values(mesh: Mesh, v: np.ndarray, location: str = "nodes") -> np.nda
     return np.sqrt(mesh.cell_volume * sq.sum(axis=-1))
 
 
-def integrate_nodal(mesh: Mesh, values: np.ndarray) -> float:
-    """Trapezoid quadrature of flat nodal values."""
-    return float(mesh.cell_volume * np.sum(mesh.node_weights() * values))
-
-
 def integrate_cells(mesh: Mesh, values: np.ndarray) -> float:
     """Midpoint quadrature of flat per-cell values."""
     return float(mesh.cell_volume * np.sum(values))
@@ -490,16 +482,12 @@ def node_to_cell_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
     return (0.25 * (s[..., :-1] + s[..., 1:])).reshape(lead + (-1,))
 
 
-def node_to_cell(y: ScalarField) -> ScalarField:
-    return ScalarField(y.mesh, node_to_cell_values(y.mesh, y.values), "cells")
-
-
 def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
-    """Average per-cell values to nodes (adjoint of node_to_cell with respect
-    to the discrete inner products at interior nodes; one-sided means on the
-    boundary, where the value never enters a Dirichlet solve; 2D pair-sums
-    the zero-padded cells along axis 0, then along axis 1).  Leading axes of
-    c are batch axes, each row bit for bit its single call."""
+    """Average per-cell values to nodes (adjoint of node_to_cell_values with
+    respect to the discrete inner products at interior nodes; one-sided
+    means on the boundary, where the value never enters a Dirichlet solve;
+    2D pair-sums the zero-padded cells along axis 0, then along axis 1).
+    Leading axes of c are batch axes, each row bit for bit its single call."""
     lead = c.shape[:-1]
     if mesh.dimension == 1:
         out = np.empty(lead + (mesh.n_nodes,))
@@ -515,12 +503,6 @@ def cell_to_node_values(mesh: Mesh, c: np.ndarray) -> np.ndarray:
     # each node's cell count (1, 2 or 4) is 4 times its trapezoid weight
     acc /= 4.0 * mesh.node_weights()
     return acc
-
-
-def cell_to_node(c: ScalarField) -> ScalarField:
-    if c.location != "cells":
-        raise ValueError("cell_to_node expects a cell field")
-    return ScalarField(c.mesh, cell_to_node_values(c.mesh, c.values), "nodes")
 
 
 # -- the Helmholtz backbone ----------------------------------------------------

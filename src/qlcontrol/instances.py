@@ -42,7 +42,6 @@ __all__ = [
     "GAP_OMEGA",
     "GAP_B",
     "GAP_M",
-    "GAP_CAP",
     "build_control_problem",
     "build_relaxed_problem",
     "build_state_problem",
@@ -60,7 +59,6 @@ GAP_KAPPA = 0.4
 GAP_OMEGA = 5.0
 GAP_B = 2.0
 GAP_M = 1e-4
-GAP_CAP = 1.0
 GAP_MARGIN_SAFETY = 0.5
 
 # name: (dimension, cells per axis, default b of a quasilinear instance or
@@ -91,7 +89,7 @@ def _coefficients(name: str, mesh: Mesh) -> co.CoefficientSet:
     if name == "gap-family-1d":
         a = co.a_cosine_wells(GAP_KAPPA, GAP_OMEGA)
         return co.CoefficientSet(M=GAP_M, C=a["L"], c=a["L"] / 2.0, **a,
-                                 **co.f_clamp(), **co.cost_shortfall(GAP_CAP))
+                                 **co.f_clamp(), **co.cost_shortfall())
     target = 0.05
     if name in ("sin-gradient-1d", "sin-gradient-2d"):
         parts = {**co.a_sin_gradient(1.0), **co.f_tanh(), "c": 0.5, "C": 1.0}
@@ -147,6 +145,7 @@ def build_relaxed_problem(
     name: str, mesh: Optional[Mesh] = None, b: Optional[float] = None
 ):
     """Relaxed problem plus the designed init (None when no design exists)."""
+    _row(name)  # an unknown name is a KeyError, as in every builder
     if name not in relaxable_names():
         raise ValueError(f"instance {name!r} has no relaxation; try `qlcontrol list`")
     if mesh is not None:  # before the control problem, which may need 1D itself

@@ -392,7 +392,6 @@ def certify_gap(rp: RelaxedProblem, samples: int = 6, seed: int = 0,
         relaxed=float(relaxed_value),
         dirac_residual=float(dirac_residual),
         certificates=certificates,
-        failed=not all(c["passed"] for c in certificates),
         classical=_run_summary(opt_report),
         relaxed_run=_run_summary(relax_report),
         minimizer=(mu, nu, y),

@@ -43,8 +43,8 @@ class RelaxationReport:
     ``relaxed`` is the value of the convexified state inclusion, in which
     the state-gradient measure nu need not be generated by any sequence of
     states: a lower bound on the classical cost that classical controls do
-    not reach, so a strict gap is expected (see ``note``).  ``failed`` flags
-    a violated sub-relaxation inequality, which is a bug trap rather than a
+    not reach, so a strict gap is expected (see ``note``).  ``failed``, read
+    off ``certificates``, flags a failed one, a bug trap rather than a
     tolerated outcome.  ``classical`` and ``relaxed_run`` hold the classical
     and the relaxed optimizer run's ``stopped``, ``iterations``,
     ``stationarity`` and ``kink_nodes`` (interior nodes of the last control
@@ -56,31 +56,34 @@ class RelaxationReport:
     relaxed: float
     dirac_residual: float
     certificates: list = field(default_factory=list)
-    failed: bool = False
     classical: dict = field(default_factory=dict)
     relaxed_run: dict = field(default_factory=dict)
-    note: str = (
+    minimizer: Optional[tuple] = field(default=None, repr=False, compare=False)
+    note = (
         "relaxed is the value of the convexified state inclusion: a lower "
         "bound that classical controls do not reach; measured at fixed mesh width"
     )
-    minimizer: Optional[tuple] = field(default=None, repr=False, compare=False)
+
+    @property
+    def failed(self) -> bool:
+        return not all(c["passed"] for c in self.certificates)
 
     @property
     def gap(self) -> float:
         return self.best_classical - self.relaxed
 
     def to_dict(self) -> dict:
-        """Every field but the minimizer, lists and dicts copied, plus gap."""
+        """Every field but the minimizer (copied), plus failed, note and gap."""
         d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)
              if f.name != "minimizer"}
-        return {**d, "gap": self.gap}
+        return {**d, "failed": self.failed, "note": self.note, "gap": self.gap}
 
 
 class NonConvergenceError(RuntimeError):
     """Raised when an iterative solve exhausts its cap or stalls; carries
     the report (of the first failed column, for a stacked solve)."""
 
-    def __init__(self, message: str, report: Optional[SolveReport] = None):
+    def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
         self.report = report
 

@@ -53,16 +53,15 @@ def poincare_constant(mesh: Mesh) -> float:
 class QuasilinearStateProblem:
     """Quasilinear problem -lap y + a(grad y) + b y = f(u), zero Dirichlet.
 
-    The coefficient set supplies a (``a_zero()`` for none) and f.
-    Construction guarantees a unique state: b must exceed L^2/4 strictly,
-    for the declared Lipschitz constant L of a (linear problems, L = 0,
-    accept every b >= 0).  Omitting b picks ``max(1, 2 L^2/4)``, a
-    comfortable margin above the threshold.
+    The coefficient set supplies a (``a_zero()`` for none) and f; b is
+    required, as every instance fixes its own.  Construction guarantees a
+    unique state: b must exceed L^2/4 strictly, for the declared Lipschitz
+    constant L of a (linear problems, L = 0, accept every b >= 0).
     """
 
     mesh: Mesh
     cs: CoefficientSet
-    b: Optional[float] = None
+    b: float
 
     def __post_init__(self):
         if not callable(self.cs.a):
@@ -70,10 +69,6 @@ class QuasilinearStateProblem:
                              "(merge a_zero() for none)")
         if self.cs.f is None:
             raise ValueError("quasilinear problem needs the source map f")
-        if self.b is None:
-            object.__setattr__(
-                self, "b", max(1.0, 2.0 * uniqueness_threshold(self.cs.L))
-            )
         if self.b < 0.0 or not np.isfinite(self.b):
             raise ValueError(f"b must be a finite nonnegative real, got {self.b}")
         L = self.cs.L

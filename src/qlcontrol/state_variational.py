@@ -163,30 +163,27 @@ def solve_state_columns(
     p: VariationalStateProblem,
     u: np.ndarray,
     y0: Optional[np.ndarray] = None,
-    source: Optional[np.ndarray] = None,
+    *,
+    source: np.ndarray,
     tol: float = 1e-8,
 ):
     """Minimize I(., u_i) for every column of a stack of controls.
 
-    ``u`` has shape (k, n_nodes); ``y0`` and ``source`` broadcast to it.
-    ``source`` replaces the problem's source column by column (default: the
-    problem's source for every column).  A Barzilai-Borwein step with its
-    bisected line search is a step on grid._fixed_point_columns, measured by
-    the lifted residual, so column i takes the steps :func:`solve_state`
-    takes on it alone.  A column is at its floating-point floor once its
-    line search runs out (it stays unmoved) or an accepted step leaves it
-    unchanged; floor, stalled and capped columns go on to the polish.
-    Returns the states (k, n_nodes) and one report per column; raises
-    NonConvergenceError with the first failed column's report if any column
-    fails.
+    ``u`` has shape (k, n_nodes) and ``y0`` broadcasts to it; ``source``,
+    one source per control and so of u's shape, replaces the problem's
+    source.  A Barzilai-Borwein step with its bisected line search is a
+    step on grid._fixed_point_columns, measured by the lifted residual, so
+    column i takes the steps :func:`solve_state` takes on it alone.  A
+    column is at its floating-point floor once its line search runs out (it
+    stays unmoved) or an accepted step leaves it unchanged; floor, stalled
+    and capped columns go on to the polish.  Returns the states (k,
+    n_nodes) and one report per column; raises NonConvergenceError with the
+    first failed column's report if any column fails.
     """
     mesh = p.mesh
     u = np.asarray(u, dtype=float)
     k = u.shape[0]
-    src = p.source.values if source is None else source
-    if src.shape != u.shape:
-        src = np.broadcast_to(src, u.shape)
-    stack = _column_data(mesh, u, src)
+    stack = _column_data(mesh, u, source)
     y = grid.start_columns(mesh, u.shape, y0)
     energy, Gy = _energy_values(p, y, *stack)
     g = _energy_gradient(p, y, Gy, *stack)

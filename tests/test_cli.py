@@ -4,6 +4,7 @@ import configparser
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,7 +94,6 @@ lipschitz_g = 0.25
 a = cosine-wells
 kappa = 0.3
 omega = 4.0
-f = tanh
 
 [output]
 directory = somewhere
@@ -139,7 +139,7 @@ class TestConfigParsing:
             gradient_tol=0.0,
             samples=2,
             coefficients={"flux": "perturbed-linear", "a0": 1.5, "lipschitz_g": 0.25,
-                          "a": "cosine-wells", "kappa": 0.3, "omega": 4.0, "f": "tanh"},
+                          "a": "cosine-wells", "kappa": 0.3, "omega": 4.0},
             output_dir="somewhere",
         )
 
@@ -228,6 +228,29 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=new.split()[0] + " must be"):
             ExperimentConfig.parse(text)
         assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [("seed = 0", "seed = abc", "[experiment] seed must be an integer, got 'abc'"),
+         ("name = gap-family-1d", "name = gap-family-1d\nb = two",
+          "[instance] b must be a number, got 'two'"),
+         ("js = 2, 4, 8", "js = 2, x", "[experiment] js must be a list of integers, got '2, x'"),
+         ("[mesh]", "[solver]\nstate_tol = 1e-9x\n\n[mesh]",
+          "[solver] state_tol must be a number, got '1e-9x'"),
+         ("cells_per_axis = 32", "cells_per_axis = 3.5",
+          "[mesh] cells_per_axis must be an integer, got '3.5'")],
+        ids=["seed", "b", "js", "state_tol", "cells_per_axis"],
+    )
+    def test_unreadable_value_names_its_section_and_key(self, tmp_path, capsys, old, new,
+                                                        message):
+        # the bare parser message ("invalid literal for int() with base 10:
+        # 'abc'") named neither
+        text = GAP_INI.replace(old, new)
+        with pytest.raises(ConfigError, match="^" + re.escape(message) + "$"):
+            ExperimentConfig.parse(text)
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
@@ -637,6 +660,47 @@ max_iterations = 0
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot write output")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[experiment\nkind = state\n", "cannot parse config"),
+         ("[experiment]\nseed = 1\n", "config needs [experiment] kind"),
+         ("[experiment]\nkind = state\n", "experiment kind 'state' needs [instance] name"),
+         ("[experiment]\nkind = verify-hypotheses\n\n[instance]\nname = linear-quasilinear-1d\n",
+          "nothing to verify")],
+        ids=["unparsable", "no-kind", "state-without-instance", "nothing-to-verify"],
+    )
+    def test_usage_error_exit_1(self, tmp_path, capsys, text, message):
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_state_solve_that_does_not_converge_exit_1(self, tmp_path, capsys):
+        # Picard stalls at its rounding floor, far above 1e-300
+        out = tmp_path / "out"
+        code = run(SHIPPED / "state-sin-gradient.ini", out=str(out),
+                   overrides=["solver.state_tol=1e-300"])
+        assert code == 1
+        assert "error: solver did not converge: Picard" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    @staticmethod
+    def _instance_hypotheses(tmp_path, instance):
+        text = f"[experiment]\nkind = verify-hypotheses\n\n[instance]\nname = {instance}\n"
+        assert run(write(tmp_path, text), out=str(tmp_path / "out")) == 0
+        return json.loads((tmp_path / "out" / "report.json").read_text())["results"]["hypotheses"]
+
+    def test_verify_hypotheses_of_a_variational_instance(self, tmp_path):
+        got = self._instance_hypotheses(tmp_path, "variational-quartic-1d")
+        assert [(h["hypothesis"], h["passed"]) for h in got] == [("w-growth", True)]
+
+    def test_verify_hypotheses_of_the_shipped_flux_instance(self, tmp_path):
+        # the shipped config spells out monotone-perturbed-1d's flux
+        got = self._instance_hypotheses(tmp_path, "monotone-perturbed-1d")
+        assert run(SHIPPED / "verify-hypotheses.ini", out=str(tmp_path / "shipped")) == 0
+        shipped = json.loads((tmp_path / "shipped" / "report.json").read_text())
+        assert got == shipped["results"]["hypotheses"]
+        assert [h["worst_margin"] for h in got] == [0.0017286479264707203, 0.5022862071180714]
+
     def test_failed_hypothesis_exit_2(self, tmp_path):
         text = """\
 [experiment]
@@ -705,7 +769,7 @@ class TestListCommand:
         return proc.stdout
 
     def test_python_dash_m_list(self):
-        assert "gap-family-1d" in self._fresh_python("-m", "qlcontrol", "list")
+        assert self._fresh_python("-m", "qlcontrol", "list") == list_builtin() + "\n"
 
     def test_import_loads_no_sparse_module(self):
         # every linear solve is a closed-form Green's function or a cached

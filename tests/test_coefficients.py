@@ -366,7 +366,7 @@ class TestDerivatives:
         # slopes, inside [0, 1] and [-1, 0]
         f = co.f_clamp()["f"]
         assert np.allclose(co.pointwise_derivative(f, np.array([-1.0, 1.0])), 0.5)
-        F = co.cost_shortfall(1.0)["F"]
+        F = co.cost_shortfall()["F"]
         assert np.allclose(co.pointwise_derivative(F, np.array([1.0])), -0.5)
         a = co.a_clamped_linear(2.0)["a"]
         assert np.allclose(co.cellwise_jacobian(a, np.array([[1.0], [-1.0]])), 1.0)

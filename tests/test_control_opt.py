@@ -78,8 +78,8 @@ class TestEvaluateCost:
         u = ScalarField(mesh, x)
         # compose the two linear solves by hand and quadrature the cost
         y_u = grid.helmholtz_solve(1.0, u)
-        diff2 = (y_u.values - ystar.values) ** 2
-        by_hand = grid.integrate_nodal(mesh, diff2) + 0.5 * 1e-3 * grid.inner(
+        diff = ScalarField(mesh, y_u.values - ystar.values)
+        by_hand = grid.inner(diff, diff) + 0.5 * 1e-3 * grid.inner(
             grid.gradient(u), grid.gradient(u)
         )
         assert abs(evaluate_cost(cp, u, state_tol=1e-13) - by_hand) <= 1e-10
@@ -130,7 +130,8 @@ class TestControlProblem:
         instances.build_control_problem,
         instances.default_mesh,
         lambda name: instances.build_state_problem(name, grid.build_mesh(1, 8)),
-    ], ids=["state", "control", "mesh", "state-on-mesh"])
+        instances.build_relaxed_problem,
+    ], ids=["state", "control", "mesh", "state-on-mesh", "relaxed"])
     def test_unknown_instance_named_by_every_builder(self, build):
         with pytest.raises(KeyError, match="unknown instance 'nope'"):
             build("nope")

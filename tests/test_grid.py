@@ -1,5 +1,6 @@
 """Mesh, discrete operators, Helmholtz backbone and quadrature."""
 
+import dataclasses
 import inspect
 import re
 import sys
@@ -144,6 +145,8 @@ _PARAMETERS = {
     coefficients.a_clamped_linear: "kappa",
     coefficients.a_cosine_wells: "kappa omega",
     coefficients.cost_tracking: "target",
+    coefficients.cost_shortfall: "",
+    grid.ScalarField.is_dirichlet_zero: "self",
     coefficients.w_quartic_clamped: "",
     control_opt.minimizing_sequence_demo: "cp j_list",
     relaxed_opt._smooth_random_controls: "mesh samples seed",
@@ -154,6 +157,26 @@ _PARAMETERS = {
 def test_fixed_settings_are_not_parameters():
     assert {f.__qualname__: " ".join(inspect.signature(f).parameters) for f in _PARAMETERS} == {
         f.__qualname__: names for f, names in _PARAMETERS.items()}
+
+
+def test_data_that_every_caller_passes_has_no_default():
+    # b of a quasilinear problem, one source per stacked control, and the
+    # report of a failed solve
+    for f, name in [(state_quasilinear.QuasilinearStateProblem, "b"),
+                    (state_variational.solve_state_columns, "source"),
+                    (reports.NonConvergenceError.__init__, "report")]:
+        default = inspect.signature(f).parameters[name].default
+        assert default is inspect.Parameter.empty, (f.__qualname__, name)
+    # failed is read off the certificates and note is a constant
+    assert [f.name for f in dataclasses.fields(reports.RelaxationReport)] == [
+        "best_classical", "relaxed", "dirac_residual", "certificates", "classical",
+        "relaxed_run", "minimizer"]
+
+
+def test_names_no_caller_needs_are_gone():
+    gone = {grid: ("node_to_cell", "cell_to_node", "integrate_nodal"),
+            control_opt: ("evaluate_costs", "_score_trials"), instances: ("GAP_CAP",)}
+    assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
 
 
 class TestGradient:
@@ -613,11 +636,11 @@ class TestTransfers:
         c = rng.standard_normal(mesh.n_cells)
         z = rng.standard_normal(mesh.n_nodes)
         lhs = grid.inner(
-            grid.cell_to_node(ScalarField(mesh, c, "cells")), ScalarField(mesh, z)
+            ScalarField(mesh, grid.cell_to_node_values(mesh, c)), ScalarField(mesh, z)
         )
         rhs = grid.inner(
             ScalarField(mesh, c, "cells"),
-            grid.node_to_cell(ScalarField(mesh, z)),
+            ScalarField(mesh, grid.node_to_cell_values(mesh, z), "cells"),
         )
         assert abs(lhs - rhs) <= 1e-13
 

@@ -651,7 +651,7 @@ class TestValidation:
 
     def test_level_map_is_required_and_checked(self):
         mesh = grid.build_mesh(1, 16)
-        parts = {**co.a_cosine_wells(0.4, 5.0), **co.f_clamp(), **co.cost_shortfall(1.0)}
+        parts = {**co.a_cosine_wells(0.4, 5.0), **co.f_clamp(), **co.cost_shortfall()}
         wells = co.CoefficientSet(M=1e-4, c=1.0, C=2.0, **parts)
 
         def relaxed(cs):
