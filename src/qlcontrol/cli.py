@@ -26,7 +26,6 @@ from . import coefficients as co
 from . import grid
 from . import instances
 from .control_opt import (
-    REGIMES,
     OptimizeOptions,
     _source_kw,
     minimizing_sequence_demo,
@@ -174,7 +173,7 @@ def _build_state(cfg: ExperimentConfig):
 
 def _run_state(cfg: ExperimentConfig, out_dir: Path, results, timings, state, u):
     # the single solve keeps its own defaults (tolerance, iteration cap)
-    solve = state_solvers(REGIMES[type(state)])[0]
+    solve = state_solvers(state.regime)[0]
     kw = {} if cfg.state_tol is None else {"tol": cfg.state_tol}
     t0 = time.perf_counter()
     y, rep = solve(state, u, **kw, **_source_kw(state, u.values))

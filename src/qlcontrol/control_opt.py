@@ -20,7 +20,6 @@ projected descent on the control and its slack.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,12 +30,8 @@ from . import state_monotone, state_quasilinear
 from .coefficients import CoefficientSet, one_sided_derivatives, pointwise_derivative
 from .grid import Mesh, ScalarField
 from .reports import NonConvergenceError, SolveReport
-from .state_monotone import MonotoneStateProblem, solve_monotone, solve_monotone_columns
-from .state_quasilinear import (
-    QuasilinearStateProblem,
-    solve_quasilinear,
-    solve_quasilinear_columns,
-)
+from .state_monotone import solve_monotone, solve_monotone_columns
+from .state_quasilinear import solve_quasilinear, solve_quasilinear_columns
 from .state_variational import VariationalStateProblem, solve_state, solve_state_columns
 from .young_measure import YoungMeasureField, realize_sequence
 
@@ -61,22 +56,14 @@ _INITIAL_STEP = 1.0  # first trial step of the first line search
 _log = logging.getLogger(__name__)
 
 
-# regime of each state problem type
-REGIMES = {
-    VariationalStateProblem: "variational",
-    MonotoneStateProblem: "monotone",
-    QuasilinearStateProblem: "quasilinear",
-}
-
-
 @dataclass(frozen=True)
 class ControlProblem:
     """Outer problem data: state problem and per-instance extras.
 
-    The state problem fixes the mesh, the regime and the coefficient set,
-    which carries the cost integrand F, the control-to-source map f and the
-    weight M of the Tychonov term (M/2) int |grad u|^2, the only
-    regularizer.  In the variational regime f(u) replaces the state
+    The state problem fixes the mesh, the regime (its class names it) and
+    the coefficient set, which carries the cost integrand F, the
+    control-to-source map f and the weight M of the Tychonov term (M/2) int
+    |grad u|^2, the only regularizer.  In the variational regime f(u) replaces the state
     problem's fixed source (the control then also enters the inner energy
     through W's second slot).  ``rebuild`` maps a mesh to the instance's
     state problem on that mesh.
@@ -88,7 +75,7 @@ class ControlProblem:
     reference_controls: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
-        if type(self.state) not in REGIMES:
+        if getattr(self.state, "regime", None) not in _STATE_TOL_DEFAULTS:
             raise ValueError(f"unknown state problem type {type(self.state).__name__}")
         if self.cs.M is None:
             raise ValueError("control problem needs the Tychonov weight M")
@@ -111,7 +98,7 @@ class ControlProblem:
 
     @property
     def regime(self) -> str:
-        return REGIMES[type(self.state)]
+        return self.state.regime
 
     def with_mesh(self, mesh: Mesh) -> "ControlProblem":
         """The same problem on another mesh, without the per-instance extras."""
@@ -381,7 +368,7 @@ def _trial_ladder(score, x, g, step, clip):
             yield (alpha, v) + trial
 
 
-def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
+def _descend(x, base, gradient, score, norm2, opts, method, *, clip=None,
              label="optimize_control"):
     """The projected-gradient loop of optimize_control and
     relaxed_opt.optimize_relaxed: gradient stop test, Armijo ladder and step
@@ -393,8 +380,9 @@ def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
     ``(state, cost)`` of each row of a stack of trials, warm-started from
     ``state``; ``clip`` goes to _trial_ladder.  Accepted iterates have
     non-increasing cost.  Returns the last iterate, its state and the
-    SolveReport (wall time from ``t0``), whose ``extras["stopped"]`` is
-    "gradient" (the only converged exit), "linesearch" or "cap".
+    SolveReport, whose ``extras["stopped"]`` is "gradient" (the only
+    converged exit), "linesearch" or "cap"; callers time the run themselves
+    (the CLI's ``timings``).
     """
     cost, state = base
     trace = [cost]
@@ -441,7 +429,6 @@ def _descend(x, base, gradient, score, norm2, opts, method, t0, *, clip=None,
         cost=cost,
         stationarity=stationarity,
         cost_trace=trace,
-        wall_time=time.perf_counter() - t0,
         extras={"stopped": stopped, "linesearch_retries": retries},
     )
     return x, state, report
@@ -471,7 +458,6 @@ def optimize_control(
     if opts is None:
         opts = OptimizeOptions()
     mesh = cp.mesh
-    t0 = time.perf_counter()
     u = np.array(u0.values, dtype=float)
     if base is None:
         base = evaluate_cost(
@@ -489,7 +475,7 @@ def optimize_control(
         return list(zip(Y, _costs(cp, U, Y).tolist()))
 
     u, _, report = _descend(
-        u, (base[0], base[1].values), gradient, score, norm2, opts, gradient_method(cp), t0
+        u, (base[0], base[1].values), gradient, score, norm2, opts, gradient_method(cp)
     )
     report.extras["kink_nodes"] = _kink_nodes(cp, u)
     return ScalarField(mesh, u), report

@@ -101,16 +101,8 @@ class Mesh:
         return self._interior
 
     def node_coords(self) -> np.ndarray:
-        """Coordinates of every node, shape ``(n_nodes, dimension)``."""
-        return self._tensor_grid(np.linspace(0.0, 1.0, self.nodes_per_axis))
-
-    def cell_centers(self) -> np.ndarray:
-        """Coordinates of every cell midpoint, shape ``(n_cells, dimension)``."""
-        return self._tensor_grid((np.arange(self.cells_per_axis) + 0.5) * self.h)
-
-    def _tensor_grid(self, ax: np.ndarray) -> np.ndarray:
-        """Points of the tensor grid of axis coordinates ax, in C order."""
-        d = self.dimension
+        """Coordinates of every node, shape ``(n_nodes, dimension)``, in C order."""
+        ax, d = np.linspace(0.0, 1.0, self.nodes_per_axis), self.dimension
         return np.stack(np.meshgrid(*(ax,) * d, indexing="ij"), axis=-1).reshape(-1, d)
 
     def node_weights(self) -> np.ndarray:
@@ -120,22 +112,19 @@ class Mesh:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real values attached to the nodes (states, controls) or cells
-    (averaged coefficients) of a mesh."""
+    """Real values attached to the nodes of a mesh: states, controls and
+    sources, the nodal H1 functions of the discretization.  Per-cell values
+    stay plain arrays (see young_measure.moment)."""
 
     mesh: Mesh
     values: np.ndarray
-    location: str = "nodes"  # "nodes" | "cells"
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).copy()
-        expected = self.mesh.n_nodes if self.location == "nodes" else self.mesh.n_cells
-        if self.location not in ("nodes", "cells"):
-            raise ValueError(f"unknown location {self.location!r}")
+        expected = self.mesh.n_nodes
         if vals.shape != (expected,):
             raise ValueError(
-                f"field has {vals.shape} values, mesh expects ({expected},) "
-                f"on {self.location}"
+                f"field has {vals.shape} values, mesh expects ({expected},) on nodes"
             )
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
@@ -143,9 +132,7 @@ class ScalarField:
         object.__setattr__(self, "values", vals)
 
     def is_dirichlet_zero(self) -> bool:
-        """True for nodal fields vanishing on every Dirichlet node."""
-        if self.location != "nodes":
-            return False
+        """True for fields vanishing on every Dirichlet node."""
         return bool(np.all(self.values[self.mesh.boundary_mask] == 0.0))
 
 
@@ -159,8 +146,6 @@ class VectorField:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).copy()
-        if vals.ndim == 1:
-            vals = vals[:, None]
         if vals.shape != (self.mesh.n_cells, self.mesh.dimension):
             raise ValueError(
                 f"vector field has shape {vals.shape}, mesh expects "
@@ -213,8 +198,6 @@ def gradient_values(mesh: Mesh, y: np.ndarray) -> np.ndarray:
 
 def gradient(y: ScalarField) -> VectorField:
     """Discrete gradient of a nodal scalar field, one R^N value per cell."""
-    if y.location != "nodes":
-        raise ValueError("gradient expects a nodal field")
     return VectorField(y.mesh, gradient_values(y.mesh, y.values))
 
 
@@ -415,7 +398,7 @@ def _fixed_point_columns(step, carry, tol, max_iterations, first):
 def _one_column(solve_columns, p, u: ScalarField, y0, **kw):
     """Row 0 of ``solve_columns`` on the single control u: the one-column
     case behind each regime's single solve."""
-    if u.location != "nodes" or u.mesh != p.mesh:
+    if u.mesh != p.mesh:
         raise ValueError("control must be a nodal field on the problem mesh")
     y, reports = solve_columns(p, u.values[None], y0=None if y0 is None else y0.values, **kw)
     return ScalarField(p.mesh, y[0]), reports[0]
@@ -425,7 +408,8 @@ def _one_column(solve_columns, p, u: ScalarField, y0, **kw):
 
 
 def inner(f, g) -> float:
-    """Discrete L2 inner product: trapezoid on nodes, midpoint on cells."""
+    """Discrete L2 inner product: trapezoid rule for two scalar (nodal)
+    fields, midpoint rule for two vector (cell) fields."""
     if isinstance(f, VectorField) and isinstance(g, VectorField):
         if f.mesh is not g.mesh and f.mesh != g.mesh:
             raise ValueError("mesh mismatch")
@@ -434,12 +418,8 @@ def inner(f, g) -> float:
         raise TypeError("inner expects two fields of the same kind")
     if f.mesh is not g.mesh and f.mesh != g.mesh:
         raise ValueError("mesh mismatch")
-    if f.location != g.location:
-        raise ValueError("fields live on different locations")
-    if f.location == "nodes":
-        w = f.mesh.node_weights()
-        return float(f.mesh.cell_volume * np.sum(w * f.values * g.values))
-    return float(f.mesh.cell_volume * np.sum(f.values * g.values))
+    w = f.mesh.node_weights()
+    return float(f.mesh.cell_volume * np.sum(w * f.values * g.values))
 
 
 def l2_norm(f) -> float:
@@ -699,7 +679,7 @@ def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:
     b : nonnegative real
         Zero-order coefficient; b = 0 is the Poisson problem, still
         invertible under the Dirichlet conditions.
-    rhs : ScalarField on nodes
+    rhs : ScalarField
         Right-hand side; boundary values are ignored.
 
     Returns
@@ -707,8 +687,6 @@ def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:
     ScalarField vanishing on every Dirichlet node, with residual
     ``max |(-lap_h + b) y - rhs|`` at rounding level on desk-scale grids.
     """
-    if rhs.location != "nodes":
-        raise ValueError("helmholtz_solve expects a nodal right-hand side")
     return ScalarField(rhs.mesh, helmholtz_solve_values(rhs.mesh, b, rhs.values))
 
 
@@ -762,8 +740,7 @@ def field_to_csv(f, path) -> None:
     """Dump a field as CSV with header ``index,x[,y],value``, ordered by index."""
     if isinstance(f, VectorField):
         raise TypeError("field_to_csv writes scalar fields; dump components")
-    coords = f.mesh.node_coords() if f.location == "nodes" else f.mesh.cell_centers()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("index,x,value\n" if f.mesh.dimension == 1 else "index,x,y,value\n")
-        for i, (xy, val) in enumerate(zip(coords.tolist(), f.values.tolist())):
+        for i, (xy, val) in enumerate(zip(f.mesh.node_coords().tolist(), f.values.tolist())):
             fh.write(",".join([str(i), *map(repr, xy), repr(val)]) + "\n")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import coefficients as co
 from . import grid
-from .control_opt import REGIMES, ControlProblem, evaluate_cost
+from .control_opt import ControlProblem, evaluate_cost
 from .grid import Mesh, ScalarField
 from .relaxed_opt import (
     _TIGHT_STATE_TOL,
@@ -235,7 +235,7 @@ def catalog() -> list:
             {
                 "name": name,
                 "kind": kind,
-                "regime": REGIMES[type(state)],
+                "regime": state.regime,
                 "constants": constants,
             }
         )

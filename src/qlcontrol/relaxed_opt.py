@@ -26,7 +26,6 @@ certify_gap compares its value against the best sampled classical cost.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -266,7 +265,6 @@ def optimize_relaxed(
     _check_init(rp, init)
     if opts is None:
         opts = OptimizeOptions()
-    t0 = time.perf_counter()
     mesh = rp.mesh
     lo, hi = rp.band
     n = mesh.n_nodes
@@ -290,7 +288,7 @@ def optimize_relaxed(
     y, cost = _score_points(rp, x[None])[0]
     x, y, report = _descend(
         x, (cost, y), gradient, lambda X, _: _score_points(rp, X), norm2, opts,
-        "adjoint-projected-gradient", t0, clip=clip, label="optimize_relaxed",
+        "adjoint-projected-gradient", clip=clip, label="optimize_relaxed",
     )
     report.extras["kink_nodes"] = _kink_nodes(rp.control, x[:n])
     mu = _dirac_control(mesh, x[:n])

@@ -25,14 +25,12 @@ class SolveReport:
     stationarity: Optional[float] = None
     cost_trace: Optional[list] = None
     contraction_ratio: Optional[float] = None
-    wall_time: float = 0.0
     extras: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """Every field that is set, lists and dicts copied; the wall time is
-        left out, as it differs from run to run."""
-        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)
-             if f.name != "wall_time"}
+        """Every field that is set, lists and dicts copied; no field differs
+        from run to run, so equal runs give equal dicts."""
+        d = {f.name: copy.copy(getattr(self, f.name)) for f in fields(self)}
         return {k: v for k, v in d.items() if v is not None and v != {}}
 
 

@@ -47,6 +47,7 @@ class MonotoneStateProblem:
 
     mesh: Mesh
     cs: CoefficientSet
+    regime = "monotone"
 
     def __post_init__(self):
         if self.cs.A is None or self.cs.c is None or self.cs.C is None:

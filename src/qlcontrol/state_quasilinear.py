@@ -62,6 +62,7 @@ class QuasilinearStateProblem:
     mesh: Mesh
     cs: CoefficientSet
     b: float
+    regime = "quasilinear"
 
     def __post_init__(self):
         if not callable(self.cs.a):
@@ -208,12 +209,15 @@ def solve_quasilinear_columns(
         )
         for (i, d, w, c), r in zip(outcome, residual)
     ]
+    # a column still contracting sets new lows and runs to the cap, so only
+    # there can b be to blame; a stall is the floating-point floor
     return _columns_result("quasilinear", states, reports, _MAX_ITERATIONS, lambda rep: (
         f"Picard iteration did not contract to {tol} "
-        + (f"within {_MAX_ITERATIONS} steps" if rep.iterations == _MAX_ITERATIONS
-           else f"and stalled after {rep.iterations} steps")
-        + f" (measured ratio {rep.contraction_ratio:.4f}); b may barely exceed "
-        "the uniqueness threshold"
+        + (f"within {_MAX_ITERATIONS} steps (measured ratio {rep.contraction_ratio:.4f}); "
+           "b may barely exceed the uniqueness threshold"
+           if rep.iterations == _MAX_ITERATIONS else
+           f"and stalled at its floating-point floor after {rep.iterations} steps "
+           f"(last increment {rep.extras['final_increment']:.3e})")
     ))
 
 

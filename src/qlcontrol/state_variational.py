@@ -51,6 +51,7 @@ class VariationalStateProblem:
     mesh: Mesh
     cs: CoefficientSet
     source: ScalarField
+    regime = "variational"
 
     def __post_init__(self):
         if self.cs.W is None or self.cs.dW is None:
@@ -71,7 +72,7 @@ class VariationalStateProblem:
 
 
 def _check_source(mesh: Mesh, source: ScalarField) -> None:
-    if source.location != "nodes" or source.mesh != mesh:
+    if source.mesh != mesh:
         raise ValueError("source must be a nodal field on the problem mesh")
 
 
@@ -111,13 +112,12 @@ def _energy_values(p: VariationalStateProblem, y: np.ndarray, *data):
 
 def _energy_gradient(
     p: VariationalStateProblem,
-    y: np.ndarray,
     Gy: np.ndarray,
     ucell: np.ndarray,
     source: np.ndarray,
 ) -> np.ndarray:
-    """L2-gradient field of the discrete energy at y, whose cell gradients
-    are Gy (zero on Dirichlet nodes)."""
+    """L2-gradient field of the discrete energy at the states whose cell
+    gradients are Gy (zero on Dirichlet nodes)."""
     mesh = p.mesh
     flux = apply_cellwise(p.cs.dW, Gy, ucell)
     g = -grid.divergence_weak_values(mesh, flux) + source
@@ -137,7 +137,7 @@ def residual_norm(p: VariationalStateProblem, y: np.ndarray, *data) -> np.ndarra
     """Lifted Euler-Lagrange residual of every column; ``data`` as
     _column_data returns it."""
     Gy = grid.gradient_values(p.mesh, y)
-    return grid.lift_values(p.mesh, _energy_gradient(p, y, Gy, *data))[1]
+    return grid.lift_values(p.mesh, _energy_gradient(p, Gy, *data))[1]
 
 
 def solve_state(
@@ -186,7 +186,7 @@ def solve_state_columns(
     stack = _column_data(mesh, u, source)
     y = grid.start_columns(mesh, u.shape, y0)
     energy, Gy = _energy_values(p, y, *stack)
-    g = _energy_gradient(p, y, Gy, *stack)
+    g = _energy_gradient(p, Gy, *stack)
     traces = [[e] for e in energy.tolist()]
 
     def step(y, g, gnorm2, energy, alpha, cols, *data):
@@ -226,7 +226,7 @@ def solve_state_columns(
         yr, er = ytrial[r], etrial[r]
         for c, e in zip(cols[r].tolist(), er.tolist()):
             traces[c].append(e)
-        gr = _energy_gradient(p, yr, Gtrial[r], *(data if every else (d[r] for d in data)))
+        gr = _energy_gradient(p, Gtrial[r], *(data if every else (d[r] for d in data)))
         # Barzilai-Borwein step for the next iteration
         s = yr - y[r]
         sdg = np.vecdot(s, gr - g[r])
@@ -273,7 +273,7 @@ def _polish(p, y, data, tol):
     Returns the states, residuals and energies."""
 
     def step(y, res, tau, *rows):
-        g = _energy_gradient(p, y, grid.gradient_values(p.mesh, y), *rows)
+        g = _energy_gradient(p, grid.gradient_values(p.mesh, y), *rows)
         ytrial = y - tau[:, None] * grid.helmholtz_solve_values(p.mesh, 0.0, g)
         rtrial = residual_norm(p, ytrial, *rows)
         better = rtrial < res

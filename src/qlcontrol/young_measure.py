@@ -130,8 +130,9 @@ def dirac_field(v: VectorField) -> YoungMeasureField:
     return YoungMeasureField(*args)
 
 
-def moment(ym: YoungMeasureField, psi: Callable) -> ScalarField:
-    """Per-cell integral of psi against the measure: sum_k p_k psi(lambda_k).
+def moment(ym: YoungMeasureField, psi: Callable) -> np.ndarray:
+    """Per-cell integral of psi against the measure: sum_k p_k psi(lambda_k),
+    as a plain array of n_cells values (a ScalarField is nodal).
 
     ``psi`` maps an (m, N) array of atom positions to m values; non-finite
     outputs are rejected.
@@ -140,7 +141,7 @@ def moment(ym: YoungMeasureField, psi: Callable) -> ScalarField:
     vals = np.asarray(psi(flat), dtype=float).reshape(ym.atoms.shape[:2])
     if not np.all(np.isfinite(vals)):
         raise ValueError("psi produced non-finite values at the atoms")
-    return ScalarField(ym.mesh, np.sum(ym.weights * vals, axis=1), "cells")
+    return np.sum(ym.weights * vals, axis=1)
 
 
 def barycenter(ym: YoungMeasureField) -> VectorField:
@@ -150,9 +151,7 @@ def barycenter(ym: YoungMeasureField) -> VectorField:
 
 def second_moment(ym: YoungMeasureField) -> float:
     """Integral over the domain of the per-cell second moment."""
-    return grid.integrate_cells(
-        ym.mesh, moment(ym, lambda lam: np.sum(lam * lam, axis=1)).values
-    )
+    return grid.integrate_cells(ym.mesh, moment(ym, lambda lam: np.sum(lam * lam, axis=1)))
 
 
 def potential(ym: YoungMeasureField) -> ScalarField:

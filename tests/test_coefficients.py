@@ -387,3 +387,30 @@ class TestDerivatives:
         y = Y[:, :1]
         assert np.allclose(co.cellwise_jacobian(A1, y)[:, 0, 0], 1.0 + 0.5 * np.cos(y[:, 0]),
                            rtol=0, atol=1e-9)
+
+
+# (message, call) of each documented input check of coefficients; each
+# sampled check gets a set that has the rest of what it needs
+_INPUT_CHECKS = {
+    "a0-not-positive": ("^a0 must be positive, got 0.0$", lambda: co.make_perturbed_linear(0.0)),
+    "lipschitz-negative": ("^L_g must be nonnegative, got -0.5$", lambda: co.make_perturbed_linear(
+        1.0, co.sin_perturbation(0.5), -0.5)),
+    "eps-one": (r"^eps must lie in \[0, 1\)$", lambda: co.w_u_scaled_quadratic(1.0)),
+    "monotonicity-without-A": ("^check_monotonicity needs A and c$", lambda: co.check_monotonicity(
+        co.CoefficientSet(**co.w_quadratic()))),
+    "growth-without-constants": ("^check_growth needs c and C$", lambda: co.check_growth(
+        co.CoefficientSet(A=lambda Y: Y))),
+    "growth-without-A-or-a": ("^check_growth needs A or a$", lambda: co.check_growth(
+        co.CoefficientSet(**co.w_quadratic()))),
+    "w-growth-without-W": ("^check_w_growth needs W, c and C$", lambda: co.check_w_growth(
+        co.make_perturbed_linear(1.0))),
+    "w-convexity-without-W": ("^check_w_convexity needs W$", lambda: co.check_w_convexity(
+        co.make_perturbed_linear(1.0))),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CHECKS))
+def test_input_checks(case):
+    message, call = _INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()

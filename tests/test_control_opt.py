@@ -101,11 +101,12 @@ class TestControlField:
     def test_control_of_another_mesh_or_location_rejected(self, name):
         cp = instances.build_control_problem(name, grid.build_mesh(1, 16))
         other = grid.build_mesh(1, 8)
-        for u in (ScalarField(other, np.zeros(other.n_nodes)),
-                  ScalarField(cp.mesh, np.zeros(cp.mesh.n_cells), "cells")):
-            with pytest.raises(ValueError, match="^control must be a nodal field on the "
-                               "problem mesh"):
-                evaluate_cost(cp, u)
+        with pytest.raises(ValueError, match="^control must be a nodal field on the "
+                           "problem mesh"):
+            evaluate_cost(cp, ScalarField(other, np.zeros(other.n_nodes)))
+        # a field of cell values is rejected before it can reach a solve
+        with pytest.raises(ValueError, match=r"mesh expects \(17,\) on nodes$"):
+            ScalarField(cp.mesh, np.zeros(cp.mesh.n_cells))
 
 
 class TestControlProblem:
@@ -153,6 +154,11 @@ class TestControlProblem:
         state = VariationalStateProblem(state.mesh, state.cs.merged(f=None), state.source)
         with pytest.raises(ValueError, match="map f"):
             ControlProblem(state)
+
+    def test_with_mesh_needs_a_rebuilder(self):
+        cp, _ = tracking_problem(n=8)
+        with pytest.raises(ValueError, match="^this problem carries no mesh rebuilder$"):
+            ControlProblem(cp.state).with_mesh(grid.build_mesh(1, 16))
 
     def test_with_mesh_carries_no_demo_measure(self, monkeypatch):
         cp = instances.build_control_problem("gap-family-1d", grid.build_mesh(1, 16))

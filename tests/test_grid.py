@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import os
 import re
 import sys
 
@@ -151,6 +152,8 @@ _PARAMETERS = {
     control_opt.minimizing_sequence_demo: "cp j_list",
     relaxed_opt._smooth_random_controls: "mesh samples seed",
     reports.NonConvergenceError.__init__: "self message report",
+    control_opt._descend: "x base gradient score norm2 opts method clip label",
+    state_variational._energy_gradient: "p Gy ucell source",
 }
 
 
@@ -173,9 +176,23 @@ def test_data_that_every_caller_passes_has_no_default():
         "relaxed_run", "minimizer"]
 
 
+def test_fields_hold_only_what_is_read():
+    # a ScalarField is nodal, and no reader wants a run's wall time
+    assert [f.name for f in dataclasses.fields(ScalarField)] == ["mesh", "values"]
+    assert "wall_time" not in [f.name for f in dataclasses.fields(reports.SolveReport)]
+    # each state problem names its regime, a class constant and no field
+    for cls, regime in [(state_variational.VariationalStateProblem, "variational"),
+                        (state_monotone.MonotoneStateProblem, "monotone"),
+                        (state_quasilinear.QuasilinearStateProblem, "quasilinear")]:
+        assert cls.regime == regime
+        assert "regime" not in [f.name for f in dataclasses.fields(cls)]
+
+
 def test_names_no_caller_needs_are_gone():
     gone = {grid: ("node_to_cell", "cell_to_node", "integrate_nodal"),
-            control_opt: ("evaluate_costs", "_score_trials"), instances: ("GAP_CAP",)}
+            grid.Mesh: ("cell_centers",),
+            control_opt: ("evaluate_costs", "_score_trials", "REGIMES"),
+            instances: ("GAP_CAP",)}
     assert [(m.__name__, n) for m, names in gone.items() for n in names if hasattr(m, n)] == []
 
 
@@ -638,10 +655,7 @@ class TestTransfers:
         lhs = grid.inner(
             ScalarField(mesh, grid.cell_to_node_values(mesh, c)), ScalarField(mesh, z)
         )
-        rhs = grid.inner(
-            ScalarField(mesh, c, "cells"),
-            ScalarField(mesh, grid.node_to_cell_values(mesh, z), "cells"),
-        )
+        rhs = grid.integrate_cells(mesh, c * grid.node_to_cell_values(mesh, z))
         assert abs(lhs - rhs) <= 1e-13
 
 
@@ -755,9 +769,35 @@ class TestCsvDump:
 
     def test_header_2d(self, tmp_path):
         mesh = grid.build_mesh(2, 2)
-        f = ScalarField(mesh, np.zeros(mesh.n_cells), "cells")
+        f = ScalarField(mesh, np.zeros(mesh.n_nodes))
         path = tmp_path / "c.csv"
         grid.field_to_csv(f, path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "index,x,y,value"
-        assert len(lines) == 5
+        assert len(lines) == 10
+
+
+_MESH4 = grid.build_mesh(1, 4)
+_CELLS4 = VectorField(_MESH4, np.zeros((4, 1)))
+# (error, message, call) of each documented input check of grid
+_INPUT_CHECKS = {
+    "vector-field-shape": (ValueError, r"^vector field has shape \(4,\), mesh expects \(4, 1\)$",
+                           lambda: VectorField(_MESH4, np.zeros(4))),
+    "vector-field-finite": (ValueError, "^vector field entries must be finite$",
+                            lambda: VectorField(_MESH4, np.full((4, 1), np.nan))),
+    "inner-two-meshes": (ValueError, "^mesh mismatch$", lambda: grid.inner(
+        _CELLS4, VectorField(grid.build_mesh(1, 8), np.zeros((8, 1))))),
+    "inner-two-kinds": (TypeError, "^inner expects two fields of the same kind$",
+                        lambda: grid.inner(ScalarField(_MESH4, np.zeros(5)), _CELLS4)),
+    "potential-space": (ValueError, "^unknown potential space 'h2'$",
+                        lambda: grid.gradient_potential_values(_MESH4, _CELLS4.values, "h2")),
+    "csv-of-vector-field": (TypeError, "^field_to_csv writes scalar fields; dump components$",
+                            lambda: grid.field_to_csv(_CELLS4, os.devnull)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CHECKS))
+def test_input_checks(case):
+    error, message, call = _INPUT_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()

@@ -119,6 +119,13 @@ class TestEvaluateRelaxedCost:
         nu = dirac_field(grid.VectorField(mesh, np.zeros((mesh.n_cells, 1))))
         assert abs(evaluate_relaxed_cost(rp, mu, nu) - 0.1) <= 1e-14
 
+    def test_control_measure_of_class_ph10_rejected(self):
+        rp, _ = small_gap_problem()
+        mu = dirac_field(grid.VectorField(rp.mesh, np.zeros((rp.mesh.n_cells, 1))))
+        assert mu.klass == "PH10"
+        with pytest.raises(ValueError, match="^control measure must be of class PH1$"):
+            evaluate_relaxed_cost(rp, mu, mu)
+
     def test_infeasible_nu_rejected(self):
         # a valid PH10 measure whose barycenter is the gradient of the wrong
         # H1_0 function decouples from the state and must be rejected

@@ -151,6 +151,11 @@ class TestValidation:
                            "finite, got c=1.0, C=1e\\+200$"):
             MonotoneStateProblem(grid.build_mesh(1, 8), cs)
 
+    def test_missing_flux_rejected(self):
+        cs = co.CoefficientSet(**co.w_quadratic(), **co.f_linear())
+        with pytest.raises(ValueError, match="^monotone problem needs A with constants c, C$"):
+            MonotoneStateProblem(grid.build_mesh(1, 8), cs)
+
     def test_missing_source_rejected(self):
         with pytest.raises(ValueError):
             MonotoneStateProblem(grid.build_mesh(1, 8), co.make_perturbed_linear(1.0))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from qlcontrol import coefficients as co
-from qlcontrol import grid
+from qlcontrol import grid, instances
 from qlcontrol.grid import ScalarField
+from qlcontrol.reports import NonConvergenceError
 from qlcontrol.state_monotone import MonotoneStateProblem, solve_monotone
 from qlcontrol.state_quasilinear import (
     QuasilinearStateProblem,
@@ -72,7 +73,41 @@ class TestThreshold:
         assert record[0].filename == __file__
 
 
+# (message, source map f, b) of each documented input check of
+# QuasilinearStateProblem, on a of Lipschitz constant 1
+_INPUT_CHECKS = {
+    "no-f": ("^quasilinear problem needs the source map f$", {}, 1.0),
+    "b-negative": ("^b must be a finite nonnegative real, got -1.0$", co.f_tanh(), -1.0),
+    "b-infinite": ("^b must be a finite nonnegative real, got inf$", co.f_tanh(), np.inf),
+    # infinite past u = 500 without an overflow warning
+    "f-not-finite": ("^f is not finite on the sampled control range$",
+                     {"f": lambda u: np.where(u > 500.0, np.inf, u)}, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CHECKS))
+def test_input_checks(case):
+    message, f, b = _INPUT_CHECKS[case]
+    cs = co.CoefficientSet(**co.a_sin_gradient(1.0), **f)
+    with pytest.raises(ValueError, match=message):
+        QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=b)
+
+
 class TestSolveQuasilinear:
+    def test_stall_at_the_floor_does_not_blame_b(self):
+        # b = 1 is four times the threshold 1/4: the increments stall at
+        # their rounding floor, far above 1e-300, and only a column that
+        # runs to the cap can blame b
+        mesh = grid.build_mesh(1, 32)
+        p = instances.build_state_problem("sin-gradient-1d", mesh)
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_quasilinear(p, ScalarField(mesh, np.ones(mesh.n_nodes)), tol=1e-300)
+        rep, message = exc.value.report, str(exc.value)
+        assert rep.iterations < 10_000
+        assert "floor" in message and "b may barely exceed" not in message
+        assert message.endswith(f"floor after {rep.iterations} steps "
+                                f"(last increment {rep.extras['final_increment']:.3e})")
+
     def test_linear_case_exact(self):
         cs = co.CoefficientSet(**{**co.a_zero(), **co.f_clamp()})
         p = QuasilinearStateProblem(grid.build_mesh(1, 32), cs, b=1.0)

@@ -233,10 +233,10 @@ class TestLineSearchExhaustion:
         ]
         gradient = state_variational._energy_gradient
 
-        def flipped(p, y, Gy, ucell, source):
+        def flipped(p, Gy, ucell, source):
             # column 2 steps uphill, so every halving of its first step is
             # rejected and it leaves the stack unconverged
-            g = gradient(p, y, Gy, ucell, source)
+            g = gradient(p, Gy, ucell, source)
             return np.where(np.all(source == U[2], axis=-1)[:, None], -g, g)
 
         monkeypatch.setattr(state_variational, "_energy_gradient", flipped)
@@ -319,7 +319,7 @@ def _polish_one(p, y, u, source, tol):
     while res > tol:
         if steps == 200:
             return y[0], res, "cap"
-        g = state_variational._energy_gradient(p, y, grid.gradient_values(p.mesh, y), *data)
+        g = state_variational._energy_gradient(p, grid.gradient_values(p.mesh, y), *data)
         trial = y - tau * grid.helmholtz_solve_values(p.mesh, 0.0, g)
         rtrial = state_variational.residual_norm(p, trial, *data)[0]
         steps += 1
@@ -376,9 +376,8 @@ class TestWithSource:
 
     def test_rejects_cell_source(self):
         p = quadratic_problem()
-        cells = ScalarField(p.mesh, np.zeros(p.mesh.n_cells), "cells")
-        with pytest.raises(ValueError):
-            p.with_source(cells)
+        with pytest.raises(ValueError, match="on nodes$"):
+            ScalarField(p.mesh, np.zeros(p.mesh.n_cells))
         other = ScalarField(grid.build_mesh(1, 8), np.zeros(9))
         with pytest.raises(ValueError):
             p.with_source(other)
@@ -426,6 +425,22 @@ class TestValidation:
         cs = co.CoefficientSet(W=W, dW=dW, c=0.1, C=5.0)
         with pytest.raises(ValueError, match="convexity"):
             VariationalStateProblem(mesh, cs, ScalarField(mesh, np.zeros(mesh.n_nodes)))
+
+    def test_infinite_inner_energy_rejected(self):
+        # W is +inf beyond |y| = 10, outside the radius-10 ball that the
+        # construction checks sample; a start of 100 has cell gradients of
+        # 800 at the boundary
+        def W(Y, u):
+            n2 = np.sum(Y * Y, axis=1)
+            return np.where(n2 <= 100.0, 0.5 * n2, np.inf)
+
+        mesh = grid.build_mesh(1, 8)
+        cs = co.CoefficientSet(W=W, dW=lambda Y, u: Y, c=0.4, C=0.6)
+        zero = ScalarField(mesh, np.zeros(mesh.n_nodes))
+        p = VariationalStateProblem(mesh, cs, zero)
+        y0 = ScalarField(mesh, np.where(mesh.boundary_mask, 0.0, 100.0))
+        with pytest.raises(ValueError, match="^inner energy is not finite$"):
+            solve_state(p, zero, y0=y0)
 
     def test_w_without_dw_rejected(self):
         mesh = grid.build_mesh(1, 8)

@@ -122,21 +122,20 @@ class TestMoments:
         v = VectorField(mesh, rng.standard_normal((8, 1)))
         d = ym.dirac_field(v)
         for psi in (lambda l: l[:, 0], psi_sq, psi_sin):
-            mom = ym.moment(d, psi)
-            assert np.array_equal(mom.values, psi(v.values))
+            assert np.array_equal(ym.moment(d, psi), psi(v.values))
 
     def test_symmetric_two_atom(self):
         mesh = grid.build_mesh(1, 4)
         two = ym.uniform_two_atom(mesh, -1.0, 1.0, 0.5)
-        assert np.allclose(ym.moment(two, lambda l: l[:, 0]).values, 0.0, atol=1e-15)
-        assert np.allclose(ym.moment(two, psi_sq).values, 1.0, atol=1e-15)
-        assert np.allclose(ym.moment(two, psi_sin).values, 0.0, atol=1e-15)
+        assert np.allclose(ym.moment(two, lambda l: l[:, 0]), 0.0, atol=1e-15)
+        assert np.allclose(ym.moment(two, psi_sq), 1.0, atol=1e-15)
+        assert np.allclose(ym.moment(two, psi_sin), 0.0, atol=1e-15)
 
     def test_weighted_atoms_arithmetic(self):
         mesh = grid.build_mesh(1, 4)
         f = ym.uniform_two_atom(mesh, 0.0, 2.0, 0.25)
         assert np.allclose(ym.barycenter(f).values[:, 0], 0.5)
-        assert np.allclose(ym.moment(f, psi_sq).values, 1.0)
+        assert np.allclose(ym.moment(f, psi_sq), 1.0)
 
     def test_dirac_barycenter_and_second_moment(self):
         mesh = grid.build_mesh(1, 8)
@@ -165,12 +164,12 @@ class TestMoments:
         w = rng.random((6, 3))
         w /= w.sum(axis=1, keepdims=True)
         f = ym.YoungMeasureField(mesh, atoms, w)
-        gap = ym.moment(f, psi_sq).values - np.sum(
+        gap = ym.moment(f, psi_sq) - np.sum(
             ym.barycenter(f).values**2, axis=1
         )
         assert np.min(gap) >= -1e-12
         d = ym.dirac_field(VectorField(mesh, rng.standard_normal((6, 1))))
-        gap_d = ym.moment(d, psi_sq).values - np.sum(
+        gap_d = ym.moment(d, psi_sq) - np.sum(
             ym.barycenter(d).values**2, axis=1
         )
         assert np.max(np.abs(gap_d)) <= 1e-12  # equality iff single atom
@@ -292,7 +291,7 @@ class TestRealizeSequence:
         mesh = grid.build_mesh(1, 4)
         theta = 1.0 / 3.0
         two = ym.uniform_two_atom(mesh, -1.0, 2.0, theta)
-        target = ym.moment(two, psi).values[0]
+        target = ym.moment(two, psi)[0]
         errs = []
         for j in (2, 8, 32):
             u = ym.realize_sequence(two, j)
@@ -376,3 +375,37 @@ class TestCsv:
         ym.young_measure_to_csv(shifted, path)
         lines = path.read_text().strip().splitlines()
         assert {line.split(",")[-1] for line in lines[1:]} == {"0.25"}
+
+
+_MESH4 = grid.build_mesh(1, 4)
+_ONE_ATOM = (np.zeros((4, 1, 1)), np.ones((4, 1)))
+# (message, call) of each documented input check of young_measure
+_INPUT_CHECKS = {
+    "shapes-disagree": (r"^atoms \(4, 2, 1\) and weights \(4, 3\) must agree on \(4, K\)$",
+                        lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 2, 1)),
+                                                     np.full((4, 3), 1.0 / 3.0))),
+    "atom-dimension": ("^atom dimension must match the mesh dimension$",
+                       lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 1, 2)), np.ones((4, 1)))),
+    "atoms-finite": ("^atoms must be finite$", lambda: ym.YoungMeasureField(
+        _MESH4, np.full((4, 1, 1), np.inf), np.ones((4, 1)))),
+    "unknown-class": ("^unknown class 'PH2'$",
+                      lambda: ym.YoungMeasureField(_MESH4, *_ONE_ATOM, "PH2")),
+    "potential-unconstrained": ("^unconstrained measures have no canonical potential$",
+                                lambda: ym.potential(ym.YoungMeasureField(_MESH4, *_ONE_ATOM))),
+    "project-unknown-class": ("^projection target must be PH10 or PH1, got 'PH2'$",
+                              lambda: ym.project_class(ym.uniform_two_atom(
+                                  _MESH4, -1.0, 1.0, 0.5), "PH2")),
+    "two-atom-2d": ("^uniform_two_atom builds 1D fields$", lambda: ym.uniform_two_atom(
+        grid.build_mesh(2, 4), -1.0, 1.0, 0.5)),
+    "theta-below": (r"^theta must lie in \[0, 1\]$",
+                    lambda: ym.uniform_two_atom(_MESH4, -1.0, 1.0, -0.1)),
+    "theta-above": (r"^theta must lie in \[0, 1\]$",
+                    lambda: ym.uniform_two_atom(_MESH4, -1.0, 1.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_CHECKS))
+def test_input_checks(case):
+    message, call = _INPUT_CHECKS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
