@@ -430,15 +430,10 @@ def h1_seminorm(y: ScalarField) -> float:
     return l2_norm(gradient(y))
 
 
-def l2_norm_values(mesh: Mesh, v: np.ndarray, location: str = "nodes") -> np.ndarray:
-    """l2_norm of each stacked field: nodal values of shape (..., n_nodes) or
-    cell vector values of shape (..., n_cells, dim).  Leading axes are batch
-    axes; each entry equals l2_norm of that field alone."""
-    if location == "nodes":
-        sq = mesh.node_weights() * v * v
-    else:
-        sq = (v * v).reshape(v.shape[:-2] + (-1,))
-    return np.sqrt(mesh.cell_volume * sq.sum(axis=-1))
+def l2_norm_values(mesh: Mesh, v: np.ndarray) -> np.ndarray:
+    """l2_norm of each stacked nodal field of shape (..., n_nodes).  Leading
+    axes are batch axes; each entry equals l2_norm of that field alone."""
+    return np.sqrt(mesh.cell_volume * (mesh.node_weights() * v * v).sum(axis=-1))
 
 
 def integrate_cells(mesh: Mesh, values: np.ndarray) -> float:
@@ -667,7 +662,8 @@ def lift_values(mesh: Mesh, r: np.ndarray):
     """(lift, norm): the zero-Dirichlet Poisson lift of stacked nodal residuals
     r, and the l2 norm of its cell gradient, the discrete H^-1 norm of r."""
     lift = helmholtz_solve_values(mesh, 0.0, r)
-    return lift, l2_norm_values(mesh, gradient_values(mesh, lift), "cells")
+    g = gradient_values(mesh, lift)
+    return lift, np.sqrt(mesh.cell_volume * (g * g).reshape(g.shape[:-2] + (-1,)).sum(axis=-1))
 
 
 def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:

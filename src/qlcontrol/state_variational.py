@@ -133,13 +133,6 @@ def inner_energy(p: VariationalStateProblem, y: ScalarField, u: ScalarField) -> 
     return float(_energy_values(p, y.values[None], *data)[0][0])
 
 
-def residual_norm(p: VariationalStateProblem, y: np.ndarray, *data) -> np.ndarray:
-    """Lifted Euler-Lagrange residual of every column; ``data`` as
-    _column_data returns it."""
-    Gy = grid.gradient_values(p.mesh, y)
-    return grid.lift_values(p.mesh, _energy_gradient(p, Gy, *data))[1]
-
-
 def solve_state(
     p: VariationalStateProblem,
     u: ScalarField,
@@ -219,33 +212,26 @@ def solve_state_columns(
             Gtrial[r] = Gs.reshape(rungs.shape + Gs.shape[1:])[pick, j]
             ok[r] = passed[pick, j]
             r = grid.select_rows(~ok)
-        every = r is None  # every line search passed
-        r = slice(None) if every else grid.select_rows(ok)
-        if r is None:  # every line search ran out
-            return y, np.full(ok.size, np.nan), ~ok, (y, g, gnorm2, energy, alpha, cols) + data
-        yr, er = ytrial[r], etrial[r]
-        for c, e in zip(cols[r].tolist(), er.tolist()):
+        for c, e in zip(cols[ok].tolist(), etrial[ok].tolist()):
             traces[c].append(e)
-        gr = _energy_gradient(p, Gtrial[r], *(data if every else (d[r] for d in data)))
+        gtrial = _energy_gradient(p, Gtrial, *data)
         # Barzilai-Borwein step for the next iteration
-        s = yr - y[r]
-        sdg = np.vecdot(s, gr - g[r])
-        alpha_r = np.divide(np.vecdot(s, s), sdg, out=size[r] * 2.0, where=sdg > 0.0)
+        s = ytrial - y
+        sdg = np.vecdot(s, gtrial - g)
+        alpha = np.divide(np.vecdot(s, s), sdg, out=size * 2.0, where=sdg > 0.0)
         # an accepted step that leaves y unchanged would repeat to the cap
-        stuck = er == energy[r]
+        stuck = etrial == energy
         if np.count_nonzero(stuck):
-            stuck &= np.all(yr == y[r], axis=-1)
-        measure = grid.lift_values(mesh, gr)[1]
-        carry = (yr, gr, np.vecdot(gr, gr), er, alpha_r)
-        if not every:
+            stuck &= np.all(ytrial == y, axis=-1)
+        measure = grid.lift_values(mesh, gtrial)[1]
+        if not ok.all():
             # a column whose line search ran out stops at its floor, unmoved;
             # it has no residual, and a NaN measure never meets tol
-            full = [a.copy() for a in (y, g, gnorm2, energy, alpha)]
-            full += [np.full(ok.size, np.nan), ~ok]
-            for a, part in zip(full, carry + (measure, stuck)):
-                a[r] = part
-            *carry, measure, stuck = full
-        return carry[0], measure, stuck, (*carry, cols) + data
+            out = ~ok
+            ytrial[out], measure[out] = y[out], np.nan
+            stuck |= out
+        carry = (ytrial, gtrial, np.vecdot(gtrial, gtrial), etrial, alpha, cols)
+        return ytrial, measure, stuck, carry + data
 
     alpha = np.full(k, mesh.h**2 / 8.0)  # safe first step against the Laplacian scale
     carry = (y, g, np.vecdot(g, g), energy, alpha, np.arange(k)) + stack
@@ -272,20 +258,25 @@ def _polish(p, y, data, tol):
     lowers it and halves on every other, down to the floor tau < 1e-6.
     Returns the states, residuals and energies."""
 
-    def step(y, res, tau, *rows):
+    def lift(y, *rows):
+        # the lift of the energy gradient at y, and its norm, the residual
         g = _energy_gradient(p, grid.gradient_values(p.mesh, y), *rows)
-        ytrial = y - tau[:, None] * grid.helmholtz_solve_values(p.mesh, 0.0, g)
-        rtrial = residual_norm(p, ytrial, *rows)
+        return grid.lift_values(p.mesh, g)
+
+    def step(y, direction, res, tau, *rows):
+        ytrial = y - tau[:, None] * direction
+        ltrial, rtrial = lift(ytrial, *rows)
         better = rtrial < res
         y = np.where(better[:, None], ytrial, y)
+        direction = np.where(better[:, None], ltrial, direction)
         res = np.where(better, rtrial, res)
         tau = np.where(better, np.minimum(tau * 1.25, 1.0), tau * 0.5)
-        return y, res, ~better & (tau < 1e-6), (y, res, tau) + rows
+        return y, res, ~better & (tau < 1e-6), (y, direction, res, tau) + rows
 
-    res = residual_norm(p, y, *data)
+    direction, res = lift(y, *data)
     r = grid.select_rows(res > tol)
     if r is not None:
-        carry = (y[r], res[r], np.ones(len(y[r]))) + tuple(d[r] for d in data)
+        carry = (y[r], direction[r], res[r], np.ones(len(y[r]))) + tuple(d[r] for d in data)
         y[r], outcome = grid._fixed_point_columns(step, carry, tol, 200, 1)
         res[r] = [d for _, d, _, _ in outcome]
     return y, res, _energy_values(p, y, *data)[0]

@@ -58,10 +58,9 @@ class YoungMeasureField:
 
     def __post_init__(self):
         atoms = np.asarray(self.atoms, dtype=float)
-        if atoms.ndim == 2:
-            atoms = atoms[:, :, None]
         weights = np.asarray(self.weights, dtype=float)
-        if atoms.shape[:2] != weights.shape or atoms.shape[0] != self.mesh.n_cells:
+        if (atoms.ndim != 3 or atoms.shape[:2] != weights.shape
+                or atoms.shape[0] != self.mesh.n_cells):
             raise ValueError(
                 f"atoms {atoms.shape} and weights {weights.shape} must agree "
                 f"on ({self.mesh.n_cells}, K)"

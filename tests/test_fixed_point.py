@@ -82,7 +82,7 @@ PINNED = {
         {"final_increment": 1.9917853447326952e-10}, -4.216977684698338,
     ),
     ("sin-gradient-2d", 2, 6, "warm"): (
-        8, 3.2089426286238103e-10, 0.09868388259300592,
+        8, 3.2089426286238103e-10, 0.09868388259300591,
         {"final_increment": 5.075462720947225e-10}, -4.216977679759991,
     ),
     ("sin-gradient-2d", 2, 6, "capped"): (

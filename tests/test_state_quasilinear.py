@@ -57,7 +57,8 @@ class TestThreshold:
     def test_nan_sample_of_a_fails_the_growth_check(self):
         a = lambda Y: np.where(Y[:, 0] > 5.0, np.nan, 0.0)  # noqa: E731
         cs = co.CoefficientSet(a=a, L=1.0, **co.f_tanh())
-        with pytest.raises(ValueError, match=r"^\|a\(y\)\| <= C\|y\| fails on samples by nan"):
+        message = r"^\|a\(y\)\| <= C\|y\| with C = 1\.0 fails sampling by nan$"
+        with pytest.raises(ValueError, match=message):
             QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
 
     def test_margin_warning_close_to_threshold(self):
@@ -302,4 +303,13 @@ class TestAprioriBound:
         p = QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=1.0)
         u = ScalarField(p.mesh, np.ones(p.mesh.n_nodes))
         with pytest.raises(ValueError):
+            apriori_gradient_bound(p, u)
+
+    def test_zero_b_with_a_declared_growth_rejected(self):
+        # a = 0 (L = 0) accepts b = 0, but a declared C > 0 leaves the
+        # factor 1 - C^2/(4b) undefined
+        cs = co.CoefficientSet(**co.a_zero(), **co.f_tanh(), C=1.0)
+        p = QuasilinearStateProblem(grid.build_mesh(1, 8), cs, b=0.0)
+        u = ScalarField(p.mesh, np.ones(p.mesh.n_nodes))
+        with pytest.raises(ValueError, match="^bound needs b > 0 when a is present$"):
             apriori_gradient_bound(p, u)

@@ -255,6 +255,37 @@ class TestLineSearchExhaustion:
             assert np.array_equal(states[i], y[0])
             assert reports[i].to_dict() == single[0].to_dict()
 
+    def test_every_column_exhausted_in_one_step_matches_its_own_solve(self, monkeypatch):
+        mesh = grid.build_mesh(1, 16)
+        p = instances.build_state_problem("variational-quartic-1d", mesh)
+        U = 0.3 * np.random.default_rng(3).standard_normal((3, mesh.n_nodes))
+        energies = state_variational._energies
+        calls = []
+
+        def rejecting(p, y, *data):
+            # every energy after a solve's first lies above the start's, so
+            # every line search of the first step runs out
+            val, Gy = energies(p, y, *data)
+            calls.append(1)
+            return (val if len(calls) == 1 else val + 1.0), Gy
+
+        polished = []
+        polish = state_variational._polish
+        monkeypatch.setattr(state_variational, "_energies", rejecting)
+        monkeypatch.setattr(state_variational, "_polish",
+                            lambda *args: polished.append(len(args[1])) or polish(*args))
+        runs = []
+        for rows in ([0, 1, 2], [0], [1], [2]):
+            calls.clear()
+            runs.append(state_variational.solve_state_columns(p, U[rows], source=U[rows]))
+        (states, reports), singles = runs[0], runs[1:]
+        # each run hands all of its columns, unmoved, to the polish
+        assert polished == [3, 1, 1, 1]
+        for i, (y, single) in enumerate(singles):
+            assert reports[i].iterations == 1 and len(reports[i].cost_trace) == 1
+            assert np.array_equal(states[i], y[0])
+            assert reports[i].to_dict() == single[0].to_dict()
+
 
 # (dim, n, tol): sha256 of the states and of each report's iterations,
 # residual, converged, cost and cost_trace, recorded from BB's own column
@@ -313,15 +344,20 @@ def _polish_one(p, y, u, source, tol):
     after any other, and the column stops at ``tol``, once tau < 1e-6 or
     after 200 steps.  Returns the state, its residual and the stop."""
     data = state_variational._column_data(p.mesh, u[None], source[None])
+
+    def residual(y):
+        g = state_variational._energy_gradient(p, grid.gradient_values(p.mesh, y), *data)
+        return grid.lift_values(p.mesh, g)[1][0]
+
     y = y[None]
-    res = state_variational.residual_norm(p, y, *data)[0]
+    res = residual(y)
     tau, steps = 1.0, 0
     while res > tol:
         if steps == 200:
             return y[0], res, "cap"
         g = state_variational._energy_gradient(p, grid.gradient_values(p.mesh, y), *data)
         trial = y - tau * grid.helmholtz_solve_values(p.mesh, 0.0, g)
-        rtrial = state_variational.residual_norm(p, trial, *data)[0]
+        rtrial = residual(trial)
         steps += 1
         if rtrial < res:
             y, res, tau = trial, rtrial, min(tau * 1.25, 1.0)

@@ -319,7 +319,7 @@ class TestRealizeSequence:
         rng = np.random.default_rng(1000 * j + q)
         n = 7
         mesh = grid.build_mesh(1, n)
-        atoms = rng.normal(0.0, 1.0, (n, 2))  # either order within a cell
+        atoms = rng.normal(0.0, 1.0, (n, 2, 1))  # either order within a cell
         theta = rng.uniform(0.02, 0.98, n)
         assert np.all(np.abs(theta * q - np.rint(theta * q)) > 1e-3)  # off the q grid
         theta[[1, 4]] = 0.0
@@ -329,7 +329,7 @@ class TestRealizeSequence:
         monkeypatch.setattr(ym, "SUBCELLS_PER_PERIOD", q)
         u = ym.realize_sequence(field, j)
         assert u.mesh.cells_per_axis == n * j * q
-        want = laminate_oracle(atoms, weights, ym.potential(field).values, j, q)
+        want = laminate_oracle(atoms[..., 0], weights, ym.potential(field).values, j, q)
         assert np.array_equal(u.values, want)
 
     @pytest.mark.parametrize("j", [True, 2.5, 2.0, 0, -1])
@@ -384,6 +384,13 @@ _INPUT_CHECKS = {
     "shapes-disagree": (r"^atoms \(4, 2, 1\) and weights \(4, 3\) must agree on \(4, K\)$",
                         lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 2, 1)),
                                                      np.full((4, 3), 1.0 / 3.0))),
+    # atoms take exactly the three axes (n_cells, K, N)
+    "atoms-two-axes": (r"^atoms \(4, 2\) and weights \(4, 2\) must agree on \(4, K\)$",
+                       lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 2)),
+                                                    np.full((4, 2), 0.5))),
+    "atoms-four-axes": (r"^atoms \(4, 2, 1, 1\) and weights \(4, 2\) must agree on \(4, K\)$",
+                        lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 2, 1, 1)),
+                                                     np.full((4, 2), 0.5))),
     "atom-dimension": ("^atom dimension must match the mesh dimension$",
                        lambda: ym.YoungMeasureField(_MESH4, np.zeros((4, 1, 2)), np.ones((4, 1)))),
     "atoms-finite": ("^atoms must be finite$", lambda: ym.YoungMeasureField(
