@@ -166,9 +166,7 @@ def _state_costs(cp: ControlProblem, Y: np.ndarray) -> np.ndarray:
 def _costs(cp: ControlProblem, U: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """F(y) quadrature plus the Tychonov term, per column of stacked
     controls U and states Y."""
-    mesh = cp.mesh
-    G = grid.gradient_values(mesh, U)
-    reg = mesh.cell_volume * (G * G).reshape(G.shape[:-2] + (-1,)).sum(axis=-1)
+    reg = grid.cell_sq_norm_values(cp.mesh, grid.gradient_values(cp.mesh, U))
     return _state_costs(cp, Y) + 0.5 * cp.M * reg
 
 
@@ -468,7 +466,7 @@ def optimize_control(
         return _cost_gradient(cp, u, cost, ScalarField(mesh, y), opts)
 
     def norm2(g):
-        return float(mesh.cell_volume * np.sum(mesh.node_weights() * g * g))
+        return float(grid.sq_norm_values(mesh, g))
 
     def score(U, y):
         Y = _state_columns(cp, U, ScalarField(mesh, y), opts.state_tol)

@@ -430,10 +430,20 @@ def h1_seminorm(y: ScalarField) -> float:
     return l2_norm(gradient(y))
 
 
+def sq_norm_values(mesh: Mesh, v: np.ndarray) -> np.ndarray:
+    """Squared l2_norm_values: the trapezoid rule over the last axis."""
+    return mesh.cell_volume * (mesh.node_weights() * v * v).sum(axis=-1)
+
+
+def cell_sq_norm_values(mesh: Mesh, g: np.ndarray) -> np.ndarray:
+    """Squared l2 norm of stacked cell vector fields (..., n_cells, dim)."""
+    return mesh.cell_volume * (g * g).reshape(g.shape[:-2] + (-1,)).sum(axis=-1)
+
+
 def l2_norm_values(mesh: Mesh, v: np.ndarray) -> np.ndarray:
     """l2_norm of each stacked nodal field of shape (..., n_nodes).  Leading
     axes are batch axes; each entry equals l2_norm of that field alone."""
-    return np.sqrt(mesh.cell_volume * (mesh.node_weights() * v * v).sum(axis=-1))
+    return np.sqrt(sq_norm_values(mesh, v))
 
 
 def integrate_cells(mesh: Mesh, values: np.ndarray) -> float:
@@ -662,8 +672,7 @@ def lift_values(mesh: Mesh, r: np.ndarray):
     """(lift, norm): the zero-Dirichlet Poisson lift of stacked nodal residuals
     r, and the l2 norm of its cell gradient, the discrete H^-1 norm of r."""
     lift = helmholtz_solve_values(mesh, 0.0, r)
-    g = gradient_values(mesh, lift)
-    return lift, np.sqrt(mesh.cell_volume * (g * g).reshape(g.shape[:-2] + (-1,)).sum(axis=-1))
+    return lift, np.sqrt(cell_sq_norm_values(mesh, gradient_values(mesh, lift)))
 
 
 def helmholtz_solve(b: float, rhs: ScalarField) -> ScalarField:

@@ -140,13 +140,6 @@ def interior_jacobian(p: QuasilinearStateProblem, y: np.ndarray) -> np.ndarray:
     return grid.interior_matrix(mesh, apply)
 
 
-def _h1_norm_values(mesh: Mesh, z: np.ndarray, gz: np.ndarray) -> np.ndarray:
-    """Discrete H1 norm sqrt(||z||^2 + ||grad z||^2) of each column of z,
-    given its gradient gz: one weighted sum of squares."""
-    semi = (gz * gz).reshape(gz.shape[:-2] + (-1,)).sum(axis=-1)
-    return np.sqrt(mesh.cell_volume * ((mesh.node_weights() * z * z).sum(axis=-1) + semi))
-
-
 def solve_quasilinear(
     p: QuasilinearStateProblem,
     u: ScalarField,
@@ -186,7 +179,9 @@ def solve_quasilinear_columns(
     def step(y, g, f):
         ynew = grid.helmholtz_solve_values(mesh, p.b, f - _a_node_values(p, g))
         gnew = grid.gradient_values(mesh, ynew)
-        return ynew, _h1_norm_values(mesh, ynew - y, gnew - g), None, (ynew, gnew, f)
+        # the increment's discrete H1 norm: both squared norms, one square root
+        dh1 = np.sqrt(grid.sq_norm_values(mesh, ynew - y) + grid.cell_sq_norm_values(mesh, gnew - g))
+        return ynew, dh1, None, (ynew, gnew, f)
 
     y = grid.start_columns(mesh, u.shape, y0)
     # the increment is measured after the step, so counting starts at 1

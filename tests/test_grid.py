@@ -156,6 +156,8 @@ _PARAMETERS = {
     state_variational._energy_gradient: "p Gy ucell source",
     state_variational._polish: "p y data tol",
     grid.l2_norm_values: "mesh v",
+    grid.sq_norm_values: "mesh v",
+    grid.cell_sq_norm_values: "mesh g",
 }
 
 
@@ -697,6 +699,18 @@ class TestBatchAxes:
             assert nodal[i] == grid.l2_norm(ScalarField(mesh, y[i]))
             gradient = grid.VectorField(mesh, grid.gradient_values(mesh, lift[i]))
             assert cells[i] == grid.l2_norm(gradient)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_squared_norms_are_the_inner_products(self, dim):
+        # the two discrete L2 rules, nodal and cell, stacked
+        rng = np.random.default_rng(41)
+        mesh = grid.build_mesh(dim, 6)
+        y = rng.standard_normal((3, mesh.n_nodes))
+        g = grid.gradient_values(mesh, y)
+        nodal, cells = grid.sq_norm_values(mesh, y), grid.cell_sq_norm_values(mesh, g)
+        for i in range(3):
+            f, v = ScalarField(mesh, y[i]), grid.VectorField(mesh, g[i])
+            assert nodal[i] == grid.inner(f, f) and cells[i] == grid.inner(v, v)
 
     @pytest.mark.parametrize("dim,n", [(1, 16), (1, 128), (2, 8)],
                              ids=["dense-1d", "sweep-1d", "2d"])
